@@ -1,19 +1,25 @@
 """Hand-rolled numerical primitives used by the analysis layers.
 
-These are pinned implementations (grid-scan root isolation + bisection,
-classical RK4 steps, Richardson-extrapolated difference quotients) so that
-results are bit-reproducible across platforms.  Library root finders and
-adaptive integrators appear only as independent oracles in the test suite.
+These are pinned implementations (grid-scan root isolation + bisection or
+vectorised multisection, classical RK4 steps, Richardson-extrapolated
+difference quotients) so that results are bit-reproducible across
+platforms.  Library root finders and adaptive integrators appear only as
+independent oracles in the test suite.
 """
 from __future__ import annotations
 
 from typing import Callable, Sequence
+
+import numpy as np
 
 #: Default number of scan cells for root isolation on an interval.
 SCAN_CELLS = 512
 
 #: Default absolute width tolerance for bisection refinement.
 ROOT_XTOL = 1e-12
+
+#: Sections per round of `multisect_roots`.
+MULTISECTIONS = 256
 
 
 def bisect_root(f: Callable[[float], float], a: float, b: float,
@@ -42,6 +48,48 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
+def scan_grid(lo: float, hi: float, cells: int) -> list[float]:
+    """The cells + 1 equally spaced scan points from lo to hi (hi exact)."""
+    step = (hi - lo) / cells
+    xs = [lo + step * k for k in range(cells + 1)]
+    xs[-1] = hi
+    return xs
+
+
+Cell = tuple[float, float, float, float]   # (a, b, f(a), f(b))
+
+
+def sign_change_roots(xs: Sequence[float], vals: Sequence[float],
+                      refine: Callable[[list[Cell]], Sequence[float]],
+                      xtol: float = ROOT_XTOL) -> list[tuple[float, tuple[float, float]]]:
+    """Roots from the values of f on a scan grid.
+
+    A zero grid value is a root, and every cell whose end values have
+    opposite signs holds one.  refine([(a, b, f(a), f(b)), ...]) locates
+    the roots of all those cells in a single call, one per cell.  Returns
+    ascending (root, (a, b)) pairs, (a, b) being the root's cell, with
+    duplicates within a small merge window collapsed.
+    """
+    # grid indices of zero values and of sign-change cells, ascending
+    hits = [k for k, (fa, fb) in enumerate(zip(vals, vals[1:]))
+            if fa == 0.0 or (fb != 0.0 and (fa < 0.0) != (fb < 0.0))]
+    if vals[-1] == 0.0:
+        hits.append(len(vals) - 1)
+    cells = [k for k in hits if vals[k] != 0.0]
+    refined = dict(zip(cells, refine([(xs[k], xs[k + 1], vals[k], vals[k + 1])
+                                      for k in cells])))
+    out: list[tuple[float, tuple[float, float]]] = []
+    for k in hits:
+        if k in refined:
+            r, cell = refined[k], (xs[k], xs[k + 1])
+        else:
+            r, cell = xs[k], (xs[k], xs[k])
+        if out and abs(r - out[-1][0]) <= max(4.0 * xtol, 1e-11 * (1.0 + abs(r))):
+            continue
+        out.append((r, cell))
+    return out
+
+
 def scan_roots(f: Callable[[float], float], lo: float, hi: float,
                cells: int = SCAN_CELLS, xtol: float = ROOT_XTOL) -> list[float]:
     """Sign-change roots of f on [lo, hi]: uniform scan + bisection.
@@ -51,29 +99,45 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
     """
     if not hi > lo:
         return []
-    step = (hi - lo) / cells
-    xs = [lo + step * k for k in range(cells + 1)]
-    xs[-1] = hi
+    xs = scan_grid(lo, hi, cells)
     vals = [f(x) for x in xs]
-    roots: list[float] = []
+    return [r for r, _ in sign_change_roots(
+        xs, vals, lambda brackets: [bisect_root(f, *c, xtol) for c in brackets], xtol)]
 
-    def push(r: float) -> None:
-        if roots and abs(r - roots[-1]) <= max(4.0 * xtol, 1e-11 * (1.0 + abs(r))):
-            return
-        roots.append(r)
 
-    for k in range(cells):
-        fa, fb = vals[k], vals[k + 1]
-        if fa == 0.0:
-            push(xs[k])
-            continue
-        if fb == 0.0:
-            continue  # picked up as the next cell's left endpoint (or below)
-        if (fa < 0.0) != (fb < 0.0):
-            push(bisect_root(f, xs[k], xs[k + 1], fa, fb, xtol))
-    if vals[-1] == 0.0:
-        push(hi)
-    return roots
+def multisect_roots(f: Callable[[np.ndarray], np.ndarray],
+                    cells: Sequence[Cell],
+                    xtol: float = ROOT_XTOL) -> list[float]:
+    """Roots of f in sign-change cells [(a, b, f(a), f(b)), ...], refined
+    together, the vectorised counterpart of `bisect_root`.
+
+    f maps an array of points to an array of values.  Every round evaluates
+    f once, at the MULTISECTIONS - 1 interior section points of all open
+    cells, and keeps the first sub-cell of each that holds a sign change (an
+    exact zero ends its cell), until the width is at most xtol.
+    """
+    if not cells:
+        return []
+    a, b, fa, fb = (np.array(c, dtype=float) for c in zip(*cells))
+    root = np.full(a.shape, np.nan)
+    frac = np.arange(1, MULTISECTIONS) / MULTISECTIONS
+    while True:
+        live = np.flatnonzero(np.isnan(root) & (b - a > xtol))
+        if live.size == 0:
+            break
+        pts = a[live, None] + (b - a)[live, None] * frac
+        vals = f(pts.ravel()).reshape(pts.shape)
+        # section points with both cell ends, so the first flip always exists
+        xs = np.hstack([a[live, None], pts, b[live, None]])
+        fs = np.hstack([fa[live, None], vals, fb[live, None]])
+        flip = (fs[:, 1:] == 0.0) | ((fs[:, 1:] < 0.0) != (fs[:, :1] < 0.0))
+        j = np.argmax(flip, axis=1) + 1
+        rows = np.arange(live.size)
+        hit = fs[rows, j] == 0.0
+        root[live[hit]] = xs[rows, j][hit]
+        a[live], fa[live] = xs[rows, j - 1], fs[rows, j - 1]
+        b[live], fb[live] = xs[rows, j], fs[rows, j]
+    return np.where(np.isnan(root), 0.5 * (a + b), root).tolist()
 
 
 def central_slope(f: Callable[[float], float], x: float, h: float) -> float:
@@ -109,10 +173,3 @@ def rk4_step_1d(f: Callable[[float], float], y: float, h: float) -> float:
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-
-def polyline_arclength(points: Sequence[tuple[float, float]]) -> float:
-    """Total length of a polyline (used for portrait bookkeeping)."""
-    total = 0.0
-    for (a1, a2), (b1, b2) in zip(points, points[1:]):
-        total += ((b1 - a1) ** 2 + (b2 - a2) ** 2) ** 0.5
-    return total

@@ -11,22 +11,45 @@ turn.  The branch-to-branch orbit maps are
 half turn psi = phi_X o phi_Y : Sigma2 -> Sigma2, full turn phi = psi o psi.
 First-order coefficients: a_X = -X1(0)/X2(0), a_Y = -Y2(0)/Y1(0), and the
 full-turn linear multiplier is alpha^2 with alpha = a_X * a_Y.
+
+Two numeric routes evaluate the orbit maps.  The scalar route,
+`numeric_return_map`, follows one seed leg by leg with the event-driven,
+time-parametrised RK4 of `flow.half_crossing`.  The lane route of
+`fixed_points` runs all seeds of a scan at once on numpy lanes; each leg is
+a fixed-step RK4 in the chart variable.  A lane that fails a guard of the
+scalar route (transverse start, chart denominator of constant sign and
+above the tangency tolerance, no return to the starting branch, the box) is
+evaluated on the scalar route.  The scalar route also checks the lane
+route: at the widest-leg lane of each scan and at every root.  Where they
+disagree, it redoes that scan or that root.  Roots are refined together by
+multisection on lanes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
+import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import EtaUndefined, NotTransient, NotTransverse
+from .errors import (EtaUndefined, LeftDomain, NotTransient, NotTransverse,
+                     StepLimit)
 from .fields import PiecewiseSystem, Point
-from .numerics import central_slope, scan_roots
+from .numerics import (bisect_root, central_slope, multisect_roots, scan_grid,
+                       sign_change_roots)
 from .series import invert_graph, picard_chart_jet
-from .switching import band_tolerance, field_scale
+from .switching import TANGENCY_RTOL, band_tolerance, field_scale
 
 #: |alpha + 1| below this means "on the critical multiplier band".
 ALPHA_CRITICAL_TOL = 1e-9
+
+#: Fixed RK4 steps per chart leg on the lane route of `fixed_points`.
+CHART_STEPS = 50
+
+#: Largest accepted lane-vs-scalar full-turn difference, times (1 + |x|).
+LANE_CHECK_TOL = 1e-9
+
+#: Box |x1|, |x2| <= LEG_BOX of the orbit legs (`flow.half_crossing`'s box).
+LEG_BOX = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -288,32 +311,10 @@ def numeric_return_map(Z: PiecewiseSystem, x: float,
     return NumericReturn(value=value, hit_sliding=hit, legs=tuple(pts))
 
 
-def numeric_return_samples(Z: PiecewiseSystem, n: int = 16,
-                           radius: float = 1e-2, max_halvings: int = 10,
-                           half: bool = False):
-    """Sample the numeric return map at n seeds on Sigma2-, halving the
-    window (up to max_halvings) whenever a seed's orbit leaves the tractable
-    neighbourhood.  Returns (radius_used, [(x, value, hit_sliding), ...])."""
-    from .errors import LeftDomain, StepLimit
-
-    r = radius
-    for _ in range(max_halvings + 1):
-        out = []
-        try:
-            for k in range(1, n + 1):
-                x = -r * k / n
-                res = numeric_return_map(Z, x, half=half)
-                out.append((x, res.value, res.hit_sliding))
-            return r, out
-        except (LeftDomain, StepLimit):
-            r *= 0.5
-    raise LeftDomain(
-        f"no tractable sampling window found down to radius {r:g}")
-
-
 # ---------------------------------------------------------------------------
 # fixed points of the numeric full-turn map
 # ---------------------------------------------------------------------------
+
 
 @dataclass(frozen=True)
 class FixedPoint:
@@ -326,12 +327,173 @@ class FixedPoint:
     hit_sliding: bool
 
 
+def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
+    """Numeric full (or half) turn from the seeds (x, 0), all seeds at once.
+
+    Each leg takes CHART_STEPS fixed RK4 steps of the chart ODE
+    dw/ds = num/den from (s, w) = (start, 0) to s = 0, on numpy lanes.
+    Returns (values, ok, reach).  ok is False on every lane that fails a
+    guard of the scalar route, and the value of such a lane is meaningless:
+    the start point is not transverse (|num| within the tangency tolerance
+    there) or not on an open half-branch; the chart denominator changes sign
+    or comes within that tolerance at some stage; w is outside the field's
+    own quadrants after some step (the orbit leg heads away from the other
+    branch, or back to its starting branch); or the leg leaves the box.
+    reach is each lane's largest |branch point| along the turn, the size of
+    its widest leg.
+    """
+    from .flow import ARM  # deferred like numeric_return_map's flow import
+
+    start = np.array(xs, dtype=float)
+    ok = np.ones(start.shape, dtype=bool)
+    reach = np.zeros(start.shape)
+    components = (Z.X.f1, Z.X.f2, Z.Y.f1, Z.Y.f2)
+    with np.errstate(all="ignore"):
+        for k in range(2 if half else 4):
+            field = "Y" if k % 2 == 0 else "X"
+            num, den = _chart_polys(Z, field)
+            zero = np.zeros_like(start)
+            # the branch point (x1, x2) of the leg start and the field's own
+            # sign of w there: Y lives on {x1*x2 < 0}, X on {x1*x2 > 0}
+            point, side = (((start, zero), -np.sign(start)) if field == "Y"
+                           else ((zero, start), np.sign(start)))
+            scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
+            tol = TANGENCY_RTOL * (1.0 + scale)
+            den_sign = np.sign(den(start, zero))
+            ok &= ((np.abs(num(start, zero)) > tol) & (np.abs(start) > ARM)
+                   & (np.abs(start) <= LEG_BOX))
+            reach = np.maximum(reach, np.abs(start))
+
+            h = -start / CHART_STEPS
+            half_h = 0.5 * h
+            w = zero
+            den_min = np.full(start.shape, np.inf)   # least den * den_sign
+            w_min = np.full(start.shape, np.inf)     # least w * side
+            w_max = zero                             # largest w * side
+
+            def f(s, w):
+                nonlocal den_min
+                d = den(s, w)
+                den_min = np.minimum(den_min, d * den_sign)
+                return num(s, w) / d
+
+            for n in range(CHART_STEPS):
+                s = start + n * h
+                k1 = f(s, w)
+                k2 = f(s + half_h, w + half_h * k1)
+                k3 = f(s + half_h, w + half_h * k2)
+                k4 = f(s + h, w + h * k3)
+                w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                ws = w * side
+                w_min = np.minimum(w_min, ws)
+                w_max = np.maximum(w_max, ws)
+            ok &= (den_min > tol) & (w_min > 0.0) & (w_max <= LEG_BOX)
+            start = w
+    return start, ok, np.maximum(reach, np.abs(start))
+
+
+def _turn_values(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
+    """`_chart_turn`, with every lane that failed a guard evaluated by the
+    scalar `numeric_return_map` instead, which raises what it raises."""
+    values, ok, reach = _chart_turn(Z, xs, half)
+    for k in np.flatnonzero(~ok):
+        values[k] = numeric_return_map(Z, float(xs[k]), half=half).value
+    return values, ok, reach
+
+
+def _stability(mult: float) -> bool | None:
+    if abs(abs(mult) - 1.0) <= 1e-6:
+        return None
+    return abs(mult) < 1.0
+
+
+def _scalar_fixed_point(Z: PiecewiseSystem, root: float,
+                        slope_step: float) -> FixedPoint:
+    res = numeric_return_map(Z, root)
+    mult = central_slope(lambda u: numeric_return_map(Z, u).value,
+                         root, slope_step * (1.0 + abs(root)))
+    conj = numeric_return_map(Z, root, half=True).value
+    return FixedPoint(root, conj, mult, _stability(mult), res.hit_sliding)
+
+
+def _agrees(lane: float, exact: float, x: float) -> bool:
+    return abs(lane - exact) <= LANE_CHECK_TOL * (1.0 + abs(x))
+
+
+def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
+                 guard: float, slope_step: float) -> list[FixedPoint] | None:
+    """Fixed points in one scan window on the lane route; None when the
+    scalar route must redo the window."""
+
+    def lanes(u):
+        vals, ok, reach = _turn_values(Z, u)
+        d = vals - u
+        d[np.abs(u) <= guard] = 0.0
+        return d, ok, reach
+
+    grid = np.array(xs)
+    vals, ok, reach = lanes(grid)
+    if ok.any():
+        # the widest-leg lane has the largest chart error
+        k = int(np.argmax(np.where(ok, reach, -1.0)))
+        try:
+            exact = numeric_return_map(Z, xs[k]).value
+        except (LeftDomain, NotTransverse, StepLimit):
+            return None
+        if not _agrees(vals[k] + xs[k], exact, xs[k]):
+            return None
+    def refine(brackets):
+        return multisect_roots(lambda u: lanes(u)[0], brackets)
+
+    roots = [(r, cell) for r, cell in sign_change_roots(xs, vals.tolist(), refine)
+             if abs(r) > 2.0 * guard]
+    if not roots:
+        return []
+    at = np.array([r for r, _ in roots])
+    h = slope_step * (1.0 + np.abs(at))
+    values = _turn_values(Z, np.concatenate([at - h, at, at + h]))[0]
+    below, value, above = np.split(values, 3)
+    out: list[FixedPoint] = []
+    for i, (root, (a, b)) in enumerate(roots):
+        try:
+            res = numeric_return_map(Z, root)
+            agree = _agrees(value[i], res.value, root)
+        except (LeftDomain, NotTransverse, StepLimit):
+            agree = False
+        if agree:
+            mult = float((above[i] - below[i]) / (2.0 * h[i]))
+            out.append(FixedPoint(root, res.legs[2][0], mult, _stability(mult),
+                                  res.hit_sliding))
+            continue
+        fa, fb = displacement(a), displacement(b)
+        if fa != 0.0 and fb != 0.0 and (fa < 0.0) == (fb < 0.0):
+            return None
+        out.append(_scalar_fixed_point(Z, bisect_root(displacement, a, b, fa, fb),
+                                       slope_step))
+    return out
+
+
 def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
                  cells: int = 256, slope_step: float = 1e-5) -> list[FixedPoint]:
     """Fixed points of the numeric full turn with x in [lo, hi], 0 excluded.
 
-    Grid scan of phi(x) - x with bisection refinement; the multiplier comes
-    from a central difference of the numeric map.
+    Each side of 0 is one scan window: a grid of `cells` cells over which
+    phi(x) - x is scanned for sign changes.  The grid seeds run through the
+    four legs together on numpy lanes, each leg a fixed-step RK4 in the
+    chart variable (`_chart_turn`).  A lane that fails one of the scalar
+    route's guards is evaluated by `numeric_return_map` instead.
+
+    Before the lane values are used, the widest-leg lane is checked against
+    one scalar evaluation.  If they differ by more than
+    LANE_CHECK_TOL * (1 + |x|), the whole window runs on the scalar route
+    (scalar grid values and `bisect_root`).  Otherwise the sign-change cells
+    are refined together by lane multisection (`multisect_roots`) to width
+    1e-12, and the multiplier is the central difference of the lane map with
+    step slope_step * (1 + |x|).  One scalar `numeric_return_map` at each
+    root gives `hit_sliding` and the conjugate.  If it disagrees with the
+    lane value beyond the same bound, that cell is bisected again on the
+    scalar route; if the scalar values at the cell ends do not bracket a
+    root, the whole window runs on the scalar route.
     """
     require_transient(Z)
     guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
@@ -348,17 +510,15 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
         windows.append((max(lo, guard), hi))
     out: list[FixedPoint] = []
     for wlo, whi in windows:
-        for root in scan_roots(displacement, wlo, whi, cells=cells):
-            if abs(root) <= 2.0 * guard:
-                continue
-            res = numeric_return_map(Z, root)
-            mult = central_slope(lambda u: numeric_return_map(Z, u).value,
-                                 root, slope_step * (1.0 + abs(root)))
-            stable: bool | None
-            if abs(abs(mult) - 1.0) <= 1e-6:
-                stable = None
-            else:
-                stable = abs(mult) < 1.0
-            conj = numeric_return_map(Z, root, half=True).value
-            out.append(FixedPoint(root, conj, mult, stable, res.hit_sliding))
+        if not whi > wlo:
+            continue
+        xs = scan_grid(wlo, whi, cells)
+        found = _lane_window(Z, xs, displacement, guard, slope_step)
+        if found is None:
+            vals = [displacement(x) for x in xs]
+            found = [_scalar_fixed_point(Z, r, slope_step) for r, _ in
+                     sign_change_roots(xs, vals, lambda brackets: [
+                         bisect_root(displacement, *c) for c in brackets])
+                     if abs(r) > 2.0 * guard]
+        out.extend(found)
     return out

@@ -5,18 +5,25 @@ Oracle notes:
             by hand (linear/separable equations); numeric fits use scipy's
             DOP853 on the same charts as an independent route.
   [TRIVIAL] composition algebra checked by direct evaluation.
+  [ORACLE]  the lane route of fixed_points (fixed-step RK4 chart legs on
+            numpy lanes) against the scalar, event-driven orbit legs of
+            numeric_return_map, and against the scalar scan written out
+            below.
 """
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crosswitch.errors import EtaUndefined, NotTransient, NotTransverse
+from crosswitch.errors import (EtaUndefined, LeftDomain, NotTransient,
+                               NotTransverse, StepLimit)
 from crosswitch.fields import make_system
-from crosswitch.numerics import richardson_slope
+import crosswitch.returnmap as returnmap
+from crosswitch.numerics import central_slope, richardson_slope, scan_roots
 from crosswitch.returnmap import (
     alpha_value,
     compose_cubic,
@@ -30,11 +37,30 @@ from crosswitch.returnmap import (
     half_map_value_numeric,
     is_transient,
     numeric_return_map,
-    numeric_return_samples,
     return_map_model,
 )
 
 from conftest import assert_close
+
+
+def numeric_return_samples(Z, n: int = 16, radius: float = 1e-2,
+                           max_halvings: int = 10, half: bool = False):
+    """Sample the numeric return map at n seeds on Sigma2-, halving the
+    window (up to max_halvings) whenever a seed's orbit leaves the tractable
+    neighbourhood.  Returns (radius_used, [(x, value, hit_sliding), ...])."""
+    r = radius
+    for _ in range(max_halvings + 1):
+        out = []
+        try:
+            for k in range(1, n + 1):
+                x = -r * k / n
+                res = numeric_return_map(Z, x, half=half)
+                out.append((x, res.value, res.hit_sliding))
+            return r, out
+        except (LeftDomain, StepLimit):
+            r *= 0.5
+    raise LeftDomain(
+        f"no tractable sampling window found down to radius {r:g}")
 
 
 def c32_normal() -> object:
@@ -297,3 +323,183 @@ class TestFixedPoints:
         a = fixed_points(Z, -0.2, -1e-6, cells=96)[0].x
         b = fixed_points(Z, -0.2, -1e-6, cells=192)[0].x
         assert abs(a - b) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# lane route of fixed_points vs the scalar route
+# ---------------------------------------------------------------------------
+
+def scalar_fixed_points(Z, lo: float, hi: float, cells: int):
+    """The scalar route for a window below 0: scan_roots over the scalar
+    full turn, central-difference multiplier.  Returns (x, multiplier,
+    hit_sliding) triples."""
+    guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
+
+    def displacement(x):
+        return 0.0 if abs(x) <= guard else numeric_return_map(Z, x).value - x
+
+    out = []
+    for root in scan_roots(displacement, lo, min(hi, -guard), cells=cells):
+        if abs(root) <= 2.0 * guard:
+            continue
+        mult = central_slope(lambda u: numeric_return_map(Z, u).value,
+                             root, 1e-5 * (1.0 + abs(root)))
+        out.append((root, mult, numeric_return_map(Z, root).hit_sliding))
+    return out
+
+
+def curved_transient(seed: int):
+    """Transient system with order-one linear and quadratic terms in every
+    component."""
+    rng = np.random.default_rng(seed)
+    flip_x, flip_y = rng.choice([-1.0, 1.0], 2)
+    signs = (flip_x, -flip_x, flip_y, flip_y)   # X1*X2(0) < 0 < Y1*Y2(0)
+    comps = []
+    for sgn in signs:
+        d = {(0, 0): sgn * rng.uniform(0.5, 2.0)}
+        for e in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            d[e] = rng.uniform(-1.0, 1.0)
+        comps.append(d)
+    return make_system(*comps)
+
+
+def curved_hopf():
+    """hopf_family(1e-3) with Y1 = 1 + x2/2, so that its Y chart
+    dw/ds = Y2/Y1 depends on w and fixed-step chart legs carry an error."""
+    return make_system(1.0, -1.001, {(0, 0): 1.0, (0, 1): 0.5},
+                       {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0})
+
+
+def fold_pair_system():
+    """Pseudo-Hopf-like system whose X chart denominator X2 = -1.001 +
+    8 x1 - 12 x1^2 vanishes at x1 = 1/6 and 1/2: X legs from far enough out
+    turn back in x2 twice, so they are not graphs over the chart variable."""
+    return make_system(1.0, {(0, 0): -1.001, (1, 0): 8.0, (2, 0): -12.0},
+                       1.0, {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0})
+
+
+def counting(monkeypatch, name: str):
+    """Count the calls of a returnmap function; returns the call list."""
+    calls = []
+    original = getattr(returnmap, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(returnmap, name, counted)
+    return calls
+
+
+class TestLaneRoute:
+    def test_lane_values_match_scalar_on_curved_systems(self):
+        # [ORACLE] on lanes whose legs start within 0.2 of the origin the
+        # 50-step chart legs reproduce the scalar orbit legs; longer legs
+        # are left to fixed_points' scalar check of the widest lane
+        xs = np.concatenate([np.linspace(-0.15, -0.01, 8),
+                             np.linspace(0.01, 0.15, 8)])
+        compared = 0
+        for seed in range(12):
+            Z = curved_transient(seed)
+            assert is_transient(Z)
+            for half in (False, True):
+                values, ok, reach = returnmap._chart_turn(Z, xs, half)
+                for x, value in zip(xs[ok & (reach <= 0.2)], values[ok & (reach <= 0.2)]):
+                    want = numeric_return_map(Z, float(x), half=half).value
+                    assert abs(value - want) <= 1e-9, (seed, half, x)
+                    compared += 1
+        assert compared >= 300     # of 384 lanes
+
+    def test_curved_hopf_matches_scalar_route(self):
+        Z = curved_hopf()
+        got = fixed_points(Z, -0.2, -1e-6, cells=96)
+        want = scalar_fixed_points(Z, -0.2, -1e-6, cells=96)
+        assert len(got) == len(want) == 1
+        (x, mult, hit), fp = want[0], got[0]
+        assert abs(fp.x - x) < 1e-8
+        assert fp.multiplier == pytest.approx(mult, abs=1e-6)
+        assert fp.hit_sliding is hit
+        assert fp.conjugate == numeric_return_map(Z, fp.x, half=True).value
+
+    def test_vanishing_chart_denominator_matches_scalar_route(self):
+        # [ORACLE] lanes whose X leg meets the fold pair fail the guards;
+        # the fixed points are those of the scalar route all the same
+        Z = fold_pair_system()
+        _, ok, _ = returnmap._chart_turn(Z, np.linspace(-0.25, -1e-6, 97))
+        assert (~ok).sum() >= 10
+        got = fixed_points(Z, -0.25, -1e-6, cells=96)
+        want = scalar_fixed_points(Z, -0.25, -1e-6, cells=96)
+        assert len(got) == len(want) == 1
+        for fp, (x, mult, hit) in zip(got, want):
+            assert abs(fp.x - x) < 1e-8
+            assert fp.stable is (abs(mult) < 1.0)
+            assert fp.hit_sliding is hit
+
+    def test_lane_leaving_box_raises_like_scalar_route(self):
+        # constant fields, branch points |x|, 10|x|, 20|x|, 200|x|, 400|x|
+        # along the full turn: a lane fails where the last leg leaves the
+        # box |x1|, |x2| <= 4, and its scalar legs raise
+        Z = make_system(2.0, -1.0, 1.0, 10.0)
+        xs = -(np.arange(1, 20) + 0.5) / 1000.0
+        _, ok, _ = returnmap._chart_turn(Z, xs)
+        assert np.array_equal(ok, 400.0 * np.abs(xs) < 4.0)
+        with pytest.raises(LeftDomain):
+            numeric_return_map(Z, -0.015)
+        with pytest.raises(LeftDomain):
+            fixed_points(Z, -0.02, -1e-6, cells=19)
+
+    def test_lane_heading_away_fails_like_scalar_route(self):
+        # Y2 = 1 + 10 x1 is negative at seeds x < -0.1, so those orbits
+        # leave Sigma2 away from the origin and out of the box; the chart
+        # ODE still reaches s = 0, for x < -0.2 without w changing sign,
+        # at a point outside Y's quadrants
+        # at a point outside Y's quadrants; at x = -0.1 the start is tangent
+        Z = make_system(1.0, -1.0, 1.0, {(0, 0): 1.0, (1, 0): 10.0})
+        xs = np.array([-0.25, -0.15, -0.1, -0.05])
+        values, ok, _ = returnmap._chart_turn(Z, xs, half=True)
+        assert values[0] < 0.0
+        assert ok.tolist() == [False, False, False, True]
+        with pytest.raises(LeftDomain):
+            numeric_return_map(Z, -0.25)
+        with pytest.raises(NotTransverse):
+            numeric_return_map(Z, -0.1)
+        with pytest.raises(LeftDomain):
+            fixed_points(Z, -0.3, -1e-6, cells=12)
+
+    def test_leg_across_a_chart_pole_fails(self):
+        # dw/ds = -0.01 / (0.1 + s) has a pole at s = -0.1, so Y legs from
+        # x < -0.1 are not graphs over s; RK4 steps across the pole can
+        # still keep w small and positive, and only the sign of the chart
+        # denominator shows the pole
+        Z = make_system(1.0, -1.0, {(0, 0): 0.1, (1, 0): 1.0}, -0.01)
+        xs = -np.linspace(0.11, 0.3, 20) - 3e-4
+        _, ok, _ = returnmap._chart_turn(Z, xs, half=True)
+        assert not ok.any()
+
+    def test_coarse_chart_falls_back_to_scalar_scan(self, monkeypatch):
+        # two chart steps per leg miss the 1e-9 check of the widest lane:
+        # the window runs on the scalar route, whose result is the seed's
+        monkeypatch.setattr(returnmap, "CHART_STEPS", 2)
+        calls = counting(monkeypatch, "numeric_return_map")
+        Z = curved_hopf()
+        got = fixed_points(Z, -0.2, -1e-6, cells=96)
+        assert len(calls) > 97
+        want = scalar_fixed_points(Z, -0.2, -1e-6, cells=96)
+        assert [(fp.x, fp.multiplier, fp.hit_sliding) for fp in got] == want
+
+    def test_root_disagreement_rebisects_on_scalar_route(self, monkeypatch):
+        # lane values off by 1e-7 everywhere but at the widest lane pass the
+        # per-scan check; the scalar evaluation at the root catches them
+        chart_turn = returnmap._chart_turn
+
+        def biased(Z, xs, half=False):
+            values, ok, reach = chart_turn(Z, xs, half)
+            return values + np.where(np.abs(xs) < 0.199, 1e-7, 0.0), ok, reach
+
+        monkeypatch.setattr(returnmap, "_chart_turn", biased)
+        bisections = counting(monkeypatch, "bisect_root")
+        Z = curved_hopf()
+        got = fixed_points(Z, -0.2, -1e-6, cells=96)
+        assert len(bisections) == 1
+        want = scalar_fixed_points(Z, -0.2, -1e-6, cells=96)
+        assert [(fp.x, fp.multiplier, fp.hit_sliding) for fp in got] == want

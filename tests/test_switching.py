@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crosswitch.errors import EvaluationOutsideDomain, TooManyTangencies
 from crosswitch.fields import Poly1, make_system
-from crosswitch.numerics import richardson_slope, scan_roots
+from crosswitch.numerics import (bisect_root, multisect_roots,
+                                 richardson_slope, scan_roots)
 from crosswitch.switching import (
     Arc,
     ArcKind,
@@ -68,18 +69,46 @@ class TestScanRoots:
     def test_no_roots(self):
         assert scan_roots(Poly1([1.0, 0.0, 1.0]), -1.0, 1.0) == []
 
+    def test_multisection_matches_bisection(self):
+        # [TRIVIAL] (s + 0.5)(s - 0.1)(s - 0.3): all three sign-change cells
+        # refined together agree with one bisection per cell
+        q = Poly1([0.015, -0.17, 0.1, 1.0])
+        cells = [(-0.7, -0.2, q(-0.7), q(-0.2)), (0.05, 0.2, q(0.05), q(0.2)),
+                 (0.2, 0.31, q(0.2), q(0.31))]
+        got = multisect_roots(
+            lambda u: np.polynomial.polynomial.polyval(u, q.coeffs), cells)
+        want = [bisect_root(q, *c) for c in cells]
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx([-0.5, 0.1, 0.3], abs=1e-12)
+
     @given(st.lists(st.floats(-2, 2), min_size=2, max_size=5), st.floats(0.5, 2.0))
+    @example(cs=[0.25, 1.0, 1e-09], r=1.0)   # numpy's root is off by 1.2e-7
+    @example(cs=[0.5, 1.0, 1.9839346996837883e-11], r=1.0)   # off by 7.6e-6
     @settings(max_examples=150, deadline=None)
     def test_matches_numpy_polyroots(self, cs, r):
         # [DERIVED] every simple real numpy root well inside the window is
-        # found by the scanner, and every scanner root is a numpy root
+        # found by the scanner, and every scanner root is a numpy root; the
+        # simple real numpy roots in the window are first polished by Newton
+        # steps on q, as numpy's companion-matrix roots can be off by 1e-7
         q = Poly1(cs)
         assume(q.degree >= 1)
-        npr = np.polynomial.polynomial.polyroots(np.asarray(q.coeffs))
         dq = q.derivative()
+
+        def simple_real(z: complex) -> bool:
+            return abs(z.imag) < 1e-9 and abs(dq(float(z.real))) > 1e-6
+
+        def polish(z: complex) -> complex:
+            if not (simple_real(z) and abs(z.real) <= r):
+                return z
+            x = float(z.real)
+            for _ in range(4):
+                x -= q(x) / dq(x)
+            return complex(x)
+
+        npr = [polish(z) for z in
+               np.polynomial.polynomial.polyroots(np.asarray(q.coeffs))]
         want = [float(z.real) for z in npr
-                if abs(z.imag) < 1e-9 and abs(z.real) < r - 0.05
-                and abs(dq(float(z.real))) > 1e-6]
+                if simple_real(z) and abs(z.real) < r - 0.05]
         got = scan_roots(q, -r, r)
         for w in want:
             assert any(abs(g - w) < 1e-8 for g in got), f"missed root {w}"
