@@ -157,18 +157,15 @@ def classify(Z: PiecewiseSystem) -> Classification:
     model = return_map_model(Z)
     witnesses["alpha"] = model.alpha
     witnesses["gamma"] = model.gamma
-    if abs(model.alpha + 1.0) > band:
+    if model.eta is None:  # off the critical band
         return Classification(
             CLASS_C32,
             {"a": _sgn(x1), "b": _sgn(y1), "c": _sgn(model.alpha + 1.0)},
             witnesses)
 
-    beta = model.beta
-    eta = -2.0 * (model.c3 + beta * beta)
+    beta, eta = model.beta, model.eta
     witnesses["beta"] = beta
     witnesses["eta"] = eta
-    from .returnmap import eta_variant_sum_of_squares
-    witnesses["eta_sum_of_squares_variant"] = eta_variant_sum_of_squares(Z)
     if abs(beta) > comp_tol and abs(eta) > comp_tol:
         return Classification(
             CLASS_PH,

@@ -126,15 +126,6 @@ class Poly2:
                 return c
         return 0.0
 
-    def dense_matrix(self) -> np.ndarray:
-        """Coefficient matrix C with C[i, j] on x1^i x2^j (for numpy polyval2d)."""
-        di = max((i for i, _, _ in self.terms), default=0)
-        dj = max((j for _, j, _ in self.terms), default=0)
-        out = np.zeros((di + 1, dj + 1))
-        for i, j, c in self.terms:
-            out[i, j] = c
-        return out
-
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "Poly2") -> "Poly2":
         return Poly2(self.terms + other.terms)
@@ -230,9 +221,6 @@ class Poly1:
 
     def __call__(self, s: float) -> float:
         return self._eval(s)
-
-    def eval_array(self, s: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(s, np.asarray(self.coeffs))
 
     @property
     def degree(self) -> int:

@@ -1,8 +1,12 @@
 """Event-driven integration of the piecewise flow.
 
-Fixed-step RK4 (h = 1e-3) with event localization by bisection of the final
-substep: branch junctions are resolved to |coordinate| <= 1e-12 and snapped
-onto the branch.  Junction handling follows the convex (Filippov) convention:
+Fixed-step RK4 (h = 1e-3) with event localization inside the final substep
+by `numerics.bisect_root` on g(tau) over [0, h], g being the event function
+of the RK4(tau) image: the branch coordinate at a junction, the sup norm
+minus the box at a box exit, the running coordinate minus the cut on a
+sliding branch.  The search stops at |g| <= SNAP (ftol) or at width
+1e-16 * h (xtol); a junction point is then snapped onto its branch.
+Junction handling follows the convex (Filippov) convention:
 
 - crossing arc: switch to the field active on the entered quadrant;
 - sliding (or escaping) arc: move along the branch with the scalar field
@@ -24,7 +28,7 @@ from enum import Enum
 
 from .errors import LeftDomain, NotTransverse, StepLimit, TooManyTangencies
 from .fields import ACTIVE_FIELD, PiecewiseSystem, Point, branch_point, quadrant_of_signs
-from .numerics import rk4_step_1d, rk4_step_2d
+from .numerics import bisect_root, rk4_step_1d, rk4_step_2d
 from .switching import (
     ArcKind,
     band_tolerance,
@@ -106,65 +110,6 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# substep localization helpers
-# ---------------------------------------------------------------------------
-
-def _locate_axis_crossing(F, p: Point, h: float, axis: int):
-    """Smallest tau in (0, h] with coordinate `axis` of the RK4(tau) image at
-    zero (|.| <= SNAP); assumes a sign change over the full step.  Returns
-    (tau, landed_point) with the coordinate snapped to exactly 0."""
-    base = p[axis]
-
-    def g(tau: float) -> float:
-        return rk4_step_2d(F, p, tau)[axis]
-
-    a, b = 0.0, h
-    fa, fb = base, g(h)
-    tau, val = b, fb
-    for _ in range(200):
-        if abs(val) <= SNAP:
-            break
-        m = 0.5 * (a + b)
-        fm = g(m) if m > 0.0 else fa
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-        tau, val = b, fb
-        if b - a <= 1e-16 * h:
-            break
-    q = rk4_step_2d(F, p, tau)
-    q = (0.0, q[1]) if axis == 0 else (q[0], 0.0)
-    return tau, q
-
-
-def _locate_box_exit(F, p: Point, h: float, box: float):
-    """tau in (0, h] where max(|x1|, |x2|) - box hits zero from below."""
-
-    def g(tau: float) -> float:
-        q = rk4_step_2d(F, p, tau)
-        return max(abs(q[0]), abs(q[1])) - box
-
-    a, b = 0.0, h
-    fa = max(abs(p[0]), abs(p[1])) - box
-    tau = b
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = g(m) if m > 0.0 else fa
-        if abs(fm) <= SNAP:
-            tau = m
-            break
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b = m
-        tau = b
-        if b - a <= 1e-16 * h:
-            break
-    return tau, rk4_step_2d(F, p, tau)
-
-
-# ---------------------------------------------------------------------------
 # half-branch crossing primitive (orbit geometry, used by the return map)
 # ---------------------------------------------------------------------------
 
@@ -224,7 +169,10 @@ def half_crossing(Z: PiecewiseSystem, field_name: str, start: Point,
             raise LeftDomain("orbit leg returned to its starting branch")
         crossed = (q[watch] < 0.0) != (p[watch] < 0.0) or abs(q[watch]) <= SNAP
         if crossed:
-            tau, land = _locate_axis_crossing(F, p, h, watch)
+            tau = bisect_root(lambda u: rk4_step_2d(F, p, u)[watch], 0.0, h,
+                              p[watch], q[watch], 1e-16 * h, ftol=SNAP)
+            land = rk4_step_2d(F, p, tau)
+            land = (0.0, land[1]) if watch == 0 else (land[0], 0.0)
             t += tau
             j = 3 - i
             s_land = land[i - 1]
@@ -409,7 +357,14 @@ class _Integrator:
             step = min(h, self.t_max - self.t)
             q = rk4_step_2d(F, p, step)
             if max(abs(q[0]), abs(q[1])) > self.box:
-                tau, edge = _locate_box_exit(F, p, step, self.box)
+                def g(u: float) -> float:
+                    e = rk4_step_2d(F, p, u)
+                    return max(abs(e[0]), abs(e[1])) - self.box
+
+                tau = bisect_root(g, 0.0, step, max(abs(p[0]), abs(p[1])) - self.box,
+                                  max(abs(q[0]), abs(q[1])) - self.box,
+                                  1e-16 * step, ftol=SNAP)
+                edge = rk4_step_2d(F, p, tau)
                 self.t += tau
                 self.record(edge, mode)
                 self.emit(EventKind.BOX_EXIT, edge, terminal=True)
@@ -421,7 +376,10 @@ class _Integrator:
                         armed[axis] = True
                     continue
                 if (q[axis] < 0.0) != (p[axis] < 0.0) or abs(q[axis]) <= SNAP:
-                    tau, land = _locate_axis_crossing(F, p, step, axis)
+                    tau = bisect_root(lambda u: rk4_step_2d(F, p, u)[axis], 0.0, step,
+                                      p[axis], q[axis], 1e-16 * step, ftol=SNAP)
+                    land = rk4_step_2d(F, p, tau)
+                    land = (0.0, land[1]) if axis == 0 else (land[0], 0.0)
                     hits.append((tau, axis, land))
             if not hits:
                 p = q
@@ -489,7 +447,8 @@ class _Integrator:
                 self.record(branch_point(branch, s), mode)
                 continue
             target = min(stops, key=lambda c: abs(c - s))
-            tau = self._sliding_tau(f, s, step, target)
+            tau = bisect_root(lambda u: rk4_step_1d(f, s, u) - target, 0.0, step,
+                              s - target, s_new - target, 1e-16 * step, ftol=SNAP)
             self.t += tau
             s = target
             p = branch_point(branch, s)
@@ -510,26 +469,6 @@ class _Integrator:
                       note=f"exit_at_fold_of_{tangent}")
             return self.smooth_from_branch(p, tangent)
 
-    @staticmethod
-    def _sliding_tau(f, s: float, h: float, target: float) -> float:
-        """tau in (0, h] with the RK4(tau) sliding image at the target cut."""
-        a, b = 0.0, h
-        fa = s - target
-        tau = h
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = (rk4_step_1d(f, s, m) - target) if m > 0.0 else fa
-            if abs(fm) <= SNAP:
-                return m
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-            tau = b
-            if b - a <= 1e-16 * h:
-                break
-        return tau
-
 
 def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
               box: float = 2.0, h: float = STEP_H,
@@ -549,7 +488,7 @@ def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
 
 
 # ---------------------------------------------------------------------------
-# portraits and cycle detection
+# portraits
 # ---------------------------------------------------------------------------
 
 def phase_portrait(Z: PiecewiseSystem, box: float = 1.0,
@@ -577,27 +516,4 @@ def phase_portrait(Z: PiecewiseSystem, box: float = 1.0,
                                      backward=backward))
             except (StepLimit, TooManyTangencies):
                 continue
-    return out
-
-
-@dataclass(frozen=True)
-class PseudoCycle:
-    """Crossing cycle detected as a nontrivial fixed point of the full turn."""
-
-    x_minus: float                # fixed point on Sigma2-
-    x_plus: float                 # conjugate half-turn image on Sigma2+
-    multiplier: float
-    stable: bool | None
-    hit_sliding: bool
-
-
-def detect_pseudo_cycle(Z: PiecewiseSystem, radius: float = 0.2,
-                        cells: int = 256) -> list[PseudoCycle]:
-    """Scan the numeric full-turn map on (-radius, 0) for crossing cycles."""
-    from .returnmap import fixed_points  # deferred to avoid an import cycle
-
-    out = []
-    for fp in fixed_points(Z, -radius, -radius / 1e6, cells=cells):
-        out.append(PseudoCycle(fp.x, fp.conjugate, fp.multiplier, fp.stable,
-                               fp.hit_sliding))
     return out

@@ -1,10 +1,15 @@
 """Hand-rolled numerical primitives used by the analysis layers.
 
 These are pinned implementations (grid-scan root isolation + bisection or
-vectorised multisection, classical RK4 steps, Richardson-extrapolated
-difference quotients) so that results are bit-reproducible across
-platforms.  Library root finders and adaptive integrators appear only as
-independent oracles in the test suite.
+vectorised multisection, classical RK4 steps, central difference quotients)
+so that results are bit-reproducible across platforms.  Library root finders
+and adaptive integrators appear only as independent oracles in the test
+suite.
+
+`bisect_root` is the one scalar bisection loop: it refines the roots of
+`scan_roots` and of the fixed-point scans to width ROOT_XTOL (exact zeros
+stop early), and it localises every flow event inside an RK4 substep
+[0, h], where it stops at |g| <= `flow.SNAP` or at width 1e-16 * h.
 """
 from __future__ import annotations
 
@@ -24,13 +29,19 @@ MULTISECTIONS = 256
 
 def bisect_root(f: Callable[[float], float], a: float, b: float,
                 fa: float | None = None, fb: float | None = None,
-                xtol: float = ROOT_XTOL, max_iter: int = 200) -> float:
-    """Bisection on a bracketing interval [a, b] (f(a), f(b) opposite signs)."""
+                xtol: float = ROOT_XTOL, max_iter: int = 200,
+                ftol: float = 0.0) -> float:
+    """Bisection on a bracketing interval [a, b] (f(a), f(b) opposite signs).
+
+    Returns the first of a, b and the midpoints where |f| <= ftol, else the
+    midpoint of the first bracket no wider than xtol (or of the last one
+    after max_iter halvings).  With ftol = 0 only an exact zero stops early.
+    """
     fa = f(a) if fa is None else fa
     fb = f(b) if fb is None else fb
-    if fa == 0.0:
+    if abs(fa) <= ftol:
         return a
-    if fb == 0.0:
+    if abs(fb) <= ftol:
         return b
     if (fa < 0.0) == (fb < 0.0):
         raise ValueError("bisect_root: interval does not bracket a sign change")
@@ -39,7 +50,7 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
         if (b - a) <= xtol:
             return m
         fm = f(m)
-        if fm == 0.0:
+        if abs(fm) <= ftol:
             return m
         if (fm < 0.0) == (fa < 0.0):
             a, fa = m, fm
@@ -143,13 +154,6 @@ def multisect_roots(f: Callable[[np.ndarray], np.ndarray],
 def central_slope(f: Callable[[float], float], x: float, h: float) -> float:
     """Plain central difference quotient (O(h^2))."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def richardson_slope(f: Callable[[float], float], x: float, h: float) -> float:
-    """Two-level Richardson extrapolation of the central quotient (O(h^4))."""
-    d1 = central_slope(f, x, h)
-    d2 = central_slope(f, x, 0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
 
 
 def rk4_step_2d(f: Callable[[tuple[float, float]], tuple[float, float]],

@@ -39,9 +39,6 @@ from .numerics import (bisect_root, central_slope, multisect_roots, scan_grid,
 from .series import invert_graph, picard_chart_jet
 from .switching import TANGENCY_RTOL, band_tolerance, field_scale
 
-#: |alpha + 1| below this means "on the critical multiplier band".
-ALPHA_CRITICAL_TOL = 1e-9
-
 #: Fixed RK4 steps per chart leg on the lane route of `fixed_points`.
 CHART_STEPS = 50
 
@@ -154,8 +151,6 @@ def half_map_value_numeric(Z: PiecewiseSystem, field: str, x: float,
 def _fit_cubic_through_origin(samples: dict[float, float], mags: tuple[float, float, float]):
     """Solve for (a, b, c) of f = a x + b x^2 + c x^3 + O(x^4) from values at
     +/- the three magnitudes, separating odd and even parts exactly."""
-    import numpy as np
-
     m = np.asarray(mags)
     odd = np.array([(samples[mm] - samples[-mm]) / (2.0 * mm) for mm in mags])
     even = np.array([(samples[mm] + samples[-mm]) / (2.0 * mm * mm) for mm in mags])
@@ -237,14 +232,16 @@ class ReturnMapModel:
 
     @property
     def attractive(self) -> bool | None:
-        """Origin attracts the orbit sequence iff |alpha| < 1 (None on band)."""
-        if abs(abs(self.alpha) - 1.0) <= ALPHA_CRITICAL_TOL:
+        """Origin attracts the orbit sequence iff |alpha| < 1 (None within
+        band_tolerance() of |alpha| = 1)."""
+        if abs(abs(self.alpha) - 1.0) <= band_tolerance():
             return None
         return abs(self.alpha) < 1.0
 
 
 def return_map_model(Z: PiecewiseSystem, method: str = "jet") -> ReturnMapModel:
-    """Build the cubic return-map model; requires a transient system."""
+    """Build the cubic return-map model; requires a transient system.
+    eta is set on the critical band |alpha + 1| <= band_tolerance()."""
     require_transient(Z)
     hx = half_map_coeffs(Z, "X", method)
     hy = half_map_coeffs(Z, "Y", method)
@@ -252,7 +249,7 @@ def return_map_model(Z: PiecewiseSystem, method: str = "jet") -> ReturnMapModel:
     a, b, c = psi
     phi = compose_cubic(psi, psi)
     eta = None
-    if abs(a + 1.0) <= ALPHA_CRITICAL_TOL:
+    if abs(a + 1.0) <= band_tolerance():
         eta = -2.0 * (c + b * b)
     return ReturnMapModel(alpha=a, gamma=gamma_value(Z), beta=b, c3=c, eta=eta,
                           half_x=hx, half_y=hy, psi=psi, phi=phi)
@@ -263,20 +260,9 @@ def eta_coefficient(Z: PiecewiseSystem, method: str = "jet") -> float:
     model = return_map_model(Z, method)
     if model.eta is None:
         raise EtaUndefined(
-            f"eta needs alpha = -1 (within {ALPHA_CRITICAL_TOL:g}); "
+            f"eta needs alpha = -1 (within {band_tolerance():g}); "
             f"got alpha = {model.alpha!r}")
     return model.eta
-
-
-def eta_variant_sum_of_squares(Z: PiecewiseSystem) -> float:
-    """Alternative sum-of-squares style combination of half-map coefficients
-    sometimes quoted for the critical cubic coefficient.  Reported alongside
-    eta for diagnostics; the composed-jet value is authoritative (the two
-    differ in general)."""
-    hx = half_map_jet(Z, "X")
-    hy = half_map_jet(Z, "Y")
-    return -2.0 * ((hx.b * hy.a) ** 2 + hx.c * hy.a ** 3
-                   + (hy.b / hy.a) ** 2 + (hy.c / hy.a) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,6 @@ def branch_point_class(Z: PiecewiseSystem, branch: int, s: float,
     return ArcKind.SLIDING if h * xn < 0.0 else ArcKind.ESCAPING
 
 
-def crossing_direction(Z: PiecewiseSystem, branch: int, s: float) -> int:
-    """At a crossing point: sign of the (shared) normal-component direction."""
-    p = branch_point(branch, s)
-    xn = normal_component(Z.X, branch).eval_point(p)
-    return 1 if xn > 0.0 else -1
-
-
 # ---------------------------------------------------------------------------
 # tangency (fold) points
 # ---------------------------------------------------------------------------

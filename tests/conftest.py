@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from crosswitch.fields import FieldSpec, PiecewiseSystem, Poly2
+from crosswitch.numerics import central_slope
 
 # Coefficients kept in a tame range so oracle comparisons stay well scaled.
 coeffs = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False,
@@ -60,3 +62,20 @@ def assert_close(a: float, b: float, tol: float = 1e-9, what: str = "") -> None:
 
 def is_finite_pair(p) -> bool:
     return math.isfinite(p[0]) and math.isfinite(p[1])
+
+
+def dense_matrix(p: Poly2) -> np.ndarray:
+    """Coefficient matrix C with C[i, j] on x1^i x2^j (for numpy polyval2d)."""
+    di = max((i for i, _, _ in p.terms), default=0)
+    dj = max((j for _, j, _ in p.terms), default=0)
+    out = np.zeros((di + 1, dj + 1))
+    for i, j, c in p.terms:
+        out[i, j] = c
+    return out
+
+
+def richardson_slope(f, x: float, h: float) -> float:
+    """Two-level Richardson extrapolation of the central quotient (O(h^4))."""
+    d1 = central_slope(f, x, h)
+    d2 = central_slope(f, x, 0.5 * h)
+    return (4.0 * d2 - d1) / 3.0

@@ -53,8 +53,9 @@ from crosswitch import (
     unfolding,
 )
 from crosswitch.cli import main
-from crosswitch.numerics import richardson_slope
 from crosswitch.returnmap import half_map_jet, half_map_numeric_fit
+
+from conftest import richardson_slope
 
 
 def _report(number: int, label: str, body) -> None:

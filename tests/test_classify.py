@@ -41,6 +41,7 @@ from crosswitch import (
     classify,
     make_system,
     normal_form,
+    return_map_model,
     unfolding,
     verify_unfolding,
 )
@@ -144,7 +145,6 @@ def test_witnesses_recorded_for_pseudo_hopf():
     assert abs(w["alpha"] + 1.0) == 0.0
     assert abs(w["beta"] + 0.5) < 1e-12
     assert abs(w["eta"] - 1.0 / 6.0) < 1e-12
-    assert "eta_sum_of_squares_variant" in w
 
 
 def test_witnesses_recorded_for_fold():
@@ -242,6 +242,24 @@ def test_band_tolerance_env_override(monkeypatch):
     got = classify(Z)
     assert got.class_name == CLASS_RF  # inside the loosened band: treated as a fold
     assert got.witnesses["band_tolerance"] == 1e-3
+
+
+def test_model_and_classify_share_the_critical_band(monkeypatch):
+    # pseudo-Hopf unfolding with |alpha + 1| ~ 1e-7: off the default band,
+    # inside a band of 1e-6, for classify and the return-map model alike
+    Z = unfolding(CLASS_PH, {"a": 1, "b": 1, "c": 1}, 1e-7)
+    monkeypatch.delenv("CROSSWITCH_TOL", raising=False)
+    assert classify(Z).class_name == CLASS_C32
+    assert return_map_model(Z).eta is None
+    assert return_map_model(Z).attractive is True
+    monkeypatch.setenv("CROSSWITCH_TOL", "1e-6")
+    got = classify(Z)
+    model = return_map_model(Z)
+    assert got.class_name == CLASS_PH
+    assert model.eta is not None
+    assert got.witnesses["eta"] == model.eta
+    assert model.eta == pytest.approx(1.0 / 6.0, abs=1e-6)
+    assert model.attractive is None
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from crosswitch.fields import (
     system_to_obj,
 )
 
-from conftest import assert_close, generic_system, points, poly2
+from conftest import assert_close, dense_matrix, generic_system, points, poly2
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ class TestPoly2Eval:
     def test_matches_numpy_polyval2d(self, p, pt):
         # [DERIVED] compare the compiled Horner evaluator against numpy's
         # independent dense polyval2d on the coefficient matrix
-        want = float(npoly.polyval2d(pt[0], pt[1], p.dense_matrix()))
+        want = float(npoly.polyval2d(pt[0], pt[1], dense_matrix(p)))
         assert_close(p(*pt), want, 1e-10, "polyval2d")
 
     @given(poly2(), poly2(), points)
@@ -99,7 +99,7 @@ class TestPoly2Eval:
     @settings(max_examples=150, deadline=None)
     def test_partial_matches_numpy(self, p, pt):
         # [DERIVED] partial derivatives against numpy polyder on the matrix
-        m = p.dense_matrix()
+        m = dense_matrix(p)
         d1 = npoly.polyder(m, axis=0)
         d2 = npoly.polyder(m, axis=1)
         assert_close(p.partial(1)(*pt), float(npoly.polyval2d(pt[0], pt[1], d1)),
@@ -151,9 +151,12 @@ class TestPoly1:
         assert_close(dq(s), want, 1e-9, "polyder")
 
     def test_eval_array(self):
+        # [TRIVIAL] pointwise evaluation over an array agrees with numpy's
+        # vectorised polyval on the coefficients
         q = Poly1([1.0, 2.0])
-        out = q.eval_array(np.array([0.0, 1.0, 2.0]))
-        assert np.allclose(out, [1.0, 3.0, 5.0])
+        s = np.array([0.0, 1.0, 2.0])
+        assert [q(x) for x in s] == [1.0, 3.0, 5.0]
+        assert np.allclose(npoly.polyval(s, np.asarray(q.coeffs)), [1.0, 3.0, 5.0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from crosswitch.flow import (
     Event,
     EventKind,
     Mode,
-    PseudoCycle,
     Trajectory,
-    detect_pseudo_cycle,
     half_crossing,
     integrate,
     phase_portrait,
 )
+from crosswitch.returnmap import FixedPoint, fixed_points
 
 
 def c32_normal():
@@ -276,14 +275,16 @@ class TestPortraitAndCycles:
         assert {t.direction for t in trajs} == {1, -1}
 
     def test_detect_pseudo_cycle(self):
+        # a crossing cycle is a nontrivial fixed point of the full turn on
+        # Sigma2-, scanned on (-radius, -radius * 1e-6)
         Z = make_system(1.0, -1.001, 1.0,
                         {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0})
-        cycles = detect_pseudo_cycle(Z, radius=0.2, cells=96)
+        cycles = fixed_points(Z, -0.2, -2e-7, cells=96)
         assert len(cycles) == 1
         c = cycles[0]
-        assert isinstance(c, PseudoCycle)
-        assert c.x_minus < 0.0 < c.x_plus
+        assert isinstance(c, FixedPoint)
+        assert c.x < 0.0 < c.conjugate
         assert c.stable is False
 
     def test_no_cycle_when_none(self):
-        assert detect_pseudo_cycle(c32_normal(), radius=0.1, cells=64) == []
+        assert fixed_points(c32_normal(), -0.1, -1e-7, cells=64) == []

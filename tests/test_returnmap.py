@@ -12,8 +12,6 @@ Oracle notes:
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,12 +21,11 @@ from crosswitch.errors import (EtaUndefined, LeftDomain, NotTransient,
                                NotTransverse, StepLimit)
 from crosswitch.fields import make_system
 import crosswitch.returnmap as returnmap
-from crosswitch.numerics import central_slope, richardson_slope, scan_roots
+from crosswitch.numerics import central_slope, scan_roots
 from crosswitch.returnmap import (
     alpha_value,
     compose_cubic,
     eta_coefficient,
-    eta_variant_sum_of_squares,
     fixed_points,
     gamma_value,
     half_map_coeffs,
@@ -40,7 +37,7 @@ from crosswitch.returnmap import (
     return_map_model,
 )
 
-from conftest import assert_close
+from conftest import assert_close, richardson_slope
 
 
 def numeric_return_samples(Z, n: int = 16, radius: float = 1e-2,
@@ -240,12 +237,6 @@ class TestComposition:
     def test_eta_undefined_off_band(self):
         with pytest.raises(EtaUndefined):
             eta_coefficient(c32_normal())
-
-    def test_eta_variant_reported_separately(self):
-        # the sum-of-squares variant is a different combination in general
-        Z = hopf_family(0.0)
-        v = eta_variant_sum_of_squares(Z)
-        assert math.isfinite(v)
 
     def test_attractivity_flag(self):
         assert return_map_model(hopf_family(0.5)).attractive is True

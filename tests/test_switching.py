@@ -14,15 +14,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crosswitch.errors import EvaluationOutsideDomain, TooManyTangencies
-from crosswitch.fields import Poly1, make_system
-from crosswitch.numerics import (bisect_root, multisect_roots,
-                                 richardson_slope, scan_roots)
+from crosswitch.fields import Poly1, branch_point, make_system, normal_component
+from crosswitch.numerics import bisect_root, multisect_roots, scan_roots
 from crosswitch.switching import (
     Arc,
     ArcKind,
     Visibility,
     branch_point_class,
-    crossing_direction,
     filippov_combination,
     find_tangencies,
     fold_lie_value,
@@ -34,7 +32,13 @@ from crosswitch.switching import (
     xi_values,
 )
 
-from conftest import assert_close, generic_system
+from conftest import assert_close, generic_system, richardson_slope
+
+
+def crossing_direction(Z, branch: int, s: float) -> int:
+    """At a crossing point: sign of the (shared) normal-component direction."""
+    xn = normal_component(Z.X, branch).eval_point(branch_point(branch, s))
+    return 1 if xn > 0.0 else -1
 
 
 def canonical_example():
@@ -80,6 +84,32 @@ class TestScanRoots:
         want = [bisect_root(q, *c) for c in cells]
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx([-0.5, 0.1, 0.3], abs=1e-12)
+        # the default ftol = 0 stops only at an exact zero: bit-exact values
+        # of the bisection from before it had an ftol
+        assert want == [-0.4999999999997271, 0.10000000000009095, 0.3000000000001091]
+
+    @given(st.floats(-0.9, 0.9), st.sampled_from([1e-12, 1e-9, 1e-4]))
+    @settings(max_examples=100, deadline=None)
+    def test_bisect_stops_within_ftol(self, r, t):
+        # [TRIVIAL] with ftol the result is a point where |f| <= ftol
+        def f(x):
+            return (x - r) * (1.0 + x * x)
+
+        x = bisect_root(f, -1.0, 1.0, xtol=1e-16, ftol=t)
+        assert -1.0 <= x <= 1.0
+        assert abs(f(x)) <= t
+
+    def test_bisect_returns_end_point_within_ftol(self):
+        # [TRIVIAL] an end value already within ftol is returned as it is,
+        # without evaluating f, and needs no sign change
+        def f(x):
+            raise AssertionError("f evaluated")
+
+        assert bisect_root(f, 0.0, 1.0, 1e-13, -1.0, ftol=1e-12) == 0.0
+        assert bisect_root(f, 0.0, 1.0, 1.0, -5e-13, ftol=1e-12) == 1.0
+        assert bisect_root(f, 0.0, 1.0, 1.0, 5e-13, ftol=1e-12) == 1.0
+        with pytest.raises(ValueError):
+            bisect_root(f, 0.0, 1.0, 1.0, 5e-13)
 
     @given(st.lists(st.floats(-2, 2), min_size=2, max_size=5), st.floats(0.5, 2.0))
     @example(cs=[0.25, 1.0, 1e-09], r=1.0)   # numpy's root is off by 1.2e-7
