@@ -9,6 +9,16 @@ Conventions used throughout the package:
 - Field X drives the open region {x1*x2 > 0} (quadrants I and III), field Y
   drives {x1*x2 < 0} (quadrants II and IV).
 - Points are plain `(x1, x2)` float tuples.
+
+Evaluation: a `Poly2` evaluates by a dense two-level Horner loop, built when
+the polynomial is.  A `FieldSpec` evaluates through one generated function,
+`compiled_eval`, built on first use: the Horner operations of both
+components in the same order, zero coefficients included, unrolled into
+straight-line code, so its values equal the loops' bit for bit.  The
+event-driven flow evaluates one field hundreds of thousands of times and
+binds `compiled_eval` directly.  `Poly2` keeps its loop because the
+classifier builds thousands of polynomials and evaluates each only a few
+times, which would not pay for a compilation each.
 """
 from __future__ import annotations
 
@@ -51,16 +61,23 @@ def _canonical_terms(terms: Iterable[tuple[int, int, float]]) -> tuple[tuple[int
     return tuple(kept)
 
 
-def _compile_eval(terms: tuple[tuple[int, int, float], ...]) -> Callable[[float, float], float]:
-    """Build a fast scalar evaluator (dense two-level Horner)."""
-    if not terms:
-        return lambda x1, x2: 0.0
+def _dense_rows(terms: tuple[tuple[int, int, float], ...]) -> list[tuple[float, ...]]:
+    """Coefficients of the dense two-level Horner scheme, in evaluation order:
+    one row per power of x1 (highest first), each row highest power of x2
+    first, with zeros where a monomial is missing."""
     di = max(i for i, _, _ in terms)
     dj = max(j for _, j, _ in terms)
     dense = [[0.0] * (dj + 1) for _ in range(di + 1)]
     for i, j, c in terms:
         dense[i][j] += c
-    rows = [tuple(reversed(row)) for row in reversed(dense)]
+    return [tuple(reversed(row)) for row in reversed(dense)]
+
+
+def _compile_eval(terms: tuple[tuple[int, int, float], ...]) -> Callable[[float, float], float]:
+    """Build a fast scalar evaluator (dense two-level Horner)."""
+    if not terms:
+        return lambda x1, x2: 0.0
+    rows = _dense_rows(terms)
 
     def ev(x1: float, x2: float, _rows=rows) -> float:
         s = 0.0
@@ -72,6 +89,28 @@ def _compile_eval(terms: tuple[tuple[int, int, float], ...]) -> Callable[[float,
         return s
 
     return ev
+
+
+def _horner_source(coeffs: Iterable[str], var: str) -> str:
+    """Source of the expression that `t = 0.0; for c in coeffs: t = t * var + c`
+    computes, unrolled with the same operations in the same order."""
+    src = "0.0"
+    for c in coeffs:
+        src = f"({src} * {var} + {c})"
+    return src
+
+
+def compile_function(name: str, source: str, **env) -> Callable:
+    """The function `name` defined by generated source text.
+
+    Callers build the source only from fixed identifiers and float constants
+    written with `float.__repr__`, which reads back as the same float, so
+    the generated code computes what the loop it unrolls computes, bit for
+    bit.  env holds the globals the source refers to.
+    """
+    namespace = dict(env)
+    exec(compile(source, f"<crosswitch {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 class Poly2:
@@ -105,6 +144,14 @@ class Poly2:
 
     def eval_point(self, p: Point) -> float:
         return self._eval(p[0], p[1])
+
+    def source(self) -> str:
+        """Straight-line expression of this polynomial in the variables x1
+        and x2, computing exactly what `__call__` computes."""
+        if not self.terms:
+            return "0.0"
+        return _horner_source((_horner_source(map(float.__repr__, row), "x2")
+                               for row in _dense_rows(self.terms)), "x1")
 
     @property
     def total_degree(self) -> int:
@@ -222,6 +269,11 @@ class Poly1:
     def __call__(self, s: float) -> float:
         return self._eval(s)
 
+    def source(self) -> str:
+        """Straight-line expression of this polynomial in the variable s,
+        computing exactly what `__call__` computes."""
+        return _horner_source(map(float.__repr__, reversed(self.coeffs)), "s")
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -263,7 +315,17 @@ class FieldSpec:
                 f"component total degree {deg} exceeds the cap {MAX_DEGREE_DEFAULT}")
 
     def eval(self, p: Point) -> tuple[float, float]:
-        return (self.f1(p[0], p[1]), self.f2(p[0], p[1]))
+        return self.compiled_eval(p)
+
+    @cached_property
+    def compiled_eval(self) -> Callable[[Point], tuple[float, float]]:
+        """p -> (f1(p), f2(p)) as one generated straight-line function,
+        equal bit for bit to the components' Horner loops; built on first
+        use, once per field."""
+        return compile_function("field", (
+            "def field(p):\n"
+            "    x1, x2 = p\n"
+            f"    return ({self.f1.source()}, {self.f2.source()})\n"))
 
     def component(self, k: int) -> Poly2:
         if k == 1:
@@ -317,7 +379,12 @@ class PiecewiseSystem:
 
     def negate(self) -> "PiecewiseSystem":
         """Time reversal: both fields negated (region assignment unchanged;
-        sliding and escaping roles exchange automatically)."""
+        sliding and escaping roles exchange automatically).  Built once per
+        system, so the negated fields compile their evaluators once."""
+        return self._negated
+
+    @cached_property
+    def _negated(self) -> "PiecewiseSystem":
         return PiecewiseSystem(self.X.negate(), self.Y.negate())
 
     def scale(self, c: float) -> "PiecewiseSystem":

@@ -20,6 +20,11 @@ Junction handling follows the convex (Filippov) convention:
 Backward time integrates the negated system forward; all sliding/escaping
 roles then swap consistently because every decision is made on the
 integrated system.
+
+The RK4 steps call generated straight-line evaluators,
+`FieldSpec.compiled_eval` off the branches and `SlidingField.value` on
+them; every step still goes through `numerics.rk4_step_2d` or
+`rk4_step_1d`.
 """
 from __future__ import annotations
 
@@ -146,7 +151,7 @@ def half_crossing(Z: PiecewiseSystem, field_name: str, start: Point,
     hside = 1.0 if s0 > 0.0 else -1.0
     orient = 1.0 if field_name == "X" else -1.0
     sigma = 1 if orient * hside * ni > 0.0 else -1
-    ev = fld.eval
+    ev = fld.compiled_eval
     if sigma > 0:
         F = ev
     else:
@@ -347,7 +352,7 @@ class _Integrator:
     # -- smooth mode ---------------------------------------------------------
     def run_smooth(self, mode: Mode, p: Point, name: str, armed: dict):
         Z = self.Z
-        F = Z.field(name).eval
+        F = Z.field(name).compiled_eval
         h = self.h
         while True:
             if self.t >= self.t_max:

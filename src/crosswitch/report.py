@@ -234,13 +234,18 @@ def write_csv(rows: list[list], header: list[str]) -> str:
 
 
 def trajectory_csv(trajectories: list[Trajectory], with_id: bool = False) -> str:
-    header = (["trajectory"] if with_id else []) + ["t", "x1", "x2", "mode"]
-    rows = []
+    """One line per sample: (trajectory index,) t, x1, x2, mode.  Every t,
+    x1 and x2 cell goes through `_format_float`, ints included, so an int
+    coordinate is written `1.000000000000e+00` where `write_csv` writes `1`;
+    for float samples the lines equal `write_csv`'s."""
+    fmt = _format_float
+    lines = ["trajectory,t,x1,x2,mode" if with_id else "t,x1,x2,mode"]
     for k, tr in enumerate(trajectories):
-        for s in tr.samples:
-            row = ([k] if with_id else []) + [s.t, s.x1, s.x2, s.mode.value]
-            rows.append(row)
-    return write_csv(rows, header)
+        lead = f"{k}," if with_id else ""
+        lines.extend(f"{lead}{fmt(s.t)},{fmt(s.x1)},{fmt(s.x2)},{s.mode.value}"
+                     for s in tr.samples)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def events_obj(tr: Trajectory) -> list[dict]:

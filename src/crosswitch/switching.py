@@ -20,6 +20,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Callable
 
 from .errors import EvaluationOutsideDomain, TooManyTangencies
 from .fields import (
@@ -28,6 +30,7 @@ from .fields import (
     Point,
     Poly1,
     branch_point,
+    compile_function,
     normal_component,
 )
 from .numerics import scan_roots
@@ -231,6 +234,11 @@ def sigma_decomposition(Z: PiecewiseSystem, radius: float = 1.0) -> SigmaDecompo
 # sliding dynamics
 # ---------------------------------------------------------------------------
 
+def _denominator_vanishes(branch: int, s: float) -> EvaluationOutsideDomain:
+    return EvaluationOutsideDomain(
+        f"sliding denominator vanishes at s={s} on Sigma{branch}")
+
+
 @dataclass(frozen=True)
 class SlidingField:
     """Scalar sliding dynamics s' = N(s)/D(s) on Sigma_branch.
@@ -244,19 +252,25 @@ class SlidingField:
     numerator: Poly1
     denominator: Poly1
 
-    def value(self, s: float) -> float:
-        d = self.denominator(s)
-        if abs(d) < 1e-300:
-            raise EvaluationOutsideDomain(
-                f"sliding denominator vanishes at s={s} on Sigma{self.branch}")
-        return self.numerator(s) / d
+    @cached_property
+    def value(self) -> Callable[[float], float]:
+        """s -> N(s)/D(s), raising `EvaluationOutsideDomain` where
+        |D(s)| < 1e-300.  One generated straight-line function, built on
+        first use: the Horner steps of `Poly1.__call__` unrolled, so it
+        equals `numerator(s) / denominator(s)` bit for bit."""
+        return compile_function("value", (
+            "def value(s):\n"
+            f"    d = {self.denominator.source()}\n"
+            "    if abs(d) < 1e-300:\n"
+            "        raise outside(branch, s)\n"
+            f"    return {self.numerator.source()} / d\n"),
+            outside=_denominator_vanishes, branch=self.branch)
 
     def derivative(self, s: float) -> float:
         n, d = self.numerator, self.denominator
         dv = d(s)
         if abs(dv) < 1e-300:
-            raise EvaluationOutsideDomain(
-                f"sliding denominator vanishes at s={s} on Sigma{self.branch}")
+            raise _denominator_vanishes(self.branch, s)
         return (n.derivative()(s) * dv - n(s) * d.derivative()(s)) / (dv * dv)
 
     def derivative_at_root(self, s0: float) -> float:
@@ -271,30 +285,6 @@ def sliding_field(Z: PiecewiseSystem, branch: int) -> SlidingField:
     diff = (Z.X.component(i) - Z.Y.component(i)).restrict_to_branch(branch)
     denom = Poly1([sign * c for c in diff.coeffs])
     return SlidingField(branch, numer, denom)
-
-
-def filippov_combination(Z: PiecewiseSystem, branch: int, p: Point) -> tuple[float, tuple[float, float]]:
-    """Independent route to the sliding vector: the convex combination
-    lam*X + (1-lam)*Y with vanishing normal component.  Returns (lam, vector).
-    """
-    xv = Z.X.eval(p)
-    yv = Z.Y.eval(p)
-    i = branch - 1
-    denom = yv[i] - xv[i]
-    if abs(denom) < 1e-300:
-        raise EvaluationOutsideDomain(
-            f"normal components coincide at {p}: no unique convex combination")
-    lam = yv[i] / denom
-    vec = (lam * xv[0] + (1.0 - lam) * yv[0], lam * xv[1] + (1.0 - lam) * yv[1])
-    return lam, vec
-
-
-def sliding_value_direct(Z: PiecewiseSystem, branch: int, s: float) -> float:
-    """Running component of the Filippov convex combination at the branch
-    point (independent of the det-factorization route)."""
-    p = branch_point(branch, s)
-    _, vec = filippov_combination(Z, branch, p)
-    return vec[1] if branch == 1 else vec[0]
 
 
 # ---------------------------------------------------------------------------

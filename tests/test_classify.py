@@ -14,7 +14,6 @@ Oracle notes:
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import pytest

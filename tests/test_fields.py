@@ -11,14 +11,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from crosswitch.errors import DegenerateInput, NonFiniteCoefficients, ParseError
 from crosswitch.fields import (
     FieldSpec,
-    PiecewiseSystem,
     Poly1,
     Poly2,
     Region,
@@ -32,7 +31,12 @@ from crosswitch.fields import (
     system_to_obj,
 )
 
-from conftest import assert_close, dense_matrix, generic_system, points, poly2
+from conftest import assert_close, coeffs, dense_matrix, generic_system, points, poly2
+
+# canonical polynomials up to total degree 8, the field degree cap
+degree8_poly2 = st.lists(
+    st.integers(0, 8).flatmap(lambda i: st.tuples(st.just(i), st.integers(0, 8 - i), coeffs)),
+    max_size=8).map(Poly2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,18 @@ class TestFieldSpec:
         f = constant_field(2.0, -1.0)
         assert f.negate().origin_value() == (-2.0, 1.0)
         assert f.scale(0.5).origin_value() == (1.0, -0.5)
+
+    @given(degree8_poly2, degree8_poly2,
+           st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+    @example(Poly2(), Poly2(), (0.3, -0.7))                              # zero field
+    @example(Poly2([(8, 0, -1.5), (0, 8, 2.0), (3, 2, -0.25)]),          # degree 8,
+             Poly2([(4, 4, 1e-3), (0, 0, -7.0)]), (-1.3, 0.9))          # interior zeros
+    @example(Poly2([(1, 0, 1.0)]), Poly2([(0, 1, -2.0)]), (-0.0, 0.0))  # signed zeros
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_eval_is_bit_identical(self, f1, f2, p):
+        # the generated evaluator against the Horner loops of f1 and f2
+        got = FieldSpec(f1, f2).compiled_eval(p)
+        assert [v.hex() for v in got] == [f1(*p).hex(), f2(*p).hex()]
 
 
 class TestPiecewiseSystem:

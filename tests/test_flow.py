@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from crosswitch.errors import LeftDomain, NotTransverse
+from crosswitch.errors import NotTransverse
 from crosswitch.fields import make_system
 from crosswitch.flow import (
-    ARM,
-    Event,
     EventKind,
     Mode,
     Trajectory,

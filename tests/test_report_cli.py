@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 import xml.etree.ElementTree as ET
 
@@ -33,6 +34,7 @@ from crosswitch.report import (
     sweep_family,
     system_digest,
     trajectory_csv,
+    write_csv,
 )
 from crosswitch.classify import UnfoldingVerification, VerifyCheck
 
@@ -170,6 +172,30 @@ def test_trajectory_csv_format():
     first = with_id.strip().split("\n")
     assert first[0] == "trajectory,t,x1,x2,mode"
     assert first[1].startswith("0,") and first[1 + len(tr.samples)].startswith("1,")
+
+
+def test_trajectory_csv_matches_write_csv_route():
+    # the rows written directly equal the row lists formatted by write_csv
+    from crosswitch import integrate
+    from crosswitch.flow import Mode, Sample, Trajectory
+    slide = integrate(make_system(-1.0, 1.0, 1.0, 1.0), (0.3, 0.2), t_max=0.5)
+    assert Mode.SLIDING1 in {s.mode for s in slide.samples}
+    signed = Trajectory((0.0, 0.5), 1, samples=[
+        Sample(-0.0, -0.0, 0.5, Mode.SMOOTH_X), Sample(1e-3, 2.5e-7, -0.0, Mode.SLIDING2)])
+    trajectories = [slide, Trajectory((0.1, 0.1), -1), signed]
+    for with_id in (False, True):
+        header = (["trajectory"] if with_id else []) + ["t", "x1", "x2", "mode"]
+        rows = [([k] if with_id else []) + [s.t, s.x1, s.x2, s.mode.value]
+                for k, tr in enumerate(trajectories) for s in tr.samples]
+        assert trajectory_csv(trajectories, with_id=with_id) == write_csv(rows, header)
+    # int coordinates are formatted as floats, unlike write_csv's int cells
+    ints = Trajectory((1, 0), 1, samples=[Sample(0.0, 1, 0, Mode.SMOOTH_X)])
+    assert trajectory_csv([ints]) == "t,x1,x2,mode\n" + ",".join(
+        ["0.000000000000e+00", "1.000000000000e+00", "0.000000000000e+00",
+         Mode.SMOOTH_X.value]) + "\n"
+    bad = Trajectory((0.0, 0.5), 1, samples=[Sample(0.0, math.nan, 0.5, Mode.SMOOTH_X)])
+    with pytest.raises(ValueError):
+        trajectory_csv([bad])
 
 
 def test_sweep_family_order_and_csv():

@@ -8,6 +8,8 @@ Oracle notes:
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,28 +19,58 @@ from crosswitch.errors import EvaluationOutsideDomain, TooManyTangencies
 from crosswitch.fields import Poly1, branch_point, make_system, normal_component
 from crosswitch.numerics import bisect_root, multisect_roots, scan_roots
 from crosswitch.switching import (
-    Arc,
     ArcKind,
+    SlidingField,
     Visibility,
     branch_point_class,
-    filippov_combination,
     find_tangencies,
     fold_lie_value,
     fold_visibility,
     pseudo_equilibria,
     sigma_decomposition,
     sliding_field,
-    sliding_value_direct,
     xi_values,
 )
 
-from conftest import assert_close, generic_system, richardson_slope
+from conftest import assert_close, coeffs, generic_system, richardson_slope
 
 
 def crossing_direction(Z, branch: int, s: float) -> int:
     """At a crossing point: sign of the (shared) normal-component direction."""
     xn = normal_component(Z.X, branch).eval_point(branch_point(branch, s))
     return 1 if xn > 0.0 else -1
+
+
+def filippov_combination(Z, branch: int, p) -> tuple[float, tuple[float, float]]:
+    """Independent route to the sliding vector: the convex combination
+    lam*X + (1-lam)*Y with vanishing normal component.  Returns (lam, vector).
+
+    The difference Y_i - X_i of the normal components is summed term by term
+    with math.fsum: where the two nearly agree, the difference of their two
+    rounded values would lose the digits this oracle is compared on.
+    """
+    xv = Z.X.eval(p)
+    yv = Z.Y.eval(p)
+    i = branch - 1
+
+    def terms(poly, sign):
+        return [sign * c * p[0] ** a * p[1] ** b for a, b, c in poly.terms]
+
+    denom = math.fsum(terms(Z.Y.component(branch), 1.0)
+                      + terms(Z.X.component(branch), -1.0))
+    if abs(denom) < 1e-300:
+        raise EvaluationOutsideDomain(
+            f"normal components coincide at {p}: no unique convex combination")
+    lam = yv[i] / denom
+    vec = (lam * xv[0] + (1.0 - lam) * yv[0], lam * xv[1] + (1.0 - lam) * yv[1])
+    return lam, vec
+
+
+def sliding_value_direct(Z, branch: int, s: float) -> float:
+    """Running component of the Filippov convex combination at the branch
+    point (independent of the det-factorization route)."""
+    _, vec = filippov_combination(Z, branch, branch_point(branch, s))
+    return vec[1] if branch == 1 else vec[0]
 
 
 def canonical_example():
@@ -219,6 +251,8 @@ class TestSlidingField:
 
     @given(generic_system(), st.integers(1, 2),
            st.floats(0.05, 1.0), st.sampled_from([-1.0, 1.0]))
+    @example(make_system(1.0, 1.0, 0.5, {(0, 0): 1.0, (3, 0): 2.0 ** -14}),
+             2, 0.394, -1.0)  # X2 and Y2 agree to 3.7e-6 at the branch point
     @settings(max_examples=200, deadline=None)
     def test_factorization_matches_direct(self, Z, branch, mag, sgn):
         # [DERIVED] h_i * det route == Filippov convex combination route
@@ -234,6 +268,23 @@ class TestSlidingField:
         Z = make_system(1.0, 1.0, 1.0, -1.0)  # X1 == Y1 everywhere
         with pytest.raises(EvaluationOutsideDomain):
             sliding_field(Z, 1).value(0.5)
+
+    @given(st.lists(coeffs, min_size=1, max_size=9),
+           st.lists(coeffs, min_size=1, max_size=9),
+           st.integers(1, 2), st.floats(-2.0, 2.0))
+    @example([0.0], [2.0, 0.0, -1.5], 1, 0.5)              # zero numerator
+    @example([1.0, 0.0, 0.0, -3.0], [0.0], 2, 0.25)      # zero denominator
+    @example([0.5] + [0.0] * 7 + [-1.0], [-1.0, 0.0, 2.0], 1, -1.75)
+    @settings(max_examples=200, deadline=None)
+    def test_value_is_bit_identical(self, num, den, branch, s):
+        # the generated evaluator against numerator(s) / denominator(s)
+        sf = SlidingField(branch, Poly1(num), Poly1(den))
+        d = sf.denominator(s)
+        if abs(d) < 1e-300:
+            with pytest.raises(EvaluationOutsideDomain):
+                sf.value(s)
+        else:
+            assert sf.value(s).hex() == (sf.numerator(s) / d).hex()
 
     def test_branch2_sign_convention(self):
         # [DERIVED] Z2^s = det/(Y2 - X2); X=(1,1), Y=(2,-1) at s:
