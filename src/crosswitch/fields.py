@@ -10,15 +10,16 @@ Conventions used throughout the package:
   drives {x1*x2 < 0} (quadrants II and IV).
 - Points are plain `(x1, x2)` float tuples.
 
-Evaluation: a `Poly2` evaluates by a dense two-level Horner loop, built when
-the polynomial is.  A `FieldSpec` evaluates through one generated function,
-`compiled_eval`, built on first use: the Horner operations of both
-components in the same order, zero coefficients included, unrolled into
-straight-line code, so its values equal the loops' bit for bit.  The
-event-driven flow evaluates one field hundreds of thousands of times and
-binds `compiled_eval` directly.  `Poly2` keeps its loop because the
-classifier builds thousands of polynomials and evaluates each only a few
-times, which would not pay for a compilation each.
+Evaluation: a `Poly2` evaluates by a dense two-level Horner loop, built on
+its first evaluation, as most polynomials are intermediates of the series
+arithmetic that are never evaluated.  A `FieldSpec` evaluates through one
+generated function, `compiled_eval`, built on first use: the Horner
+operations of both components in the same order, zero coefficients
+included, unrolled into straight-line code, so its values equal the loops'
+bit for bit.  The event-driven flow evaluates one field hundreds of
+thousands of times and binds `compiled_eval` directly.  `Poly2` keeps its
+loop because the classifier builds thousands of polynomials and evaluates
+each only a few times, which would not pay for a compilation each.
 """
 from __future__ import annotations
 
@@ -117,14 +118,20 @@ class Poly2:
     """Sparse bivariate polynomial in (x1, x2) with canonical term storage.
 
     Terms are `(i, j, c)` = coefficient c on x1^i * x2^j, merged, sorted by
-    exponent pair, with |c| < CANON_EPS dropped.  Instances are immutable.
+    exponent pair, with |c| < CANON_EPS dropped.  Instances are immutable;
+    the `_eval` slot holds the Horner loop once the first evaluation has
+    built it (two threads evaluating first at once build the same loop).
     """
 
     __slots__ = ("terms", "_eval")
 
     def __init__(self, terms: Iterable[tuple[int, int, float]] = ()):  # noqa: D401
         object.__setattr__(self, "terms", _canonical_terms(terms))
-        object.__setattr__(self, "_eval", _compile_eval(self.terms))
+
+    def _build_eval(self) -> Callable[[float, float], float]:
+        ev = _compile_eval(self.terms)
+        object.__setattr__(self, "_eval", ev)
+        return ev
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly2 is immutable")
@@ -140,10 +147,18 @@ class Poly2:
 
     # -- basic queries -----------------------------------------------------
     def __call__(self, x1: float, x2: float) -> float:
-        return self._eval(x1, x2)
+        try:
+            ev = self._eval
+        except AttributeError:
+            ev = self._build_eval()
+        return ev(x1, x2)
 
     def eval_point(self, p: Point) -> float:
-        return self._eval(p[0], p[1])
+        try:
+            ev = self._eval
+        except AttributeError:
+            ev = self._build_eval()
+        return ev(p[0], p[1])
 
     def source(self) -> str:
         """Straight-line expression of this polynomial in the variables x1

@@ -482,7 +482,9 @@ def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
 
     Backward trajectories integrate the negated system forward (sample times
     remain non-negative; the direction is recorded on the trajectory).
+    The seed's coordinates are taken as floats, ints included.
     """
+    seed = (float(seed[0]), float(seed[1]))
     W = Z.negate() if backward else Z
     eng = _Integrator(W, t_max, box, h)
     eng.run(seed)

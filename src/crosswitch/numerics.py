@@ -6,6 +6,11 @@ so that results are bit-reproducible across platforms.  Library root finders
 and adaptive integrators appear only as independent oracles in the test
 suite.
 
+`scan_roots` evaluates f once per scan, on the whole grid as a numpy array,
+and finds the zero and sign-change cells with array masks.  Elementwise
+IEEE multiplies and adds round exactly as Python floats do, so a `Poly1`'s
+Horner loop gives the same grid values on an array as point by point.
+
 `bisect_root` is the one scalar bisection loop: it refines the roots of
 `scan_roots` and of the fixed-point scans to width ROOT_XTOL (exact zeros
 stop early), and it localises every flow event inside an RK4 substep
@@ -59,42 +64,49 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
-def scan_grid(lo: float, hi: float, cells: int) -> list[float]:
-    """The cells + 1 equally spaced scan points from lo to hi (hi exact)."""
-    step = (hi - lo) / cells
-    xs = [lo + step * k for k in range(cells + 1)]
+def _grid(lo: float, hi: float, cells: int) -> np.ndarray:
+    # lo + step * k with the same two roundings as on Python floats
+    xs = lo + (hi - lo) / cells * np.arange(cells + 1)
     xs[-1] = hi
     return xs
+
+
+def scan_grid(lo: float, hi: float, cells: int) -> list[float]:
+    """The cells + 1 equally spaced scan points from lo to hi (hi exact)."""
+    return _grid(lo, hi, cells).tolist()
 
 
 Cell = tuple[float, float, float, float]   # (a, b, f(a), f(b))
 
 
-def sign_change_roots(xs: Sequence[float], vals: Sequence[float],
+def sign_change_roots(xs: Sequence[float] | np.ndarray,
+                      vals: Sequence[float] | np.ndarray,
                       refine: Callable[[list[Cell]], Sequence[float]],
                       xtol: float = ROOT_XTOL) -> list[tuple[float, tuple[float, float]]]:
-    """Roots from the values of f on a scan grid.
+    """Roots from the values of f on a scan grid (lists or arrays).
 
     A zero grid value is a root, and every cell whose end values have
     opposite signs holds one.  refine([(a, b, f(a), f(b)), ...]) locates
-    the roots of all those cells in a single call, one per cell.  Returns
-    ascending (root, (a, b)) pairs, (a, b) being the root's cell, with
-    duplicates within a small merge window collapsed.
+    the roots of all those cells in a single call, one per cell, the cell
+    data being Python floats.  Returns ascending (root, (a, b)) pairs,
+    (a, b) being the root's cell, with duplicates within a small merge
+    window collapsed.
     """
+    v = np.asarray(vals, dtype=float)
+    zero, neg = v == 0.0, v < 0.0
     # grid indices of zero values and of sign-change cells, ascending
-    hits = [k for k, (fa, fb) in enumerate(zip(vals, vals[1:]))
-            if fa == 0.0 or (fb != 0.0 and (fa < 0.0) != (fb < 0.0))]
-    if vals[-1] == 0.0:
-        hits.append(len(vals) - 1)
-    cells = [k for k in hits if vals[k] != 0.0]
-    refined = dict(zip(cells, refine([(xs[k], xs[k + 1], vals[k], vals[k + 1])
-                                      for k in cells])))
+    flip = ~zero[:-1] & ~zero[1:] & (neg[:-1] != neg[1:])
+    hits = np.flatnonzero(np.append(zero[:-1] | flip, zero[-1])).tolist()
+    cells = np.flatnonzero(flip).tolist()
+    refined = dict(zip(cells, refine([(float(xs[k]), float(xs[k + 1]),
+                                       float(v[k]), float(v[k + 1])) for k in cells])))
     out: list[tuple[float, tuple[float, float]]] = []
     for k in hits:
         if k in refined:
-            r, cell = refined[k], (xs[k], xs[k + 1])
+            r, cell = refined[k], (float(xs[k]), float(xs[k + 1]))
         else:
-            r, cell = xs[k], (xs[k], xs[k])
+            r = float(xs[k])
+            cell = (r, r)
         if out and abs(r - out[-1][0]) <= max(4.0 * xtol, 1e-11 * (1.0 + abs(r))):
             continue
         out.append((r, cell))
@@ -105,13 +117,16 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
                cells: int = SCAN_CELLS, xtol: float = ROOT_XTOL) -> list[float]:
     """Sign-change roots of f on [lo, hi]: uniform scan + bisection.
 
-    Roots of even multiplicity (no sign change) are not detected; duplicates
+    f maps a point to a value and an array of points to an array of values
+    (a `Poly1` does both); the scan makes one call on the whole grid, and
+    `bisect_root` refines each sign-change cell with scalar calls.  Roots
+    of even multiplicity (no sign change) are not detected; duplicates
     within a small merge window are collapsed.  Returns an ascending list.
     """
     if not hi > lo:
         return []
-    xs = scan_grid(lo, hi, cells)
-    vals = [f(x) for x in xs]
+    xs = _grid(lo, hi, cells)
+    vals = f(xs)
     return [r for r, _ in sign_change_roots(
         xs, vals, lambda brackets: [bisect_root(f, *c, xtol) for c in brackets], xtol)]
 

@@ -431,7 +431,7 @@ def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
     def refine(brackets):
         return multisect_roots(lambda u: lanes(u)[0], brackets)
 
-    roots = [(r, cell) for r, cell in sign_change_roots(xs, vals.tolist(), refine)
+    roots = [(r, cell) for r, cell in sign_change_roots(xs, vals, refine)
              if abs(r) > 2.0 * guard]
     if not roots:
         return []

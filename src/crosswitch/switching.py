@@ -45,10 +45,11 @@ def band_tolerance() -> float:
 
 
 def field_scale(Z: PiecewiseSystem, p: Point) -> float:
-    """Max absolute field component at p — the local scale for tolerances."""
-    x = Z.X.eval(p)
-    y = Z.Y.eval(p)
-    return max(abs(x[0]), abs(x[1]), abs(y[0]), abs(y[1]))
+    """Max absolute field component at p — the local scale for tolerances.
+    Reads the components' own evaluators, so that a field looked at only
+    here compiles no `FieldSpec.compiled_eval`."""
+    return max(abs(Z.X.f1.eval_point(p)), abs(Z.X.f2.eval_point(p)),
+               abs(Z.Y.f1.eval_point(p)), abs(Z.Y.f2.eval_point(p)))
 
 
 def tangency_tolerance(Z: PiecewiseSystem, p: Point) -> float:

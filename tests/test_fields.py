@@ -75,7 +75,40 @@ class TestPoly2Canonical:
             p.terms = ()
 
 
+def horner_loop(p: Poly2, x1: float, x2: float) -> float:
+    """The dense two-level Horner loop `Poly2` evaluates by, written out
+    from the terms: rows by falling power of x1, each by falling power of x2."""
+    if not p.terms:
+        return 0.0
+    di = max(i for i, _, _ in p.terms)
+    dj = max(j for _, j, _ in p.terms)
+    dense = [[0.0] * (dj + 1) for _ in range(di + 1)]
+    for i, j, c in p.terms:
+        dense[i][j] += c
+    s = 0.0
+    for row in reversed(dense):
+        t = 0.0
+        for c in reversed(row):
+            t = t * x2 + c
+        s = s * x1 + t
+    return s
+
+
 class TestPoly2Eval:
+    @given(degree8_poly2, degree8_poly2, points)
+    @settings(max_examples=100, deadline=None)
+    def test_evaluator_built_on_first_evaluation(self, p, q, pt):
+        # arithmetic intermediates are never evaluated and build no loop; the
+        # first evaluation builds it, and it gives the loop's values bit for bit
+        r = p * q - p
+        assert not hasattr(r, "_eval")
+        assert r(*pt).hex() == horner_loop(r, *pt).hex()
+        assert hasattr(r, "_eval")
+        assert r.eval_point(pt).hex() == horner_loop(r, *pt).hex()
+        assert p.eval_point(pt).hex() == horner_loop(p, *pt).hex()
+        with pytest.raises(AttributeError):
+            r._eval = None
+
     def test_hand_value(self):
         # [TRIVIAL] 1 + 2*x1 + 3*x1*x2^2 at (2, -1) = 1 + 4 + 6 = 11
         p = Poly2([(0, 0, 1.0), (1, 0, 2.0), (1, 2, 3.0)])

@@ -20,6 +20,7 @@ from crosswitch.flow import (
     integrate,
     phase_portrait,
 )
+from crosswitch.report import canonical_json, events_obj
 from crosswitch.returnmap import FixedPoint, fixed_points
 
 
@@ -248,6 +249,14 @@ class TestSpecialSeeds:
         traj = integrate(Z, (0.2, 0.0), t_max=1.0, box=0.5, backward=True)
         assert traj.direction == -1
         assert traj.events[0].kind is EventKind.GRAZE
+
+    def test_integer_seed_written_as_floats(self):
+        # an int seed on the sliding arc Sigma1+: the SlidingEntry event
+        # point is the seed itself, and canonical JSON writes it as %.12e
+        traj = integrate(make_system(-1.0, 1.0, 1.0, 1.0), (0, 1), t_max=0.002)
+        text = canonical_json(events_obj(traj))
+        assert '"point":[0.000000000000e+00,1.000000000000e+00]' in text
+        assert traj.seed == (0.0, 1.0) and type(traj.seed[1]) is float
 
     def test_double_tangency_stop(self):
         # both normal components vanish at (0.5, 0)

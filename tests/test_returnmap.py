@@ -21,7 +21,7 @@ from crosswitch.errors import (EtaUndefined, LeftDomain, NotTransient,
                                NotTransverse, StepLimit)
 from crosswitch.fields import make_system
 import crosswitch.returnmap as returnmap
-from crosswitch.numerics import central_slope, scan_roots
+from crosswitch.numerics import bisect_root, central_slope, scan_grid, sign_change_roots
 from crosswitch.returnmap import (
     alpha_value,
     compose_cubic,
@@ -321,16 +321,19 @@ class TestFixedPoints:
 # ---------------------------------------------------------------------------
 
 def scalar_fixed_points(Z, lo: float, hi: float, cells: int):
-    """The scalar route for a window below 0: scan_roots over the scalar
-    full turn, central-difference multiplier.  Returns (x, multiplier,
-    hit_sliding) triples."""
+    """The scalar route for a window below 0: the scalar full turn on the
+    scan grid, one bisection per sign-change cell, central-difference
+    multiplier.  Returns (x, multiplier, hit_sliding) triples."""
     guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
 
     def displacement(x):
         return 0.0 if abs(x) <= guard else numeric_return_map(Z, x).value - x
 
+    xs = scan_grid(lo, min(hi, -guard), cells)
+    vals = [displacement(x) for x in xs]
     out = []
-    for root in scan_roots(displacement, lo, min(hi, -guard), cells=cells):
+    for root, _ in sign_change_roots(xs, vals, lambda brackets: [
+            bisect_root(displacement, *c) for c in brackets]):
         if abs(root) <= 2.0 * guard:
             continue
         mult = central_slope(lambda u: numeric_return_map(Z, u).value,

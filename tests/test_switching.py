@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from crosswitch.errors import EvaluationOutsideDomain, TooManyTangencies
 from crosswitch.fields import Poly1, branch_point, make_system, normal_component
-from crosswitch.numerics import bisect_root, multisect_roots, scan_roots
+from crosswitch.numerics import (ROOT_XTOL, SCAN_CELLS, bisect_root, multisect_roots,
+                                 scan_grid, scan_roots)
 from crosswitch.switching import (
     ArcKind,
     SlidingField,
@@ -88,7 +89,59 @@ def section3_example(alpha: float):
 # root scanning
 # ---------------------------------------------------------------------------
 
+def loop_scan(f, lo, hi, cells=SCAN_CELLS, xtol=ROOT_XTOL):
+    """The scalar scan that `scan_roots` vectorised, kept as its oracle: a
+    list grid, one call of f per grid point, a comprehension over the
+    cells and one bisection per sign-change cell.  Returns (roots, grid)."""
+    step = (hi - lo) / cells
+    xs = [lo + step * k for k in range(cells + 1)]
+    xs[-1] = hi
+    vals = [f(x) for x in xs]
+    hits = [k for k, (fa, fb) in enumerate(zip(vals, vals[1:]))
+            if fa == 0.0 or (fb != 0.0 and (fa < 0.0) != (fb < 0.0))]
+    if vals[-1] == 0.0:
+        hits.append(len(vals) - 1)
+    roots: list[float] = []
+    for k in hits:
+        r = xs[k] if vals[k] == 0.0 else bisect_root(f, xs[k], xs[k + 1],
+                                                     vals[k], vals[k + 1], xtol)
+        if roots and abs(r - roots[-1]) <= max(4.0 * xtol, 1e-11 * (1.0 + abs(r))):
+            continue
+        roots.append(r)
+    return roots, xs
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
 class TestScanRoots:
+    @given(st.lists(st.floats(-2, 2), min_size=1, max_size=6),
+           st.floats(-2.0, 1.0), st.floats(1e-3, 3.0), st.sampled_from([7, 96, 512]))
+    @example(cs=[-0.25, 1.0], lo=-1.0, width=2.0, cells=512)       # root on a grid point
+    @example(cs=[0.0, 2.0 ** -9, 1.0], lo=-1.0, width=2.0, cells=512)   # 2^-9 s + s^2
+    @example(cs=[0.0], lo=-1.0, width=2.0, cells=512)              # zero polynomial
+    @example(cs=[1.5], lo=-1.0, width=2.0, cells=512)              # constant
+    @settings(max_examples=150, deadline=None)
+    def test_vectorised_scan_is_bit_identical(self, cs, lo, width, cells):
+        # the one-call array scan against the scalar loop: same grid points,
+        # same grid values and same roots, bit for bit
+        q, hi = Poly1(cs), lo + width
+        want_roots, want_grid = loop_scan(q, lo, hi, cells)
+        assert hexes(scan_grid(lo, hi, cells)) == hexes(want_grid)
+        assert hexes(q(np.array(want_grid))) == hexes(q(x) for x in want_grid)
+        assert hexes(scan_roots(q, lo, hi, cells)) == hexes(want_roots)
+
+    @pytest.mark.xfail(strict=True, reason="a root in a cell whose other end is an "
+                       "exact grid zero shows no sign change (ROADMAP item 3)")
+    @pytest.mark.parametrize("cs, want", [
+        ([0.0, 2.0 ** -9, 1.0], [-2.0 ** -9, 0.0]),       # 2^-9 s + s^2
+        ([0.0, 1e-6, 0.0, -1.0], [-1e-3, 0.0, 1e-3]),     # 1e-6 s - s^3
+    ])
+    def test_known_misses(self, cs, want):
+        got = scan_roots(Poly1(cs), -1.0, 1.0, cells=512)
+        assert got == pytest.approx(want, abs=1e-11)
+
     def test_hand_roots(self):
         # [TRIVIAL] (s - 0.25)(s + 0.5) has roots -0.5, 0.25
         q = Poly1([-0.125, 0.25, 1.0])
