@@ -5,10 +5,11 @@ predicted behavior.
 Decision tree (all sign decisions at the origin, with a configurable
 degeneracy band; see band_tolerance):
 
-1. If some field component vanishes at the origin: exactly one vanishing
-   component with a nonzero second-order contact (Lie value) and a fully
-   nonzero companion field is the regular-fold boundary class; anything
-   else is higher codimension.
+1. If some field component vanishes at the origin
+   (`switching.vanishing_components`, the test on which the flow stops at
+   the origin): exactly one vanishing component with a nonzero
+   second-order contact (Lie value) and a fully nonzero companion field is
+   the regular-fold boundary class; anything else is higher codimension.
 2. Both branches crossing (xi1 > 0 and xi2 > 0): class C1.
 3. No branch crossing (xi1 < 0 and xi2 < 0): class C2 when det Z(0) != 0;
    det Z(0) = 0 with a nonvanishing gradient is the double
@@ -33,9 +34,11 @@ from .returnmap import fixed_points, return_map_model
 from .switching import (
     Visibility,
     band_tolerance,
+    component_tolerance,
     field_scale,
     find_tangencies,
     pseudo_equilibria,
+    vanishing_components,
 )
 
 CLASS_C1 = "Stable_C1"
@@ -76,10 +79,6 @@ class Classification:
     reasons: tuple[str, ...] = ()
     codimension: int | None = 0
 
-    @property
-    def is_stable(self) -> bool:
-        return self.class_name in STABLE_CLASSES
-
 
 # ---------------------------------------------------------------------------
 # classification
@@ -109,7 +108,8 @@ def classify(Z: PiecewiseSystem) -> Classification:
     x1, x2, y1, y2 = Z.origin_components()
     scale = field_scale(Z, (0.0, 0.0))
     band = band_tolerance()
-    comp_tol = band * (1.0 + scale)
+    comp_tol = component_tolerance(Z, (0.0, 0.0))
+    # det, its gradient and the Lie value are products of two components
     quad_tol = band * (1.0 + scale * scale)
     witnesses = {
         "X1_at_origin": x1, "X2_at_origin": x2,
@@ -117,8 +117,7 @@ def classify(Z: PiecewiseSystem) -> Classification:
         "band_tolerance": band, "component_tolerance": comp_tol,
     }
 
-    components = {("X", 1): x1, ("X", 2): x2, ("Y", 1): y1, ("Y", 2): y2}
-    vanishing = [k for k, v in components.items() if abs(v) <= comp_tol]
+    vanishing = vanishing_components(Z)
     if vanishing:
         return _classify_fold_layer(Z, vanishing, witnesses, quad_tol)
 

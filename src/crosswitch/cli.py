@@ -5,8 +5,11 @@ All outputs are deterministic (canonical JSON / fixed-format CSV / SVG), so
 rerunning a command reproduces its output byte for byte.
 
 Exit codes: 0 success; 2 unusable input (parse errors, invalid signs or
-sign keys, systems outside a verb's domain); 3 non-finite coefficients;
-4 a model-family prediction failed verification.
+sign keys, systems outside a verb's domain, seeds outside the box,
+non-positive radii or boxes, results that overflow to non-finite values);
+3 non-finite coefficients; 4 a model-family prediction failed verification.
+Only the named errors in `_USABLE_INPUT_ERRORS` mean unusable input; any
+other exception is a bug and is not caught.
 """
 from __future__ import annotations
 
@@ -25,15 +28,16 @@ from .classify import (
     unfolding,
 )
 from .errors import (
-    EtaUndefined,
     EvaluationOutsideDomain,
     InvalidSigns,
     LeftDomain,
     NonFiniteCoefficients,
+    NonFiniteValue,
     NotTransient,
     NotTransverse,
     ParseError,
     PredictionMismatch,
+    SeedOutsideBox,
     StepLimit,
     TooManyTangencies,
 )
@@ -53,8 +57,8 @@ from .report import (
 from .switching import sigma_decomposition
 
 _USABLE_INPUT_ERRORS = (ParseError, InvalidSigns, NotTransverse, NotTransient,
-                        EtaUndefined, EvaluationOutsideDomain, LeftDomain,
-                        StepLimit, TooManyTangencies, ValueError)
+                        EvaluationOutsideDomain, LeftDomain, StepLimit,
+                        TooManyTangencies, SeedOutsideBox, NonFiniteValue)
 
 _CLASS_BY_LOWER = {name.lower(): name
                    for name in STABLE_CLASSES + CODIM1_CLASSES + (CLASS_HIGHER,)}
@@ -76,7 +80,7 @@ def _read_text(path: str) -> str:
 def _load_system(path: str) -> PiecewiseSystem:
     try:
         obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"invalid JSON in {path}: {e}") from e
     return system_from_obj(obj)
 
@@ -157,7 +161,13 @@ def _parse_delta_grid(spec: str | None, listing: str | None) -> list[float]:
 # verbs
 # ---------------------------------------------------------------------------
 
+def _require_positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ParseError(f"{name} must be positive, got {value!r}")
+
+
 def _cmd_classify(args) -> int:
+    _require_positive("--radius", args.radius)
     Z = _load_system(args.system)
     rep = classification_report(Z, radius=args.radius,
                                 include_sigma=not args.no_sigma)
@@ -208,6 +218,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_portrait(args) -> int:
+    _require_positive("--box", args.box)
     Z = _load_system(args.system)
     trajectories = phase_portrait(
         Z, box=args.box, seeds_per_quadrant=args.seeds_per_quadrant,

@@ -29,11 +29,6 @@ class NotTransient(CrosswitchError):
     branches near the origin) was called on a non-transient one."""
 
 
-class EtaUndefined(CrosswitchError):
-    """The third-order return-map coefficient was requested although the
-    linear part is non-degenerate (alpha != -1)."""
-
-
 class EvaluationOutsideDomain(CrosswitchError):
     """A sliding field was evaluated where its denominator vanishes."""
 
@@ -49,6 +44,15 @@ class LeftDomain(CrosswitchError):
 
 class StepLimit(CrosswitchError):
     """The integrator exceeded its step budget."""
+
+
+class SeedOutsideBox(CrosswitchError, ValueError):
+    """An integration seed lies outside the integration box."""
+
+
+class NonFiniteValue(CrosswitchError, ValueError):
+    """A computed value bound for a canonical output is NaN or infinite
+    (e.g. field magnitudes whose products overflow)."""
 
 
 class InvalidSigns(CrosswitchError):

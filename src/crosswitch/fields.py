@@ -445,23 +445,6 @@ ACTIVE_FIELD = {
 }
 
 
-def region_of(p: Point, tol: float = 1e-12) -> Region:
-    """Classify a point into quadrant / half-branch / origin.
-
-    Coordinates with |x| <= tol are treated as exactly on the branch.
-    """
-    x1, x2 = p
-    on1 = abs(x1) <= tol
-    on2 = abs(x2) <= tol
-    if on1 and on2:
-        return Region.ORIGIN
-    if on1:
-        return Region.SIGMA1_PLUS if x2 > 0 else Region.SIGMA1_MINUS
-    if on2:
-        return Region.SIGMA2_PLUS if x1 > 0 else Region.SIGMA2_MINUS
-    return _QUADRANTS[(1 if x1 > 0 else -1, 1 if x2 > 0 else -1)]
-
-
 def quadrant_of_signs(s1: int, s2: int) -> Region:
     """Open quadrant with sign(x1)=s1, sign(x2)=s2 (each in {-1, +1})."""
     return _QUADRANTS[(s1, s2)]
@@ -474,11 +457,6 @@ def branch_point(branch: int, s: float) -> Point:
     if branch == 2:
         return (s, 0.0)
     raise ValueError(f"branch must be 1 or 2, got {branch}")
-
-
-def running_coordinate(branch: int, p: Point) -> float:
-    """Running coordinate of a point assumed to lie on Sigma_branch."""
-    return p[1] if branch == 1 else p[0]
 
 
 def normal_component(field: FieldSpec, branch: int) -> Poly2:
@@ -542,10 +520,6 @@ def system_from_obj(obj) -> PiecewiseSystem:
 # ---------------------------------------------------------------------------
 # convenience constructors
 # ---------------------------------------------------------------------------
-
-def constant_field(v1: float, v2: float) -> FieldSpec:
-    return FieldSpec(Poly2.constant(v1), Poly2.constant(v2))
-
 
 def make_system(X1, X2, Y1, Y2) -> PiecewiseSystem:
     """Build a system from four components given as Poly2, mapping

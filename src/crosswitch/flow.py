@@ -14,8 +14,10 @@ Junction handling follows the convex (Filippov) convention:
   selection and is flagged);
 - tangency of the arriving field: grazing — continue with the same field;
 - tangency of the other field: cross, then continue with that (tangent) field;
-- origin: pass through (both branches crossing), slide through (one branch
-  crossing), or stop (no branch crossing / degenerate data).
+- origin: stop as `degenerate_origin_data` when some component X_i(0),
+  Y_i(0) vanishes (`switching.vanishing_components`, the classifier's own
+  test), else pass through (both branches crossing), slide through (one
+  branch crossing), or stop (no branch crossing).
 
 Backward time integrates the negated system forward; all sliding/escaping
 roles then swap consistently because every decision is made on the
@@ -31,17 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
-from .errors import LeftDomain, NotTransverse, StepLimit, TooManyTangencies
+from .errors import LeftDomain, NotTransverse, SeedOutsideBox, StepLimit, TooManyTangencies
 from .fields import ACTIVE_FIELD, PiecewiseSystem, Point, branch_point, quadrant_of_signs
 from .numerics import bisect_root, rk4_step_1d, rk4_step_2d
 from .switching import (
     ArcKind,
-    band_tolerance,
     branch_point_class,
-    field_scale,
     find_tangencies,
     sliding_field,
     tangency_tolerance,
+    vanishing_components,
     xi_values,
 )
 
@@ -127,10 +128,15 @@ class HalfCrossingResult:
     off_crossing: bool            # landing point is not on a crossing arc
 
 
-def half_crossing(Z: PiecewiseSystem, field_name: str, start: Point,
-                  h: float = STEP_H, box: float = 4.0,
-                  max_steps: int = MAX_STEPS) -> HalfCrossingResult:
-    """Follow the orbit of one field from a branch point to the other branch.
+#: Box |x1|, |x2| <= LEG_BOX of the orbit legs of `half_crossing`.
+LEG_BOX = 4.0
+
+
+def half_crossing(Z: PiecewiseSystem, field_name: str,
+                  start: Point) -> HalfCrossingResult:
+    """Follow the orbit of one field from a branch point to the other branch,
+    in RK4 steps of STEP_H, inside the box LEG_BOX, for at most MAX_STEPS
+    steps.
 
     The time direction is chosen so the leg immediately enters the field's
     own active region: sigma = h_side * sgn(W_i) for X and the opposite for Y
@@ -163,10 +169,11 @@ def half_crossing(Z: PiecewiseSystem, field_name: str, start: Point,
     home = i - 1                  # coordinate index of the starting branch
     home_armed = False
     t = 0.0
-    for _ in range(max_steps):
+    h = STEP_H
+    for _ in range(MAX_STEPS):
         q = rk4_step_2d(F, p, h)
-        if max(abs(q[0]), abs(q[1])) > box:
-            raise LeftDomain(f"orbit leg left the box |x| <= {box}")
+        if max(abs(q[0]), abs(q[1])) > LEG_BOX:
+            raise LeftDomain(f"orbit leg left the box |x| <= {LEG_BOX}")
         if not home_armed:
             if abs(q[home]) > ARM:
                 home_armed = True
@@ -188,7 +195,7 @@ def half_crossing(Z: PiecewiseSystem, field_name: str, start: Point,
                                       kind is not ArcKind.CROSSING)
         p = q
         t += h
-    raise StepLimit(f"no branch reached within {max_steps} steps")
+    raise StepLimit(f"no branch reached within {MAX_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +259,7 @@ class _Integrator:
         on1 = abs(x1) <= ARM
         on2 = abs(x2) <= ARM
         if max(abs(x1), abs(x2)) > self.box:
-            raise ValueError(f"seed {seed} lies outside the box |x| <= {self.box}")
+            raise SeedOutsideBox(f"seed {seed} lies outside the box |x| <= {self.box}")
         if on1 and on2:
             self.record((0.0, 0.0), Mode.STATIONARY_ORIGIN)
             return self.handle_origin(arriving_field=None)
@@ -321,12 +328,11 @@ class _Integrator:
     def handle_origin(self, arriving_field: str | None):
         Z = self.Z
         origin = (0.0, 0.0)
-        xi1, xi2 = xi_values(Z)
-        band = band_tolerance() * (1.0 + field_scale(Z, origin) ** 2)
-        if abs(xi1) <= band or abs(xi2) <= band:
+        if vanishing_components(Z):
             self.emit(EventKind.ORIGIN_STOP, origin, note="degenerate_origin_data",
                       terminal=True)
             return None
+        xi1, xi2 = xi_values(Z)
         if xi1 > 0.0 and xi2 > 0.0:
             name = arriving_field or "X"
             self.emit(EventKind.ORIGIN_STOP, origin,
@@ -431,6 +437,8 @@ class _Integrator:
         sf, cuts = self.sliding_data(branch)
         f = sf.value
         h = self.h
+        # the origin cannot match while s == 0.0, as a stop differs from s
+        candidates = cuts + [0.0]
         while True:
             if self.t >= self.t_max:
                 self.emit(EventKind.TIME_LIMIT, branch_point(branch, s), branch,
@@ -441,7 +449,7 @@ class _Integrator:
             s_new = rk4_step_1d(f, s, step)
             # stop coordinates reached within this step (tangency cuts, the
             # origin, the box edge), nearest first
-            stops = [c for c in cuts + ([0.0] if s != 0.0 else [])
+            stops = [c for c in candidates
                      if min(s, s_new) < c < max(s, s_new)
                      or (abs(s_new - c) <= SNAP and c != s)]
             if abs(s_new) > self.box:

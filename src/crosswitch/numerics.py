@@ -25,8 +25,11 @@ import numpy as np
 #: Default number of scan cells for root isolation on an interval.
 SCAN_CELLS = 512
 
-#: Default absolute width tolerance for bisection refinement.
+#: Absolute width to which scan roots are refined; `bisect_root`'s default.
 ROOT_XTOL = 1e-12
+
+#: Most halvings `bisect_root` makes.
+BISECT_MAX_ITER = 200
 
 #: Sections per round of `multisect_roots`.
 MULTISECTIONS = 256
@@ -34,13 +37,13 @@ MULTISECTIONS = 256
 
 def bisect_root(f: Callable[[float], float], a: float, b: float,
                 fa: float | None = None, fb: float | None = None,
-                xtol: float = ROOT_XTOL, max_iter: int = 200,
-                ftol: float = 0.0) -> float:
+                xtol: float = ROOT_XTOL, ftol: float = 0.0) -> float:
     """Bisection on a bracketing interval [a, b] (f(a), f(b) opposite signs).
 
     Returns the first of a, b and the midpoints where |f| <= ftol, else the
     midpoint of the first bracket no wider than xtol (or of the last one
-    after max_iter halvings).  With ftol = 0 only an exact zero stops early.
+    after BISECT_MAX_ITER halvings).  With ftol = 0 only an exact zero stops
+    early.
     """
     fa = f(a) if fa is None else fa
     fb = f(b) if fb is None else fb
@@ -50,7 +53,7 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
         return b
     if (fa < 0.0) == (fb < 0.0):
         raise ValueError("bisect_root: interval does not bracket a sign change")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         m = 0.5 * (a + b)
         if (b - a) <= xtol:
             return m
@@ -81,8 +84,8 @@ Cell = tuple[float, float, float, float]   # (a, b, f(a), f(b))
 
 def sign_change_roots(xs: Sequence[float] | np.ndarray,
                       vals: Sequence[float] | np.ndarray,
-                      refine: Callable[[list[Cell]], Sequence[float]],
-                      xtol: float = ROOT_XTOL) -> list[tuple[float, tuple[float, float]]]:
+                      refine: Callable[[list[Cell]], Sequence[float]]
+                      ) -> list[tuple[float, tuple[float, float]]]:
     """Roots from the values of f on a scan grid (lists or arrays).
 
     A zero grid value is a root, and every cell whose end values have
@@ -107,15 +110,16 @@ def sign_change_roots(xs: Sequence[float] | np.ndarray,
         else:
             r = float(xs[k])
             cell = (r, r)
-        if out and abs(r - out[-1][0]) <= max(4.0 * xtol, 1e-11 * (1.0 + abs(r))):
+        if out and abs(r - out[-1][0]) <= max(4.0 * ROOT_XTOL, 1e-11 * (1.0 + abs(r))):
             continue
         out.append((r, cell))
     return out
 
 
 def scan_roots(f: Callable[[float], float], lo: float, hi: float,
-               cells: int = SCAN_CELLS, xtol: float = ROOT_XTOL) -> list[float]:
-    """Sign-change roots of f on [lo, hi]: uniform scan + bisection.
+               cells: int = SCAN_CELLS) -> list[float]:
+    """Sign-change roots of f on [lo, hi]: uniform scan + bisection to
+    ROOT_XTOL.
 
     f maps a point to a value and an array of points to an array of values
     (a `Poly1` does both); the scan makes one call on the whole grid, and
@@ -128,19 +132,18 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
     xs = _grid(lo, hi, cells)
     vals = f(xs)
     return [r for r, _ in sign_change_roots(
-        xs, vals, lambda brackets: [bisect_root(f, *c, xtol) for c in brackets], xtol)]
+        xs, vals, lambda brackets: [bisect_root(f, *c) for c in brackets])]
 
 
 def multisect_roots(f: Callable[[np.ndarray], np.ndarray],
-                    cells: Sequence[Cell],
-                    xtol: float = ROOT_XTOL) -> list[float]:
+                    cells: Sequence[Cell]) -> list[float]:
     """Roots of f in sign-change cells [(a, b, f(a), f(b)), ...], refined
     together, the vectorised counterpart of `bisect_root`.
 
     f maps an array of points to an array of values.  Every round evaluates
     f once, at the MULTISECTIONS - 1 interior section points of all open
     cells, and keeps the first sub-cell of each that holds a sign change (an
-    exact zero ends its cell), until the width is at most xtol.
+    exact zero ends its cell), until the width is at most ROOT_XTOL.
     """
     if not cells:
         return []
@@ -148,7 +151,7 @@ def multisect_roots(f: Callable[[np.ndarray], np.ndarray],
     root = np.full(a.shape, np.nan)
     frac = np.arange(1, MULTISECTIONS) / MULTISECTIONS
     while True:
-        live = np.flatnonzero(np.isnan(root) & (b - a > xtol))
+        live = np.flatnonzero(np.isnan(root) & (b - a > ROOT_XTOL))
         if live.size == 0:
             break
         pts = a[live, None] + (b - a)[live, None] * frac

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .classify import Classification, UnfoldingVerification, classify, verify_unfolding
-from .errors import EvaluationOutsideDomain, NotTransient, NotTransverse, TooManyTangencies
+from .errors import EvaluationOutsideDomain, NonFiniteValue, TooManyTangencies
 from .fields import PiecewiseSystem, system_to_obj
 from .flow import Mode, Trajectory
 from .returnmap import ReturnMapModel, return_map_model
@@ -32,7 +32,7 @@ FLOAT_FORMAT = "%.12e"
 
 def _format_float(v: float) -> str:
     if not math.isfinite(v):
-        raise ValueError(f"non-finite value {v!r} cannot enter a canonical report")
+        raise NonFiniteValue(f"non-finite value {v!r} cannot enter a canonical report")
     if v == 0.0:
         v = 0.0  # normalize -0.0
     return FLOAT_FORMAT % v
@@ -334,11 +334,16 @@ def _runs_by_mode(tr: Trajectory):
     return runs
 
 
+#: Width and height of a portrait SVG, in pixels.
+SVG_SIZE = 640
+
+
 def portrait_svg(Z: PiecewiseSystem, trajectories: list[Trajectory],
-                 box: float = 1.0, size: int = 640,
+                 box: float = 1.0,
                  decomposition: SigmaDecomposition | None = None,
                  title: str = "") -> str:
     """Deterministic standalone SVG of trajectories and the switching set."""
+    size = SVG_SIZE
     margin = 24.0
     span = size - 2.0 * margin
     scale = span / (2.0 * box)

@@ -18,11 +18,14 @@ time-parametrised RK4 of `flow.half_crossing`.  The lane route of
 `fixed_points` runs all seeds of a scan at once on numpy lanes; each leg is
 a fixed-step RK4 in the chart variable.  A lane that fails a guard of the
 scalar route (transverse start, chart denominator of constant sign and
-above the tangency tolerance, no return to the starting branch, the box) is
-evaluated on the scalar route.  The scalar route also checks the lane
-route: at the widest-leg lane of each scan and at every root.  Where they
-disagree, it redoes that scan or that root.  Roots are refined together by
-multisection on lanes.
+above the tangency tolerance, no return to the starting branch, the box
+|x| <= `flow.LEG_BOX` of the orbit legs) is evaluated on the scalar route.
+The scalar route also checks the lane route: at the widest-leg lane of each
+scan and at every root.  Where they disagree, it redoes that scan or that
+root.  Roots are refined together by multisection on lanes.
+
+`flow` owns the orbit-leg constants (`ARM`, `LEG_BOX`) and `half_crossing`;
+this module imports them, and `flow` imports nothing from here.
 """
 from __future__ import annotations
 
@@ -31,13 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import (EtaUndefined, LeftDomain, NotTransient, NotTransverse,
-                     StepLimit)
+from .errors import LeftDomain, NotTransient, NotTransverse, StepLimit
 from .fields import PiecewiseSystem, Point
+from .flow import ARM, LEG_BOX, half_crossing
 from .numerics import (bisect_root, central_slope, multisect_roots, scan_grid,
                        sign_change_roots)
 from .series import invert_graph, picard_chart_jet
-from .switching import TANGENCY_RTOL, band_tolerance, field_scale
+from .switching import TANGENCY_RTOL, band_tolerance, vanishing_components
 
 #: Fixed RK4 steps per chart leg on the lane route of `fixed_points`.
 CHART_STEPS = 50
@@ -45,8 +48,17 @@ CHART_STEPS = 50
 #: Largest accepted lane-vs-scalar full-turn difference, times (1 + |x|).
 LANE_CHECK_TOL = 1e-9
 
-#: Box |x1|, |x2| <= LEG_BOX of the orbit legs (`flow.half_crossing`'s box).
-LEG_BOX = 4.0
+#: Base magnitude h of the numeric fit's samples at x in {±h/4, ±h/2, ±h, ±2h}.
+NUMERIC_FIT_H = 0.01
+
+#: Central-difference step of a fixed point's multiplier, times (1 + |x|).
+SLOPE_STEP = 1e-5
+
+#: A multiplier within this distance of |m| = 1 gets no stability verdict.
+#: The multiplier is a central difference of a numerically integrated map,
+#: so its own error (truncation of order SLOPE_STEP^2, and the map's
+#: rounding divided by the step) must stay well below this band.
+MULTIPLIER_BAND = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +75,10 @@ def is_transient(Z: PiecewiseSystem) -> bool:
 
 def require_transverse(Z: PiecewiseSystem) -> None:
     """Charts for the half maps need X2(0) != 0 and Y1(0) != 0."""
-    x1, x2, y1, y2 = Z.origin_components()
-    tol = band_tolerance() * (1.0 + field_scale(Z, (0.0, 0.0)))
-    if abs(x2) <= tol:
+    vanishing = vanishing_components(Z)
+    if ("X", 2) in vanishing:
         raise NotTransverse("X2(0) vanishes: phi_X chart is singular")
-    if abs(y1) <= tol:
+    if ("Y", 1) in vanishing:
         raise NotTransverse("Y1(0) vanishes: phi_Y chart is singular")
 
 
@@ -77,13 +88,6 @@ def require_transient(Z: PiecewiseSystem) -> None:
         raise NotTransient(
             f"return map needs X1*X2(0) < 0 < Y1*Y2(0); "
             f"got X1*X2 = {x1 * x2:g}, Y1*Y2 = {y1 * y2:g}")
-
-
-def alpha_value(Z: PiecewiseSystem) -> float:
-    """Linear coefficient of the half-turn map psi: a_X * a_Y."""
-    require_transverse(Z)
-    x1, x2, y1, y2 = Z.origin_components()
-    return (-x1 / x2) * (-y2 / y1)
 
 
 def gamma_value(Z: PiecewiseSystem) -> float:
@@ -108,9 +112,6 @@ class HalfMapCoeffs:
     source: str                   # "jet" | "numeric"
     error_estimate: float | None  # attached by the numeric fit
 
-    def eval(self, x: float) -> float:
-        return ((self.c * x + self.b) * x + self.a) * x
-
 
 def _chart_polys(Z: PiecewiseSystem, field: str):
     """Chart numerator/denominator written in the (s, w) variables."""
@@ -129,12 +130,11 @@ def half_map_jet(Z: PiecewiseSystem, field: str) -> HalfMapCoeffs:
     require_transverse(Z)
     num, den = _chart_polys(Z, field)
     w = picard_chart_jet(num, den)
-    g1, g2, g3 = invert_graph(w, order=3)
+    g1, g2, g3 = invert_graph(w)
     return HalfMapCoeffs(field, g1, g2, g3, source="jet", error_estimate=None)
 
 
-def half_map_value_numeric(Z: PiecewiseSystem, field: str, x: float,
-                           rtol: float = 1e-12, atol: float = 1e-14) -> float:
+def half_map_value_numeric(Z: PiecewiseSystem, field: str, x: float) -> float:
     """Half-map value by high-order adaptive integration of the chart ODE
     (independent of the jet machinery; fixed endpoint, no event location)."""
     num, den = _chart_polys(Z, field)
@@ -142,7 +142,7 @@ def half_map_value_numeric(Z: PiecewiseSystem, field: str, x: float,
     def rhs(s, w):
         return [num(s, w[0]) / den(s, w[0])]
 
-    sol = solve_ivp(rhs, (x, 0.0), [0.0], method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (x, 0.0), [0.0], method="DOP853", rtol=1e-12, atol=1e-14)
     if not sol.success:  # pragma: no cover - guarded by callers' domains
         raise RuntimeError(f"chart integration failed: {sol.message}")
     return float(sol.y[0, -1])
@@ -161,17 +161,18 @@ def _fit_cubic_through_origin(samples: dict[float, float], mags: tuple[float, fl
     return float(a), float(b), float(c)
 
 
-def half_map_numeric_fit(Z: PiecewiseSystem, field: str,
-                         h: float = 0.01) -> HalfMapCoeffs:
+def half_map_numeric_fit(Z: PiecewiseSystem, field: str) -> HalfMapCoeffs:
     """Cubic coefficients fitted to accurately integrated half-map values at
-    x in {±h/4, ±h/2, ±h, ±2h}.  Two staggered three-magnitude fits give the
-    coefficients and a defensible error estimate (their disagreement).
+    x in {±h/4, ±h/2, ±h, ±2h}, h = NUMERIC_FIT_H.  Two staggered
+    three-magnitude fits give the coefficients and a defensible error
+    estimate (their disagreement).
 
-    The default span keeps the seventh-order contamination of the exact
-    degree-5 odd solve (which scales like h^4) below 1e-6 for charts with
-    order-one curvature while staying far above integrator noise.
+    The span keeps the seventh-order contamination of the exact degree-5
+    odd solve (which scales like h^4) below 1e-6 for charts with order-one
+    curvature while staying far above integrator noise.
     """
     require_transverse(Z)
+    h = NUMERIC_FIT_H
     mags = (h / 4.0, h / 2.0, h, 2.0 * h)
     samples = {}
     for m in mags:
@@ -222,14 +223,6 @@ class ReturnMapModel:
     psi: tuple[float, float, float]
     phi: tuple[float, float, float]
 
-    def eval_half(self, x: float) -> float:
-        a, b, c = self.psi
-        return ((c * x + b) * x + a) * x
-
-    def eval_full(self, x: float) -> float:
-        a, b, c = self.phi
-        return ((c * x + b) * x + a) * x
-
     @property
     def attractive(self) -> bool | None:
         """Origin attracts the orbit sequence iff |alpha| < 1 (None within
@@ -255,16 +248,6 @@ def return_map_model(Z: PiecewiseSystem, method: str = "jet") -> ReturnMapModel:
                           half_x=hx, half_y=hy, psi=psi, phi=phi)
 
 
-def eta_coefficient(Z: PiecewiseSystem, method: str = "jet") -> float:
-    """Cubic coefficient of the full turn on the critical band alpha = -1."""
-    model = return_map_model(Z, method)
-    if model.eta is None:
-        raise EtaUndefined(
-            f"eta needs alpha = -1 (within {band_tolerance():g}); "
-            f"got alpha = {model.alpha!r}")
-    return model.eta
-
-
 # ---------------------------------------------------------------------------
 # numeric return map (leg-by-leg orbit composition)
 # ---------------------------------------------------------------------------
@@ -282,8 +265,6 @@ def numeric_return_map(Z: PiecewiseSystem, x: float,
                        half: bool = False) -> NumericReturn:
     """Follow the orbit geometry leg by leg starting from (x, 0) on Sigma2:
     Y-leg to Sigma1, X-leg to Sigma2 (half turn), twice for the full turn."""
-    from .flow import half_crossing  # deferred: flow builds on this module's API
-
     require_transient(Z)
     pts: list[Point] = [(x, 0.0)]
     hit = False
@@ -309,7 +290,7 @@ class FixedPoint:
     x: float
     conjugate: float              # half-turn image: the paired branch point
     multiplier: float             # d(phi)/dx at the fixed point
-    stable: bool | None           # None when |multiplier - 1| is in the band
+    stable: bool | None           # None within MULTIPLIER_BAND of |m| = 1
     hit_sliding: bool
 
 
@@ -328,8 +309,6 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
     reach is each lane's largest |branch point| along the turn, the size of
     its widest leg.
     """
-    from .flow import ARM  # deferred like numeric_return_map's flow import
-
     start = np.array(xs, dtype=float)
     ok = np.ones(start.shape, dtype=bool)
     reach = np.zeros(start.shape)
@@ -388,16 +367,15 @@ def _turn_values(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
 
 
 def _stability(mult: float) -> bool | None:
-    if abs(abs(mult) - 1.0) <= 1e-6:
+    if abs(abs(mult) - 1.0) <= MULTIPLIER_BAND:
         return None
     return abs(mult) < 1.0
 
 
-def _scalar_fixed_point(Z: PiecewiseSystem, root: float,
-                        slope_step: float) -> FixedPoint:
+def _scalar_fixed_point(Z: PiecewiseSystem, root: float) -> FixedPoint:
     res = numeric_return_map(Z, root)
     mult = central_slope(lambda u: numeric_return_map(Z, u).value,
-                         root, slope_step * (1.0 + abs(root)))
+                         root, SLOPE_STEP * (1.0 + abs(root)))
     conj = numeric_return_map(Z, root, half=True).value
     return FixedPoint(root, conj, mult, _stability(mult), res.hit_sliding)
 
@@ -407,7 +385,7 @@ def _agrees(lane: float, exact: float, x: float) -> bool:
 
 
 def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
-                 guard: float, slope_step: float) -> list[FixedPoint] | None:
+                 guard: float) -> list[FixedPoint] | None:
     """Fixed points in one scan window on the lane route; None when the
     scalar route must redo the window."""
 
@@ -436,7 +414,7 @@ def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
     if not roots:
         return []
     at = np.array([r for r, _ in roots])
-    h = slope_step * (1.0 + np.abs(at))
+    h = SLOPE_STEP * (1.0 + np.abs(at))
     values = _turn_values(Z, np.concatenate([at - h, at, at + h]))[0]
     below, value, above = np.split(values, 3)
     out: list[FixedPoint] = []
@@ -454,13 +432,12 @@ def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
         fa, fb = displacement(a), displacement(b)
         if fa != 0.0 and fb != 0.0 and (fa < 0.0) == (fb < 0.0):
             return None
-        out.append(_scalar_fixed_point(Z, bisect_root(displacement, a, b, fa, fb),
-                                       slope_step))
+        out.append(_scalar_fixed_point(Z, bisect_root(displacement, a, b, fa, fb)))
     return out
 
 
 def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
-                 cells: int = 256, slope_step: float = 1e-5) -> list[FixedPoint]:
+                 cells: int = 256) -> list[FixedPoint]:
     """Fixed points of the numeric full turn with x in [lo, hi], 0 excluded.
 
     Each side of 0 is one scan window: a grid of `cells` cells over which
@@ -475,7 +452,7 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
     (scalar grid values and `bisect_root`).  Otherwise the sign-change cells
     are refined together by lane multisection (`multisect_roots`) to width
     1e-12, and the multiplier is the central difference of the lane map with
-    step slope_step * (1 + |x|).  One scalar `numeric_return_map` at each
+    step SLOPE_STEP * (1 + |x|).  One scalar `numeric_return_map` at each
     root gives `hit_sliding` and the conjugate.  If it disagrees with the
     lane value beyond the same bound, that cell is bisected again on the
     scalar route; if the scalar values at the cell ends do not bracket a
@@ -499,10 +476,10 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
         if not whi > wlo:
             continue
         xs = scan_grid(wlo, whi, cells)
-        found = _lane_window(Z, xs, displacement, guard, slope_step)
+        found = _lane_window(Z, xs, displacement, guard)
         if found is None:
             vals = [displacement(x) for x in xs]
-            found = [_scalar_fixed_point(Z, r, slope_step) for r, _ in
+            found = [_scalar_fixed_point(Z, r) for r, _ in
                      sign_change_roots(xs, vals, lambda brackets: [
                          bisect_root(displacement, *c) for c in brackets])
                      if abs(r) > 2.0 * guard]

@@ -64,14 +64,15 @@ def integrate_first(p: Poly2) -> Poly2:
     return Poly2((i + 1, j, c / (i + 1)) for i, j, c in p.terms)
 
 
-def picard_chart_jet(numerator: Poly2, denominator: Poly2,
-                     deg: int = JET_DEGREE) -> Poly2:
+def picard_chart_jet(numerator: Poly2, denominator: Poly2) -> Poly2:
     """Two-parameter solution jet w(s, y) of dw/ds = num(s,w)/den(s,w) with
-    w(0, y) = y, as a truncated polynomial in (s, y).
+    w(0, y) = y, as a polynomial in (s, y) truncated at total degree
+    JET_DEGREE.
 
     Both input polynomials must be written in the chart variables (s, w);
     the denominator must not vanish at the origin (transversality).
     """
+    deg = JET_DEGREE
     rate = truncate(truncate(numerator, deg) * series_reciprocal(denominator, deg), deg)
     w = Poly2([(0, 1, 1.0)])  # w0(s, y) = y
     for _ in range(deg + 1):
@@ -80,8 +81,8 @@ def picard_chart_jet(numerator: Poly2, denominator: Poly2,
     return w
 
 
-def invert_graph(w: Poly2, order: int = 3) -> tuple[float, ...]:
-    """Solve w(x, G(x)) = O(x^(order+1)) for G(x) = g1*x + ... + g_order*x^order.
+def invert_graph(w: Poly2) -> tuple[float, float, float]:
+    """Solve w(x, G(x)) = O(x^4) for the cubic G(x) = g1*x + g2*x^2 + g3*x^3.
 
     Requires the normalization w(0, y) = y (constant term 0, unit linear
     coefficient in the second variable), which picard_chart_jet guarantees.
@@ -90,8 +91,8 @@ def invert_graph(w: Poly2, order: int = 3) -> tuple[float, ...]:
     c01 = w.coefficient(0, 1)
     if abs(c00) > 1e-12 or abs(c01 - 1.0) > 1e-12:
         raise ValueError("invert_graph expects w(0, y) = y normalization")
-    gs = [0.0] * (order + 1)  # gs[k] multiplies x^k
-    for k in range(1, order + 1):
+    gs = [0.0] * 4  # gs[k] multiplies x^k
+    for k in (1, 2, 3):
         coeff = _graph_coefficient(w, gs, k)
         gs[k] = -coeff / c01
     return tuple(gs[1:])

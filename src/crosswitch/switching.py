@@ -56,6 +56,22 @@ def tangency_tolerance(Z: PiecewiseSystem, p: Point) -> float:
     return TANGENCY_RTOL * (1.0 + field_scale(Z, p))
 
 
+def component_tolerance(Z: PiecewiseSystem, p: Point) -> float:
+    """Degeneracy band for one field component (or a quantity of the same
+    scale) at p: band_tolerance() relative to the local field scale."""
+    return band_tolerance() * (1.0 + field_scale(Z, p))
+
+
+def vanishing_components(Z: PiecewiseSystem) -> list[tuple[str, int]]:
+    """The components ("X"|"Y", 1|2) with |value at 0| <= the component
+    tolerance there.  The one test of "X_i(0) or Y_i(0) vanishes": the
+    classifier, the half-map charts and the flow at the origin all use it."""
+    tol = component_tolerance(Z, (0.0, 0.0))
+    x1, x2, y1, y2 = Z.origin_components()
+    return [k for k, v in ((("X", 1), x1), (("X", 2), x2),
+                           (("Y", 1), y1), (("Y", 2), y2)) if abs(v) <= tol]
+
+
 class ArcKind(str, Enum):
     CROSSING = "crossing"
     SLIDING = "sliding"
@@ -85,16 +101,14 @@ def xi_values(Z: PiecewiseSystem) -> tuple[float, float]:
     return (x1 * y1, x2 * y2)
 
 
-def branch_point_class(Z: PiecewiseSystem, branch: int, s: float,
-                       tol: float | None = None) -> ArcKind:
+def branch_point_class(Z: PiecewiseSystem, branch: int, s: float) -> ArcKind:
     """Classify the branch point at running coordinate s != 0 on Sigma_branch."""
     if s == 0.0:
         raise ValueError("the origin does not lie on an open half-branch")
     p = branch_point(branch, s)
     xn = normal_component(Z.X, branch).eval_point(p)
     yn = normal_component(Z.Y, branch).eval_point(p)
-    if tol is None:
-        tol = tangency_tolerance(Z, p)
+    tol = tangency_tolerance(Z, p)
     if abs(xn) <= tol or abs(yn) <= tol:
         return ArcKind.TANGENCY
     if xn * yn > 0.0:
@@ -146,9 +160,10 @@ class TangencyPoint:
         return 1 if self.s > 0.0 else -1
 
 
-def find_tangencies(Z: PiecewiseSystem, branch: int, lo: float, hi: float,
-                    exclude_origin: bool = True) -> list[TangencyPoint]:
-    """Folds of X and Y on Sigma_branch with running coordinate in [lo, hi].
+def find_tangencies(Z: PiecewiseSystem, branch: int,
+                    lo: float, hi: float) -> list[TangencyPoint]:
+    """Folds of X and Y on Sigma_branch with running coordinate in [lo, hi],
+    the origin (|s| <= 1e-12) excluded.
 
     Raises TooManyTangencies when a normal component vanishes identically on
     the branch (every point would be a tangency).
@@ -161,7 +176,7 @@ def find_tangencies(Z: PiecewiseSystem, branch: int, lo: float, hi: float,
             raise TooManyTangencies(
                 f"{name}{branch} vanishes identically on Sigma{branch}")
         for s in scan_roots(restricted, lo, hi):
-            if exclude_origin and abs(s) <= 1e-12:
+            if abs(s) <= 1e-12:
                 continue
             p = branch_point(branch, s)
             lie = fold_lie_value(field, branch, p)
@@ -326,7 +341,7 @@ def pseudo_equilibria(Z: PiecewiseSystem, branch: int,
             continue
         p = branch_point(branch, s0)
         der = sf.derivative_at_root(s0)
-        hyper = abs(der) > band_tolerance() * (1.0 + field_scale(Z, p))
+        hyper = abs(der) > component_tolerance(Z, p)
         stability = None
         if hyper:
             stability = "attracting" if der < 0.0 else "repelling"

@@ -17,19 +17,18 @@ from numpy.polynomial import polynomial as npoly
 
 from crosswitch.errors import DegenerateInput, NonFiniteCoefficients, ParseError
 from crosswitch.fields import (
+    ACTIVE_FIELD,
     FieldSpec,
     Poly1,
     Poly2,
     Region,
     branch_point,
-    constant_field,
     make_system,
     normal_component,
-    region_of,
-    running_coordinate,
     system_from_obj,
     system_to_obj,
 )
+from crosswitch.flow import Mode, integrate
 
 from conftest import assert_close, coeffs, dense_matrix, generic_system, points, poly2
 
@@ -211,7 +210,7 @@ class TestFieldSpec:
         assert f.origin_value() == (1.0, -2.0)
 
     def test_negate_scale(self):
-        f = constant_field(2.0, -1.0)
+        f = FieldSpec(Poly2.constant(2.0), Poly2.constant(-1.0))
         assert f.negate().origin_value() == (-2.0, 1.0)
         assert f.scale(0.5).origin_value() == (1.0, -0.5)
 
@@ -279,17 +278,25 @@ class TestRegions:
         ((1e-13, -1e-13), Region.ORIGIN),
     ])
     def test_cases(self, p, want):
-        # [TRIVIAL]
-        assert region_of(p) == want
-
-    def test_tol_override(self):
-        assert region_of((1e-3, 1.0), tol=1e-2) == Region.SIGMA1_PLUS
+        # [TRIVIAL] the flow's seeding places each point in its region: a
+        # quadrant seed starts there with the quadrant's field, a seed within
+        # ARM of a branch is snapped onto it, and one within ARM of both
+        # starts at the origin
+        first = integrate(make_system(1.0, 1.0, 1.0, 1.0), p, t_max=1e-3,
+                          box=4.0).samples[0]
+        if want is Region.ORIGIN:
+            assert (first.x1, first.x2, first.mode) == (0.0, 0.0, Mode.STATIONARY_ORIGIN)
+        elif want in (Region.SIGMA1_PLUS, Region.SIGMA1_MINUS):
+            assert (first.x1, first.x2) == (0.0, p[1])
+        elif want in (Region.SIGMA2_PLUS, Region.SIGMA2_MINUS):
+            assert (first.x1, first.x2) == (p[0], 0.0)
+        else:
+            assert (first.x1, first.x2) == p
+            assert first.mode.value == "Smooth" + ACTIVE_FIELD[want]
 
     def test_branch_point_roundtrip(self):
         assert branch_point(1, 0.25) == (0.0, 0.25)
         assert branch_point(2, -0.5) == (-0.5, 0.0)
-        assert running_coordinate(1, (0.0, 0.25)) == 0.25
-        assert running_coordinate(2, (-0.5, 0.0)) == -0.5
 
     def test_normal_component(self):
         f = FieldSpec(Poly2.constant(3.0), Poly2.constant(7.0))

@@ -9,7 +9,10 @@ Oracle notes:
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from crosswitch.classify import classify
 from crosswitch.errors import NotTransverse
 from crosswitch.fields import make_system
 from crosswitch.flow import (
@@ -219,6 +222,18 @@ class TestOriginRules:
         traj = integrate(Z, (0.0, 0.0), t_max=1.0)
         assert traj.terminal.kind is EventKind.ORIGIN_STOP
         assert traj.terminal.note == "degenerate_origin_data"
+
+    @given(*(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1.0, -1.0])
+             for _ in range(4)))
+    @example(1e-6, 1.0, 1e-6, -1.0)     # X1 Y1 = 1e-12: Stable_C31, no stop
+    @example(1.0, -1e-6, -1.0, -1e-6)   # the same on Sigma2
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_stop_iff_classify_finds_vanishing_component(self, x1, x2, y1, y2):
+        # the flow and the classifier decide "X_i(0) or Y_i(0) vanishes" alike
+        Z = make_system(x1, x2, y1, y2)
+        traj = integrate(Z, (0.0, 0.0), t_max=0.01)
+        stopped = any(e.note == "degenerate_origin_data" for e in traj.events)
+        assert stopped == ("vanishing_components" in classify(Z).witnesses)
 
 
 # ---------------------------------------------------------------------------

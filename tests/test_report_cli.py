@@ -362,6 +362,29 @@ def test_cli_integrate_rejects_bad_seed(c32_file, capsys):
     capsys.readouterr()
 
 
+def test_cli_input_errors_exit_2_through_named_errors(c32_file, tmp_path, capsys):
+    # inputs whose only error was a bare ValueError from deep inside
+    big = tmp_path / "big.json"   # X1*Y2 + X2*Y1 overflows: NaN in the report
+    big.write_text(json.dumps(system_to_obj(make_system(1e200, -1e200, 1e200, 1e200))))
+    assert main(["return-map", "--system", str(big)]) == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["classify", "--system", str(binary)]) == 2
+    assert main(["classify", "--system", c32_file, "--radius", "0"]) == 2
+    assert main(["portrait", "--system", c32_file, "--box", "0"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_internal_value_error_is_not_unusable_input(monkeypatch, c32_file):
+    # an internal bug surfaces instead of exiting 2 as "unusable input"
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("crosswitch.cli.classification_report", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["classify", "--system", c32_file])
+
+
 def test_cli_portrait_deterministic(c32_file, tmp_path):
     svg1, svg2 = tmp_path / "p1.svg", tmp_path / "p2.svg"
     csv1 = tmp_path / "p1.csv"

@@ -17,15 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosswitch.errors import (EtaUndefined, LeftDomain, NotTransient,
-                               NotTransverse, StepLimit)
+from crosswitch.errors import LeftDomain, NotTransient, NotTransverse, StepLimit
 from crosswitch.fields import make_system
 import crosswitch.returnmap as returnmap
 from crosswitch.numerics import bisect_root, central_slope, scan_grid, sign_change_roots
 from crosswitch.returnmap import (
-    alpha_value,
     compose_cubic,
-    eta_coefficient,
     fixed_points,
     gamma_value,
     half_map_coeffs,
@@ -58,6 +55,19 @@ def numeric_return_samples(Z, n: int = 16, radius: float = 1e-2,
             r *= 0.5
     raise LeftDomain(
         f"no tractable sampling window found down to radius {r:g}")
+
+
+def alpha_value(Z) -> float:
+    """Closed-form oracle for the half-turn multiplier, where the charts
+    exist: alpha = a_X * a_Y = (-X1(0)/X2(0)) * (-Y2(0)/Y1(0))."""
+    returnmap.require_transverse(Z)
+    x1, x2, y1, y2 = Z.origin_components()
+    return (-x1 / x2) * (-y2 / y1)
+
+
+def cubic(a: float, b: float, c: float, x: float) -> float:
+    """a x + b x^2 + c x^3 by Horner."""
+    return ((c * x + b) * x + a) * x
 
 
 def c32_normal() -> object:
@@ -166,7 +176,7 @@ class TestHalfMapJets:
         hy = half_map_jet(Z, "Y")
         for x in (0.01, -0.01, 0.02):
             want = half_map_value_numeric(Z, "Y", x)
-            assert abs(hy.eval(x) - want) < 5.0 * abs(x) ** 4
+            assert abs(cubic(hy.a, hy.b, hy.c, x) - want) < 5.0 * abs(x) ** 4
 
 
 class TestNumericFit:
@@ -232,11 +242,11 @@ class TestComposition:
             assert m.alpha == pytest.approx(-1.0, abs=1e-15)
             assert m.beta == pytest.approx(-0.5, abs=1e-13)
             assert m.eta == pytest.approx(2.0 * b / 3.0 - 0.5, abs=1e-12)
-        assert eta_coefficient(hopf_family(0.0)) == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_eta_undefined_off_band(self):
-        with pytest.raises(EtaUndefined):
-            eta_coefficient(c32_normal())
+        # eta is None off the band alpha = -1, also just outside it
+        for Z in (c32_normal(), hopf_family(1e-3), hopf_family(-1e-3)):
+            assert return_map_model(Z).eta is None
 
     def test_attractivity_flag(self):
         assert return_map_model(hopf_family(0.5)).attractive is True
@@ -278,7 +288,7 @@ class TestNumericReturn:
         m = return_map_model(Z)
         for x in (-0.02, -0.01):
             got = numeric_return_map(Z, x).value
-            assert abs(got - m.eval_full(x)) < 20.0 * abs(x) ** 4
+            assert abs(got - cubic(*m.phi, x)) < 20.0 * abs(x) ** 4
 
     def test_samples_window(self):
         r, samples = numeric_return_samples(c32_normal(), n=16, radius=1e-2)
