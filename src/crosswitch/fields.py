@@ -11,15 +11,17 @@ Conventions used throughout the package:
 - Points are plain `(x1, x2)` float tuples.
 
 Evaluation: a `Poly2` evaluates by a dense two-level Horner loop, built on
-its first evaluation, as most polynomials are intermediates of the series
-arithmetic that are never evaluated.  A `FieldSpec` evaluates through one
-generated function, `compiled_eval`, built on first use: the Horner
-operations of both components in the same order, zero coefficients
+its first evaluation, as many polynomials (swapped chart polynomials,
+intermediate products) are never evaluated.  A `FieldSpec` evaluates
+through one generated function, `compiled_eval`, built on first use: the
+Horner operations of both components in the same order, zero coefficients
 included, unrolled into straight-line code, so its values equal the loops'
 bit for bit.  The event-driven flow evaluates one field hundreds of
 thousands of times and binds `compiled_eval` directly.  `Poly2` keeps its
-loop because the classifier builds thousands of polynomials and evaluates
-each only a few times, which would not pay for a compilation each.
+loop because the classifier evaluates most of its polynomials only a few
+times, which would not pay for a compilation each.  The series arithmetic
+of the half-map jets builds no `Poly2` at all: it reads the chart
+polynomials' terms into dense coefficient lists (`series`).
 """
 from __future__ import annotations
 
@@ -46,6 +48,15 @@ MAX_DEGREE_DEFAULT = 8
 # polynomials
 # ---------------------------------------------------------------------------
 
+def _as_float(c) -> float:
+    """float(c), with an int too large for a float read as the infinity of
+    its sign, where float() raises OverflowError."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
 def _canonical_terms(terms: Iterable[tuple[int, int, float]]) -> tuple[tuple[int, int, float], ...]:
     acc: dict[tuple[int, int], float] = {}
     for i, j, c in terms:
@@ -53,7 +64,7 @@ def _canonical_terms(terms: Iterable[tuple[int, int, float]]) -> tuple[tuple[int
             raise ParseError(f"monomial exponents must be integers, got ({i!r}, {j!r})")
         if i < 0 or j < 0:
             raise ParseError(f"monomial exponents must be non-negative, got ({i}, {j})")
-        c = float(c)
+        c = _as_float(c)
         if not math.isfinite(c):
             raise NonFiniteCoefficients(f"non-finite coefficient {c!r} at exponents ({i}, {j})")
         key = (int(i), int(j))
@@ -485,11 +496,12 @@ def _poly_from_obj(obj, where: str) -> Poly2:
             raise ParseError(f"{where}[{k}]: coefficient must be a number")
         if isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int):
             raise ParseError(f"{where}[{k}]: exponents must be integers")
-        if not math.isfinite(float(c)):
+        c = _as_float(c)
+        if not math.isfinite(c):
             raise NonFiniteCoefficients(f"{where}[{k}]: non-finite coefficient")
         if i < 0 or j < 0:
             raise ParseError(f"{where}[{k}]: exponents must be non-negative")
-        terms.append((i, j, float(c)))
+        terms.append((i, j, c))
     return Poly2(terms)
 
 

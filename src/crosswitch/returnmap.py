@@ -40,7 +40,7 @@ from .flow import ARM, LEG_BOX, half_crossing
 from .numerics import (bisect_root, central_slope, multisect_roots, scan_grid,
                        sign_change_roots)
 from .series import invert_graph, picard_chart_jet
-from .switching import TANGENCY_RTOL, band_tolerance, vanishing_components
+from .switching import _tangency_band, band_tolerance, vanishing_components
 
 #: Fixed RK4 steps per chart leg on the lane route of `fixed_points`.
 CHART_STEPS = 50
@@ -323,7 +323,7 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
             point, side = (((start, zero), -np.sign(start)) if field == "Y"
                            else ((zero, start), np.sign(start)))
             scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
-            tol = TANGENCY_RTOL * (1.0 + scale)
+            tol = _tangency_band(scale)
             den_sign = np.sign(den(start, zero))
             ok &= ((np.abs(num(start, zero)) > tol) & (np.abs(start) > ARM)
                    & (np.abs(start) <= LEG_BOX))

@@ -5,128 +5,180 @@ A half map between branches is obtained from a chart ODE dw/ds = R(s, w)
 w(s; y) with w(0; y) = y is built as a truncated bivariate polynomial in
 (s, y) by Picard iteration; the half map G is then extracted from the
 implicit equation w(x, G(x)) = 0 order by order.
+
+Layout: a truncated series is a dense list of 15 floats, one slot for each
+monomial s^i y^j with i + j <= JET_DEGREE, in the order of `MONOMIALS`
+(sorted exponent pairs, which is `Poly2`'s term order).  A product runs
+through a precomputed table of the slot pairs whose degrees add up to at
+most JET_DEGREE; monomials above it are never formed.
+
+The arithmetic reproduces, bit for bit, what the same steps give on
+`Poly2`: every coefficient is summed over the same products in the same
+order (nonzero slots in sorted order, pairs in `Poly2.__mul__`'s order), and
+wherever a `Poly2` would have been built, a slot with |c| < CANON_EPS is
+set to zero, as `Poly2` drops that term.  Half-map jets therefore do not
+depend on the representation, and the `Poly2` route in the tests is their
+oracle.  A non-finite coefficient in a kept monomial raises
+`NonFiniteCoefficients`, as building that `Poly2` would.
 """
 from __future__ import annotations
 
-from .errors import NotTransverse
-from .fields import Poly2
+import math
+
+from .errors import NonFiniteCoefficients, NotTransverse
+from .fields import CANON_EPS, Poly2
 
 #: Working total degree for all series arithmetic (one above what the cubic
 #: half-map jets need, for safety margin).
 JET_DEGREE = 4
 
+#: Exponent pairs (i, j) of the slots of a dense series, in slot order.
+MONOMIALS = tuple((i, j) for i in range(JET_DEGREE + 1)
+                  for j in range(JET_DEGREE + 1 - i))
 
-def truncate(p: Poly2, deg: int) -> Poly2:
-    return Poly2(t for t in p.terms if t[0] + t[1] <= deg)
+_SLOT = {m: k for k, m in enumerate(MONOMIALS)}
+_N = len(MONOMIALS)
+
+#: For each slot a: the (slot b, slot of a * b) pairs within JET_DEGREE, b
+#: ascending.
+_PRODUCTS = tuple(
+    tuple((b, _SLOT[(ia + ib, ja + jb)]) for b, (ib, jb) in enumerate(MONOMIALS)
+          if ia + ja + ib + jb <= JET_DEGREE)
+    for ia, ja in MONOMIALS)
+
+#: (slot of s^i y^j, slot of s^(i+1) y^j, i + 1) for the integration in s,
+#: for the monomials that stay within JET_DEGREE.
+_INTEGRALS = tuple((k, _SLOT[(i + 1, j)], float(i + 1))
+                   for k, (i, j) in enumerate(MONOMIALS) if i + j < JET_DEGREE)
+
+_ONE = (1.0,) + (0.0,) * (_N - 1)
+_Y = tuple(1.0 if m == (0, 1) else 0.0 for m in MONOMIALS)   # w0(s, y) = y
 
 
-def series_reciprocal(p: Poly2, deg: int) -> Poly2:
-    """Truncated Taylor series of 1/p; requires a nonzero constant term."""
-    c0 = p.constant_term()
+def _dense(p: Poly2) -> list[float]:
+    """The monomials of p up to JET_DEGREE as a dense series."""
+    out = [0.0] * _N
+    for i, j, c in p.terms:
+        if i + j <= JET_DEGREE:
+            out[_SLOT[(i, j)]] = c
+    return out
+
+
+def _checked(a: list[float]) -> list[float]:
+    """a, after raising NonFiniteCoefficients for a non-finite slot."""
+    if not math.isfinite(sum(a)):
+        for (i, j), c in zip(MONOMIALS, a):
+            if not math.isfinite(c):
+                raise NonFiniteCoefficients(
+                    f"series coefficient {c!r} at exponents ({i}, {j})")
+    return a
+
+
+def _drop(a: list[float]) -> list[float]:
+    """a with |c| < CANON_EPS set to zero (a NaN stays, for `_checked`)."""
+    return [0.0 if abs(c) < CANON_EPS else c for c in a]
+
+
+def _mul(a: list[float], b: list[float]) -> list[float]:
+    out = [0.0] * _N
+    for ka, ca in enumerate(a):
+        if ca:
+            for kb, k in _PRODUCTS[ka]:
+                cb = b[kb]
+                if cb:
+                    out[k] += ca * cb
+    return _checked(_drop(out))
+
+
+def _reciprocal(p: list[float]) -> list[float]:
+    """Truncated series of 1/p; requires a nonzero constant term."""
+    c0 = p[0]
     if c0 == 0.0:
         raise NotTransverse("series reciprocal of a polynomial vanishing at 0")
-    u = truncate(Poly2((i, j, c / c0) for i, j, c in p.terms
-                       if not (i == 0 and j == 0)), deg)
-    acc = Poly2.constant(1.0)
-    upow = Poly2.constant(1.0)
+    u = _drop([0.0] + [c / c0 for c in p[1:]])
+    acc = _ONE
+    upow = _ONE
     sign = 1.0
-    for _ in range(deg):
-        upow = truncate(upow * u, deg)
-        if upow.is_zero:
+    for _ in range(JET_DEGREE):
+        upow = _mul(upow, u)
+        if not any(upow):
             break
         sign = -sign
-        acc = acc + upow.scale(sign)
-    return acc.scale(1.0 / c0)
+        acc = _drop([a + sign * c for a, c in zip(acc, upow)])
+    r = 1.0 / c0
+    return _checked(_drop([r * c for c in acc]))
 
 
-def substitute_second(p: Poly2, w: Poly2, deg: int) -> Poly2:
-    """p(s, w(s, y)) as a truncated polynomial in (s, y).
-
-    The first variable of p is kept; the second is replaced by w (itself a
-    polynomial in (s, y) with no constant term, so truncation is exact to
-    total degree `deg`).
-    """
-    max_j = max((j for _, j, _ in p.terms), default=0)
-    powers = [Poly2.constant(1.0)]
-    for _ in range(max_j):
-        powers.append(truncate(powers[-1] * w, deg))
-    acc = Poly2()
-    for i, j, c in p.terms:
-        if i > deg:
-            continue
-        term = Poly2([(i, 0, c)]) * powers[j]
-        acc = acc + truncate(term, deg)
-    return truncate(acc, deg)
-
-
-def integrate_first(p: Poly2) -> Poly2:
-    """Definite integral from 0 to s in the first variable."""
-    return Poly2((i + 1, j, c / (i + 1)) for i, j, c in p.terms)
+def _substitute_second(p: list[float], w: list[float]) -> list[float]:
+    """p(s, w(s, y)) as a truncated series in (s, y); w has no constant
+    term, so truncating the powers of w is exact to JET_DEGREE."""
+    used = [(i, j, c) for (i, j), c in zip(MONOMIALS, p) if c]
+    powers = [_ONE]
+    for _ in range(max((j for _, j, _ in used), default=0)):
+        powers.append(_mul(powers[-1], w))
+    acc = [0.0] * _N
+    for i, j, c in used:
+        # c s^i times powers[j]: its slots within JET_DEGREE are the products
+        # of slot (i, 0) with the slots of powers[j]
+        pw = powers[j]
+        for kb, k in _PRODUCTS[_SLOT[(i, 0)]]:
+            cb = pw[kb]
+            if cb:
+                v = c * cb
+                if abs(v) >= CANON_EPS:
+                    t = acc[k] + v
+                    acc[k] = 0.0 if abs(t) < CANON_EPS else t
+    return _checked(acc)
 
 
-def picard_chart_jet(numerator: Poly2, denominator: Poly2) -> Poly2:
+def picard_chart_jet(numerator: Poly2, denominator: Poly2) -> list[float]:
     """Two-parameter solution jet w(s, y) of dw/ds = num(s,w)/den(s,w) with
-    w(0, y) = y, as a polynomial in (s, y) truncated at total degree
-    JET_DEGREE.
+    w(0, y) = y, as a dense series over `MONOMIALS` (total degree at most
+    JET_DEGREE).
 
     Both input polynomials must be written in the chart variables (s, w);
     the denominator must not vanish at the origin (transversality).
+    Monomials of the inputs above JET_DEGREE do not enter the jet.
     """
-    deg = JET_DEGREE
-    rate = truncate(truncate(numerator, deg) * series_reciprocal(denominator, deg), deg)
-    w = Poly2([(0, 1, 1.0)])  # w0(s, y) = y
-    for _ in range(deg + 1):
-        w = Poly2([(0, 1, 1.0)]) + integrate_first(substitute_second(rate, w, deg))
-        w = truncate(w, deg)
+    rate = _mul(_dense(numerator), _reciprocal(_dense(denominator)))
+    w = list(_Y)
+    for _ in range(JET_DEGREE + 1):
+        sub = _substitute_second(rate, w)
+        w = list(_Y)
+        for k, kt, n in _INTEGRALS:
+            c = sub[k] / n
+            if abs(c) >= CANON_EPS:
+                w[kt] = c
     return w
 
 
-def invert_graph(w: Poly2) -> tuple[float, float, float]:
+def invert_graph(w: list[float]) -> tuple[float, float, float]:
     """Solve w(x, G(x)) = O(x^4) for the cubic G(x) = g1*x + g2*x^2 + g3*x^3.
 
-    Requires the normalization w(0, y) = y (constant term 0, unit linear
-    coefficient in the second variable), which picard_chart_jet guarantees.
+    w is a dense series over `MONOMIALS`.  Requires the normalization
+    w(0, y) = y (constant term 0, unit linear coefficient in the second
+    variable), which picard_chart_jet guarantees.
     """
-    c00 = w.coefficient(0, 0)
-    c01 = w.coefficient(0, 1)
+    c00, c01 = w[_SLOT[(0, 0)]], w[_SLOT[(0, 1)]]
     if abs(c00) > 1e-12 or abs(c01 - 1.0) > 1e-12:
         raise ValueError("invert_graph expects w(0, y) = y normalization")
+    terms = [(i, j, c) for (i, j), c in zip(MONOMIALS, w) if c]
+    max_j = max((j for _, j, _ in terms), default=0)
     gs = [0.0] * 4  # gs[k] multiplies x^k
     for k in (1, 2, 3):
-        coeff = _graph_coefficient(w, gs, k)
-        gs[k] = -coeff / c01
+        # coefficient of x^k in w(x, G(x)) for the current G (gs[k:] still 0)
+        g = [0.0] + gs[1:]
+        powers = [[1.0, 0.0, 0.0, 0.0], g]  # G^0, G^1, ... up to x^3
+        for _ in range(max_j - 1):
+            prev, nxt = powers[-1], [0.0] * 4
+            for a, ca in enumerate(prev):
+                if ca != 0.0:
+                    for b in range(4 - a):
+                        nxt[a + b] += ca * g[b]
+            powers.append(nxt)
+        total = 0.0
+        for i, j, c in terms:
+            if i <= k and j < len(powers):
+                total += c * powers[j][k - i]
+        gs[k] = -total / c01
     return tuple(gs[1:])
-
-
-def _graph_coefficient(w: Poly2, gs: list[float], k: int) -> float:
-    """Coefficient of x^k in w(x, G(x)) for the current G (gs[k:] still 0)."""
-    order = len(gs) - 1
-    gpow = [0.0] * (order + 1)
-    gpow[0] = 1.0
-    powers = [list(gpow)]  # G^0
-    cur = gs[:]
-    cur[0] = 0.0
-    powers.append(cur)
-    max_j = max((j for _, j, _ in w.terms), default=0)
-    for _ in range(max_j - 1):
-        powers.append(_poly_mul_trunc(powers[-1], powers[1], order))
-    total = 0.0
-    for i, j, c in w.terms:
-        if i > k or j >= len(powers):
-            continue
-        need = k - i
-        if need <= len(powers[j]) - 1:
-            total += c * powers[j][need]
-    return total
-
-
-def _poly_mul_trunc(a: list[float], b: list[float], order: int) -> list[float]:
-    out = [0.0] * (order + 1)
-    for i, ca in enumerate(a):
-        if ca == 0.0:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ca * cb
-    return out

@@ -52,8 +52,14 @@ def field_scale(Z: PiecewiseSystem, p: Point) -> float:
                abs(Z.Y.f1.eval_point(p)), abs(Z.Y.f2.eval_point(p)))
 
 
+def _tangency_band(scale):
+    """The tangency band for a field scale (a float, or an array of them on
+    lanes): a normal component within it counts as vanishing."""
+    return TANGENCY_RTOL * (1.0 + scale)
+
+
 def tangency_tolerance(Z: PiecewiseSystem, p: Point) -> float:
-    return TANGENCY_RTOL * (1.0 + field_scale(Z, p))
+    return _tangency_band(field_scale(Z, p))
 
 
 def component_tolerance(Z: PiecewiseSystem, p: Point) -> float:

@@ -68,6 +68,13 @@ class TestPoly2Canonical:
         with pytest.raises(NonFiniteCoefficients):
             Poly2([(1, 0, math.inf)])
 
+    @pytest.mark.parametrize("c", [10**400, -10**400], ids=["positive", "negative"])
+    def test_int_too_large_for_a_float_is_non_finite(self, c):
+        # float() raises OverflowError on such an int; it is a non-finite
+        # coefficient, not an internal error
+        with pytest.raises(NonFiniteCoefficients):
+            Poly2([(0, 0, c)])
+
     def test_immutable(self):
         p = Poly2([(0, 0, 1.0)])
         with pytest.raises(AttributeError):

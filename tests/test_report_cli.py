@@ -326,6 +326,17 @@ def test_cli_non_finite_coefficients_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_int_too_large_for_a_float_exits_3(tmp_path, capsys):
+    # a JSON integer of 400 digits parses to an int that float() rejects
+    p = tmp_path / "huge.json"
+    p.write_text('{"X": {"f1": [{"c": ' + "9" * 400 + ', "i": 0, "j": 0}], '
+                 '"f2": [{"c": 1.0, "i": 0, "j": 0}]}, '
+                 '"Y": {"f1": [{"c": 1.0, "i": 0, "j": 0}], '
+                 '"f2": [{"c": 1.0, "i": 0, "j": 0}]}}')
+    assert main(["classify", "--system", str(p)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_cli_return_map(c32_file, capsys):
     assert main(["return-map", "--system", c32_file]) == 0
     rep = json.loads(capsys.readouterr().out)
