@@ -5,9 +5,10 @@ All outputs are deterministic (canonical JSON / fixed-format CSV / SVG), so
 rerunning a command reproduces its output byte for byte.
 
 Exit codes: 0 success; 2 unusable input (parse errors, invalid signs or
-sign keys, systems outside a verb's domain, seeds outside the box,
-non-positive radii or boxes, results that overflow to non-finite values);
-3 non-finite coefficients; 4 a model-family prediction failed verification.
+sign keys, systems outside a verb's domain, seeds outside the box, radii,
+boxes or steps that are not positive and finite, results that overflow to
+non-finite values); 3 non-finite coefficients; 4 a model-family
+prediction failed verification.
 Only the named errors in `_USABLE_INPUT_ERRORS` mean unusable input; any
 other exception is a bug and is not caught.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +24,6 @@ from . import __version__
 from .classify import (
     CLASS_HIGHER,
     CODIM1_CLASSES,
-    SIGN_KEYS,
     STABLE_CLASSES,
     normal_form,
     unfolding,
@@ -162,8 +163,8 @@ def _parse_delta_grid(spec: str | None, listing: str | None) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _require_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ParseError(f"{name} must be positive, got {value!r}")
+    if not 0.0 < value < math.inf:
+        raise ParseError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _cmd_classify(args) -> int:
@@ -199,6 +200,7 @@ def _cmd_return_map(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    _require_positive("--h", args.h)
     Z = _load_system(args.system)
     tr = integrate(Z, _parse_seed(args.seed), t_max=args.t_max, box=args.box,
                    h=args.h, backward=args.backward)
@@ -219,6 +221,7 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_portrait(args) -> int:
     _require_positive("--box", args.box)
+    _require_positive("--h", args.h)
     Z = _load_system(args.system)
     trajectories = phase_portrait(
         Z, box=args.box, seeds_per_quadrant=args.seeds_per_quadrant,

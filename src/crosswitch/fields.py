@@ -7,7 +7,10 @@ Conventions used throughout the package:
   coordinate x1).  Half-branches are named by the sign of the running
   coordinate: Sigma1+ = {x1=0, x2>0}, Sigma2- = {x2=0, x1<0}, etc.
 - Field X drives the open region {x1*x2 > 0} (quadrants I and III), field Y
-  drives {x1*x2 < 0} (quadrants II and IV).
+  drives {x1*x2 < 0} (quadrants II and IV).  This side rule is written once,
+  as `FIELD_SIGN` (the sign of x1*x2 on each field's own quadrants) and
+  `active_field` built on it; the flow, the fold visibility and the return
+  map's chart legs all read it from there.
 - Points are plain `(x1, x2)` float tuples.
 
 Evaluation: a `Poly2` evaluates by a dense two-level Horner loop, built on
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
@@ -193,12 +195,6 @@ class Poly2:
                 return c
         return 0.0
 
-    def coefficient(self, i: int, j: int) -> float:
-        for ti, tj, c in self.terms:
-            if ti == i and tj == j:
-                return c
-        return 0.0
-
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "Poly2") -> "Poly2":
         return Poly2(self.terms + other.terms)
@@ -215,9 +211,6 @@ class Poly2:
             for i2, j2, c2 in other.terms:
                 out.append((i1 + i2, j1 + j2, c1 * c2))
         return Poly2(out)
-
-    def scale(self, c: float) -> "Poly2":
-        return Poly2((i, j, c * coef) for i, j, coef in self.terms)
 
     def partial(self, axis: int) -> "Poly2":
         """Partial derivative with respect to x1 (axis=1) or x2 (axis=2)."""
@@ -366,13 +359,6 @@ class FieldSpec:
     def negate(self) -> "FieldSpec":
         return FieldSpec(-self.f1, -self.f2)
 
-    def scale(self, c: float) -> "FieldSpec":
-        return FieldSpec(self.f1.scale(c), self.f2.scale(c))
-
-    def swap_axes(self) -> "FieldSpec":
-        """Conjugate by the reflection (x1, x2) -> (x2, x1)."""
-        return FieldSpec(self.f2.swap_vars(), self.f1.swap_vars())
-
 
 @dataclass(frozen=True)
 class PiecewiseSystem:
@@ -413,52 +399,21 @@ class PiecewiseSystem:
     def _negated(self) -> "PiecewiseSystem":
         return PiecewiseSystem(self.X.negate(), self.Y.negate())
 
-    def scale(self, c: float) -> "PiecewiseSystem":
-        return PiecewiseSystem(self.X.scale(c), self.Y.scale(c))
-
-    def swap_axes(self) -> "PiecewiseSystem":
-        """Conjugate by (x1, x2) -> (x2, x1); this keeps {x1*x2>0} invariant,
-        so X stays the positive-region field while the branches swap."""
-        return PiecewiseSystem(self.X.swap_axes(), self.Y.swap_axes())
-
 
 # ---------------------------------------------------------------------------
-# regions
+# the side rule and the branches
 # ---------------------------------------------------------------------------
 
-class Region(str, Enum):
-    """Complement regions, half-branches and the origin."""
-
-    UPLUS_PLUS = "UplusPlus"      # quadrant I   (x1>0, x2>0) — X active
-    UPLUS_MINUS = "UplusMinus"    # quadrant III (x1<0, x2<0) — X active
-    UMINUS_PLUS = "UminusPlus"    # quadrant II  (x1<0, x2>0) — Y active
-    UMINUS_MINUS = "UminusMinus"  # quadrant IV  (x1>0, x2<0) — Y active
-    SIGMA1_PLUS = "Sigma1Plus"
-    SIGMA1_MINUS = "Sigma1Minus"
-    SIGMA2_PLUS = "Sigma2Plus"
-    SIGMA2_MINUS = "Sigma2Minus"
-    ORIGIN = "Origin"
+#: The side rule: the sign of x1*x2 on the open quadrants that each field
+#: drives.
+FIELD_SIGN = {"X": 1.0, "Y": -1.0}
 
 
-_QUADRANTS = {
-    (1, 1): Region.UPLUS_PLUS,
-    (-1, -1): Region.UPLUS_MINUS,
-    (-1, 1): Region.UMINUS_PLUS,
-    (1, -1): Region.UMINUS_MINUS,
-}
-
-#: Field name active on each open quadrant.
-ACTIVE_FIELD = {
-    Region.UPLUS_PLUS: "X",
-    Region.UPLUS_MINUS: "X",
-    Region.UMINUS_PLUS: "Y",
-    Region.UMINUS_MINUS: "Y",
-}
-
-
-def quadrant_of_signs(s1: int, s2: int) -> Region:
-    """Open quadrant with sign(x1)=s1, sign(x2)=s2 (each in {-1, +1})."""
-    return _QUADRANTS[(s1, s2)]
+def active_field(a: float, b: float) -> str:
+    """The field that drives the open quadrant whose two coordinates have the
+    signs of a and b, in either order; a zero counts as negative."""
+    side = (1.0 if a > 0.0 else -1.0) * (1.0 if b > 0.0 else -1.0)
+    return "X" if side == FIELD_SIGN["X"] else "Y"
 
 
 def branch_point(branch: int, s: float) -> Point:
@@ -468,12 +423,6 @@ def branch_point(branch: int, s: float) -> Point:
     if branch == 2:
         return (s, 0.0)
     raise ValueError(f"branch must be 1 or 2, got {branch}")
-
-
-def normal_component(field: FieldSpec, branch: int) -> Poly2:
-    """Component of the field transversal to Sigma_branch (f1 on Sigma1,
-    f2 on Sigma2)."""
-    return field.component(branch)
 
 
 # ---------------------------------------------------------------------------

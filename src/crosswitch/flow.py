@@ -30,11 +30,12 @@ them; every step still goes through `numerics.rk4_step_2d` or
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 from .errors import LeftDomain, NotTransverse, SeedOutsideBox, StepLimit, TooManyTangencies
-from .fields import ACTIVE_FIELD, PiecewiseSystem, Point, branch_point, quadrant_of_signs
+from .fields import FIELD_SIGN, PiecewiseSystem, Point, active_field, branch_point
 from .numerics import bisect_root, rk4_step_1d, rk4_step_2d
 from .switching import (
     ArcKind,
@@ -132,6 +133,16 @@ class HalfCrossingResult:
 LEG_BOX = 4.0
 
 
+def _land_on_axis(F, p: Point, q: Point, h: float, axis: int) -> tuple[float, Point]:
+    """(tau, point) where the RK4 step of F from p, whose full step h ends at
+    q, meets the axis {x[axis] = 0}: tau is localised in [0, h] by
+    `bisect_root`, and the point is snapped onto the axis."""
+    tau = bisect_root(lambda u: rk4_step_2d(F, p, u)[axis], 0.0, h,
+                      p[axis], q[axis], 1e-16 * h, ftol=SNAP)
+    land = rk4_step_2d(F, p, tau)
+    return tau, ((0.0, land[1]) if axis == 0 else (land[0], 0.0))
+
+
 def half_crossing(Z: PiecewiseSystem, field_name: str,
                   start: Point) -> HalfCrossingResult:
     """Follow the orbit of one field from a branch point to the other branch,
@@ -139,8 +150,8 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
     steps.
 
     The time direction is chosen so the leg immediately enters the field's
-    own active region: sigma = h_side * sgn(W_i) for X and the opposite for Y
-    (h_side = sign of the running coordinate at the start).
+    own active region: sigma = FIELD_SIGN * h_side * sgn(W_i), with h_side
+    the sign of the running coordinate at the start.
     """
     x1, x2 = start
     if abs(x2) <= ARM and abs(x1) > ARM:
@@ -155,8 +166,7 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
         raise NotTransverse(
             f"{field_name}{i} vanishes at the start point {p}: leg is tangent")
     hside = 1.0 if s0 > 0.0 else -1.0
-    orient = 1.0 if field_name == "X" else -1.0
-    sigma = 1 if orient * hside * ni > 0.0 else -1
+    sigma = 1 if FIELD_SIGN[field_name] * hside * ni > 0.0 else -1
     ev = fld.compiled_eval
     if sigma > 0:
         F = ev
@@ -179,12 +189,8 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
                 home_armed = True
         elif (q[home] < 0.0) != (p[home] < 0.0):
             raise LeftDomain("orbit leg returned to its starting branch")
-        crossed = (q[watch] < 0.0) != (p[watch] < 0.0) or abs(q[watch]) <= SNAP
-        if crossed:
-            tau = bisect_root(lambda u: rk4_step_2d(F, p, u)[watch], 0.0, h,
-                              p[watch], q[watch], 1e-16 * h, ftol=SNAP)
-            land = rk4_step_2d(F, p, tau)
-            land = (0.0, land[1]) if watch == 0 else (land[0], 0.0)
+        if (q[watch] < 0.0) != (p[watch] < 0.0) or abs(q[watch]) <= SNAP:
+            tau, land = _land_on_axis(F, p, q, h, watch)
             t += tau
             j = 3 - i
             s_land = land[i - 1]
@@ -264,8 +270,7 @@ class _Integrator:
             self.record((0.0, 0.0), Mode.STATIONARY_ORIGIN)
             return self.handle_origin(arriving_field=None)
         if not on1 and not on2:
-            name = ACTIVE_FIELD[quadrant_of_signs(
-                1 if x1 > 0 else -1, 1 if x2 > 0 else -1)]
+            name = active_field(x1, x2)
             mode = Mode.SMOOTH_X if name == "X" else Mode.SMOOTH_Y
             self.record(seed, mode)
             return (mode, (seed, name, {0: not on1, 1: not on2}))
@@ -288,10 +293,7 @@ class _Integrator:
         # tangency seed: continue with the tangent field's grazing arc
         name = self.tangent_field_at(p, branch)
         if name is None:
-            self.record(p, Mode.STATIONARY_TANGENCY)
-            self.emit(EventKind.TANGENCY_STOP, p, branch,
-                      note="both_fields_tangent", terminal=True)
-            return None
+            return self.stop_both_tangent(p, branch)
         self.emit(EventKind.GRAZE, p, branch, note=f"tangency_seed_{name}")
         return self.smooth_from_branch(p, name)
 
@@ -306,6 +308,12 @@ class _Integrator:
             return None
         return "X" if xt else "Y"
 
+    def stop_both_tangent(self, p: Point, branch: int) -> None:
+        """Stop at a branch point where both fields are tangent."""
+        self.record(p, Mode.STATIONARY_TANGENCY)
+        self.emit(EventKind.TANGENCY_STOP, p, branch,
+                  note="both_fields_tangent", terminal=True)
+
     def smooth_from_branch(self, p: Point, name: str):
         mode = Mode.SMOOTH_X if name == "X" else Mode.SMOOTH_Y
         self.record(p, mode)
@@ -313,11 +321,10 @@ class _Integrator:
         return (mode, (p, name, armed))
 
     def enter_crossing_side(self, p: Point, branch: int, s: float):
-        """Continue past a crossing point with the field of the entered side."""
-        nu = 1 if self.Z.X.component(branch).eval_point(p) > 0.0 else -1
-        hside = 1 if s > 0.0 else -1
-        quad = quadrant_of_signs(nu, hside) if branch == 1 else quadrant_of_signs(hside, nu)
-        return self.smooth_from_branch(p, ACTIVE_FIELD[quad])
+        """Continue past a crossing point with the field of the entered side:
+        the normal coordinate takes the sign of X's normal component there."""
+        nu = self.Z.X.component(branch).eval_point(p)
+        return self.smooth_from_branch(p, active_field(nu, s))
 
     def enter_sliding(self, p: Point, branch: int, s: float):
         mode = Mode.SLIDING1 if branch == 1 else Mode.SLIDING2
@@ -387,17 +394,13 @@ class _Integrator:
                         armed[axis] = True
                     continue
                 if (q[axis] < 0.0) != (p[axis] < 0.0) or abs(q[axis]) <= SNAP:
-                    tau = bisect_root(lambda u: rk4_step_2d(F, p, u)[axis], 0.0, step,
-                                      p[axis], q[axis], 1e-16 * step, ftol=SNAP)
-                    land = rk4_step_2d(F, p, tau)
-                    land = (0.0, land[1]) if axis == 0 else (land[0], 0.0)
-                    hits.append((tau, axis, land))
+                    hits.append((*_land_on_axis(F, p, q, step, axis), axis))
             if not hits:
                 p = q
                 self.t += step
                 self.record(p, mode)
                 continue
-            tau, axis, land = min(hits, key=lambda r: r[0])
+            tau, land, axis = min(hits, key=lambda r: r[0])
             self.t += tau
             branch = axis + 1
             other = land[1] if branch == 1 else land[0]
@@ -420,10 +423,7 @@ class _Integrator:
             return self.smooth_from_branch(p, arriving)
         tangent = self.tangent_field_at(p, branch)
         if tangent is None:
-            self.record(p, Mode.STATIONARY_TANGENCY)
-            self.emit(EventKind.TANGENCY_STOP, p, branch,
-                      note="both_fields_tangent", terminal=True)
-            return None
+            return self.stop_both_tangent(p, branch)
         if tangent == arriving:
             self.emit(EventKind.GRAZE, p, branch, note="fold_of_arriving_field")
             return self.smooth_from_branch(p, arriving)
@@ -474,10 +474,7 @@ class _Integrator:
             # tangency cut: leave the branch with the tangent field
             tangent = self.tangent_field_at(p, branch)
             if tangent is None:
-                self.record(p, Mode.STATIONARY_TANGENCY)
-                self.emit(EventKind.TANGENCY_STOP, p, branch,
-                          note="both_fields_tangent", terminal=True)
-                return None
+                return self.stop_both_tangent(p, branch)
             self.emit(EventKind.SLIDING_EXIT, p, branch,
                       note=f"exit_at_fold_of_{tangent}")
             return self.smooth_from_branch(p, tangent)
@@ -490,8 +487,11 @@ def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
 
     Backward trajectories integrate the negated system forward (sample times
     remain non-negative; the direction is recorded on the trajectory).
-    The seed's coordinates are taken as floats, ints included.
+    The seed's coordinates are taken as floats, ints included.  Raises
+    ValueError unless the step h is positive and finite.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"the step h must be positive and finite, got {h!r}")
     seed = (float(seed[0]), float(seed[1]))
     W = Z.negate() if backward else Z
     eng = _Integrator(W, t_max, box, h)

@@ -35,12 +35,16 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import LeftDomain, NotTransient, NotTransverse, StepLimit
-from .fields import PiecewiseSystem, Point
+from .fields import FIELD_SIGN, PiecewiseSystem, Point, Poly2
 from .flow import ARM, LEG_BOX, half_crossing
 from .numerics import (bisect_root, central_slope, multisect_roots, scan_grid,
                        sign_change_roots)
 from .series import invert_graph, picard_chart_jet
 from .switching import _tangency_band, band_tolerance, vanishing_components
+
+#: Fields of the legs of a full turn from Sigma2, in order; a half turn is
+#: the first two.
+_TURN_LEGS = ("Y", "X", "Y", "X")
 
 #: Fixed RK4 steps per chart leg on the lane route of `fixed_points`.
 CHART_STEPS = 50
@@ -134,10 +138,10 @@ def half_map_jet(Z: PiecewiseSystem, field: str) -> HalfMapCoeffs:
     return HalfMapCoeffs(field, g1, g2, g3, source="jet", error_estimate=None)
 
 
-def half_map_value_numeric(Z: PiecewiseSystem, field: str, x: float) -> float:
-    """Half-map value by high-order adaptive integration of the chart ODE
-    (independent of the jet machinery; fixed endpoint, no event location)."""
-    num, den = _chart_polys(Z, field)
+def half_map_value_numeric(num: Poly2, den: Poly2, x: float) -> float:
+    """Half-map value at x by high-order adaptive integration of the chart
+    ODE dw/ds = num/den from (s, w) = (x, 0) to s = 0 (independent of the
+    jet machinery; fixed endpoint, no event location)."""
 
     def rhs(s, w):
         return [num(s, w[0]) / den(s, w[0])]
@@ -174,10 +178,11 @@ def half_map_numeric_fit(Z: PiecewiseSystem, field: str) -> HalfMapCoeffs:
     require_transverse(Z)
     h = NUMERIC_FIT_H
     mags = (h / 4.0, h / 2.0, h, 2.0 * h)
+    num, den = _chart_polys(Z, field)
     samples = {}
     for m in mags:
-        samples[m] = half_map_value_numeric(Z, field, m)
-        samples[-m] = half_map_value_numeric(Z, field, -m)
+        samples[m] = half_map_value_numeric(num, den, m)
+        samples[-m] = half_map_value_numeric(num, den, -m)
     fine = _fit_cubic_through_origin(samples, mags[:3])
     coarse = _fit_cubic_through_origin(samples, mags[1:])
     err = max(abs(f - g) for f, g in zip(fine, coarse))
@@ -268,14 +273,11 @@ def numeric_return_map(Z: PiecewiseSystem, x: float,
     require_transient(Z)
     pts: list[Point] = [(x, 0.0)]
     hit = False
-    n_legs = 2 if half else 4
-    for k in range(n_legs):
-        field = "Y" if k % 2 == 0 else "X"
+    for field in _TURN_LEGS[:2] if half else _TURN_LEGS:
         res = half_crossing(Z, field, pts[-1])
         hit = hit or res.off_crossing
         pts.append(res.point)
-    value = pts[-1][0] if n_legs % 2 == 0 else pts[-1][1]
-    return NumericReturn(value=value, hit_sliding=hit, legs=tuple(pts))
+    return NumericReturn(value=pts[-1][0], hit_sliding=hit, legs=tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +316,13 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
     reach = np.zeros(start.shape)
     components = (Z.X.f1, Z.X.f2, Z.Y.f1, Z.Y.f2)
     with np.errstate(all="ignore"):
-        for k in range(2 if half else 4):
-            field = "Y" if k % 2 == 0 else "X"
+        for field in _TURN_LEGS[:2] if half else _TURN_LEGS:
             num, den = _chart_polys(Z, field)
             zero = np.zeros_like(start)
-            # the branch point (x1, x2) of the leg start and the field's own
-            # sign of w there: Y lives on {x1*x2 < 0}, X on {x1*x2 > 0}
-            point, side = (((start, zero), -np.sign(start)) if field == "Y"
-                           else ((zero, start), np.sign(start)))
+            # the branch point (x1, x2) of the leg start, and the sign of w on
+            # the field's own quadrants, where x1*x2 has the sign FIELD_SIGN
+            point = (start, zero) if field == "Y" else (zero, start)
+            side = FIELD_SIGN[field] * np.sign(start)
             scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
             tol = _tangency_band(scale)
             den_sign = np.sign(den(start, zero))
@@ -376,8 +377,7 @@ def _scalar_fixed_point(Z: PiecewiseSystem, root: float) -> FixedPoint:
     res = numeric_return_map(Z, root)
     mult = central_slope(lambda u: numeric_return_map(Z, u).value,
                          root, SLOPE_STEP * (1.0 + abs(root)))
-    conj = numeric_return_map(Z, root, half=True).value
-    return FixedPoint(root, conj, mult, _stability(mult), res.hit_sliding)
+    return FixedPoint(root, res.legs[2][0], mult, _stability(mult), res.hit_sliding)
 
 
 def _agrees(lane: float, exact: float, x: float) -> bool:

@@ -2,10 +2,11 @@
 arcs, tangency (fold) points, the sliding vector field on each branch and its
 pseudo-equilibria.
 
-Sign conventions (derived once, used everywhere): on the half-branch of
-Sigma_i with running-coordinate sign h, field X occupies the side where the
-normal coordinate has sign h and Y the opposite side.  Writing Xi, Yi for the
-normal components,
+Sign conventions: on the half-branch of Sigma_i with running-coordinate sign
+h, field X occupies the side where the normal coordinate has sign h and Y
+the opposite side.  This is the side rule of `fields` (`FIELD_SIGN`: X
+drives {x1*x2 > 0}, Y drives {x1*x2 < 0}) read on one branch.  Writing Xi,
+Yi for the normal components,
 
     crossing  <=>  Xi*Yi > 0,
     sliding   <=>  h*Xi < 0 and h*Yi > 0   (both fields point at the branch),
@@ -25,13 +26,13 @@ from typing import Callable
 
 from .errors import EvaluationOutsideDomain, TooManyTangencies
 from .fields import (
+    FIELD_SIGN,
     FieldSpec,
     PiecewiseSystem,
     Point,
     Poly1,
     branch_point,
     compile_function,
-    normal_component,
 )
 from .numerics import scan_roots
 
@@ -112,8 +113,8 @@ def branch_point_class(Z: PiecewiseSystem, branch: int, s: float) -> ArcKind:
     if s == 0.0:
         raise ValueError("the origin does not lie on an open half-branch")
     p = branch_point(branch, s)
-    xn = normal_component(Z.X, branch).eval_point(p)
-    yn = normal_component(Z.Y, branch).eval_point(p)
+    xn = Z.X.component(branch).eval_point(p)
+    yn = Z.Y.component(branch).eval_point(p)
     tol = tangency_tolerance(Z, p)
     if abs(xn) <= tol or abs(yn) <= tol:
         return ArcKind.TANGENCY
@@ -141,13 +142,13 @@ def fold_visibility(field_name: str, lie: float, s: float, tol: float) -> Visibi
     """Visible = the field's parabolic arc stays in its own active region.
 
     For field X (active where x1*x2 > 0) this happens iff sign(lie) equals
-    sign(s); for Y the rule flips.
+    sign(s); for Y (`FIELD_SIGN` -1) the rule flips.
     """
     if abs(lie) <= tol:
         return Visibility.DEGENERATE
-    orient = 1.0 if field_name == "X" else -1.0
     h = 1.0 if s > 0.0 else -1.0
-    return Visibility.VISIBLE if orient * lie * h > 0.0 else Visibility.INVISIBLE
+    return (Visibility.VISIBLE if FIELD_SIGN[field_name] * lie * h > 0.0
+            else Visibility.INVISIBLE)
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def find_tangencies(Z: PiecewiseSystem, branch: int,
     out: list[TangencyPoint] = []
     for name in ("X", "Y"):
         field = Z.field(name)
-        restricted = normal_component(field, branch).restrict_to_branch(branch)
+        restricted = field.component(branch).restrict_to_branch(branch)
         if restricted.is_zero:
             raise TooManyTangencies(
                 f"{name}{branch} vanishes identically on Sigma{branch}")
@@ -209,9 +210,6 @@ class Arc:
     inner: float
     outer: float
     kind: ArcKind
-
-    def midpoint(self) -> float:
-        return 0.5 * (self.inner + self.outer)
 
 
 @dataclass(frozen=True)
@@ -287,13 +285,6 @@ class SlidingField:
             "        raise outside(branch, s)\n"
             f"    return {self.numerator.source()} / d\n"),
             outside=_denominator_vanishes, branch=self.branch)
-
-    def derivative(self, s: float) -> float:
-        n, d = self.numerator, self.denominator
-        dv = d(s)
-        if abs(dv) < 1e-300:
-            raise _denominator_vanishes(self.branch, s)
-        return (n.derivative()(s) * dv - n(s) * d.derivative()(s)) / (dv * dv)
 
     def derivative_at_root(self, s0: float) -> float:
         """d/ds of N/D at a zero of N: exactly N'(s0)/D(s0)."""

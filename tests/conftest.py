@@ -64,6 +64,32 @@ def is_finite_pair(p) -> bool:
     return math.isfinite(p[0]) and math.isfinite(p[1])
 
 
+def coefficient(p: Poly2, i: int, j: int) -> float:
+    """The coefficient of x1^i x2^j in p."""
+    return next((c for ti, tj, c in p.terms if (ti, tj) == (i, j)), 0.0)
+
+
+def scale(p: Poly2, c: float) -> Poly2:
+    """c * p, each coefficient multiplied as c * coef."""
+    return Poly2((i, j, c * coef) for i, j, coef in p.terms)
+
+
+def scale_field(f: FieldSpec, c: float) -> FieldSpec:
+    return FieldSpec(scale(f.f1, c), scale(f.f2, c))
+
+
+def scale_system(Z: PiecewiseSystem, c: float) -> PiecewiseSystem:
+    return PiecewiseSystem(scale_field(Z.X, c), scale_field(Z.Y, c))
+
+
+def swap_axes(Z: PiecewiseSystem) -> PiecewiseSystem:
+    """Z conjugated by (x1, x2) -> (x2, x1).  The reflection keeps
+    {x1*x2 > 0} invariant, so X stays the positive-region field while the
+    branches swap."""
+    return PiecewiseSystem(*(FieldSpec(f.f2.swap_vars(), f.f1.swap_vars())
+                             for f in (Z.X, Z.Y)))
+
+
 def dense_matrix(p: Poly2) -> np.ndarray:
     """Coefficient matrix C with C[i, j] on x1^i x2^j (for numpy polyval2d)."""
     di = max((i for i, _, _ in p.terms), default=0)

@@ -17,20 +17,29 @@ from numpy.polynomial import polynomial as npoly
 
 from crosswitch.errors import DegenerateInput, NonFiniteCoefficients, ParseError
 from crosswitch.fields import (
-    ACTIVE_FIELD,
     FieldSpec,
     Poly1,
     Poly2,
-    Region,
+    active_field,
     branch_point,
     make_system,
-    normal_component,
     system_from_obj,
     system_to_obj,
 )
 from crosswitch.flow import Mode, integrate
 
-from conftest import assert_close, coeffs, dense_matrix, generic_system, points, poly2
+from conftest import (
+    assert_close,
+    coefficient,
+    coeffs,
+    dense_matrix,
+    generic_system,
+    points,
+    poly2,
+    scale,
+    scale_field,
+    swap_axes,
+)
 
 # canonical polynomials up to total degree 8, the field degree cap
 degree8_poly2 = st.lists(
@@ -136,7 +145,7 @@ class TestPoly2Eval:
         assert_close((p - q)(*pt), p(*pt) - q(*pt), 1e-9, "sub")
         assert_close((p * q)(*pt), p(*pt) * q(*pt), 1e-8, "mul")
         assert_close((-p)(*pt), -p(*pt), 1e-12, "neg")
-        assert_close(p.scale(3.5)(*pt), 3.5 * p(*pt), 1e-9, "scale")
+        assert_close(scale(p, 3.5)(*pt), 3.5 * p(*pt), 1e-9, "scale")
 
     @given(poly2(), points)
     @settings(max_examples=150, deadline=None)
@@ -160,8 +169,8 @@ class TestPoly2Eval:
 
     def test_coefficient_lookup(self):
         p = Poly2([(1, 2, 4.0)])
-        assert p.coefficient(1, 2) == 4.0
-        assert p.coefficient(2, 1) == 0.0
+        assert coefficient(p, 1, 2) == 4.0
+        assert coefficient(p, 2, 1) == 0.0
         assert p.constant_term() == 0.0
 
 
@@ -215,11 +224,12 @@ class TestFieldSpec:
         f = FieldSpec(Poly2([(0, 0, 1.0), (0, 1, 1.0)]), Poly2.constant(-2.0))
         assert f.eval((0.0, 0.5)) == (1.5, -2.0)
         assert f.origin_value() == (1.0, -2.0)
+        assert (f.component(1), f.component(2)) == (f.f1, f.f2)
 
     def test_negate_scale(self):
         f = FieldSpec(Poly2.constant(2.0), Poly2.constant(-1.0))
         assert f.negate().origin_value() == (-2.0, 1.0)
-        assert f.scale(0.5).origin_value() == (1.0, -0.5)
+        assert scale_field(f, 0.5).origin_value() == (1.0, -0.5)
 
     @given(degree8_poly2, degree8_poly2,
            st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
@@ -256,7 +266,7 @@ class TestPiecewiseSystem:
         # arguments swap; det is invariant up to the same variable swap with
         # a sign flip (the reflection reverses orientation... det Z' (x1,x2)
         # = X'1 Y'2 - X'2 Y'1 = X2(sw)Y1(sw) - X1(sw)Y2(sw) = -det(sw))
-        W = Z.swap_axes()
+        W = swap_axes(Z)
         sw = (pt[1], pt[0])
         assert_close(W.X.eval(pt)[0], Z.X.eval(sw)[1], 1e-12, "swap X1")
         assert_close(W.X.eval(pt)[1], Z.X.eval(sw)[0], 1e-12, "swap X2")
@@ -272,17 +282,19 @@ class TestPiecewiseSystem:
 # ---------------------------------------------------------------------------
 
 class TestRegions:
+    # each expectation: the field driving the quadrant, the branch, or the
+    # origin; the ids name the region
     @pytest.mark.parametrize("p,want", [
-        ((1.0, 1.0), Region.UPLUS_PLUS),
-        ((-1.0, -2.0), Region.UPLUS_MINUS),
-        ((-0.5, 3.0), Region.UMINUS_PLUS),
-        ((2.0, -0.1), Region.UMINUS_MINUS),
-        ((0.0, 1.0), Region.SIGMA1_PLUS),
-        ((0.0, -1e-3), Region.SIGMA1_MINUS),
-        ((0.7, 0.0), Region.SIGMA2_PLUS),
-        ((-0.7, 1e-13), Region.SIGMA2_MINUS),   # below tol: on branch 2
-        ((0.0, 0.0), Region.ORIGIN),
-        ((1e-13, -1e-13), Region.ORIGIN),
+        pytest.param((1.0, 1.0), "X", id="p0-UplusPlus"),
+        pytest.param((-1.0, -2.0), "X", id="p1-UplusMinus"),
+        pytest.param((-0.5, 3.0), "Y", id="p2-UminusPlus"),
+        pytest.param((2.0, -0.1), "Y", id="p3-UminusMinus"),
+        pytest.param((0.0, 1.0), 1, id="p4-Sigma1Plus"),
+        pytest.param((0.0, -1e-3), 1, id="p5-Sigma1Minus"),
+        pytest.param((0.7, 0.0), 2, id="p6-Sigma2Plus"),
+        pytest.param((-0.7, 1e-13), 2, id="p7-Sigma2Minus"),  # below tol: on branch 2
+        pytest.param((0.0, 0.0), "origin", id="p8-Origin"),
+        pytest.param((1e-13, -1e-13), "origin", id="p9-Origin"),
     ])
     def test_cases(self, p, want):
         # [TRIVIAL] the flow's seeding places each point in its region: a
@@ -291,24 +303,27 @@ class TestRegions:
         # starts at the origin
         first = integrate(make_system(1.0, 1.0, 1.0, 1.0), p, t_max=1e-3,
                           box=4.0).samples[0]
-        if want is Region.ORIGIN:
+        if want == "origin":
             assert (first.x1, first.x2, first.mode) == (0.0, 0.0, Mode.STATIONARY_ORIGIN)
-        elif want in (Region.SIGMA1_PLUS, Region.SIGMA1_MINUS):
+        elif want == 1:
             assert (first.x1, first.x2) == (0.0, p[1])
-        elif want in (Region.SIGMA2_PLUS, Region.SIGMA2_MINUS):
+        elif want == 2:
             assert (first.x1, first.x2) == (p[0], 0.0)
         else:
             assert (first.x1, first.x2) == p
-            assert first.mode.value == "Smooth" + ACTIVE_FIELD[want]
+            assert first.mode.value == "Smooth" + want
+
+    def test_active_field(self):
+        # [TRIVIAL] X drives {x1*x2 > 0} and Y drives {x1*x2 < 0}, whatever
+        # the argument order; a zero counts as negative
+        signs = ((1.0, 2.0), (-1.0, -2.0), (-1.0, 2.0), (2.0, -1.0))
+        assert [active_field(a, b) for a, b in signs] == ["X", "X", "Y", "Y"]
+        assert [active_field(a, b) for a, b in ((0.0, -1.0), (1.0, 0.0), (-0.0, 0.0))] \
+            == ["X", "Y", "X"]
 
     def test_branch_point_roundtrip(self):
         assert branch_point(1, 0.25) == (0.0, 0.25)
         assert branch_point(2, -0.5) == (-0.5, 0.0)
-
-    def test_normal_component(self):
-        f = FieldSpec(Poly2.constant(3.0), Poly2.constant(7.0))
-        assert normal_component(f, 1)(0, 0) == 3.0
-        assert normal_component(f, 2)(0, 0) == 7.0
 
 
 # ---------------------------------------------------------------------------

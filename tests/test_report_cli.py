@@ -18,6 +18,7 @@ from crosswitch import (
     CLASS_C32,
     CLASS_PH,
     CLASS_RF,
+    integrate,
     make_system,
     normal_form,
     phase_portrait,
@@ -158,7 +159,6 @@ def test_return_map_report_numeric_agreement():
 # ---------------------------------------------------------------------------
 
 def test_trajectory_csv_format():
-    from crosswitch import integrate
     Z = make_system(1.0, 1.0, 1.0, 2.0)
     tr = integrate(Z, (0.5, -0.15), t_max=0.05)
     text = trajectory_csv([tr])
@@ -176,7 +176,6 @@ def test_trajectory_csv_format():
 
 def test_trajectory_csv_matches_write_csv_route():
     # the rows written directly equal the row lists formatted by write_csv
-    from crosswitch import integrate
     from crosswitch.flow import Mode, Sample, Trajectory
     slide = integrate(make_system(-1.0, 1.0, 1.0, 1.0), (0.3, 0.2), t_max=0.5)
     assert Mode.SLIDING1 in {s.mode for s in slide.samples}
@@ -371,6 +370,36 @@ def test_cli_integrate_rejects_bad_seed(c32_file, capsys):
     assert main(["integrate", "--system", c32_file, "--seed", "zero,0"]) == 2
     assert main(["integrate", "--system", c32_file, "--seed", "99,99"]) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_steps_boxes_and_radii_that_are_not_positive_and_finite(
+        c32_file, monkeypatch, capsys):
+    # a negative step wrote samples at negative times, and an infinite box
+    # drew a portrait from overflowing values; both exited 0
+    assert main(["integrate", "--system", c32_file, "--seed", "0.1,0.1",
+                 "--h=-1e-3", "--t-max", "1"]) == 2
+    assert main(["portrait", "--system", c32_file, "--box", "inf"]) == 2
+    assert main(["classify", "--system", c32_file, "--radius", "inf"]) == 2
+
+    # a zero or NaN step is refused before any integration starts
+    def never(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr("crosswitch.cli.integrate", never)
+    monkeypatch.setattr("crosswitch.cli.phase_portrait", never)
+    for h in ("0", "nan"):
+        assert main(["integrate", "--system", c32_file, "--seed", "0.1,0.1",
+                     "--h", h]) == 2
+        assert main(["portrait", "--system", c32_file, "--h", h,
+                     "--t-max", "1"]) == 2
+    assert "--h must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", [-1e-3, 0.0, math.nan, math.inf])
+def test_integrate_rejects_a_step_that_is_not_positive_and_finite(h):
+    Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate(Z, (0.1, 0.1), 1.0, h=h)
 
 
 def test_cli_input_errors_exit_2_through_named_errors(c32_file, tmp_path, capsys):

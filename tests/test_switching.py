@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crosswitch.errors import EvaluationOutsideDomain, TooManyTangencies
-from crosswitch.fields import Poly1, branch_point, make_system, normal_component
+from crosswitch.fields import Poly1, branch_point, make_system
 from crosswitch.numerics import (ROOT_XTOL, SCAN_CELLS, bisect_root, multisect_roots,
                                  scan_grid, scan_roots)
 from crosswitch.switching import (
@@ -38,7 +38,7 @@ from conftest import assert_close, coeffs, generic_system, richardson_slope
 
 def crossing_direction(Z, branch: int, s: float) -> int:
     """At a crossing point: sign of the (shared) normal-component direction."""
-    xn = normal_component(Z.X, branch).eval_point(branch_point(branch, s))
+    xn = Z.X.component(branch).eval_point(branch_point(branch, s))
     return 1 if xn > 0.0 else -1
 
 
