@@ -6,9 +6,9 @@ rerunning a command reproduces its output byte for byte.
 
 Exit codes: 0 success; 2 unusable input (parse errors, invalid signs or
 sign keys, systems outside a verb's domain, seeds outside the box, radii,
-boxes or steps that are not positive and finite, results that overflow to
-non-finite values); 3 non-finite coefficients; 4 a model-family
-prediction failed verification.
+boxes, times or steps that are not positive and finite, results that
+overflow to non-finite values); 3 non-finite coefficients; 4 a
+model-family prediction failed verification.
 Only the named errors in `_USABLE_INPUT_ERRORS` mean unusable input; any
 other exception is a bug and is not caught.
 """
@@ -47,12 +47,11 @@ from .flow import integrate, phase_portrait
 from .report import (
     canonical_json,
     classification_report,
-    events_obj,
+    events_report,
     portrait_svg,
     return_map_report,
     sweep_csv,
     sweep_family,
-    system_digest,
     trajectory_csv,
 )
 from .switching import sigma_decomposition
@@ -200,27 +199,21 @@ def _cmd_return_map(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    _require_positive("--t-max", args.t_max)
+    _require_positive("--box", args.box)
     _require_positive("--h", args.h)
     Z = _load_system(args.system)
     tr = integrate(Z, _parse_seed(args.seed), t_max=args.t_max, box=args.box,
                    h=args.h, backward=args.backward)
     _write_text(args.out, trajectory_csv([tr]))
     if args.events is not None:
-        obj = {
-            "schema": 1,
-            "tool": {"name": "crosswitch", "version": __version__},
-            "system_digest": system_digest(Z),
-            "seed": [tr.seed[0], tr.seed[1]],
-            "direction": tr.direction,
-            "nonunique": tr.nonunique,
-            "events": events_obj(tr),
-        }
-        _write_text(args.events, canonical_json(obj) + "\n")
+        _write_text(args.events, canonical_json(events_report(Z, tr)) + "\n")
     return 0
 
 
 def _cmd_portrait(args) -> int:
     _require_positive("--box", args.box)
+    _require_positive("--t-max", args.t_max)
     _require_positive("--h", args.h)
     Z = _load_system(args.system)
     trajectories = phase_portrait(

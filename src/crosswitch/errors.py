@@ -39,7 +39,9 @@ class TooManyTangencies(CrosswitchError):
 
 
 class LeftDomain(CrosswitchError):
-    """A crossing leg of the numeric return map left the working box."""
+    """A crossing leg of the numeric return map left the working box,
+    returned to its starting branch, or landed within `flow.ARM` of the
+    origin, where no leg can start."""
 
 
 class StepLimit(CrosswitchError):

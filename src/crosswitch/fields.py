@@ -13,18 +13,20 @@ Conventions used throughout the package:
   map's chart legs all read it from there.
 - Points are plain `(x1, x2)` float tuples.
 
-Evaluation: a `Poly2` evaluates by a dense two-level Horner loop, built on
-its first evaluation, as many polynomials (swapped chart polynomials,
-intermediate products) are never evaluated.  A `FieldSpec` evaluates
-through one generated function, `compiled_eval`, built on first use: the
-Horner operations of both components in the same order, zero coefficients
-included, unrolled into straight-line code, so its values equal the loops'
-bit for bit.  The event-driven flow evaluates one field hundreds of
-thousands of times and binds `compiled_eval` directly.  `Poly2` keeps its
-loop because the classifier evaluates most of its polynomials only a few
-times, which would not pay for a compilation each.  The series arithmetic
-of the half-map jets builds no `Poly2` at all: it reads the chart
-polynomials' terms into dense coefficient lists (`series`).
+Evaluation: every polynomial evaluates by one dense Horner loop over its
+coefficients, in evaluation order.  A `Poly1` stores them reversed when it
+is built.  A `Poly2` runs a two-level loop over `_rows`, which a
+`cached_property` builds on first use, as many polynomials (swapped chart
+polynomials, intermediate products) are never evaluated.  A `FieldSpec`
+evaluates through one generated function, `compiled_eval`, also built on
+first use: the Horner operations of both components in the same order, zero
+coefficients included, unrolled into straight-line code, so its values
+equal the loops' bit for bit.  The event-driven flow evaluates one field
+hundreds of thousands of times and binds `compiled_eval` directly.  `Poly2`
+keeps its loop because the classifier evaluates most of its polynomials
+only a few times, which would not pay for a compilation each.  The series
+arithmetic of the half-map jets builds no `Poly2` at all: it reads the
+chart polynomials' terms into dense coefficient lists (`series`).
 """
 from __future__ import annotations
 
@@ -75,36 +77,6 @@ def _canonical_terms(terms: Iterable[tuple[int, int, float]]) -> tuple[tuple[int
     return tuple(kept)
 
 
-def _dense_rows(terms: tuple[tuple[int, int, float], ...]) -> list[tuple[float, ...]]:
-    """Coefficients of the dense two-level Horner scheme, in evaluation order:
-    one row per power of x1 (highest first), each row highest power of x2
-    first, with zeros where a monomial is missing."""
-    di = max(i for i, _, _ in terms)
-    dj = max(j for _, j, _ in terms)
-    dense = [[0.0] * (dj + 1) for _ in range(di + 1)]
-    for i, j, c in terms:
-        dense[i][j] += c
-    return [tuple(reversed(row)) for row in reversed(dense)]
-
-
-def _compile_eval(terms: tuple[tuple[int, int, float], ...]) -> Callable[[float, float], float]:
-    """Build a fast scalar evaluator (dense two-level Horner)."""
-    if not terms:
-        return lambda x1, x2: 0.0
-    rows = _dense_rows(terms)
-
-    def ev(x1: float, x2: float, _rows=rows) -> float:
-        s = 0.0
-        for row in _rows:
-            t = 0.0
-            for c in row:
-                t = t * x2 + c
-            s = s * x1 + t
-        return s
-
-    return ev
-
-
 def _horner_source(coeffs: Iterable[str], var: str) -> str:
     """Source of the expression that `t = 0.0; for c in coeffs: t = t * var + c`
     computes, unrolled with the same operations in the same order."""
@@ -132,22 +104,27 @@ class Poly2:
 
     Terms are `(i, j, c)` = coefficient c on x1^i * x2^j, merged, sorted by
     exponent pair, with |c| < CANON_EPS dropped.  Instances are immutable;
-    the `_eval` slot holds the Horner loop once the first evaluation has
-    built it (two threads evaluating first at once build the same loop).
+    `_rows`, the Horner coefficients, is built on first use.
     """
-
-    __slots__ = ("terms", "_eval")
 
     def __init__(self, terms: Iterable[tuple[int, int, float]] = ()):  # noqa: D401
         object.__setattr__(self, "terms", _canonical_terms(terms))
 
-    def _build_eval(self) -> Callable[[float, float], float]:
-        ev = _compile_eval(self.terms)
-        object.__setattr__(self, "_eval", ev)
-        return ev
-
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly2 is immutable")
+
+    @cached_property
+    def _rows(self) -> list[tuple[float, ...]]:
+        """Coefficients of the dense two-level Horner scheme, in evaluation
+        order: one row per power of x1 (highest first), each row highest
+        power of x2 first, with zeros where a monomial is missing."""
+        if not self.terms:
+            return []
+        dense = [[0.0] * (max(j for _, j, _ in self.terms) + 1)
+                 for _ in range(max(i for i, _, _ in self.terms) + 1)]
+        for i, j, c in self.terms:
+            dense[i][j] += c
+        return [tuple(reversed(row)) for row in reversed(dense)]
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -160,26 +137,22 @@ class Poly2:
 
     # -- basic queries -----------------------------------------------------
     def __call__(self, x1: float, x2: float) -> float:
-        try:
-            ev = self._eval
-        except AttributeError:
-            ev = self._build_eval()
-        return ev(x1, x2)
+        s = 0.0
+        for row in self._rows:
+            t = 0.0
+            for c in row:
+                t = t * x2 + c
+            s = s * x1 + t
+        return s
 
     def eval_point(self, p: Point) -> float:
-        try:
-            ev = self._eval
-        except AttributeError:
-            ev = self._build_eval()
-        return ev(p[0], p[1])
+        return self(p[0], p[1])
 
     def source(self) -> str:
         """Straight-line expression of this polynomial in the variables x1
         and x2, computing exactly what `__call__` computes."""
-        if not self.terms:
-            return "0.0"
         return _horner_source((_horner_source(map(float.__repr__, row), "x2")
-                               for row in _dense_rows(self.terms)), "x1")
+                               for row in self._rows), "x1")
 
     @property
     def total_degree(self) -> int:
@@ -260,7 +233,7 @@ class Poly2:
 class Poly1:
     """Univariate polynomial, ascending coefficients, immutable."""
 
-    __slots__ = ("coeffs", "_eval")
+    __slots__ = ("coeffs", "_rev")
 
     def __init__(self, coeffs: Iterable[float]):
         cs = [float(c) for c in coeffs]
@@ -272,26 +245,21 @@ class Poly1:
             if not math.isfinite(c):
                 raise NonFiniteCoefficients(f"non-finite coefficient {c!r}")
         object.__setattr__(self, "coeffs", tuple(cs))
-        rev = tuple(reversed(cs))
-
-        def ev(s: float, _rev=rev) -> float:
-            t = 0.0
-            for c in _rev:
-                t = t * s + c
-            return t
-
-        object.__setattr__(self, "_eval", ev)
+        object.__setattr__(self, "_rev", tuple(reversed(cs)))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Poly1 is immutable")
 
     def __call__(self, s: float) -> float:
-        return self._eval(s)
+        t = 0.0
+        for c in self._rev:
+            t = t * s + c
+        return t
 
     def source(self) -> str:
         """Straight-line expression of this polynomial in the variable s,
         computing exactly what `__call__` computes."""
-        return _horner_source(map(float.__repr__, reversed(self.coeffs)), "s")
+        return _horner_source(map(float.__repr__, self._rev), "s")
 
     @property
     def degree(self) -> int:

@@ -151,7 +151,8 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
 
     The time direction is chosen so the leg immediately enters the field's
     own active region: sigma = FIELD_SIGN * h_side * sgn(W_i), with h_side
-    the sign of the running coordinate at the start.
+    the sign of the running coordinate at the start.  A leg that lands
+    within ARM of the origin raises LeftDomain, as no leg starts there.
     """
     x1, x2 = start
     if abs(x2) <= ARM and abs(x1) > ARM:
@@ -167,13 +168,7 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
             f"{field_name}{i} vanishes at the start point {p}: leg is tangent")
     hside = 1.0 if s0 > 0.0 else -1.0
     sigma = 1 if FIELD_SIGN[field_name] * hside * ni > 0.0 else -1
-    ev = fld.compiled_eval
-    if sigma > 0:
-        F = ev
-    else:
-        def F(q, _ev=ev):
-            v = _ev(q)
-            return (-v[0], -v[1])
+    F = (Z if sigma > 0 else Z.negate()).field(field_name).compiled_eval
 
     watch = (3 - i) - 1           # coordinate index of the target branch
     home = i - 1                  # coordinate index of the starting branch
@@ -194,8 +189,8 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
             t += tau
             j = 3 - i
             s_land = land[i - 1]
-            if abs(s_land) <= 1e-11:
-                return HalfCrossingResult(land, j, t, sigma, True)
+            if abs(s_land) <= ARM:
+                raise LeftDomain("orbit leg reached the origin")
             kind = branch_point_class(Z, j, s_land)
             return HalfCrossingResult(land, j, t, sigma,
                                       kind is not ArcKind.CROSSING)
@@ -270,10 +265,7 @@ class _Integrator:
             self.record((0.0, 0.0), Mode.STATIONARY_ORIGIN)
             return self.handle_origin(arriving_field=None)
         if not on1 and not on2:
-            name = active_field(x1, x2)
-            mode = Mode.SMOOTH_X if name == "X" else Mode.SMOOTH_Y
-            self.record(seed, mode)
-            return (mode, (seed, name, {0: not on1, 1: not on2}))
+            return self.smooth_from_branch(seed, active_field(x1, x2))
         branch = 1 if on1 else 2
         p = (0.0, x2) if on1 else (x1, 0.0)
         s = x2 if on1 else x1
@@ -488,10 +480,11 @@ def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
     Backward trajectories integrate the negated system forward (sample times
     remain non-negative; the direction is recorded on the trajectory).
     The seed's coordinates are taken as floats, ints included.  Raises
-    ValueError unless the step h is positive and finite.
+    ValueError unless t_max, box and the step h are positive and finite.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"the step h must be positive and finite, got {h!r}")
+    for name, value in (("t_max", t_max), ("box", box), ("the step h", h)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     seed = (float(seed[0]), float(seed[1]))
     W = Z.negate() if backward else Z
     eng = _Integrator(W, t_max, box, h)

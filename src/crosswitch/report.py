@@ -9,7 +9,6 @@ non-finite numbers rejected.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -99,13 +98,18 @@ def system_digest(Z: PiecewiseSystem) -> str:
     return hashlib.sha256(canonical_json(system_to_obj(Z)).encode("ascii")).hexdigest()
 
 
-def _envelope(Z: PiecewiseSystem) -> dict:
+def _header(Z: PiecewiseSystem) -> dict:
+    """Schema, tool and system digest: the keys every JSON report opens with."""
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "crosswitch", "version": __version__},
-        "system": system_to_obj(Z),
         "system_digest": system_digest(Z),
     }
+
+
+def _envelope(Z: PiecewiseSystem) -> dict:
+    """`_header` with the system itself."""
+    return {**_header(Z), "system": system_to_obj(Z)}
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +221,9 @@ def return_map_report(Z: PiecewiseSystem, include_numeric: bool = False) -> dict
 # CSV tables
 # ---------------------------------------------------------------------------
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool) or v is None:
-        return "" if v is None else str(v).lower()
-    if isinstance(v, float):
-        return _format_float(v)
-    return str(v)
-
-
-def write_csv(rows: list[list], header: list[str]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt_cell(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
 def trajectory_csv(trajectories: list[Trajectory], with_id: bool = False) -> str:
     """One line per sample: (trajectory index,) t, x1, x2, mode.  Every t,
-    x1 and x2 cell goes through `_format_float`, ints included, so an int
-    coordinate is written `1.000000000000e+00` where `write_csv` writes `1`;
-    for float samples the lines equal `write_csv`'s."""
+    x1 and x2 cell goes through `_format_float`, ints included."""
     fmt = _format_float
     lines = ["trajectory,t,x1,x2,mode" if with_id else "t,x1,x2,mode"]
     for k, tr in enumerate(trajectories):
@@ -248,12 +234,12 @@ def trajectory_csv(trajectories: list[Trajectory], with_id: bool = False) -> str
     return "\n".join(lines)
 
 
-def events_obj(tr: Trajectory) -> list[dict]:
-    return [
-        {"kind": e.kind.value, "t": e.t, "point": [e.point[0], e.point[1]],
-         "branch": e.branch, "note": e.note}
-        for e in tr.events
-    ]
+def events_report(Z: PiecewiseSystem, tr: Trajectory) -> dict:
+    """JSON-ready event log of one trajectory of Z, under `_header`."""
+    events = [{"kind": e.kind.value, "t": e.t, "point": [e.point[0], e.point[1]],
+               "branch": e.branch, "note": e.note} for e in tr.events]
+    return {**_header(Z), "seed": [tr.seed[0], tr.seed[1]],
+            "direction": tr.direction, "nonunique": tr.nonunique, "events": events}
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +268,19 @@ def sweep_family(family: str, signs: dict, deltas: list[float],
 
 
 def sweep_csv(records: list[SweepRecord]) -> str:
-    header = ["delta", "family", "predicted_class", "observed_class", "ok",
-              "signs", "failed_checks"]
-    rows = []
+    """One line per sweep point: delta, family, predicted and observed
+    class, ok, signs, failed checks.  delta goes through `_format_float`,
+    ints included, as in `trajectory_csv`."""
+    lines = ["delta,family,predicted_class,observed_class,ok,signs,failed_checks"]
     for r in records:
         v = r.verification
         signs = ";".join(f"{k}={v.signs[k]}" for k in sorted(v.signs))
         failed = ";".join(c.name for c in v.checks if not c.ok)
-        rows.append([r.delta, v.family, v.predicted_class, v.observed_class,
-                     v.ok, signs, failed])
-    return write_csv(rows, header)
+        lines.append(f"{_format_float(r.delta)},{v.family},{v.predicted_class},"
+                     f"{v.observed_class},{'true' if v.ok else 'false'},"
+                     f"{signs},{failed}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ from .numerics import (bisect_root, central_slope, multisect_roots, scan_grid,
 from .series import invert_graph, picard_chart_jet
 from .switching import _tangency_band, band_tolerance, vanishing_components
 
-#: Fields of the legs of a full turn from Sigma2, in order; a half turn is
-#: the first two.
+#: Fields of the legs of a full turn from Sigma2, in order.
 _TURN_LEGS = ("Y", "X", "Y", "X")
 
 #: Fixed RK4 steps per chart leg on the lane route of `fixed_points`.
@@ -266,14 +265,14 @@ class NumericReturn:
     legs: tuple[Point, ...]       # visited branch points, seed first
 
 
-def numeric_return_map(Z: PiecewiseSystem, x: float,
-                       half: bool = False) -> NumericReturn:
+def numeric_return_map(Z: PiecewiseSystem, x: float) -> NumericReturn:
     """Follow the orbit geometry leg by leg starting from (x, 0) on Sigma2:
-    Y-leg to Sigma1, X-leg to Sigma2 (half turn), twice for the full turn."""
+    Y-leg to Sigma1, X-leg to Sigma2 (half turn), twice for the full turn.
+    The half-turn image is `legs[2][0]`."""
     require_transient(Z)
     pts: list[Point] = [(x, 0.0)]
     hit = False
-    for field in _TURN_LEGS[:2] if half else _TURN_LEGS:
+    for field in _TURN_LEGS:
         res = half_crossing(Z, field, pts[-1])
         hit = hit or res.off_crossing
         pts.append(res.point)
@@ -296,8 +295,8 @@ class FixedPoint:
     hit_sliding: bool
 
 
-def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
-    """Numeric full (or half) turn from the seeds (x, 0), all seeds at once.
+def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
+    """Numeric full turn from the seeds (x, 0), all seeds at once.
 
     Each leg takes CHART_STEPS fixed RK4 steps of the chart ODE
     dw/ds = num/den from (s, w) = (start, 0) to s = 0, on numpy lanes.
@@ -316,7 +315,7 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
     reach = np.zeros(start.shape)
     components = (Z.X.f1, Z.X.f2, Z.Y.f1, Z.Y.f2)
     with np.errstate(all="ignore"):
-        for field in _TURN_LEGS[:2] if half else _TURN_LEGS:
+        for field in _TURN_LEGS:
             num, den = _chart_polys(Z, field)
             zero = np.zeros_like(start)
             # the branch point (x1, x2) of the leg start, and the sign of w on
@@ -358,12 +357,12 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
     return start, ok, np.maximum(reach, np.abs(start))
 
 
-def _turn_values(Z: PiecewiseSystem, xs: np.ndarray, half: bool = False):
+def _turn_values(Z: PiecewiseSystem, xs: np.ndarray):
     """`_chart_turn`, with every lane that failed a guard evaluated by the
     scalar `numeric_return_map` instead, which raises what it raises."""
-    values, ok, reach = _chart_turn(Z, xs, half)
+    values, ok, reach = _chart_turn(Z, xs)
     for k in np.flatnonzero(~ok):
-        values[k] = numeric_return_map(Z, float(xs[k]), half=half).value
+        values[k] = numeric_return_map(Z, float(xs[k])).value
     return values, ok, reach
 
 

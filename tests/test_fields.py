@@ -113,16 +113,16 @@ class TestPoly2Eval:
     @given(degree8_poly2, degree8_poly2, points)
     @settings(max_examples=100, deadline=None)
     def test_evaluator_built_on_first_evaluation(self, p, q, pt):
-        # arithmetic intermediates are never evaluated and build no loop; the
-        # first evaluation builds it, and it gives the loop's values bit for bit
+        # arithmetic intermediates are never evaluated and build no rows; the
+        # first evaluation builds them, and gives the loop's values bit for bit
         r = p * q - p
-        assert not hasattr(r, "_eval")
+        assert "_rows" not in vars(r)
         assert r(*pt).hex() == horner_loop(r, *pt).hex()
-        assert hasattr(r, "_eval")
+        assert "_rows" in vars(r)
         assert r.eval_point(pt).hex() == horner_loop(r, *pt).hex()
         assert p.eval_point(pt).hex() == horner_loop(p, *pt).hex()
         with pytest.raises(AttributeError):
-            r._eval = None
+            r._rows = None
 
     def test_hand_value(self):
         # [TRIVIAL] 1 + 2*x1 + 3*x1*x2^2 at (2, -1) = 1 + 4 + 6 = 11

@@ -23,7 +23,7 @@ from crosswitch.flow import (
     integrate,
     phase_portrait,
 )
-from crosswitch.report import canonical_json, events_obj
+from crosswitch.report import canonical_json, events_report
 from crosswitch.returnmap import FixedPoint, fixed_points
 
 
@@ -268,8 +268,9 @@ class TestSpecialSeeds:
     def test_integer_seed_written_as_floats(self):
         # an int seed on the sliding arc Sigma1+: the SlidingEntry event
         # point is the seed itself, and canonical JSON writes it as %.12e
-        traj = integrate(make_system(-1.0, 1.0, 1.0, 1.0), (0, 1), t_max=0.002)
-        text = canonical_json(events_obj(traj))
+        Z = make_system(-1.0, 1.0, 1.0, 1.0)
+        traj = integrate(Z, (0, 1), t_max=0.002)
+        text = canonical_json(events_report(Z, traj))
         assert '"point":[0.000000000000e+00,1.000000000000e+00]' in text
         assert traj.seed == (0.0, 1.0) and type(traj.seed[1]) is float
 

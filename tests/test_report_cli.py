@@ -27,6 +27,7 @@ from crosswitch import (
 from crosswitch.cli import main
 from crosswitch.report import (
     SweepRecord,
+    _format_float,
     canonical_json,
     classification_report,
     portrait_svg,
@@ -35,9 +36,27 @@ from crosswitch.report import (
     sweep_family,
     system_digest,
     trajectory_csv,
-    write_csv,
 )
 from crosswitch.classify import UnfoldingVerification, VerifyCheck
+
+
+def write_csv(rows: list[list], header: list[str]) -> str:
+    """Oracle of the CSV writers: each cell formatted on its own, floats by
+    `_format_float`, bools as true/false, None as empty, anything else by
+    str()."""
+
+    def cell(v) -> str:
+        if isinstance(v, bool) or v is None:
+            return "" if v is None else str(v).lower()
+        if isinstance(v, float):
+            return _format_float(v)
+        return str(v)
+
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join(cell(v) for v in row) + "\n")
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +194,7 @@ def test_trajectory_csv_format():
 
 
 def test_trajectory_csv_matches_write_csv_route():
-    # the rows written directly equal the row lists formatted by write_csv
+    # the lines written directly equal the row lists formatted by write_csv
     from crosswitch.flow import Mode, Sample, Trajectory
     slide = integrate(make_system(-1.0, 1.0, 1.0, 1.0), (0.3, 0.2), t_max=0.5)
     assert Mode.SLIDING1 in {s.mode for s in slide.samples}
@@ -195,6 +214,30 @@ def test_trajectory_csv_matches_write_csv_route():
     bad = Trajectory((0.0, 0.5), 1, samples=[Sample(0.0, math.nan, 0.5, Mode.SMOOTH_X)])
     with pytest.raises(ValueError):
         trajectory_csv([bad])
+    # sweep_csv's lines too equal the row lists formatted by write_csv
+    checks = (VerifyCheck("fold_location", False, "off"),
+              VerifyCheck("alpha_side", True, ""),
+              VerifyCheck("fixed_points", False, "none"))
+    records = [
+        SweepRecord(-0.0, UnfoldingVerification(
+            CLASS_RF, {"b": -1, "a": 1}, -0.0, CLASS_RF, CLASS_RF, ())),
+        SweepRecord(2.5e-3, UnfoldingVerification(
+            CLASS_PH, {"a": 1, "b": 1, "c": -1}, 2.5e-3, "Stable_C32",
+            "Stable_C1", checks)),
+    ]
+    rows = []
+    for r in records:
+        v = r.verification
+        rows.append([r.delta, v.family, v.predicted_class, v.observed_class, v.ok,
+                     ";".join(f"{k}={v.signs[k]}" for k in sorted(v.signs)),
+                     ";".join(c.name for c in v.checks if not c.ok)])
+    header = ["delta", "family", "predicted_class", "observed_class", "ok",
+              "signs", "failed_checks"]
+    assert sweep_csv(records) == write_csv(rows, header)
+    assert sweep_csv([]) == write_csv([], header)
+    # an int delta is formatted as a float, unlike write_csv's int cells
+    ints = [SweepRecord(1, records[0].verification)]
+    assert sweep_csv(ints).split("\n")[1].startswith("1.000000000000e+00,")
 
 
 def test_sweep_family_order_and_csv():
@@ -400,6 +443,35 @@ def test_integrate_rejects_a_step_that_is_not_positive_and_finite(h):
     Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
     with pytest.raises(ValueError, match="positive and finite"):
         integrate(Z, (0.1, 0.1), 1.0, h=h)
+
+
+def test_cli_rejects_times_and_boxes_that_are_not_positive_and_finite(
+        c32_file, monkeypatch, capsys):
+    # a NaN box integrated to x1 = 8 and a NaN time limit never stopped the
+    # orbit; both exited 0, as did a portrait with a negative time limit
+    def never(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr("crosswitch.cli.integrate", never)
+    monkeypatch.setattr("crosswitch.cli.phase_portrait", never)
+    for bad in ("nan", "-1", "0", "inf"):
+        assert main(["integrate", "--system", c32_file, "--seed", "0.1,0.1",
+                     "--box", bad, "--t-max", "5"]) == 2
+        assert main(["integrate", "--system", c32_file, "--seed", "0.1,0.1",
+                     "--t-max", bad]) == 2
+        assert main(["portrait", "--system", c32_file, "--t-max", bad]) == 2
+    err = capsys.readouterr().err
+    assert "--box must be positive and finite" in err
+    assert "--t-max must be positive and finite" in err
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_integrate_rejects_a_time_or_box_that_is_not_positive_and_finite(bad):
+    Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
+    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        integrate(Z, (0.1, 0.1), bad)
+    with pytest.raises(ValueError, match="box must be positive and finite"):
+        integrate(Z, (0.1, 0.1), 1.0, box=bad)
 
 
 def test_cli_input_errors_exit_2_through_named_errors(c32_file, tmp_path, capsys):

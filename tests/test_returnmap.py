@@ -38,7 +38,7 @@ from conftest import assert_close, richardson_slope
 
 
 def numeric_return_samples(Z, n: int = 16, radius: float = 1e-2,
-                           max_halvings: int = 10, half: bool = False):
+                           max_halvings: int = 10):
     """Sample the numeric return map at n seeds on Sigma2-, halving the
     window (up to max_halvings) whenever a seed's orbit leaves the tractable
     neighbourhood.  Returns (radius_used, [(x, value, hit_sliding), ...])."""
@@ -48,7 +48,7 @@ def numeric_return_samples(Z, n: int = 16, radius: float = 1e-2,
         try:
             for k in range(1, n + 1):
                 x = -r * k / n
-                res = numeric_return_map(Z, x, half=half)
+                res = numeric_return_map(Z, x)
                 out.append((x, res.value, res.hit_sliding))
             return r, out
         except (LeftDomain, StepLimit):
@@ -270,10 +270,14 @@ class TestNumericReturn:
         assert res.value == pytest.approx(-0.025, abs=1e-9)
         assert res.hit_sliding  # Sigma2 is non-crossing for transient systems
 
-    def test_half_turn(self):
-        res = numeric_return_map(c32_normal(), -0.1, half=True)
-        assert len(res.legs) == 3
-        assert res.value == pytest.approx(0.05, abs=1e-9)
+    def test_leg_landing_at_the_origin_leaves_the_domain(self):
+        # the first leg from x = -1e-9 lands within ARM of the origin, where
+        # the next leg cannot start: a named error, not a bare ValueError
+        Z = make_system(1.0, -20.0, 1.0, 1.0)
+        with pytest.raises(LeftDomain, match="origin"):
+            numeric_return_map(Z, -1e-9)
+        with pytest.raises(LeftDomain, match="origin"):
+            fixed_points(Z, -1e-8, -1e-12, cells=8)
 
     def test_numeric_slope_matches_alpha_squared(self):
         # [DERIVED] Richardson slope of the numeric full turn near 0
@@ -406,13 +410,12 @@ class TestLaneRoute:
         for seed in range(12):
             Z = curved_transient(seed)
             assert is_transient(Z)
-            for half in (False, True):
-                values, ok, reach = returnmap._chart_turn(Z, xs, half)
-                for x, value in zip(xs[ok & (reach <= 0.2)], values[ok & (reach <= 0.2)]):
-                    want = numeric_return_map(Z, float(x), half=half).value
-                    assert abs(value - want) <= 1e-9, (seed, half, x)
-                    compared += 1
-        assert compared >= 300     # of 384 lanes
+            values, ok, reach = returnmap._chart_turn(Z, xs)
+            for x, value in zip(xs[ok & (reach <= 0.2)], values[ok & (reach <= 0.2)]):
+                want = numeric_return_map(Z, float(x)).value
+                assert abs(value - want) <= 1e-9, (seed, x)
+                compared += 1
+        assert compared >= 140     # of 192 lanes
 
     def test_curved_hopf_matches_scalar_route(self):
         Z = curved_hopf()
@@ -423,7 +426,7 @@ class TestLaneRoute:
         assert abs(fp.x - x) < 1e-8
         assert fp.multiplier == pytest.approx(mult, abs=1e-6)
         assert fp.hit_sliding is hit
-        assert fp.conjugate == numeric_return_map(Z, fp.x, half=True).value
+        assert fp.conjugate == numeric_return_map(Z, fp.x).legs[2][0]
 
     def test_vanishing_chart_denominator_matches_scalar_route(self):
         # [ORACLE] lanes whose X leg meets the fold pair fail the guards;
@@ -456,12 +459,10 @@ class TestLaneRoute:
         # Y2 = 1 + 10 x1 is negative at seeds x < -0.1, so those orbits
         # leave Sigma2 away from the origin and out of the box; the chart
         # ODE still reaches s = 0, for x < -0.2 without w changing sign,
-        # at a point outside Y's quadrants
         # at a point outside Y's quadrants; at x = -0.1 the start is tangent
         Z = make_system(1.0, -1.0, 1.0, {(0, 0): 1.0, (1, 0): 10.0})
         xs = np.array([-0.25, -0.15, -0.1, -0.05])
-        values, ok, _ = returnmap._chart_turn(Z, xs, half=True)
-        assert values[0] < 0.0
+        _, ok, _ = returnmap._chart_turn(Z, xs)
         assert ok.tolist() == [False, False, False, True]
         with pytest.raises(LeftDomain):
             numeric_return_map(Z, -0.25)
@@ -477,7 +478,7 @@ class TestLaneRoute:
         # denominator shows the pole
         Z = make_system(1.0, -1.0, {(0, 0): 0.1, (1, 0): 1.0}, -0.01)
         xs = -np.linspace(0.11, 0.3, 20) - 3e-4
-        _, ok, _ = returnmap._chart_turn(Z, xs, half=True)
+        _, ok, _ = returnmap._chart_turn(Z, xs)
         assert not ok.any()
 
     def test_coarse_chart_falls_back_to_scalar_scan(self, monkeypatch):
@@ -496,8 +497,8 @@ class TestLaneRoute:
         # per-scan check; the scalar evaluation at the root catches them
         chart_turn = returnmap._chart_turn
 
-        def biased(Z, xs, half=False):
-            values, ok, reach = chart_turn(Z, xs, half)
+        def biased(Z, xs):
+            values, ok, reach = chart_turn(Z, xs)
             return values + np.where(np.abs(xs) < 0.199, 1e-7, 0.0), ok, reach
 
         monkeypatch.setattr(returnmap, "_chart_turn", biased)
