@@ -307,6 +307,10 @@ def _predict_side_class(family: str, s: dict, delta: float) -> str:
     if family == CLASS_DPE:
         return CLASS_C2
     if family == CLASS_PH:
+        # alpha = -ac / (ac + delta), on the critical band as in `classify`
+        ac = s["a"] * s["c"]
+        if abs(-ac / (ac + delta) + 1.0) <= band_tolerance():
+            return family
         return CLASS_C32
     # regular fold: X = (1, x1 - delta), Y = (a, b)
     a, b = s["a"], s["b"]

@@ -6,9 +6,9 @@ rerunning a command reproduces its output byte for byte.
 
 Exit codes: 0 success; 2 unusable input (parse errors, invalid signs or
 sign keys, systems outside a verb's domain, seeds outside the box, radii,
-boxes, times or steps that are not positive and finite, results that
-overflow to non-finite values); 3 non-finite coefficients; 4 a
-model-family prediction failed verification.
+boxes, times or steps that are not positive and finite, deltas that are
+not finite, results that overflow to non-finite values); 3 non-finite
+coefficients; 4 a model-family prediction failed verification.
 Only the named errors in `_USABLE_INPUT_ERRORS` mean unusable input; any
 other exception is a bug and is not caught.
 """
@@ -139,6 +139,8 @@ def _parse_delta_grid(spec: str | None, listing: str | None) -> list[float]:
             raise ParseError(f"bad --deltas {spec!r}") from None
         if n < 2:
             raise ParseError("--deltas needs n >= 2")
+        _require_finite("--deltas", lo)
+        _require_finite("--deltas", hi)
         step = (hi - lo) / (n - 1)
         values = [lo + k * step for k in range(n)]
         values[-1] = hi
@@ -149,6 +151,8 @@ def _parse_delta_grid(spec: str | None, listing: str | None) -> list[float]:
             raise ParseError(f"bad --delta-list {listing!r}") from None
         if not values:
             raise ParseError("--delta-list is empty")
+    for v in values:
+        _require_finite("--deltas" if spec is not None else "--delta-list", v)
     snap = 1e-15 * max(1.0, max(abs(v) for v in values))
     values = [0.0 if abs(v) <= snap else v for v in values]
     if not any(v == 0.0 for v in values):
@@ -164,6 +168,11 @@ def _parse_delta_grid(spec: str | None, listing: str | None) -> list[float]:
 def _require_positive(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
         raise ParseError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ParseError(f"{name} must be finite, got {value!r}")
 
 
 def _cmd_classify(args) -> int:
@@ -184,6 +193,7 @@ def _cmd_normal_form(args) -> int:
         if name not in CODIM1_CLASSES:
             raise ParseError(f"--delta applies only to the codimension-one "
                              f"families {CODIM1_CLASSES}")
+        _require_finite("--delta", args.delta)
         Z = unfolding(name, signs, args.delta)
     else:
         Z = normal_form(name, signs)

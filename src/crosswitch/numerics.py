@@ -85,15 +85,15 @@ Cell = tuple[float, float, float, float]   # (a, b, f(a), f(b))
 def sign_change_roots(xs: Sequence[float] | np.ndarray,
                       vals: Sequence[float] | np.ndarray,
                       refine: Callable[[list[Cell]], Sequence[float]]
-                      ) -> list[tuple[float, tuple[float, float]]]:
+                      ) -> list[tuple[float, Cell]]:
     """Roots from the values of f on a scan grid (lists or arrays).
 
     A zero grid value is a root, and every cell whose end values have
     opposite signs holds one.  refine([(a, b, f(a), f(b)), ...]) locates
     the roots of all those cells in a single call, one per cell, the cell
-    data being Python floats.  Returns ascending (root, (a, b)) pairs,
-    (a, b) being the root's cell, with duplicates within a small merge
-    window collapsed.
+    data being Python floats.  Returns ascending (root, cell) pairs, cell
+    being the root's (a, b, f(a), f(b)), or (r, r, 0.0, 0.0) for a zero
+    grid value r, with duplicates within a small merge window collapsed.
     """
     v = np.asarray(vals, dtype=float)
     zero, neg = v == 0.0, v < 0.0
@@ -101,15 +101,16 @@ def sign_change_roots(xs: Sequence[float] | np.ndarray,
     flip = ~zero[:-1] & ~zero[1:] & (neg[:-1] != neg[1:])
     hits = np.flatnonzero(np.append(zero[:-1] | flip, zero[-1])).tolist()
     cells = np.flatnonzero(flip).tolist()
-    refined = dict(zip(cells, refine([(float(xs[k]), float(xs[k + 1]),
-                                       float(v[k]), float(v[k + 1])) for k in cells])))
-    out: list[tuple[float, tuple[float, float]]] = []
+    brackets = [(float(xs[k]), float(xs[k + 1]), float(v[k]), float(v[k + 1]))
+                for k in cells]
+    refined = dict(zip(cells, zip(refine(brackets), brackets)))
+    out: list[tuple[float, Cell]] = []
     for k in hits:
         if k in refined:
-            r, cell = refined[k], (float(xs[k]), float(xs[k + 1]))
+            r, cell = refined[k]
         else:
             r = float(xs[k])
-            cell = (r, r)
+            cell = (r, r, 0.0, 0.0)
         if out and abs(r - out[-1][0]) <= max(4.0 * ROOT_XTOL, 1e-11 * (1.0 + abs(r))):
             continue
         out.append((r, cell))

@@ -16,13 +16,16 @@ Two numeric routes evaluate the orbit maps.  The scalar route,
 `numeric_return_map`, follows one seed leg by leg with the event-driven,
 time-parametrised RK4 of `flow.half_crossing`.  The lane route of
 `fixed_points` runs all seeds of a scan at once on numpy lanes; each leg is
-a fixed-step RK4 in the chart variable.  A lane that fails a guard of the
-scalar route (transverse start, chart denominator of constant sign and
-above the tangency tolerance, no return to the starting branch, the box
-|x| <= `flow.LEG_BOX` of the orbit legs) is evaluated on the scalar route.
+an RK4 run in the chart variable whose step count each lane doubles until
+its step-doubling error estimate meets the leg tolerance.  A lane that no
+step count up to 256 brings within it, or that fails a guard of the scalar
+route (transverse start, chart denominator of constant sign and above the
+tangency tolerance, no return to the starting branch, the box
+|x| <= `flow.LEG_BOX` of the orbit legs), is evaluated on the scalar route.
 The scalar route also checks the lane route: at the widest-leg lane of each
 scan and at every root.  Where they disagree, it redoes that scan or that
-root.  Roots are refined together by multisection on lanes.
+root.  Roots are refined together by multisection on lanes.  A root's
+stability comes from the signs of phi(x) - x at the ends of its scan cell.
 
 `flow` owns the orbit-leg constants (`ARM`, `LEG_BOX`) and `half_crossing`;
 this module imports them, and `flow` imports nothing from here.
@@ -45,23 +48,21 @@ from .switching import _tangency_band, band_tolerance, vanishing_components
 #: Fields of the legs of a full turn from Sigma2, in order.
 _TURN_LEGS = ("Y", "X", "Y", "X")
 
-#: Fixed RK4 steps per chart leg on the lane route of `fixed_points`.
-CHART_STEPS = 50
-
 #: Largest accepted lane-vs-scalar full-turn difference, times (1 + |x|).
 LANE_CHECK_TOL = 1e-9
+
+#: Largest accepted step-doubling error estimate of one lane chart leg,
+#: times (1 + |w|): well inside LANE_CHECK_TOL after four legs.
+_LEG_TOL = 1e-3 * LANE_CHECK_TOL
+
+#: RK4 steps per chart leg on the step-doubling ladder of the lane route.
+_LEG_STEPS = (4, 8, 16, 32, 64, 128, 256)
 
 #: Base magnitude h of the numeric fit's samples at x in {±h/4, ±h/2, ±h, ±2h}.
 NUMERIC_FIT_H = 0.01
 
 #: Central-difference step of a fixed point's multiplier, times (1 + |x|).
 SLOPE_STEP = 1e-5
-
-#: A multiplier within this distance of |m| = 1 gets no stability verdict.
-#: The multiplier is a central difference of a numerically integrated map,
-#: so its own error (truncation of order SLOPE_STEP^2, and the map's
-#: rounding divided by the step) must stay well below this band.
-MULTIPLIER_BAND = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +292,67 @@ class FixedPoint:
     x: float
     conjugate: float              # half-turn image: the paired branch point
     multiplier: float             # d(phi)/dx at the fixed point
-    stable: bool | None           # None within MULTIPLIER_BAND of |m| = 1
+    stable: bool | None           # from the bracket; None at an exact scan zero
     hit_sliding: bool
+
+
+def _rk4_leg(num: Poly2, den: Poly2, start: np.ndarray, n: int):
+    """n fixed RK4 steps of the chart ODE dw/ds = num/den from
+    (s, w) = (start, 0) to s = 0, on numpy lanes.
+
+    Returns (w, den_min, w_min, w_max): the end values, the least
+    den * sign(den(start, 0)) over all stages, and the least and the largest
+    w after each step.  Every operation is elementwise, so a lane's results
+    do not depend on the other lanes of the call.
+    """
+    zero = np.zeros_like(start)
+    den_sign = np.sign(den(start, zero))
+    h = -start / n
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    w = zero
+    den_min = np.full(start.shape, np.inf)
+    w_min = np.full(start.shape, np.inf)
+    w_max = np.full(start.shape, -np.inf)
+
+    def f(s, w):
+        nonlocal den_min
+        d = den(s, w)
+        den_min = np.minimum(den_min, d * den_sign)
+        return num(s, w) / d
+
+    for k in range(n):
+        s = start + k * h
+        mid = s + half_h
+        k1 = f(s, w)
+        k2 = f(mid, w + half_h * k1)
+        k3 = f(mid, w + half_h * k2)
+        k4 = f(s + h, w + h * k3)
+        w = w + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w_min = np.minimum(w_min, w)
+        w_max = np.maximum(w_max, w)
+    return w, den_min, w_min, w_max
 
 
 def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
     """Numeric full turn from the seeds (x, 0), all seeds at once.
 
-    Each leg takes CHART_STEPS fixed RK4 steps of the chart ODE
-    dw/ds = num/den from (s, w) = (start, 0) to s = 0, on numpy lanes.
+    Each leg integrates the chart ODE dw/ds = num/den from (s, w) =
+    (start, 0) to s = 0 on numpy lanes, with error control by step
+    doubling: `_rk4_leg` runs N = 4, 8, ..., 256 RK4 steps on the lanes not
+    yet accepted, and a lane is accepted at the first N with
+    |w_2N - w_N| / 15 <= _LEG_TOL * (1 + |w_2N|).  Its value and its guards
+    come from that 2N run.  A lane is evaluated only on its own seed, so its
+    value does not depend on which other seeds share the call.
+
     Returns (values, ok, reach).  ok is False on every lane that fails a
-    guard of the scalar route, and the value of such a lane is meaningless:
-    the start point is not transverse (|num| within the tangency tolerance
-    there) or not on an open half-branch; the chart denominator changes sign
-    or comes within that tolerance at some stage; w is outside the field's
-    own quadrants after some step (the orbit leg heads away from the other
-    branch, or back to its starting branch); or the leg leaves the box.
-    reach is each lane's largest |branch point| along the turn, the size of
-    its widest leg.
+    guard of the scalar route, or that no N up to 256 accepts, and the value
+    of such a lane is meaningless: the start point is not transverse (|num|
+    within the tangency tolerance there) or not on an open half-branch; the
+    chart denominator changes sign or comes within that tolerance at some
+    stage; w is outside the field's own quadrants after some step (the orbit
+    leg heads away from the other branch, or back to its starting branch);
+    or the leg leaves the box.  reach is each lane's largest |branch point|
+    along the turn, the size of its widest leg.
     """
     start = np.array(xs, dtype=float)
     ok = np.ones(start.shape, dtype=bool)
@@ -324,41 +368,35 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
             side = FIELD_SIGN[field] * np.sign(start)
             scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
             tol = _tangency_band(scale)
-            den_sign = np.sign(den(start, zero))
             ok &= ((np.abs(num(start, zero)) > tol) & (np.abs(start) > ARM)
                    & (np.abs(start) <= LEG_BOX))
             reach = np.maximum(reach, np.abs(start))
 
-            h = -start / CHART_STEPS
-            half_h = 0.5 * h
-            w = zero
-            den_min = np.full(start.shape, np.inf)   # least den * den_sign
-            w_min = np.full(start.shape, np.inf)     # least w * side
-            w_max = zero                             # largest w * side
-
-            def f(s, w):
-                nonlocal den_min
-                d = den(s, w)
-                den_min = np.minimum(den_min, d * den_sign)
-                return num(s, w) / d
-
-            for n in range(CHART_STEPS):
-                s = start + n * h
-                k1 = f(s, w)
-                k2 = f(s + half_h, w + half_h * k1)
-                k3 = f(s + half_h, w + half_h * k2)
-                k4 = f(s + h, w + h * k3)
-                w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                ws = w * side
-                w_min = np.minimum(w_min, ws)
-                w_max = np.maximum(w_max, ws)
-            ok &= (den_min > tol) & (w_min > 0.0) & (w_max <= LEG_BOX)
+            # the accepted 2N run of each lane: w, den_min, w_min, w_max
+            leg = np.full((4,) + start.shape, np.nan)
+            live = np.flatnonzero(ok)
+            coarse = _rk4_leg(num, den, start[live], _LEG_STEPS[0])
+            for n in _LEG_STEPS[1:]:
+                if not live.size:
+                    break
+                fine = _rk4_leg(num, den, start[live], n)
+                accept = (np.abs(fine[0] - coarse[0]) / 15.0
+                          <= _LEG_TOL * (1.0 + np.abs(fine[0])))
+                leg[:, live[accept]] = np.array(fine)[:, accept]
+                live = live[~accept]
+                coarse = tuple(r[~accept] for r in fine)
+            w, den_min, w_min, w_max = leg
+            # least and largest w * side
+            ws_min = np.where(side > 0.0, w_min, -w_max)
+            ws_max = np.where(side > 0.0, w_max, -w_min)
+            ok &= (den_min > tol) & (ws_min > 0.0) & (ws_max <= LEG_BOX)
             start = w
     return start, ok, np.maximum(reach, np.abs(start))
 
 
 def _turn_values(Z: PiecewiseSystem, xs: np.ndarray):
-    """`_chart_turn`, with every lane that failed a guard evaluated by the
+    """`_chart_turn`, with every lane that is not ok (a failed guard, or a
+    leg that 256 steps did not bring within its tolerance) evaluated by the
     scalar `numeric_return_map` instead, which raises what it raises."""
     values, ok, reach = _chart_turn(Z, xs)
     for k in np.flatnonzero(~ok):
@@ -366,17 +404,25 @@ def _turn_values(Z: PiecewiseSystem, xs: np.ndarray):
     return values, ok, reach
 
 
-def _stability(mult: float) -> bool | None:
-    if abs(abs(mult) - 1.0) <= MULTIPLIER_BAND:
+def _bracket_verdict(fa: float, fb: float) -> bool | None:
+    """Stability of the root of phi(x) - x in a scan cell from its end
+    values, fa at the lower end and fb at the upper end.
+
+    The full turn preserves orientation, so its multiplier is >= 0, and the
+    root is stable exactly when phi(x) - x falls from + to - across it.  A
+    root at an exact zero of the scan has no bracket and gets None.
+    """
+    if fa == 0.0 or fb == 0.0:
         return None
-    return abs(mult) < 1.0
+    return fa > 0.0
 
 
-def _scalar_fixed_point(Z: PiecewiseSystem, root: float) -> FixedPoint:
+def _scalar_fixed_point(Z: PiecewiseSystem, root: float,
+                        stable: bool | None) -> FixedPoint:
     res = numeric_return_map(Z, root)
     mult = central_slope(lambda u: numeric_return_map(Z, u).value,
                          root, SLOPE_STEP * (1.0 + abs(root)))
-    return FixedPoint(root, res.legs[2][0], mult, _stability(mult), res.hit_sliding)
+    return FixedPoint(root, res.legs[2][0], mult, stable, res.hit_sliding)
 
 
 def _agrees(lane: float, exact: float, x: float) -> bool:
@@ -417,7 +463,7 @@ def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
     values = _turn_values(Z, np.concatenate([at - h, at, at + h]))[0]
     below, value, above = np.split(values, 3)
     out: list[FixedPoint] = []
-    for i, (root, (a, b)) in enumerate(roots):
+    for i, (root, (a, b, fa, fb)) in enumerate(roots):
         try:
             res = numeric_return_map(Z, root)
             agree = _agrees(value[i], res.value, root)
@@ -425,13 +471,14 @@ def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
             agree = False
         if agree:
             mult = float((above[i] - below[i]) / (2.0 * h[i]))
-            out.append(FixedPoint(root, res.legs[2][0], mult, _stability(mult),
-                                  res.hit_sliding))
+            out.append(FixedPoint(root, res.legs[2][0], mult,
+                                  _bracket_verdict(fa, fb), res.hit_sliding))
             continue
         fa, fb = displacement(a), displacement(b)
         if fa != 0.0 and fb != 0.0 and (fa < 0.0) == (fb < 0.0):
             return None
-        out.append(_scalar_fixed_point(Z, bisect_root(displacement, a, b, fa, fb)))
+        out.append(_scalar_fixed_point(Z, bisect_root(displacement, a, b, fa, fb),
+                                       _bracket_verdict(fa, fb)))
     return out
 
 
@@ -441,9 +488,10 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
 
     Each side of 0 is one scan window: a grid of `cells` cells over which
     phi(x) - x is scanned for sign changes.  The grid seeds run through the
-    four legs together on numpy lanes, each leg a fixed-step RK4 in the
-    chart variable (`_chart_turn`).  A lane that fails one of the scalar
-    route's guards is evaluated by `numeric_return_map` instead.
+    four legs together on numpy lanes, each leg an error-controlled RK4 run
+    in the chart variable (`_chart_turn`).  A lane that fails one of the
+    scalar route's guards, or whose legs do not meet their tolerance, is
+    evaluated by `numeric_return_map` instead.
 
     Before the lane values are used, the widest-leg lane is checked against
     one scalar evaluation.  If they differ by more than
@@ -456,6 +504,12 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
     lane value beyond the same bound, that cell is bisected again on the
     scalar route; if the scalar values at the cell ends do not bracket a
     root, the whole window runs on the scalar route.
+
+    The full turn preserves orientation, so a root is stable exactly when
+    phi(x) - x falls from + to - across its cell; `stable` is read from the
+    cell's end values on whichever route found the root, and is None only
+    for a root at an exact zero of the scan.  The multiplier is reported as
+    computed.
     """
     require_transient(Z)
     guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
@@ -478,9 +532,10 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
         found = _lane_window(Z, xs, displacement, guard)
         if found is None:
             vals = [displacement(x) for x in xs]
-            found = [_scalar_fixed_point(Z, r) for r, _ in
-                     sign_change_roots(xs, vals, lambda brackets: [
-                         bisect_root(displacement, *c) for c in brackets])
+            found = [_scalar_fixed_point(Z, r, _bracket_verdict(fa, fb))
+                     for r, (_, _, fa, fb) in sign_change_roots(
+                         xs, vals, lambda brackets: [
+                             bisect_root(displacement, *c) for c in brackets])
                      if abs(r) > 2.0 * guard]
         out.extend(found)
     return out

@@ -18,6 +18,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import generic_system, scale_system, swap_axes
 from crosswitch import (
@@ -348,6 +349,26 @@ def test_pseudo_hopf_unfolding_fixed_point_side(signs):
         assert rep.ok, (signs, delta, rep)
         names = [c.name for c in rep.checks]
         assert "fixed_point_pair_side" in names
+
+
+def test_pseudo_hopf_prediction_on_the_band():
+    # [DERIVED] |alpha + 1| = 1e-10 / (1 + 1e-10) is within the band 1e-9,
+    # so classify observes the family itself; the prediction said Stable_C32
+    rep = verify_unfolding(CLASS_PH, {"a": 1, "b": 1, "c": 1}, 1e-10)
+    assert rep.predicted_class == rep.observed_class == CLASS_PH
+    assert rep.ok, rep
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(all_sign_tuples(CLASS_PH)),
+       st.floats(min_value=math.log(1e-9), max_value=math.log(5e-3)),
+       st.sampled_from([-1.0, 1.0]))
+def test_pseudo_hopf_unfolding_is_verified_next_to_the_band(signs, log_delta, side):
+    # the cycles of |delta| <= 1e-7 have multipliers within 1e-6 of 1, and
+    # every one of them failed fixed_point_stability
+    delta = side * math.exp(log_delta)
+    rep = verify_unfolding(CLASS_PH, signs, delta)
+    assert rep.ok, (signs, delta, rep)
 
 
 def test_regular_fold_unfolding_all_signs():

@@ -540,6 +540,33 @@ def test_cli_sweep_rejects_stable_family(capsys):
     capsys.readouterr()
 
 
+def test_cli_pseudo_hopf_sweep_next_to_the_band_exits_0(capsys):
+    # the cycles at delta = +-1e-7 have multipliers within 1e-6 of 1; they
+    # got no stability verdict, and the sweep exited 4
+    assert main(["sweep", "--family", "codim1_pseudohopf",
+                 "--signs", "a=1,b=1,c=1", "--deltas=-1e-7:1e-7:3"]) == 0
+    assert capsys.readouterr().out.count(",true,") == 3
+
+
+def test_cli_normal_form_rejects_a_delta_that_is_not_finite(capsys):
+    # a NaN delta reached the system as a coefficient and exited 3
+    for bad in ("nan", "inf"):
+        assert main(["normal-form", "codim1_regularfold", "--signs", "a=1,b=1",
+                     "--delta", bad]) == 2
+    assert "--delta must be finite" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_deltas_that_are_not_finite(capsys):
+    # a NaN in the delta list reached the system as a coefficient and
+    # exited 3
+    assert main(["sweep", "--family", "codim1_regularfold",
+                 "--signs", "a=1,b=1", "--delta-list", "0,nan"]) == 2
+    assert "--delta-list must be finite" in capsys.readouterr().err
+    assert main(["sweep", "--family", "codim1_regularfold",
+                 "--signs", "a=1,b=1", "--deltas=-inf:1:3"]) == 2
+    assert "--deltas must be finite" in capsys.readouterr().err
+
+
 def test_cli_sweep_mismatch_exits_4(monkeypatch, tmp_path, capsys):
     bad = UnfoldingVerification(
         CLASS_RF, {"a": 1, "b": 1}, 0.1, "Stable_C1", "Stable_C2",

@@ -5,10 +5,10 @@ Oracle notes:
             by hand (linear/separable equations); numeric fits use scipy's
             DOP853 on the same charts as an independent route.
   [TRIVIAL] composition algebra checked by direct evaluation.
-  [ORACLE]  the lane route of fixed_points (fixed-step RK4 chart legs on
-            numpy lanes) against the scalar, event-driven orbit legs of
-            numeric_return_map, and against the scalar scan written out
-            below.
+  [ORACLE]  the lane route of fixed_points (error-controlled RK4 chart legs
+            on numpy lanes) against the scalar, event-driven orbit legs of
+            numeric_return_map, against the scalar scan written out below,
+            and against chart legs integrated by scipy's DOP853.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from crosswitch.errors import LeftDomain, NotTransient, NotTransverse, StepLimit
 from crosswitch.fields import make_system
@@ -386,6 +387,27 @@ def fold_pair_system():
                        1.0, {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0})
 
 
+def dop853_turn(Z, xs):
+    """The full turn of the seeds (x, 0) by four chart legs, Y, X, Y, X,
+    each integrated by DOP853 at rtol 1e-13 as one system over all seeds:
+    with s = start * (1 - t), dw/dt = -start * dw/ds for t from 0 to 1."""
+    w = np.array(xs, dtype=float)
+    for F, y_leg in ((Z.Y, True), (Z.X, False)) * 2:
+        start = w
+
+        def rhs(t, y):
+            s = start * (1.0 - t)
+            if y_leg:   # w = x2 over s = x1
+                return -start * F.f2(s, y) / F.f1(s, y)
+            return -start * F.f1(y, s) / F.f2(y, s)   # w = x1 over s = x2
+
+        sol = solve_ivp(rhs, (0.0, 1.0), np.zeros_like(start), method="DOP853",
+                        rtol=1e-13, atol=1e-15)
+        assert sol.success
+        w = sol.y[:, -1]
+    return w
+
+
 def counting(monkeypatch, name: str):
     """Count the calls of a returnmap function; returns the call list."""
     calls = []
@@ -402,7 +424,7 @@ def counting(monkeypatch, name: str):
 class TestLaneRoute:
     def test_lane_values_match_scalar_on_curved_systems(self):
         # [ORACLE] on lanes whose legs start within 0.2 of the origin the
-        # 50-step chart legs reproduce the scalar orbit legs; longer legs
+        # accepted chart legs reproduce the scalar orbit legs; longer legs
         # are left to fixed_points' scalar check of the widest lane
         xs = np.concatenate([np.linspace(-0.15, -0.01, 8),
                              np.linspace(0.01, 0.15, 8)])
@@ -416,6 +438,37 @@ class TestLaneRoute:
                 assert abs(value - want) <= 1e-9, (seed, x)
                 compared += 1
         assert compared >= 140     # of 192 lanes
+
+    def test_accepted_lanes_match_dop853_chart_legs(self):
+        # [ORACLE] every lane the step-doubling legs accept is within the
+        # lane check's bound of an independent high-order integration
+        xs = np.concatenate([np.linspace(-0.3, -0.01, 16),
+                             np.linspace(0.01, 0.3, 16)])
+        compared = 0
+        for seed in range(8):
+            Z = curved_transient(seed)
+            values, ok, _ = returnmap._chart_turn(Z, xs)
+            if not ok.any():
+                continue
+            want = dop853_turn(Z, xs[ok])
+            bound = returnmap.LANE_CHECK_TOL * (1.0 + np.abs(xs[ok]))
+            assert (np.abs(values[ok] - want) <= bound).all(), seed
+            compared += int(ok.sum())
+        assert compared >= 150     # of 256 lanes
+
+    def test_lane_value_does_not_depend_on_its_batch(self):
+        # lanes of one call accept at different step counts; each lane run
+        # alone passes the same guards, and an accepted one gives the same
+        # bits and the same reach
+        xs = np.concatenate([np.linspace(-0.3, -0.01, 5),
+                             np.linspace(0.01, 0.3, 5)])
+        Z = curved_transient(3)
+        values, ok, reach = returnmap._chart_turn(Z, xs)
+        for k, x in enumerate(xs):
+            v, o, r = returnmap._chart_turn(Z, xs[k:k + 1])
+            assert o[0] == ok[k], x
+            if ok[k]:
+                assert (v[0], r[0]) == (values[k], reach[k]), x
 
     def test_curved_hopf_matches_scalar_route(self):
         Z = curved_hopf()
@@ -482,9 +535,16 @@ class TestLaneRoute:
         assert not ok.any()
 
     def test_coarse_chart_falls_back_to_scalar_scan(self, monkeypatch):
-        # two chart steps per leg miss the 1e-9 check of the widest lane:
-        # the window runs on the scalar route, whose result is the seed's
-        monkeypatch.setattr(returnmap, "CHART_STEPS", 2)
+        # a widest lane off by 1e-7 misses the 1e-9 check: the window runs
+        # on the scalar route, whose result is the seed's
+        chart_turn = returnmap._chart_turn
+
+        def biased(Z, xs):
+            values, ok, reach = chart_turn(Z, xs)
+            widest = reach == np.max(np.where(ok, reach, -1.0))
+            return values + np.where(widest, 1e-7, 0.0), ok, reach
+
+        monkeypatch.setattr(returnmap, "_chart_turn", biased)
         calls = counting(monkeypatch, "numeric_return_map")
         Z = curved_hopf()
         got = fixed_points(Z, -0.2, -1e-6, cells=96)

@@ -133,7 +133,7 @@ class TestScanRoots:
         assert hexes(scan_roots(q, lo, hi, cells)) == hexes(want_roots)
 
     @pytest.mark.xfail(strict=True, reason="a root in a cell whose other end is an "
-                       "exact grid zero shows no sign change (ROADMAP item 3)")
+                       "exact grid zero shows no sign change (ROADMAP item 1)")
     @pytest.mark.parametrize("cs, want", [
         ([0.0, 2.0 ** -9, 1.0], [-2.0 ** -9, 0.0]),       # 2^-9 s + s^2
         ([0.0, 1e-6, 0.0, -1.0], [-1e-3, 0.0, 1e-3]),     # 1e-6 s - s^3
