@@ -23,9 +23,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="sweeps")
     ap.add_argument("--points", type=int, default=9,
-                    help="odd grid size so delta = 0 is included")
+                    help="odd grid size, at least 3, so delta = 0 is included")
     ap.add_argument("--jobs", type=int, default=2)
     args = ap.parse_args()
+    if args.points < 3:
+        ap.error("--points must be at least 3")
     if args.points % 2 == 0:
         ap.error("--points must be odd so the grid contains delta = 0")
 

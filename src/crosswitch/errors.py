@@ -48,6 +48,13 @@ class StepLimit(CrosswitchError):
     """The integrator exceeded its step budget."""
 
 
+class RouteMismatch(CrosswitchError):
+    """The lane route of a fixed-point scan and the scalar orbit legs of
+    `numeric_return_map` gave full-turn values further apart than
+    `returnmap.LANE_CHECK_TOL` * (1 + |x|): a numerical fault, not unusable
+    input."""
+
+
 class SeedOutsideBox(CrosswitchError, ValueError):
     """An integration seed lies outside the integration box."""
 

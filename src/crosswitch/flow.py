@@ -153,8 +153,9 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
     own active region: sigma = FIELD_SIGN * h_side * sgn(W_i), with h_side
     the sign of the running coordinate at the start.  A leg that lands
     within ARM of the origin raises LeftDomain, as no leg starts there.
+    The start point is taken as Python floats.
     """
-    x1, x2 = start
+    x1, x2 = float(start[0]), float(start[1])
     if abs(x2) <= ARM and abs(x1) > ARM:
         i, s0, p = 2, x1, (x1, 0.0)
     elif abs(x1) <= ARM and abs(x2) > ARM:

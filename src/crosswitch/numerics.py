@@ -1,10 +1,9 @@
 """Hand-rolled numerical primitives used by the analysis layers.
 
 These are pinned implementations (grid-scan root isolation + bisection or
-vectorised multisection, classical RK4 steps, central difference quotients)
-so that results are bit-reproducible across platforms.  Library root finders
-and adaptive integrators appear only as independent oracles in the test
-suite.
+vectorised multisection, classical RK4 steps) so that results are
+bit-reproducible across platforms.  Library root finders and adaptive
+integrators appear only as independent oracles in the test suite.
 
 `scan_roots` evaluates f once per scan, on the whole grid as a numpy array,
 and finds the zero and sign-change cells with array masks.  Elementwise
@@ -12,9 +11,10 @@ IEEE multiplies and adds round exactly as Python floats do, so a `Poly1`'s
 Horner loop gives the same grid values on an array as point by point.
 
 `bisect_root` is the one scalar bisection loop: it refines the roots of
-`scan_roots` and of the fixed-point scans to width ROOT_XTOL (exact zeros
-stop early), and it localises every flow event inside an RK4 substep
-[0, h], where it stops at |g| <= `flow.SNAP` or at width 1e-16 * h.
+`scan_roots` to width ROOT_XTOL (exact zeros stop early), and it localises
+every flow event inside an RK4 substep [0, h], where it stops at
+|g| <= `flow.SNAP` or at width 1e-16 * h.  The fixed-point scans refine
+their roots on lanes with `multisect_roots`.
 """
 from __future__ import annotations
 
@@ -67,16 +67,12 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
-def _grid(lo: float, hi: float, cells: int) -> np.ndarray:
-    # lo + step * k with the same two roundings as on Python floats
+def scan_grid(lo: float, hi: float, cells: int) -> np.ndarray:
+    """The cells + 1 equally spaced scan points from lo to hi (hi exact),
+    each lo + step * k with the same two roundings as on Python floats."""
     xs = lo + (hi - lo) / cells * np.arange(cells + 1)
     xs[-1] = hi
     return xs
-
-
-def scan_grid(lo: float, hi: float, cells: int) -> list[float]:
-    """The cells + 1 equally spaced scan points from lo to hi (hi exact)."""
-    return _grid(lo, hi, cells).tolist()
 
 
 Cell = tuple[float, float, float, float]   # (a, b, f(a), f(b))
@@ -130,7 +126,7 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
     """
     if not hi > lo:
         return []
-    xs = _grid(lo, hi, cells)
+    xs = scan_grid(lo, hi, cells)
     vals = f(xs)
     return [r for r, _ in sign_change_roots(
         xs, vals, lambda brackets: [bisect_root(f, *c) for c in brackets])]
@@ -168,11 +164,6 @@ def multisect_roots(f: Callable[[np.ndarray], np.ndarray],
         a[live], fa[live] = xs[rows, j - 1], fs[rows, j - 1]
         b[live], fb[live] = xs[rows, j], fs[rows, j]
     return np.where(np.isnan(root), 0.5 * (a + b), root).tolist()
-
-
-def central_slope(f: Callable[[float], float], x: float, h: float) -> float:
-    """Plain central difference quotient (O(h^2))."""
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def rk4_step_2d(f: Callable[[tuple[float, float]], tuple[float, float]],

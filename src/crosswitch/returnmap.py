@@ -22,10 +22,13 @@ step count up to 256 brings within it, or that fails a guard of the scalar
 route (transverse start, chart denominator of constant sign and above the
 tangency tolerance, no return to the starting branch, the box
 |x| <= `flow.LEG_BOX` of the orbit legs), is evaluated on the scalar route.
-The scalar route also checks the lane route: at the widest-leg lane of each
-scan and at every root.  Where they disagree, it redoes that scan or that
-root.  Roots are refined together by multisection on lanes.  A root's
-stability comes from the signs of phi(x) - x at the ends of its scan cell.
+
+A scan has one result route: grid, lanes, multisection of the sign-change
+cells on lanes, and the multiplier as a central difference on lanes.  The
+scalar route checks it at the widest-leg lane of each scan and at every
+root, where it also gives the conjugate and `hit_sliding`; a disagreement
+raises `RouteMismatch`.  A root's stability comes from the signs of
+phi(x) - x at the ends of its scan cell.
 
 `flow` owns the orbit-leg constants (`ARM`, `LEG_BOX`) and `half_crossing`;
 this module imports them, and `flow` imports nothing from here.
@@ -37,11 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import LeftDomain, NotTransient, NotTransverse, StepLimit
+from .errors import NotTransient, NotTransverse, RouteMismatch
 from .fields import FIELD_SIGN, PiecewiseSystem, Point, Poly2
 from .flow import ARM, LEG_BOX, half_crossing
-from .numerics import (bisect_root, central_slope, multisect_roots, scan_grid,
-                       sign_change_roots)
+from .numerics import multisect_roots, scan_grid, sign_change_roots
 from .series import invert_graph, picard_chart_jet
 from .switching import _tangency_band, band_tolerance, vanishing_components
 
@@ -269,9 +271,9 @@ class NumericReturn:
 def numeric_return_map(Z: PiecewiseSystem, x: float) -> NumericReturn:
     """Follow the orbit geometry leg by leg starting from (x, 0) on Sigma2:
     Y-leg to Sigma1, X-leg to Sigma2 (half turn), twice for the full turn.
-    The half-turn image is `legs[2][0]`."""
+    The half-turn image is `legs[2][0]`.  x is taken as a Python float."""
     require_transient(Z)
-    pts: list[Point] = [(x, 0.0)]
+    pts: list[Point] = [(float(x), 0.0)]
     hit = False
     for field in _TURN_LEGS:
         res = half_crossing(Z, field, pts[-1])
@@ -417,22 +419,20 @@ def _bracket_verdict(fa: float, fb: float) -> bool | None:
     return fa > 0.0
 
 
-def _scalar_fixed_point(Z: PiecewiseSystem, root: float,
-                        stable: bool | None) -> FixedPoint:
-    res = numeric_return_map(Z, root)
-    mult = central_slope(lambda u: numeric_return_map(Z, u).value,
-                         root, SLOPE_STEP * (1.0 + abs(root)))
-    return FixedPoint(root, res.legs[2][0], mult, stable, res.hit_sliding)
+def _checked_turn(Z: PiecewiseSystem, x: float, lane: float) -> NumericReturn:
+    """`numeric_return_map` at x, checked against the lane value of the full
+    turn there; RouteMismatch when they differ by more than
+    LANE_CHECK_TOL * (1 + |x|)."""
+    res = numeric_return_map(Z, x)
+    if abs(lane - res.value) > LANE_CHECK_TOL * (1.0 + abs(x)):
+        raise RouteMismatch(f"full turn at x = {x!r}: lane value {lane!r}, "
+                            f"orbit legs {res.value!r}")
+    return res
 
 
-def _agrees(lane: float, exact: float, x: float) -> bool:
-    return abs(lane - exact) <= LANE_CHECK_TOL * (1.0 + abs(x))
-
-
-def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
-                 guard: float) -> list[FixedPoint] | None:
-    """Fixed points in one scan window on the lane route; None when the
-    scalar route must redo the window."""
+def _lane_window(Z: PiecewiseSystem, xs: np.ndarray,
+                 guard: float) -> list[FixedPoint]:
+    """Fixed points in one scan window, grid xs, on the lane route."""
 
     def lanes(u):
         vals, ok, reach = _turn_values(Z, u)
@@ -440,17 +440,12 @@ def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
         d[np.abs(u) <= guard] = 0.0
         return d, ok, reach
 
-    grid = np.array(xs)
-    vals, ok, reach = lanes(grid)
+    vals, ok, reach = lanes(xs)
     if ok.any():
         # the widest-leg lane has the largest chart error
         k = int(np.argmax(np.where(ok, reach, -1.0)))
-        try:
-            exact = numeric_return_map(Z, xs[k]).value
-        except (LeftDomain, NotTransverse, StepLimit):
-            return None
-        if not _agrees(vals[k] + xs[k], exact, xs[k]):
-            return None
+        _checked_turn(Z, float(xs[k]), float(vals[k] + xs[k]))
+
     def refine(brackets):
         return multisect_roots(lambda u: lanes(u)[0], brackets)
 
@@ -463,22 +458,11 @@ def _lane_window(Z: PiecewiseSystem, xs: list[float], displacement,
     values = _turn_values(Z, np.concatenate([at - h, at, at + h]))[0]
     below, value, above = np.split(values, 3)
     out: list[FixedPoint] = []
-    for i, (root, (a, b, fa, fb)) in enumerate(roots):
-        try:
-            res = numeric_return_map(Z, root)
-            agree = _agrees(value[i], res.value, root)
-        except (LeftDomain, NotTransverse, StepLimit):
-            agree = False
-        if agree:
-            mult = float((above[i] - below[i]) / (2.0 * h[i]))
-            out.append(FixedPoint(root, res.legs[2][0], mult,
-                                  _bracket_verdict(fa, fb), res.hit_sliding))
-            continue
-        fa, fb = displacement(a), displacement(b)
-        if fa != 0.0 and fb != 0.0 and (fa < 0.0) == (fb < 0.0):
-            return None
-        out.append(_scalar_fixed_point(Z, bisect_root(displacement, a, b, fa, fb),
-                                       _bracket_verdict(fa, fb)))
+    for i, (root, (_, _, fa, fb)) in enumerate(roots):
+        res = _checked_turn(Z, root, float(value[i]))
+        mult = float((above[i] - below[i]) / (2.0 * h[i]))
+        out.append(FixedPoint(root, res.legs[2][0], mult,
+                              _bracket_verdict(fa, fb), res.hit_sliding))
     return out
 
 
@@ -487,38 +471,29 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
     """Fixed points of the numeric full turn with x in [lo, hi], 0 excluded.
 
     Each side of 0 is one scan window: a grid of `cells` cells over which
-    phi(x) - x is scanned for sign changes.  The grid seeds run through the
-    four legs together on numpy lanes, each leg an error-controlled RK4 run
-    in the chart variable (`_chart_turn`).  A lane that fails one of the
-    scalar route's guards, or whose legs do not meet their tolerance, is
-    evaluated by `numeric_return_map` instead.
+    phi(x) - x is scanned for sign changes.  Every window runs one
+    sequence.  The grid seeds run through the four legs together on numpy
+    lanes, each leg an error-controlled RK4 run in the chart variable
+    (`_chart_turn`); a lane that fails one of the scalar route's guards, or
+    whose legs do not meet their tolerance, is evaluated by
+    `numeric_return_map` instead, which raises what it raises.  The
+    sign-change cells are refined together by lane multisection
+    (`multisect_roots`) to width 1e-12, and the multiplier is the central
+    difference of the lane map with step SLOPE_STEP * (1 + |x|).  One
+    scalar `numeric_return_map` at each root gives `hit_sliding` and the
+    conjugate.
 
-    Before the lane values are used, the widest-leg lane is checked against
-    one scalar evaluation.  If they differ by more than
-    LANE_CHECK_TOL * (1 + |x|), the whole window runs on the scalar route
-    (scalar grid values and `bisect_root`).  Otherwise the sign-change cells
-    are refined together by lane multisection (`multisect_roots`) to width
-    1e-12, and the multiplier is the central difference of the lane map with
-    step SLOPE_STEP * (1 + |x|).  One scalar `numeric_return_map` at each
-    root gives `hit_sliding` and the conjugate.  If it disagrees with the
-    lane value beyond the same bound, that cell is bisected again on the
-    scalar route; if the scalar values at the cell ends do not bracket a
-    root, the whole window runs on the scalar route.
+    The scalar orbit legs also check the lanes, at the widest-leg lane of
+    the grid (before any multisection) and at every root: a difference
+    above LANE_CHECK_TOL * (1 + |x|) raises RouteMismatch.
 
     The full turn preserves orientation, so a root is stable exactly when
     phi(x) - x falls from + to - across its cell; `stable` is read from the
-    cell's end values on whichever route found the root, and is None only
-    for a root at an exact zero of the scan.  The multiplier is reported as
-    computed.
+    cell's end values, and is None only for a root at an exact zero of the
+    scan.  The multiplier is reported as computed.
     """
     require_transient(Z)
     guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
-
-    def displacement(x: float) -> float:
-        if abs(x) <= guard:
-            return 0.0
-        return numeric_return_map(Z, x).value - x
-
     windows = []
     if lo < -guard:
         windows.append((lo, min(hi, -guard)))
@@ -526,16 +501,6 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
         windows.append((max(lo, guard), hi))
     out: list[FixedPoint] = []
     for wlo, whi in windows:
-        if not whi > wlo:
-            continue
-        xs = scan_grid(wlo, whi, cells)
-        found = _lane_window(Z, xs, displacement, guard)
-        if found is None:
-            vals = [displacement(x) for x in xs]
-            found = [_scalar_fixed_point(Z, r, _bracket_verdict(fa, fb))
-                     for r, (_, _, fa, fb) in sign_change_roots(
-                         xs, vals, lambda brackets: [
-                             bisect_root(displacement, *c) for c in brackets])
-                     if abs(r) > 2.0 * guard]
-        out.extend(found)
+        if whi > wlo:
+            out.extend(_lane_window(Z, scan_grid(wlo, whi, cells), guard))
     return out

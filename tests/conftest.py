@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from crosswitch.fields import FieldSpec, PiecewiseSystem, Poly2
-from crosswitch.numerics import central_slope
 
 # Coefficients kept in a tame range so oracle comparisons stay well scaled.
 coeffs = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False,
@@ -98,6 +97,11 @@ def dense_matrix(p: Poly2) -> np.ndarray:
     for i, j, c in p.terms:
         out[i, j] = c
     return out
+
+
+def central_slope(f, x: float, h: float) -> float:
+    """Plain central difference quotient (O(h^2))."""
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def richardson_slope(f, x: float, h: float) -> float:

@@ -8,9 +8,13 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crosswitch import (
@@ -18,12 +22,14 @@ from crosswitch import (
     CLASS_C32,
     CLASS_PH,
     CLASS_RF,
+    RouteMismatch,
     integrate,
     make_system,
     normal_form,
     phase_portrait,
     system_to_obj,
 )
+import crosswitch.returnmap as returnmap
 from crosswitch.cli import main
 from crosswitch.report import (
     SweepRecord,
@@ -583,3 +589,31 @@ def test_cli_sweep_mismatch_exits_4(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mismatch" in err and "fold_location" in err
     assert out.exists()  # the CSV is still written before the failure exit
+
+
+def test_cli_route_mismatch_in_a_sweep_is_not_unusable_input(monkeypatch):
+    # lane and orbit-leg full turns that disagree are a numerical fault: the
+    # RouteMismatch of the fixed-point scan escapes instead of exiting 2
+    chart_turn = returnmap._chart_turn
+
+    def biased(Z, xs):
+        values, ok, reach = chart_turn(Z, xs)
+        return values + np.where(ok, 1e-7, 0.0), ok, reach
+
+    monkeypatch.setattr(returnmap, "_chart_turn", biased)
+    with pytest.raises(RouteMismatch, match="lane value"):
+        main(["sweep", "--family", "codim1_pseudohopf",
+              "--signs", "a=1,b=1,c=1", "--deltas=-1e-3:1e-3:3"])
+
+
+def test_sweep_demo_rejects_fewer_than_three_points(tmp_path):
+    # --points 1 divided by zero and --points -1 indexed an empty grid
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for points in ("1", "-1"):
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "sweep_demo.py"),
+             "--out-dir", str(tmp_path), "--points", points],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "--points must be at least 3" in proc.stderr

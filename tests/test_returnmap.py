@@ -17,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
-from crosswitch.errors import LeftDomain, NotTransient, NotTransverse, StepLimit
+from crosswitch.errors import (LeftDomain, NotTransient, NotTransverse, RouteMismatch,
+                               StepLimit)
 from crosswitch.fields import make_system
+from crosswitch.flow import half_crossing
 import crosswitch.returnmap as returnmap
-from crosswitch.numerics import bisect_root, central_slope, scan_grid, sign_change_roots
+from crosswitch.numerics import bisect_root, scan_grid, sign_change_roots
 from crosswitch.returnmap import (
     compose_cubic,
     fixed_points,
@@ -35,7 +38,7 @@ from crosswitch.returnmap import (
     return_map_model,
 )
 
-from conftest import assert_close, richardson_slope
+from conftest import assert_close, central_slope, richardson_slope
 
 
 def numeric_return_samples(Z, n: int = 16, radius: float = 1e-2,
@@ -295,6 +298,22 @@ class TestNumericReturn:
             got = numeric_return_map(Z, x).value
             assert abs(got - cubic(*m.phi, x)) < 20.0 * abs(x) ** 4
 
+    def test_numpy_seed_runs_on_python_floats(self):
+        # an np.float64 seed or start point gives the float one's values bit
+        # for bit, and Python floats throughout
+        Z = hopf_family(1e-3)
+
+        def values(res):
+            return [res.value] + [c for p in res.legs for c in p]
+
+        want = values(numeric_return_map(Z, -0.1))
+        got = values(numeric_return_map(Z, np.float64(-0.1)))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert all(type(v) is float for v in got)
+        leg = half_crossing(Z, "Y", (np.float64(-0.1), np.float64(0.0)))
+        assert leg == half_crossing(Z, "Y", (-0.1, 0.0))
+        assert all(type(v) is float for v in leg.point + (leg.time,))
+
     def test_samples_window(self):
         r, samples = numeric_return_samples(c32_normal(), n=16, radius=1e-2)
         assert r == pytest.approx(1e-2)
@@ -423,21 +442,19 @@ def counting(monkeypatch, name: str):
 
 class TestLaneRoute:
     def test_lane_values_match_scalar_on_curved_systems(self):
-        # [ORACLE] on lanes whose legs start within 0.2 of the origin the
-        # accepted chart legs reproduce the scalar orbit legs; longer legs
-        # are left to fixed_points' scalar check of the widest lane
+        # [ORACLE] the accepted chart legs reproduce the scalar orbit legs
         xs = np.concatenate([np.linspace(-0.15, -0.01, 8),
                              np.linspace(0.01, 0.15, 8)])
         compared = 0
         for seed in range(12):
             Z = curved_transient(seed)
             assert is_transient(Z)
-            values, ok, reach = returnmap._chart_turn(Z, xs)
-            for x, value in zip(xs[ok & (reach <= 0.2)], values[ok & (reach <= 0.2)]):
+            values, ok, _ = returnmap._chart_turn(Z, xs)
+            for x, value in zip(xs[ok], values[ok]):
                 want = numeric_return_map(Z, float(x)).value
                 assert abs(value - want) <= 1e-9, (seed, x)
                 compared += 1
-        assert compared >= 140     # of 192 lanes
+        assert compared >= 160     # of 192 lanes
 
     def test_accepted_lanes_match_dop853_chart_legs(self):
         # [ORACLE] every lane the step-doubling legs accept is within the
@@ -534,9 +551,10 @@ class TestLaneRoute:
         _, ok, _ = returnmap._chart_turn(Z, xs)
         assert not ok.any()
 
-    def test_coarse_chart_falls_back_to_scalar_scan(self, monkeypatch):
-        # a widest lane off by 1e-7 misses the 1e-9 check: the window runs
-        # on the scalar route, whose result is the seed's
+    def test_widest_lane_disagreement_raises_before_multisection(self, monkeypatch):
+        # a widest lane off by 1e-7 misses the 1e-9 check against its scalar
+        # orbit legs: the scan raises, naming that lane, before it refines
+        # any root
         chart_turn = returnmap._chart_turn
 
         def biased(Z, xs):
@@ -545,16 +563,16 @@ class TestLaneRoute:
             return values + np.where(widest, 1e-7, 0.0), ok, reach
 
         monkeypatch.setattr(returnmap, "_chart_turn", biased)
-        calls = counting(monkeypatch, "numeric_return_map")
-        Z = curved_hopf()
-        got = fixed_points(Z, -0.2, -1e-6, cells=96)
-        assert len(calls) > 97
-        want = scalar_fixed_points(Z, -0.2, -1e-6, cells=96)
-        assert [(fp.x, fp.multiplier, fp.hit_sliding) for fp in got] == want
+        multisections = counting(monkeypatch, "multisect_roots")
+        with pytest.raises(RouteMismatch, match=r"at x = -0\.2: lane value"):
+            fixed_points(curved_hopf(), -0.2, -1e-6, cells=96)
+        assert multisections == []
 
-    def test_root_disagreement_rebisects_on_scalar_route(self, monkeypatch):
+    def test_root_disagreement_raises_at_the_root(self, monkeypatch):
         # lane values off by 1e-7 everywhere but at the widest lane pass the
         # per-scan check; the scalar evaluation at the root catches them
+        Z = curved_hopf()
+        (fp,) = fixed_points(Z, -0.2, -1e-6, cells=96)
         chart_turn = returnmap._chart_turn
 
         def biased(Z, xs):
@@ -562,9 +580,32 @@ class TestLaneRoute:
             return values + np.where(np.abs(xs) < 0.199, 1e-7, 0.0), ok, reach
 
         monkeypatch.setattr(returnmap, "_chart_turn", biased)
-        bisections = counting(monkeypatch, "bisect_root")
-        Z = curved_hopf()
-        got = fixed_points(Z, -0.2, -1e-6, cells=96)
-        assert len(bisections) == 1
-        want = scalar_fixed_points(Z, -0.2, -1e-6, cells=96)
-        assert [(fp.x, fp.multiplier, fp.hit_sliding) for fp in got] == want
+        calls = counting(monkeypatch, "numeric_return_map")
+        multisections = counting(monkeypatch, "multisect_roots")
+        with pytest.raises(RouteMismatch) as err:
+            fixed_points(Z, -0.2, -1e-6, cells=96)
+        assert len(multisections) == 1
+        assert [x for _, x in calls[:-1]] == [-0.2]
+        root = calls[-1][1]
+        assert abs(root - fp.x) < 1e-4
+        assert f"at x = {root!r}: lane value" in str(err.value)
+
+    def test_scan_roots_match_dop853_roots(self):
+        # [ORACLE] with the scalar reruns gone, the fixed points rest on the
+        # lanes: each lies within 1e-8 of the root of the DOP853 full turn
+        # in its scan cell, and its verdict has the DOP853 signs there
+        scans = [(curved_hopf(), -0.2, -1e-6), (fold_pair_system(), -0.25, -1e-6),
+                 (curved_transient(22), -0.3, -0.25)]
+        for Z, lo, hi in scans:
+            (fp,) = fixed_points(Z, lo, hi, cells=96)
+            xs = scan_grid(lo, hi, 96)
+            k = int(np.searchsorted(xs, fp.x)) - 1
+            a, b = float(xs[k]), float(xs[k + 1])
+
+            def f(u):
+                return float(dop853_turn(Z, [u])[0]) - u
+
+            fa, fb = f(a), f(b)
+            assert (fa > 0.0) != (fb > 0.0)
+            assert fp.stable is (fa > 0.0)
+            assert abs(fp.x - brentq(f, a, b, xtol=1e-13)) <= 1e-8
