@@ -7,6 +7,7 @@ Usage: python3 scripts/make_portraits.py [--out-dir portraits] [--box 0.8]
 from __future__ import annotations
 
 import argparse
+import math
 from pathlib import Path
 
 from crosswitch import (
@@ -48,6 +49,9 @@ def main() -> int:
     ap.add_argument("--box", type=float, default=0.8)
     ap.add_argument("--t-max", type=float, default=3.0)
     args = ap.parse_args()
+    for name, value in (("--box", args.box), ("--t-max", args.t_max)):
+        if not 0.0 < value < math.inf:
+            ap.error(f"{name} must be positive and finite, got {value!r}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

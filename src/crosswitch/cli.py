@@ -4,11 +4,13 @@ Verbs: classify, normal-form, return-map, integrate, portrait, sweep.
 All outputs are deterministic (canonical JSON / fixed-format CSV / SVG), so
 rerunning a command reproduces its output byte for byte.
 
-Exit codes: 0 success; 2 unusable input (parse errors, invalid signs or
-sign keys, systems outside a verb's domain, seeds outside the box, radii,
-boxes, times or steps that are not positive and finite, deltas that are
-not finite, results that overflow to non-finite values); 3 non-finite
-coefficients; 4 a model-family prediction failed verification.
+Exit codes: 0 success; 2 unusable input (parse errors, unreadable files,
+invalid signs or sign keys, systems outside a verb's domain, seeds outside
+the box or not finite, radii, boxes, times or steps that are not positive
+and finite, negative seed counts, deltas that are not finite, a
+CROSSWITCH_TOL that is not a finite number >= 0, results that overflow to
+non-finite values); 3 non-finite coefficients; 4 a model-family prediction
+failed verification.
 Only the named errors in `_USABLE_INPUT_ERRORS` mean unusable input; any
 other exception is a bug and is not caught.
 """
@@ -71,10 +73,10 @@ _CLASS_BY_LOWER = {name.lower(): name
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror or e}") from None
 
 
 def _load_system(path: str) -> PiecewiseSystem:
@@ -225,6 +227,8 @@ def _cmd_portrait(args) -> int:
     _require_positive("--box", args.box)
     _require_positive("--t-max", args.t_max)
     _require_positive("--h", args.h)
+    if min(args.seeds_per_quadrant, args.seeds_per_branch) < 0:
+        raise ParseError("--seeds-per-quadrant and --seeds-per-branch must be >= 0")
     Z = _load_system(args.system)
     trajectories = phase_portrait(
         Z, box=args.box, seeds_per_quadrant=args.seeds_per_quadrant,

@@ -7,8 +7,9 @@ class CrosswitchError(Exception):
 
 
 class ParseError(CrosswitchError):
-    """Malformed or invalid system description (bad JSON, bad schema,
-    degree cap exceeded, wrong monomial records)."""
+    """Malformed or invalid input: a system description (bad JSON, bad
+    schema, degree cap exceeded, wrong monomial records), an option value,
+    or the CROSSWITCH_TOL setting."""
 
 
 class NonFiniteCoefficients(CrosswitchError):
@@ -56,7 +57,8 @@ class RouteMismatch(CrosswitchError):
 
 
 class SeedOutsideBox(CrosswitchError, ValueError):
-    """An integration seed lies outside the integration box."""
+    """An integration seed lies outside the integration box or is not
+    finite."""
 
 
 class NonFiniteValue(CrosswitchError, ValueError):

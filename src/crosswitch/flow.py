@@ -23,6 +23,9 @@ Backward time integrates the negated system forward; all sliding/escaping
 roles then swap consistently because every decision is made on the
 integrated system.
 
+`half_crossing`, the orbit leg of the return map, returns only what that map
+reads: the landing point and whether it lies off a crossing arc.
+
 The RK4 steps call generated straight-line evaluators,
 `FieldSpec.compiled_eval` off the branches and `SlidingField.value` on
 them; every step still goes through `numerics.rk4_step_2d` or
@@ -122,10 +125,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class HalfCrossingResult:
-    point: Point
-    branch: int                   # branch reached (1 or 2)
-    time: float                   # unsigned orbit time of the leg
-    sigma: int                    # time direction used (+1 / -1)
+    point: Point                  # landing point on the other branch
     off_crossing: bool            # landing point is not on a crossing arc
 
 
@@ -150,10 +150,12 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
     steps.
 
     The time direction is chosen so the leg immediately enters the field's
-    own active region: sigma = FIELD_SIGN * h_side * sgn(W_i), with h_side
-    the sign of the running coordinate at the start.  A leg that lands
-    within ARM of the origin raises LeftDomain, as no leg starts there.
-    The start point is taken as Python floats.
+    own active region: forward when FIELD_SIGN * s0 * W_i > 0, with s0 the
+    running coordinate of the start, and backward otherwise.  Returns the
+    landing point, snapped onto the other branch, and whether it lies off a
+    crossing arc.  A leg that lands within ARM of the origin raises
+    LeftDomain, as no leg starts there.  The start point is taken as Python
+    floats.
     """
     x1, x2 = float(start[0]), float(start[1])
     if abs(x2) <= ARM and abs(x1) > ARM:
@@ -167,17 +169,14 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
     if abs(ni) <= tangency_tolerance(Z, p):
         raise NotTransverse(
             f"{field_name}{i} vanishes at the start point {p}: leg is tangent")
-    hside = 1.0 if s0 > 0.0 else -1.0
-    sigma = 1 if FIELD_SIGN[field_name] * hside * ni > 0.0 else -1
-    F = (Z if sigma > 0 else Z.negate()).field(field_name).compiled_eval
+    forward = FIELD_SIGN[field_name] * s0 * ni > 0.0
+    F = (Z if forward else Z.negate()).field(field_name).compiled_eval
 
     watch = (3 - i) - 1           # coordinate index of the target branch
     home = i - 1                  # coordinate index of the starting branch
     home_armed = False
-    t = 0.0
-    h = STEP_H
     for _ in range(MAX_STEPS):
-        q = rk4_step_2d(F, p, h)
+        q = rk4_step_2d(F, p, STEP_H)
         if max(abs(q[0]), abs(q[1])) > LEG_BOX:
             raise LeftDomain(f"orbit leg left the box |x| <= {LEG_BOX}")
         if not home_armed:
@@ -186,17 +185,13 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
         elif (q[home] < 0.0) != (p[home] < 0.0):
             raise LeftDomain("orbit leg returned to its starting branch")
         if (q[watch] < 0.0) != (p[watch] < 0.0) or abs(q[watch]) <= SNAP:
-            tau, land = _land_on_axis(F, p, q, h, watch)
-            t += tau
-            j = 3 - i
+            _, land = _land_on_axis(F, p, q, STEP_H, watch)
             s_land = land[i - 1]
             if abs(s_land) <= ARM:
                 raise LeftDomain("orbit leg reached the origin")
-            kind = branch_point_class(Z, j, s_land)
-            return HalfCrossingResult(land, j, t, sigma,
-                                      kind is not ArcKind.CROSSING)
+            kind = branch_point_class(Z, 3 - i, s_land)
+            return HalfCrossingResult(land, kind is not ArcKind.CROSSING)
         p = q
-        t += h
     raise StepLimit(f"no branch reached within {MAX_STEPS} steps")
 
 
@@ -218,12 +213,15 @@ class _Integrator:
         self._sliding_cache: dict[int, tuple] = {}
 
     # -- bookkeeping -------------------------------------------------------
-    def emit(self, kind: EventKind, p: Point, branch: int | None = None,
-             note: str = "", terminal: bool = False) -> None:
-        e = Event(kind, self.t, p, branch, note)
-        self.events.append(e)
-        if terminal:
-            self.terminal = e
+    def emit(self, kind: EventKind, p: Point, branch: int | None,
+             note: str = "") -> None:
+        self.events.append(Event(kind, self.t, p, branch, note))
+
+    def stop(self, kind: EventKind, p: Point, branch: int | None = None,
+             note: str = "") -> None:
+        """Emit the terminal event; None is the state after it."""
+        self.emit(kind, p, branch, note)
+        self.terminal = self.events[-1]
 
     def record(self, p: Point, mode: Mode) -> None:
         self.samples.append(Sample(self.t, p[0], p[1], mode))
@@ -260,8 +258,9 @@ class _Integrator:
         x1, x2 = seed
         on1 = abs(x1) <= ARM
         on2 = abs(x2) <= ARM
-        if max(abs(x1), abs(x2)) > self.box:
-            raise SeedOutsideBox(f"seed {seed} lies outside the box |x| <= {self.box}")
+        if not (abs(x1) <= self.box and abs(x2) <= self.box):  # NaN fails too
+            raise SeedOutsideBox(f"seed {seed} is not a point of the box "
+                                 f"|x| <= {self.box}")
         if on1 and on2:
             self.record((0.0, 0.0), Mode.STATIONARY_ORIGIN)
             return self.handle_origin(arriving_field=None)
@@ -304,8 +303,7 @@ class _Integrator:
     def stop_both_tangent(self, p: Point, branch: int) -> None:
         """Stop at a branch point where both fields are tangent."""
         self.record(p, Mode.STATIONARY_TANGENCY)
-        self.emit(EventKind.TANGENCY_STOP, p, branch,
-                  note="both_fields_tangent", terminal=True)
+        self.stop(EventKind.TANGENCY_STOP, p, branch, note="both_fields_tangent")
 
     def smooth_from_branch(self, p: Point, name: str):
         mode = Mode.SMOOTH_X if name == "X" else Mode.SMOOTH_Y
@@ -329,20 +327,17 @@ class _Integrator:
         Z = self.Z
         origin = (0.0, 0.0)
         if vanishing_components(Z):
-            self.emit(EventKind.ORIGIN_STOP, origin, note="degenerate_origin_data",
-                      terminal=True)
-            return None
+            return self.stop(EventKind.ORIGIN_STOP, origin,
+                             note="degenerate_origin_data")
         xi1, xi2 = xi_values(Z)
         if xi1 > 0.0 and xi2 > 0.0:
             name = arriving_field or "X"
-            self.emit(EventKind.ORIGIN_STOP, origin,
+            self.emit(EventKind.ORIGIN_STOP, origin, None,
                       note=f"passthrough_{name}_nonunique_selection")
             return self.smooth_from_branch(origin, name)
         if xi1 < 0.0 and xi2 < 0.0:
             self.record(origin, Mode.STATIONARY_ORIGIN)
-            self.emit(EventKind.ORIGIN_STOP, origin, note="stationary_origin",
-                      terminal=True)
-            return None
+            return self.stop(EventKind.ORIGIN_STOP, origin, note="stationary_origin")
         branch = 1 if xi1 < 0.0 else 2
         self.emit(EventKind.ORIGIN_STOP, origin, branch,
                   note=f"slide_through_sigma{branch}_nonunique")
@@ -350,9 +345,8 @@ class _Integrator:
         v = sf.value(0.0)
         if v == 0.0:
             self.record(origin, Mode.STATIONARY_ORIGIN)
-            self.emit(EventKind.ORIGIN_STOP, origin, branch,
-                      note="sliding_field_vanishes_at_origin", terminal=True)
-            return None
+            return self.stop(EventKind.ORIGIN_STOP, origin, branch,
+                             note="sliding_field_vanishes_at_origin")
         return self.enter_sliding(origin, branch, 0.0)
 
     # -- smooth mode ---------------------------------------------------------
@@ -362,8 +356,7 @@ class _Integrator:
         h = self.h
         while True:
             if self.t >= self.t_max:
-                self.emit(EventKind.TIME_LIMIT, p, terminal=True)
-                return None
+                return self.stop(EventKind.TIME_LIMIT, p)
             self.tick()
             step = min(h, self.t_max - self.t)
             q = rk4_step_2d(F, p, step)
@@ -378,8 +371,7 @@ class _Integrator:
                 edge = rk4_step_2d(F, p, tau)
                 self.t += tau
                 self.record(edge, mode)
-                self.emit(EventKind.BOX_EXIT, edge, terminal=True)
-                return None
+                return self.stop(EventKind.BOX_EXIT, edge)
             hits = []
             for axis in (0, 1):
                 if not armed[axis]:
@@ -434,9 +426,7 @@ class _Integrator:
         candidates = cuts + [0.0]
         while True:
             if self.t >= self.t_max:
-                self.emit(EventKind.TIME_LIMIT, branch_point(branch, s), branch,
-                          terminal=True)
-                return None
+                return self.stop(EventKind.TIME_LIMIT, branch_point(branch, s), branch)
             self.tick()
             step = min(h, self.t_max - self.t)
             s_new = rk4_step_1d(f, s, step)
@@ -460,8 +450,7 @@ class _Integrator:
             p = branch_point(branch, s)
             self.record(p, mode)
             if abs(s) >= self.box:
-                self.emit(EventKind.BOX_EXIT, p, branch, terminal=True)
-                return None
+                return self.stop(EventKind.BOX_EXIT, p, branch)
             if s == 0.0:
                 return self.handle_origin(arriving_field=None)
             # tangency cut: leave the branch with the tangent field
@@ -505,7 +494,10 @@ def phase_portrait(Z: PiecewiseSystem, box: float = 1.0,
                    t_max: float = 5.0, h: float = STEP_H) -> list[Trajectory]:
     """Trajectories from a deterministic seed lattice: points along each
     quadrant diagonal and along each half-branch, each integrated in both
-    time directions."""
+    time directions.  Raises ValueError on a negative seed count."""
+    if min(seeds_per_quadrant, seeds_per_branch) < 0:
+        raise ValueError(f"seed counts must be >= 0, got {seeds_per_quadrant!r} "
+                         f"and {seeds_per_branch!r}")
     seeds: list[Point] = []
     inv_sqrt2 = 2.0 ** -0.5
     for s1, s2 in ((1, 1), (-1, 1), (-1, -1), (1, -1)):

@@ -18,7 +18,7 @@ from .classify import Classification, UnfoldingVerification, classify, verify_un
 from .errors import EvaluationOutsideDomain, NonFiniteValue, TooManyTangencies
 from .fields import PiecewiseSystem, system_to_obj
 from .flow import Mode, Trajectory
-from .returnmap import ReturnMapModel, return_map_model
+from .returnmap import ReturnMapModel, half_map_numeric_fit, return_map_model
 from .switching import ArcKind, SigmaDecomposition, pseudo_equilibria, sigma_decomposition
 
 SCHEMA_VERSION = 1
@@ -207,7 +207,7 @@ def return_map_report(Z: PiecewiseSystem, include_numeric: bool = False) -> dict
     model = return_map_model(Z)
     rep["return_map"] = return_map_obj(model)
     if include_numeric:
-        numeric = return_map_model(Z, method="numeric")
+        numeric = return_map_model(Z, half_map_numeric_fit)
         rep["return_map_numeric"] = return_map_obj(numeric)
         rep["jet_vs_numeric"] = {
             "alpha": abs(model.alpha - numeric.alpha),

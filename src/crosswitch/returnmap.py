@@ -10,7 +10,9 @@ turn.  The branch-to-branch orbit maps are
 
 half turn psi = phi_X o phi_Y : Sigma2 -> Sigma2, full turn phi = psi o psi.
 First-order coefficients: a_X = -X1(0)/X2(0), a_Y = -Y2(0)/Y1(0), and the
-full-turn linear multiplier is alpha^2 with alpha = a_X * a_Y.
+full-turn linear multiplier is alpha^2 with alpha = a_X * a_Y.  The cubic
+jets of the half maps come from `half_map_jet` (exact) or
+`half_map_numeric_fit`; `return_map_model` composes either.
 
 Two numeric routes evaluate the orbit maps.  The scalar route,
 `numeric_return_map`, follows one seed leg by leg with the event-driven,
@@ -25,10 +27,10 @@ tangency tolerance, no return to the starting branch, the box
 
 A scan has one result route: grid, lanes, multisection of the sign-change
 cells on lanes, and the multiplier as a central difference on lanes.  The
-scalar route checks it at the widest-leg lane of each scan and at every
-root, where it also gives the conjugate and `hit_sliding`; a disagreement
-raises `RouteMismatch`.  A root's stability comes from the signs of
-phi(x) - x at the ends of its scan cell.
+scalar route checks it at the widest-leg lane of each scan (its outermost
+accepted seed) and at every root, where it also gives the conjugate and
+`hit_sliding`; a disagreement raises `RouteMismatch`.  A root's stability
+comes from the signs of phi(x) - x at the ends of its scan cell.
 
 `flow` owns the orbit-leg constants (`ARM`, `LEG_BOX`) and `half_crossing`;
 this module imports them, and `flow` imports nothing from here.
@@ -191,15 +193,6 @@ def half_map_numeric_fit(Z: PiecewiseSystem, field: str) -> HalfMapCoeffs:
     return HalfMapCoeffs(field, *fine, source="numeric", error_estimate=err)
 
 
-def half_map_coeffs(Z: PiecewiseSystem, field: str,
-                    method: str = "jet") -> HalfMapCoeffs:
-    if method == "jet":
-        return half_map_jet(Z, field)
-    if method == "numeric":
-        return half_map_numeric_fit(Z, field)
-    raise ValueError(f"method must be 'jet' or 'numeric', got {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # composed return map
 # ---------------------------------------------------------------------------
@@ -239,12 +232,14 @@ class ReturnMapModel:
         return abs(self.alpha) < 1.0
 
 
-def return_map_model(Z: PiecewiseSystem, method: str = "jet") -> ReturnMapModel:
+def return_map_model(Z: PiecewiseSystem, half_map=None) -> ReturnMapModel:
     """Build the cubic return-map model; requires a transient system.
+    The half maps come from `half_map(Z, field)`: `half_map_jet` when
+    half_map is None, looked up at the call, or `half_map_numeric_fit`.
     eta is set on the critical band |alpha + 1| <= band_tolerance()."""
     require_transient(Z)
-    hx = half_map_coeffs(Z, "X", method)
-    hy = half_map_coeffs(Z, "Y", method)
+    half_map = half_map or half_map_jet
+    hx, hy = half_map(Z, "X"), half_map(Z, "Y")
     psi = compose_cubic((hx.a, hx.b, hx.c), (hy.a, hy.b, hy.c))
     a, b, c = psi
     phi = compose_cubic(psi, psi)
@@ -346,23 +341,22 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
     come from that 2N run.  A lane is evaluated only on its own seed, so its
     value does not depend on which other seeds share the call.
 
-    Returns (values, ok, reach).  ok is False on every lane that fails a
-    guard of the scalar route, or that no N up to 256 accepts, and the value
-    of such a lane is meaningless: the start point is not transverse (|num|
-    within the tangency tolerance there) or not on an open half-branch; the
-    chart denominator changes sign or comes within that tolerance at some
-    stage; w is outside the field's own quadrants after some step (the orbit
-    leg heads away from the other branch, or back to its starting branch);
-    or the leg leaves the box.  reach is each lane's largest |branch point|
-    along the turn, the size of its widest leg.
+    Returns (values, ok).  ok is False on every lane that fails a guard of
+    the scalar route, or that no N up to 256 accepts, and the value of such
+    a lane is meaningless: the start point is not transverse (|num| within
+    the tangency tolerance there) or not on an open half-branch; the chart
+    denominator changes sign or comes within that tolerance at some stage;
+    w is outside the field's own quadrants after some step (the orbit leg
+    heads away from the other branch, or back to its starting branch); or
+    the leg leaves the box.
     """
     start = np.array(xs, dtype=float)
     ok = np.ones(start.shape, dtype=bool)
-    reach = np.zeros(start.shape)
     components = (Z.X.f1, Z.X.f2, Z.Y.f1, Z.Y.f2)
+    charts = {field: _chart_polys(Z, field) for field in FIELD_SIGN}
     with np.errstate(all="ignore"):
         for field in _TURN_LEGS:
-            num, den = _chart_polys(Z, field)
+            num, den = charts[field]
             zero = np.zeros_like(start)
             # the branch point (x1, x2) of the leg start, and the sign of w on
             # the field's own quadrants, where x1*x2 has the sign FIELD_SIGN
@@ -372,7 +366,6 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
             tol = _tangency_band(scale)
             ok &= ((np.abs(num(start, zero)) > tol) & (np.abs(start) > ARM)
                    & (np.abs(start) <= LEG_BOX))
-            reach = np.maximum(reach, np.abs(start))
 
             # the accepted 2N run of each lane: w, den_min, w_min, w_max
             leg = np.full((4,) + start.shape, np.nan)
@@ -393,17 +386,17 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
             ws_max = np.where(side > 0.0, w_max, -w_min)
             ok &= (den_min > tol) & (ws_min > 0.0) & (ws_max <= LEG_BOX)
             start = w
-    return start, ok, np.maximum(reach, np.abs(start))
+    return start, ok
 
 
 def _turn_values(Z: PiecewiseSystem, xs: np.ndarray):
     """`_chart_turn`, with every lane that is not ok (a failed guard, or a
     leg that 256 steps did not bring within its tolerance) evaluated by the
     scalar `numeric_return_map` instead, which raises what it raises."""
-    values, ok, reach = _chart_turn(Z, xs)
+    values, ok = _chart_turn(Z, xs)
     for k in np.flatnonzero(~ok):
         values[k] = numeric_return_map(Z, float(xs[k])).value
-    return values, ok, reach
+    return values, ok
 
 
 def _bracket_verdict(fa: float, fb: float) -> bool | None:
@@ -432,18 +425,19 @@ def _checked_turn(Z: PiecewiseSystem, x: float, lane: float) -> NumericReturn:
 
 def _lane_window(Z: PiecewiseSystem, xs: np.ndarray,
                  guard: float) -> list[FixedPoint]:
-    """Fixed points in one scan window, grid xs, on the lane route."""
+    """Fixed points in one scan window, grid xs, on the lane route.  The
+    scalar check before any multisection runs at the widest-leg lane, whose
+    chart error is largest: the outermost accepted seed (see fixed_points)."""
 
     def lanes(u):
-        vals, ok, reach = _turn_values(Z, u)
+        vals, ok = _turn_values(Z, u)
         d = vals - u
         d[np.abs(u) <= guard] = 0.0
-        return d, ok, reach
+        return d, ok
 
-    vals, ok, reach = lanes(xs)
+    vals, ok = lanes(xs)
     if ok.any():
-        # the widest-leg lane has the largest chart error
-        k = int(np.argmax(np.where(ok, reach, -1.0)))
+        k = int(np.argmax(np.where(ok, np.abs(xs), -1.0)))
         _checked_turn(Z, float(xs[k]), float(vals[k] + xs[k]))
 
     def refine(brackets):
@@ -485,7 +479,9 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
 
     The scalar orbit legs also check the lanes, at the widest-leg lane of
     the grid (before any multisection) and at every root: a difference
-    above LANE_CHECK_TOL * (1 + |x|) raises RouteMismatch.
+    above LANE_CHECK_TOL * (1 + |x|) raises RouteMismatch.  The widest-leg
+    lane is the outermost accepted grid seed, since orbits of one field
+    never cross and every leg end moves outward with |x|.
 
     The full turn preserves orientation, so a root is stable exactly when
     phi(x) - x falls from + to - across its cell; `stable` is read from the
@@ -494,13 +490,6 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
     """
     require_transient(Z)
     guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
-    windows = []
-    if lo < -guard:
-        windows.append((lo, min(hi, -guard)))
-    if hi > guard:
-        windows.append((max(lo, guard), hi))
-    out: list[FixedPoint] = []
-    for wlo, whi in windows:
-        if whi > wlo:
-            out.extend(_lane_window(Z, scan_grid(wlo, whi, cells), guard))
-    return out
+    windows = ((lo, min(hi, -guard)), (max(lo, guard), hi))
+    return [fp for wlo, whi in windows if whi > wlo
+            for fp in _lane_window(Z, scan_grid(wlo, whi, cells), guard)]

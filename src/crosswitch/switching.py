@@ -18,13 +18,14 @@ det Z = X1*Y2 - X2*Y1.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable
 
-from .errors import EvaluationOutsideDomain, TooManyTangencies
+from .errors import EvaluationOutsideDomain, ParseError, TooManyTangencies
 from .fields import (
     FIELD_SIGN,
     FieldSpec,
@@ -41,8 +42,15 @@ TANGENCY_RTOL = 1e-9
 
 
 def band_tolerance() -> float:
-    """Global degeneracy half-width for sign decisions (env-overridable)."""
-    return float(os.environ.get("CROSSWITCH_TOL", "1e-9"))
+    """Global degeneracy half-width for sign decisions: 1e-9, or
+    CROSSWITCH_TOL, which must be a finite number >= 0 (else ParseError)."""
+    text = os.environ.get("CROSSWITCH_TOL", "1e-9")
+    try:
+        if 0.0 <= (tol := float(text)) < math.inf:
+            return tol
+    except ValueError:
+        pass
+    raise ParseError(f"CROSSWITCH_TOL must be a finite number >= 0, got {text!r}")
 
 
 def field_scale(Z: PiecewiseSystem, p: Point) -> float:

@@ -35,9 +35,11 @@ from crosswitch import (
     STABLE_CLASSES,
     Classification,
     InvalidSigns,
+    ParseError,
     UnfoldingVerification,
     VerifyCheck,
     all_sign_tuples,
+    band_tolerance,
     classify,
     make_system,
     normal_form,
@@ -242,6 +244,23 @@ def test_band_tolerance_env_override(monkeypatch):
     got = classify(Z)
     assert got.class_name == CLASS_RF  # inside the loosened band: treated as a fold
     assert got.witnesses["band_tolerance"] == 1e-3
+
+
+@pytest.mark.parametrize("text", ["abc", "-1", "-1e-9", "nan", "inf", "-inf"])
+def test_band_tolerance_must_be_a_finite_number_at_least_0(monkeypatch, text):
+    # "abc" raised a bare ValueError; -1 turned every degeneracy test off, so
+    # the pseudo-Hopf normal form classified as C32; nan and inf surfaced
+    # only as a non-finite value in the report
+    monkeypatch.setenv("CROSSWITCH_TOL", text)
+    with pytest.raises(ParseError, match="CROSSWITCH_TOL must be"):
+        band_tolerance()
+    with pytest.raises(ParseError, match=f"got {text!r}"):
+        classify(normal_form(CLASS_PH, {"a": 1, "b": 1, "c": 1}))
+
+
+def test_band_tolerance_accepts_0(monkeypatch):
+    monkeypatch.setenv("CROSSWITCH_TOL", "0")
+    assert band_tolerance() == 0.0
 
 
 def test_model_and_classify_share_the_critical_band(monkeypatch):

@@ -8,12 +8,14 @@ Oracle notes:
 """
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosswitch.classify import classify
-from crosswitch.errors import NotTransverse
+from crosswitch.errors import NotTransverse, SeedOutsideBox
 from crosswitch.fields import make_system
 from crosswitch.flow import (
     EventKind,
@@ -46,19 +48,20 @@ def event_kinds(traj: Trajectory) -> list[str]:
 
 class TestHalfCrossing:
     def test_four_legs_of_c32(self):
-        # [DERIVED] time-direction rule sigma: legs alternate forward/backward
+        # [DERIVED] time-direction rule: legs alternate forward/backward;
+        # the landing points, each on the other branch, pin it
         Z = c32_normal()
         r1 = half_crossing(Z, "Y", (-0.1, 0.0))
-        assert r1.branch == 1 and r1.sigma == 1
+        assert r1.point[0] == 0.0
         assert r1.point[1] == pytest.approx(0.05, abs=1e-10)
         r2 = half_crossing(Z, "X", r1.point)
-        assert r2.branch == 2 and r2.sigma == 1
+        assert r2.point[1] == 0.0
         assert r2.point[0] == pytest.approx(0.05, abs=1e-10)
         r3 = half_crossing(Z, "Y", r2.point)
-        assert r3.branch == 1 and r3.sigma == -1
+        assert r3.point[0] == 0.0
         assert r3.point[1] == pytest.approx(-0.025, abs=1e-10)
         r4 = half_crossing(Z, "X", r3.point)
-        assert r4.branch == 2 and r4.sigma == -1
+        assert r4.point[1] == 0.0
         assert r4.point[0] == pytest.approx(-0.025, abs=1e-10)
 
     def test_landing_residual(self):
@@ -80,10 +83,6 @@ class TestHalfCrossing:
         Z = fold_family(0.3)
         with pytest.raises(NotTransverse):
             half_crossing(Z, "X", (0.3, 0.0))  # X2 vanishes at the start
-
-    def test_leg_time_positive(self):
-        res = half_crossing(c32_normal(), "Y", (-0.1, 0.0))
-        assert 0.0 < res.time < 1.0
 
     def test_bad_start_rejected(self):
         with pytest.raises(ValueError):
@@ -273,6 +272,14 @@ class TestSpecialSeeds:
         text = canonical_json(events_report(Z, traj))
         assert '"point":[0.000000000000e+00,1.000000000000e+00]' in text
         assert traj.seed == (0.0, 1.0) and type(traj.seed[1]) is float
+
+    @pytest.mark.parametrize("seed", [(math.nan, 0.0), (0.0, math.nan),
+                                      (0.1, math.nan), (math.inf, 0.0),
+                                      (0.0, -math.inf)])
+    def test_non_finite_seed_rejected_before_any_step(self, seed):
+        # a NaN seed passed the box test and gave 5,001 NaN samples
+        with pytest.raises(SeedOutsideBox, match="is not a point of the box"):
+            integrate(c32_normal(), seed, 5.0)
 
     def test_double_tangency_stop(self):
         # both normal components vanish at (0.5, 0)

@@ -493,6 +493,52 @@ def test_cli_input_errors_exit_2_through_named_errors(c32_file, tmp_path, capsys
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["abc", "-1", "nan", "inf"])
+def test_cli_rejects_a_tolerance_that_is_not_a_finite_number_at_least_0(
+        c32_file, monkeypatch, capsys, text):
+    # abc ended in a ValueError traceback, -1 classified with every
+    # degeneracy test off, nan and inf blamed a non-finite report value
+    monkeypatch.setenv("CROSSWITCH_TOL", text)
+    assert main(["classify", "--system", c32_file]) == 2
+    assert "CROSSWITCH_TOL must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_cli_unreadable_system_path_exits_2(tmp_path, capsys):
+    # a directory passed the exists() check and raised IsADirectoryError
+    assert main(["classify", "--system", str(tmp_path)]) == 2
+    assert f"cannot read {tmp_path}" in capsys.readouterr().err
+    assert main(["classify", "--system", str(tmp_path / "missing.json")]) == 2
+    assert "No such file" in capsys.readouterr().err
+
+
+def test_cli_integrate_rejects_a_seed_that_is_not_finite(c32_file, tmp_path, capsys):
+    # a NaN seed was integrated, and only the CSV writer stopped it
+    out = tmp_path / "traj.csv"
+    for seed in ("nan,0", "0,nan", "inf,0"):
+        assert main(["integrate", "--system", c32_file, "--seed", seed,
+                     "--out", str(out)]) == 2
+        assert "is not a point of the box" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--seeds-per-quadrant", "--seeds-per-branch"])
+def test_cli_portrait_rejects_a_negative_seed_count(c32_file, tmp_path, capsys, option):
+    # a count of -1 built range(1, 0) and left its seeds out, exit 0
+    svg = tmp_path / "p.svg"
+    assert main(["portrait", "--system", c32_file, option, "-1",
+                 "--svg", str(svg)]) == 2
+    assert "--seeds-per-quadrant and --seeds-per-branch must be >= 0" in (
+        capsys.readouterr().err)
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("counts", [(-1, 2), (3, -2)])
+def test_phase_portrait_rejects_a_negative_seed_count(counts):
+    Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
+    with pytest.raises(ValueError, match="must be >= 0"):
+        phase_portrait(Z, seeds_per_quadrant=counts[0], seeds_per_branch=counts[1])
+
+
 def test_cli_internal_value_error_is_not_unusable_input(monkeypatch, c32_file):
     # an internal bug surfaces instead of exiting 2 as "unusable input"
     def broken(*args, **kwargs):
@@ -597,8 +643,8 @@ def test_cli_route_mismatch_in_a_sweep_is_not_unusable_input(monkeypatch):
     chart_turn = returnmap._chart_turn
 
     def biased(Z, xs):
-        values, ok, reach = chart_turn(Z, xs)
-        return values + np.where(ok, 1e-7, 0.0), ok, reach
+        values, ok = chart_turn(Z, xs)
+        return values + np.where(ok, 1e-7, 0.0), ok
 
     monkeypatch.setattr(returnmap, "_chart_turn", biased)
     with pytest.raises(RouteMismatch, match="lane value"):
@@ -617,3 +663,19 @@ def test_sweep_demo_rejects_fewer_than_three_points(tmp_path):
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert "--points must be at least 3" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["--box", "0"], ["--box", "-1"],
+                                  ["--t-max", "nan"], ["--t-max", "inf"]])
+def test_make_portraits_rejects_a_box_or_time_that_is_not_positive_and_finite(
+        tmp_path, args):
+    # each ended in a ValueError traceback from flow.integrate
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_portraits.py"),
+         "--out-dir", str(tmp_path / "out"), *args],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{args[0]} must be positive and finite" in proc.stderr
+    assert not (tmp_path / "out").exists()

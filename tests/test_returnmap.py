@@ -29,7 +29,6 @@ from crosswitch.returnmap import (
     compose_cubic,
     fixed_points,
     gamma_value,
-    half_map_coeffs,
     half_map_jet,
     half_map_numeric_fit,
     half_map_value_numeric,
@@ -199,8 +198,8 @@ class TestNumericFit:
 
     def test_sources_labeled(self):
         Z = c32_normal()
-        assert half_map_coeffs(Z, "X", "jet").source == "jet"
-        numeric = half_map_coeffs(Z, "X", "numeric")
+        assert half_map_jet(Z, "X").source == "jet"
+        numeric = half_map_numeric_fit(Z, "X")
         assert numeric.source == "numeric"
         assert numeric.error_estimate is not None
 
@@ -312,7 +311,7 @@ class TestNumericReturn:
         assert all(type(v) is float for v in got)
         leg = half_crossing(Z, "Y", (np.float64(-0.1), np.float64(0.0)))
         assert leg == half_crossing(Z, "Y", (-0.1, 0.0))
-        assert all(type(v) is float for v in leg.point + (leg.time,))
+        assert all(type(v) is float for v in leg.point)
 
     def test_samples_window(self):
         r, samples = numeric_return_samples(c32_normal(), n=16, radius=1e-2)
@@ -449,7 +448,7 @@ class TestLaneRoute:
         for seed in range(12):
             Z = curved_transient(seed)
             assert is_transient(Z)
-            values, ok, _ = returnmap._chart_turn(Z, xs)
+            values, ok = returnmap._chart_turn(Z, xs)
             for x, value in zip(xs[ok], values[ok]):
                 want = numeric_return_map(Z, float(x)).value
                 assert abs(value - want) <= 1e-9, (seed, x)
@@ -464,7 +463,7 @@ class TestLaneRoute:
         compared = 0
         for seed in range(8):
             Z = curved_transient(seed)
-            values, ok, _ = returnmap._chart_turn(Z, xs)
+            values, ok = returnmap._chart_turn(Z, xs)
             if not ok.any():
                 continue
             want = dop853_turn(Z, xs[ok])
@@ -476,16 +475,16 @@ class TestLaneRoute:
     def test_lane_value_does_not_depend_on_its_batch(self):
         # lanes of one call accept at different step counts; each lane run
         # alone passes the same guards, and an accepted one gives the same
-        # bits and the same reach
+        # bits
         xs = np.concatenate([np.linspace(-0.3, -0.01, 5),
                              np.linspace(0.01, 0.3, 5)])
         Z = curved_transient(3)
-        values, ok, reach = returnmap._chart_turn(Z, xs)
+        values, ok = returnmap._chart_turn(Z, xs)
         for k, x in enumerate(xs):
-            v, o, r = returnmap._chart_turn(Z, xs[k:k + 1])
+            v, o = returnmap._chart_turn(Z, xs[k:k + 1])
             assert o[0] == ok[k], x
             if ok[k]:
-                assert (v[0], r[0]) == (values[k], reach[k]), x
+                assert v[0] == values[k], x
 
     def test_curved_hopf_matches_scalar_route(self):
         Z = curved_hopf()
@@ -502,7 +501,7 @@ class TestLaneRoute:
         # [ORACLE] lanes whose X leg meets the fold pair fail the guards;
         # the fixed points are those of the scalar route all the same
         Z = fold_pair_system()
-        _, ok, _ = returnmap._chart_turn(Z, np.linspace(-0.25, -1e-6, 97))
+        _, ok = returnmap._chart_turn(Z, np.linspace(-0.25, -1e-6, 97))
         assert (~ok).sum() >= 10
         got = fixed_points(Z, -0.25, -1e-6, cells=96)
         want = scalar_fixed_points(Z, -0.25, -1e-6, cells=96)
@@ -518,7 +517,7 @@ class TestLaneRoute:
         # box |x1|, |x2| <= 4, and its scalar legs raise
         Z = make_system(2.0, -1.0, 1.0, 10.0)
         xs = -(np.arange(1, 20) + 0.5) / 1000.0
-        _, ok, _ = returnmap._chart_turn(Z, xs)
+        _, ok = returnmap._chart_turn(Z, xs)
         assert np.array_equal(ok, 400.0 * np.abs(xs) < 4.0)
         with pytest.raises(LeftDomain):
             numeric_return_map(Z, -0.015)
@@ -532,7 +531,7 @@ class TestLaneRoute:
         # at a point outside Y's quadrants; at x = -0.1 the start is tangent
         Z = make_system(1.0, -1.0, 1.0, {(0, 0): 1.0, (1, 0): 10.0})
         xs = np.array([-0.25, -0.15, -0.1, -0.05])
-        _, ok, _ = returnmap._chart_turn(Z, xs)
+        _, ok = returnmap._chart_turn(Z, xs)
         assert ok.tolist() == [False, False, False, True]
         with pytest.raises(LeftDomain):
             numeric_return_map(Z, -0.25)
@@ -548,19 +547,19 @@ class TestLaneRoute:
         # denominator shows the pole
         Z = make_system(1.0, -1.0, {(0, 0): 0.1, (1, 0): 1.0}, -0.01)
         xs = -np.linspace(0.11, 0.3, 20) - 3e-4
-        _, ok, _ = returnmap._chart_turn(Z, xs)
+        _, ok = returnmap._chart_turn(Z, xs)
         assert not ok.any()
 
     def test_widest_lane_disagreement_raises_before_multisection(self, monkeypatch):
-        # a widest lane off by 1e-7 misses the 1e-9 check against its scalar
-        # orbit legs: the scan raises, naming that lane, before it refines
-        # any root
+        # a widest lane (the outermost accepted seed) off by 1e-7 misses the
+        # 1e-9 check against its scalar orbit legs: the scan raises, naming
+        # that lane, before it refines any root
         chart_turn = returnmap._chart_turn
 
         def biased(Z, xs):
-            values, ok, reach = chart_turn(Z, xs)
-            widest = reach == np.max(np.where(ok, reach, -1.0))
-            return values + np.where(widest, 1e-7, 0.0), ok, reach
+            values, ok = chart_turn(Z, xs)
+            widest = np.abs(xs) == np.max(np.where(ok, np.abs(xs), -1.0))
+            return values + np.where(widest, 1e-7, 0.0), ok
 
         monkeypatch.setattr(returnmap, "_chart_turn", biased)
         multisections = counting(monkeypatch, "multisect_roots")
@@ -576,8 +575,8 @@ class TestLaneRoute:
         chart_turn = returnmap._chart_turn
 
         def biased(Z, xs):
-            values, ok, reach = chart_turn(Z, xs)
-            return values + np.where(np.abs(xs) < 0.199, 1e-7, 0.0), ok, reach
+            values, ok = chart_turn(Z, xs)
+            return values + np.where(np.abs(xs) < 0.199, 1e-7, 0.0), ok
 
         monkeypatch.setattr(returnmap, "_chart_turn", biased)
         calls = counting(monkeypatch, "numeric_return_map")
