@@ -5,12 +5,12 @@ All outputs are deterministic (canonical JSON / fixed-format CSV / SVG), so
 rerunning a command reproduces its output byte for byte.
 
 Exit codes: 0 success; 2 unusable input (parse errors, unreadable files,
-invalid signs or sign keys, systems outside a verb's domain, seeds outside
-the box or not finite, radii, boxes, times or steps that are not positive
-and finite, negative seed counts, deltas that are not finite, a
-CROSSWITCH_TOL that is not a finite number >= 0, results that overflow to
-non-finite values); 3 non-finite coefficients; 4 a model-family prediction
-failed verification.
+output paths that cannot be written, invalid signs or sign keys, systems
+outside a verb's domain, seeds outside the box or not finite, radii, boxes,
+times or steps that are not positive and finite, negative seed counts,
+deltas that are not finite, a CROSSWITCH_TOL that is not a finite number
+>= 0, results that overflow to non-finite values); 3 non-finite
+coefficients; 4 a model-family prediction failed verification.
 Only the named errors in `_USABLE_INPUT_ERRORS` mean unusable input; any
 other exception is a bug and is not caught.
 """
@@ -90,8 +90,11 @@ def _load_system(path: str) -> PiecewiseSystem:
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _resolve_class(name: str) -> str:

@@ -8,8 +8,9 @@ class CrosswitchError(Exception):
 
 class ParseError(CrosswitchError):
     """Malformed or invalid input: a system description (bad JSON, bad
-    schema, degree cap exceeded, wrong monomial records), an option value,
-    or the CROSSWITCH_TOL setting."""
+    schema, degree cap exceeded, wrong monomial records), an option value
+    (a path that cannot be read or written included), or the CROSSWITCH_TOL
+    setting."""
 
 
 class NonFiniteCoefficients(CrosswitchError):

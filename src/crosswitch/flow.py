@@ -23,6 +23,10 @@ Backward time integrates the negated system forward; all sliding/escaping
 roles then swap consistently because every decision is made on the
 integrated system.
 
+`integrate` records a `Sample` (t, x1, x2, mode), a named tuple, at the
+seed, after every RK4 step and at every event point; on a sliding branch the
+off-branch coordinate is recorded as 0.0.
+
 `half_crossing`, the orbit leg of the return map, returns only what that map
 reads: the landing point and whether it lies off a crossing arc.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import LeftDomain, NotTransverse, SeedOutsideBox, StepLimit, TooManyTangencies
 from .fields import FIELD_SIGN, PiecewiseSystem, Point, active_field, branch_point
@@ -92,8 +97,7 @@ class Event:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     t: float
     x1: float
     x2: float
@@ -354,6 +358,7 @@ class _Integrator:
         Z = self.Z
         F = Z.field(name).compiled_eval
         h = self.h
+        append = self.samples.append
         while True:
             if self.t >= self.t_max:
                 return self.stop(EventKind.TIME_LIMIT, p)
@@ -383,7 +388,7 @@ class _Integrator:
             if not hits:
                 p = q
                 self.t += step
-                self.record(p, mode)
+                append(Sample(self.t, q[0], q[1], mode))
                 continue
             tau, land, axis = min(hits, key=lambda r: r[0])
             self.t += tau
@@ -422,6 +427,7 @@ class _Integrator:
         sf, cuts = self.sliding_data(branch)
         f = sf.value
         h = self.h
+        append = self.samples.append
         # the origin cannot match while s == 0.0, as a stop differs from s
         candidates = cuts + [0.0]
         while True:
@@ -432,15 +438,16 @@ class _Integrator:
             s_new = rk4_step_1d(f, s, step)
             # stop coordinates reached within this step (tangency cuts, the
             # origin, the box edge), nearest first
+            lo, hi = (s, s_new) if s < s_new else (s_new, s)
             stops = [c for c in candidates
-                     if min(s, s_new) < c < max(s, s_new)
-                     or (abs(s_new - c) <= SNAP and c != s)]
+                     if lo < c < hi or (abs(s_new - c) <= SNAP and c != s)]
             if abs(s_new) > self.box:
                 stops.append(self.box if s_new > 0 else -self.box)
             if not stops:
                 s = s_new
                 self.t += step
-                self.record(branch_point(branch, s), mode)
+                append(Sample(self.t, 0.0, s, mode) if branch == 1
+                       else Sample(self.t, s, 0.0, mode))
                 continue
             target = min(stops, key=lambda c: abs(c - s))
             tau = bisect_root(lambda u: rk4_step_1d(f, s, u) - target, 0.0, step,

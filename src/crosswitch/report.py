@@ -221,17 +221,30 @@ def return_map_report(Z: PiecewiseSystem, include_numeric: bool = False) -> dict
 # CSV tables
 # ---------------------------------------------------------------------------
 
+#: CSV text of each sample mode.
+_MODE_TEXT = {m: m.value for m in Mode}
+
+
 def trajectory_csv(trajectories: list[Trajectory], with_id: bool = False) -> str:
     """One line per sample: (trajectory index,) t, x1, x2, mode.  Every t,
-    x1 and x2 cell goes through `_format_float`, ints included."""
-    fmt = _format_float
-    lines = ["trajectory,t,x1,x2,mode" if with_id else "t,x1,x2,mode"]
+    x1 and x2 cell is formatted as by `_format_float`, ints included: a
+    non-finite value raises NonFiniteValue and -0.0 is written as 0.0."""
+    out = ["trajectory,t,x1,x2,mode\n" if with_id else "t,x1,x2,mode\n"]
+    row = f"{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%s\n"
     for k, tr in enumerate(trajectories):
-        lead = f"{k}," if with_id else ""
-        lines.extend(f"{lead}{fmt(s.t)},{fmt(s.x1)},{fmt(s.x2)},{s.mode.value}"
-                     for s in tr.samples)
-    lines.append("")
-    return "\n".join(lines)
+        if not tr.samples:
+            continue
+        *columns, modes = zip(*tr.samples)
+        if not all(all(map(math.isfinite, col)) for col in columns):
+            for s in tr.samples:   # raises at the first non-finite cell
+                for v in s[:3]:
+                    _format_float(v)
+        cells = [None] * (4 * len(modes))
+        for j, col in enumerate(columns):
+            cells[j::4] = [v + 0.0 for v in col]   # -0.0 + 0.0 is 0.0
+        cells[3::4] = map(_MODE_TEXT.__getitem__, modes)
+        out.append(((f"{k}," if with_id else "") + row) * len(modes) % tuple(cells))
+    return "".join(out)
 
 
 def events_report(Z: PiecewiseSystem, tr: Trajectory) -> dict:
@@ -337,11 +350,9 @@ def portrait_svg(Z: PiecewiseSystem, trajectories: list[Trajectory],
     span = size - 2.0 * margin
     scale = span / (2.0 * box)
 
-    def px(x1: float) -> str:
-        return "%.2f" % (margin + (x1 + box) * scale)
-
-    def py(x2: float) -> str:
-        return "%.2f" % (margin + (box - x2) * scale)
+    def at(x1: float, x2: float) -> tuple[float, float]:
+        """Pixel coordinates of the point (x1, x2)."""
+        return margin + (x1 + box) * scale, margin + (box - x2) * scale
 
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -351,8 +362,9 @@ def portrait_svg(Z: PiecewiseSystem, trajectories: list[Trajectory],
     out.append(f'<rect x="{margin}" y="{margin}" width="%.2f" height="%.2f" '
                'fill="none" stroke="#333333" stroke-width="1"/>' % (span, span))
     if title:
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<text x="{margin}" y="16" font-family="monospace" '
-                   f'font-size="12" fill="#333333">{title}</text>')
+                   f'font-size="12" fill="#333333">{text}</text>')
 
     # switching set: colored by arc kind when available, plain gray otherwise
     if decomposition is not None:
@@ -366,17 +378,18 @@ def portrait_svg(Z: PiecewiseSystem, trajectories: list[Trajectory],
                 x1a, x1b = lo, hi
                 y1a = y1b = 0.0
             dash = ' stroke-dasharray="5,4"' if a.kind is ArcKind.CROSSING else ""
-            out.append(f'<line x1="{px(x1a)}" y1="{py(y1a)}" x2="{px(x1b)}" '
-                       f'y2="{py(y1b)}" stroke="{ARC_COLOR[a.kind]}" '
-                       f'stroke-width="2.5"{dash}/>')
+            out.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                       % (*at(x1a, y1a), *at(x1b, y1b))
+                       + f'stroke="{ARC_COLOR[a.kind]}" stroke-width="2.5"{dash}/>')
         for t in decomposition.tangencies:
             if max(abs(t.point[0]), abs(t.point[1])) <= box:
-                out.append(f'<circle cx="{px(t.point[0])}" cy="{py(t.point[1])}" '
-                           'r="4" fill="#ffffff" stroke="#000000" stroke-width="1.5"/>')
+                out.append('<circle cx="%.2f" cy="%.2f" ' % at(*t.point)
+                           + 'r="4" fill="#ffffff" stroke="#000000" stroke-width="1.5"/>')
     else:
         for (xa, ya, xb, yb) in ((-box, 0.0, box, 0.0), (0.0, -box, 0.0, box)):
-            out.append(f'<line x1="{px(xa)}" y1="{py(ya)}" x2="{px(xb)}" '
-                       f'y2="{py(yb)}" stroke="#b0b0b0" stroke-width="1.5"/>')
+            out.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                       % (*at(xa, ya), *at(xb, yb))
+                       + 'stroke="#b0b0b0" stroke-width="1.5"/>')
 
     for tr in trajectories:
         for mode, run in _runs_by_mode(tr):
@@ -386,11 +399,11 @@ def portrait_svg(Z: PiecewiseSystem, trajectories: list[Trajectory],
             pts = run[::stride]
             if pts[-1] is not run[-1]:
                 pts.append(run[-1])
-            coords = " ".join(f"{px(s.x1)},{py(s.x2)}" for s in pts)
+            coords = " ".join("%.2f,%.2f" % at(s.x1, s.x2) for s in pts)
             width = "2.5" if mode in (Mode.SLIDING1, Mode.SLIDING2) else "1.2"
             out.append(f'<polyline points="{coords}" fill="none" '
                        f'stroke="{MODE_COLOR[mode]}" stroke-width="{width}"/>')
 
-    out.append(f'<circle cx="{px(0.0)}" cy="{py(0.0)}" r="3" fill="#000000"/>')
+    out.append('<circle cx="%.2f" cy="%.2f" r="3" fill="#000000"/>' % at(0.0, 0.0))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -20,6 +20,7 @@ from crosswitch.fields import make_system
 from crosswitch.flow import (
     EventKind,
     Mode,
+    Sample,
     Trajectory,
     half_crossing,
     integrate,
@@ -163,6 +164,14 @@ class TestSmoothAndJunctions:
         for e in traj.events:
             if e.kind in (EventKind.BRANCH_CROSS, EventKind.SLIDING_ENTRY):
                 assert abs(e.point[0] * e.point[1]) <= 1e-10
+
+    def test_sample_is_a_read_only_record(self):
+        s = Sample(0.5, 0.25, -0.0, Mode.SLIDING2)
+        assert Sample._fields == ("t", "x1", "x2", "mode")
+        assert tuple(s) == (0.5, 0.25, -0.0, Mode.SLIDING2)
+        assert (s.t, s.x1, s.x2, s.mode) == (0.5, 0.25, -0.0, Mode.SLIDING2)
+        with pytest.raises(AttributeError):
+            s.x1 = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from crosswitch import (
     CLASS_C32,
     CLASS_PH,
     CLASS_RF,
+    NonFiniteValue,
     RouteMismatch,
     integrate,
     make_system,
@@ -217,8 +218,15 @@ def test_trajectory_csv_matches_write_csv_route():
     assert trajectory_csv([ints]) == "t,x1,x2,mode\n" + ",".join(
         ["0.000000000000e+00", "1.000000000000e+00", "0.000000000000e+00",
          Mode.SMOOTH_X.value]) + "\n"
-    bad = Trajectory((0.0, 0.5), 1, samples=[Sample(0.0, math.nan, 0.5, Mode.SMOOTH_X)])
-    with pytest.raises(ValueError):
+    for value in (math.nan, math.inf, -math.inf):
+        bad = Trajectory((0.0, 0.5), 1, samples=[
+            Sample(0.0, 0.0, 0.5, Mode.SMOOTH_X), Sample(1e-3, value, 0.5, Mode.SMOOTH_X)])
+        with pytest.raises(NonFiniteValue):
+            trajectory_csv([bad])
+    # the first non-finite cell in line order is the one named
+    bad = Trajectory((0.0, 0.5), 1, samples=[
+        Sample(0.0, 0.0, math.inf, Mode.SMOOTH_X), Sample(1e-3, math.nan, 0.5, Mode.SMOOTH_X)])
+    with pytest.raises(NonFiniteValue, match="non-finite value inf"):
         trajectory_csv([bad])
     # sweep_csv's lines too equal the row lists formatted by write_csv
     checks = (VerifyCheck("fold_location", False, "off"),
@@ -284,6 +292,14 @@ def test_portrait_svg_well_formed_and_deterministic():
     body = svg
     assert "<polyline" in body
     assert "#2ca02c" in body or "#b0b0b0" in body  # switching-set styling
+
+
+def test_portrait_svg_escapes_the_title():
+    # '<' and '&' were written as given, and XML parsers rejected the file
+    Z, trajectories = _portrait_pieces()
+    title = 'a<b & "c" > d'
+    root = ET.fromstring(portrait_svg(Z, trajectories, box=0.5, title=title))
+    assert root.find("{http://www.w3.org/2000/svg}text").text == title
 
 
 def test_portrait_svg_without_decomposition_draws_axes():
@@ -509,6 +525,25 @@ def test_cli_unreadable_system_path_exits_2(tmp_path, capsys):
     assert f"cannot read {tmp_path}" in capsys.readouterr().err
     assert main(["classify", "--system", str(tmp_path / "missing.json")]) == 2
     assert "No such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_cli_unwritable_out_path_exits_2(tmp_path, capsys, where):
+    # a missing directory was a FileNotFoundError traceback and a directory
+    # an IsADirectoryError traceback (exit 1)
+    path = tmp_path / where
+    assert main(["normal-form", "Stable_C1", "--signs", "a=1,b=1",
+                 "--out", str(path)]) == 2
+    assert f"cannot write {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--csv", "--svg"])
+def test_cli_unwritable_portrait_path_exits_2(c32_file, tmp_path, capsys, option):
+    path = tmp_path / "missing" / "p.out"
+    assert main(["portrait", "--system", c32_file, "--box", "0.5", "--t-max", "0.1",
+                 "--seeds-per-quadrant", "1", "--seeds-per-branch", "0",
+                 option, str(path)]) == 2
+    assert f"cannot write {path}: No such file or directory" in capsys.readouterr().err
 
 
 def test_cli_integrate_rejects_a_seed_that_is_not_finite(c32_file, tmp_path, capsys):
