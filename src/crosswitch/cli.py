@@ -114,10 +114,13 @@ def _parse_signs(text: str) -> dict:
         if "=" not in part:
             raise ParseError(f"bad sign assignment {part!r}; expected key=+1|-1")
         k, _, v = part.partition("=")
+        k = k.strip()
+        if k in signs:
+            raise ParseError(f"repeated sign key {k!r} in {text!r}")
         try:
-            signs[k.strip()] = int(v)
+            signs[k] = int(v)
         except ValueError:
-            raise ParseError(f"bad sign value {v!r} for {k.strip()!r}") from None
+            raise ParseError(f"bad sign value {v!r} for {k!r}") from None
     return signs
 
 

@@ -1,11 +1,15 @@
 """Event-driven integration of the piecewise flow.
 
-Fixed-step RK4 (h = 1e-3) with event localization inside the final substep
-by `numerics.bisect_root` on g(tau) over [0, h], g being the event function
-of the RK4(tau) image: the branch coordinate at a junction, the sup norm
-minus the box at a box exit, the running coordinate minus the cut on a
-sliding branch.  The search stops at |g| <= SNAP (ftol) or at width
-1e-16 * h (xtol); a junction point is then snapped onto its branch.
+Fixed-step RK4 (h = 1e-3).  Every event is located inside its final
+substep by one rule, `_event_time`: `numerics.bisect_root` on the event
+function g(tau) of the RK4(tau) image over [0, h] (the branch coordinate at
+a junction, the sup norm minus the box at a box exit, the running coordinate
+minus the cut on a sliding branch), stopping at |g| <= SNAP or at width
+1e-16 * h; a junction point is then snapped onto its branch.
+
+`_Integrator` runs a chain of handlers.  Each returns the next one, a
+`functools.partial` of `run_smooth(p, name)` or `run_sliding(branch, s)`
+(which record their own entry sample), or None after the terminal event.
 Junction handling follows the convex (Filippov) convention:
 
 - crossing arc: switch to the field active on the entered quadrant;
@@ -40,9 +44,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
-from .errors import LeftDomain, NotTransverse, SeedOutsideBox, StepLimit, TooManyTangencies
+from .errors import LeftDomain, NotTransverse, SeedOutsideBox, StepLimit
 from .fields import FIELD_SIGN, PiecewiseSystem, Point, active_field, branch_point
 from .numerics import bisect_root, rk4_step_1d, rk4_step_2d
 from .switching import (
@@ -137,12 +142,17 @@ class HalfCrossingResult:
 LEG_BOX = 4.0
 
 
+def _event_time(g, h: float, g0: float, gh: float) -> float:
+    """The time tau in [0, h] at which the event function g of a step of
+    length h, with g(0) = g0 and g(h) = gh, meets 0: the one event-location
+    policy of the flow (|g| <= SNAP, or a bracket no wider than 1e-16 * h)."""
+    return bisect_root(g, 0.0, h, g0, gh, 1e-16 * h, ftol=SNAP)
+
+
 def _land_on_axis(F, p: Point, q: Point, h: float, axis: int) -> tuple[float, Point]:
     """(tau, point) where the RK4 step of F from p, whose full step h ends at
-    q, meets the axis {x[axis] = 0}: tau is localised in [0, h] by
-    `bisect_root`, and the point is snapped onto the axis."""
-    tau = bisect_root(lambda u: rk4_step_2d(F, p, u)[axis], 0.0, h,
-                      p[axis], q[axis], 1e-16 * h, ftol=SNAP)
+    q, meets the axis {x[axis] = 0}, the point snapped onto the axis."""
+    tau = _event_time(lambda u: rk4_step_2d(F, p, u)[axis], h, p[axis], q[axis])
     land = rk4_step_2d(F, p, tau)
     return tau, ((0.0, land[1]) if axis == 0 else (land[0], 0.0))
 
@@ -223,7 +233,7 @@ class _Integrator:
 
     def stop(self, kind: EventKind, p: Point, branch: int | None = None,
              note: str = "") -> None:
-        """Emit the terminal event; None is the state after it."""
+        """Emit the terminal event; returns None, the end of the chain."""
         self.emit(kind, p, branch, note)
         self.terminal = self.events[-1]
 
@@ -247,15 +257,9 @@ class _Integrator:
 
     # -- main loop ---------------------------------------------------------
     def run(self, seed: Point) -> None:
-        state = self.start_state(seed)
-        while state is not None and self.terminal is None:
-            mode, data = state
-            if mode in (Mode.SMOOTH_X, Mode.SMOOTH_Y):
-                state = self.run_smooth(mode, *data)
-            elif mode in (Mode.SLIDING1, Mode.SLIDING2):
-                state = self.run_sliding(mode, *data)
-            else:  # stationary modes are terminal and set by their creators
-                break
+        handler = self.start_state(seed)
+        while handler is not None:
+            handler = handler()
 
     # -- seeding -----------------------------------------------------------
     def start_state(self, seed: Point):
@@ -269,7 +273,7 @@ class _Integrator:
             self.record((0.0, 0.0), Mode.STATIONARY_ORIGIN)
             return self.handle_origin(arriving_field=None)
         if not on1 and not on2:
-            return self.smooth_from_branch(seed, active_field(x1, x2))
+            return partial(self.run_smooth, seed, active_field(x1, x2))
         branch = 1 if on1 else 2
         p = (0.0, x2) if on1 else (x1, 0.0)
         s = x2 if on1 else x1
@@ -278,20 +282,20 @@ class _Integrator:
             return self.enter_crossing_side(p, branch, s)
         if kind is ArcKind.SLIDING:
             self.emit(EventKind.SLIDING_ENTRY, p, branch, note="seed_on_sliding_arc")
-            return self.enter_sliding(p, branch, s)
+            return partial(self.run_sliding, branch, s)
         if kind is ArcKind.ESCAPING:
             # forward continuations are non-unique; depart with the
             # return-composition orientation: Y from Sigma2, X from Sigma1
             name = "X" if branch == 1 else "Y"
             self.emit(EventKind.GRAZE, p, branch,
                       note=f"escaping_seed_departs_with_{name}_nonunique")
-            return self.smooth_from_branch(p, name)
+            return partial(self.run_smooth, p, name)
         # tangency seed: continue with the tangent field's grazing arc
         name = self.tangent_field_at(p, branch)
         if name is None:
             return self.stop_both_tangent(p, branch)
         self.emit(EventKind.GRAZE, p, branch, note=f"tangency_seed_{name}")
-        return self.smooth_from_branch(p, name)
+        return partial(self.run_smooth, p, name)
 
     # -- helpers for junctions ----------------------------------------------
     def tangent_field_at(self, p: Point, branch: int) -> str | None:
@@ -309,22 +313,11 @@ class _Integrator:
         self.record(p, Mode.STATIONARY_TANGENCY)
         self.stop(EventKind.TANGENCY_STOP, p, branch, note="both_fields_tangent")
 
-    def smooth_from_branch(self, p: Point, name: str):
-        mode = Mode.SMOOTH_X if name == "X" else Mode.SMOOTH_Y
-        self.record(p, mode)
-        armed = {0: abs(p[0]) > ARM, 1: abs(p[1]) > ARM}
-        return (mode, (p, name, armed))
-
     def enter_crossing_side(self, p: Point, branch: int, s: float):
         """Continue past a crossing point with the field of the entered side:
         the normal coordinate takes the sign of X's normal component there."""
         nu = self.Z.X.component(branch).eval_point(p)
-        return self.smooth_from_branch(p, active_field(nu, s))
-
-    def enter_sliding(self, p: Point, branch: int, s: float):
-        mode = Mode.SLIDING1 if branch == 1 else Mode.SLIDING2
-        self.record(p, mode)
-        return (mode, (s,))
+        return partial(self.run_smooth, p, active_field(nu, s))
 
     # -- origin ------------------------------------------------------------
     def handle_origin(self, arriving_field: str | None):
@@ -338,7 +331,7 @@ class _Integrator:
             name = arriving_field or "X"
             self.emit(EventKind.ORIGIN_STOP, origin, None,
                       note=f"passthrough_{name}_nonunique_selection")
-            return self.smooth_from_branch(origin, name)
+            return partial(self.run_smooth, origin, name)
         if xi1 < 0.0 and xi2 < 0.0:
             self.record(origin, Mode.STATIONARY_ORIGIN)
             return self.stop(EventKind.ORIGIN_STOP, origin, note="stationary_origin")
@@ -351,12 +344,16 @@ class _Integrator:
             self.record(origin, Mode.STATIONARY_ORIGIN)
             return self.stop(EventKind.ORIGIN_STOP, origin, branch,
                              note="sliding_field_vanishes_at_origin")
-        return self.enter_sliding(origin, branch, 0.0)
+        return partial(self.run_sliding, branch, 0.0)
 
     # -- smooth mode ---------------------------------------------------------
-    def run_smooth(self, mode: Mode, p: Point, name: str, armed: dict):
-        Z = self.Z
-        F = Z.field(name).compiled_eval
+    def run_smooth(self, p: Point, name: str):
+        """Step the field `name` from p, recorded here, to the next event.
+        A coordinate's crossing watch arms once it leaves the ARM band."""
+        mode = Mode.SMOOTH_X if name == "X" else Mode.SMOOTH_Y
+        self.record(p, mode)
+        armed = [abs(p[0]) > ARM, abs(p[1]) > ARM]
+        F = self.Z.field(name).compiled_eval
         h = self.h
         append = self.samples.append
         while True:
@@ -370,9 +367,8 @@ class _Integrator:
                     e = rk4_step_2d(F, p, u)
                     return max(abs(e[0]), abs(e[1])) - self.box
 
-                tau = bisect_root(g, 0.0, step, max(abs(p[0]), abs(p[1])) - self.box,
-                                  max(abs(q[0]), abs(q[1])) - self.box,
-                                  1e-16 * step, ftol=SNAP)
+                tau = _event_time(g, step, max(abs(p[0]), abs(p[1])) - self.box,
+                                  max(abs(q[0]), abs(q[1])) - self.box)
                 edge = rk4_step_2d(F, p, tau)
                 self.t += tau
                 self.record(edge, mode)
@@ -406,24 +402,26 @@ class _Integrator:
             return self.enter_crossing_side(p, branch, s)
         if kind is ArcKind.SLIDING:
             self.emit(EventKind.SLIDING_ENTRY, p, branch)
-            return self.enter_sliding(p, branch, s)
+            return partial(self.run_sliding, branch, s)
         if kind is ArcKind.ESCAPING:
             self.emit(EventKind.GRAZE, p, branch,
                       note="grazing_arrival_on_escaping_arc_same_field")
-            return self.smooth_from_branch(p, arriving)
+            return partial(self.run_smooth, p, arriving)
         tangent = self.tangent_field_at(p, branch)
         if tangent is None:
             return self.stop_both_tangent(p, branch)
         if tangent == arriving:
             self.emit(EventKind.GRAZE, p, branch, note="fold_of_arriving_field")
-            return self.smooth_from_branch(p, arriving)
+            return partial(self.run_smooth, p, arriving)
         self.emit(EventKind.BRANCH_CROSS, p, branch,
                   note="crossing_at_fold_of_other_field")
-        return self.smooth_from_branch(p, tangent)
+        return partial(self.run_smooth, p, tangent)
 
     # -- sliding mode --------------------------------------------------------
-    def run_sliding(self, mode: Mode, s: float):
-        branch = 1 if mode is Mode.SLIDING1 else 2
+    def run_sliding(self, branch: int, s: float):
+        """Slide on Sigma_branch from s, recorded here, to the next stop."""
+        mode = Mode.SLIDING1 if branch == 1 else Mode.SLIDING2
+        self.record(branch_point(branch, s), mode)
         sf, cuts = self.sliding_data(branch)
         f = sf.value
         h = self.h
@@ -450,8 +448,8 @@ class _Integrator:
                        else Sample(self.t, s, 0.0, mode))
                 continue
             target = min(stops, key=lambda c: abs(c - s))
-            tau = bisect_root(lambda u: rk4_step_1d(f, s, u) - target, 0.0, step,
-                              s - target, s_new - target, 1e-16 * step, ftol=SNAP)
+            tau = _event_time(lambda u: rk4_step_1d(f, s, u) - target, step,
+                              s - target, s_new - target)
             self.t += tau
             s = target
             p = branch_point(branch, s)
@@ -466,7 +464,7 @@ class _Integrator:
                 return self.stop_both_tangent(p, branch)
             self.emit(EventKind.SLIDING_EXIT, p, branch,
                       note=f"exit_at_fold_of_{tangent}")
-            return self.smooth_from_branch(p, tangent)
+            return partial(self.run_smooth, p, tangent)
 
 
 def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
@@ -522,6 +520,6 @@ def phase_portrait(Z: PiecewiseSystem, box: float = 1.0,
             try:
                 out.append(integrate(Z, seed, t_max, box=box, h=h,
                                      backward=backward))
-            except (StepLimit, TooManyTangencies):
+            except StepLimit:
                 continue
     return out

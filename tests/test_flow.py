@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crosswitch.classify import classify
-from crosswitch.errors import NotTransverse, SeedOutsideBox
+import crosswitch.flow as flow
+from crosswitch.classify import CLASS_RF, classify, unfolding
+from crosswitch.errors import NotTransverse, SeedOutsideBox, StepLimit
 from crosswitch.fields import make_system
 from crosswitch.flow import (
     EventKind,
@@ -297,6 +298,106 @@ class TestSpecialSeeds:
         traj = integrate(Z, (0.5, 0.0), t_max=1.0)
         assert traj.terminal.kind is EventKind.TANGENCY_STOP
         assert traj.samples[-1].mode is Mode.STATIONARY_TANGENCY
+
+
+# ---------------------------------------------------------------------------
+# junction rules at folds, tangency stops and the step limit
+# ---------------------------------------------------------------------------
+
+#: X = (1, x1 - 0.3): a fold of X on Sigma2+ at x1 = 0.3, visible from QI.
+FOLD_X = {(0, 0): -0.3, (1, 0): 1.0}
+
+
+def event_log(traj: Trajectory) -> list[tuple[str, str, int | None]]:
+    return [(e.kind.value, e.note, e.branch) for e in traj.events]
+
+
+class TestJunctionRules:
+    def test_tangency_seed_continues_with_the_tangent_field(self):
+        # RF unfolding at delta = 0.2: X2 = x1 - 0.2 vanishes at the seed
+        # (0.2, 0) and Y2 does not, so the orbit leaves with X
+        Z = unfolding(CLASS_RF, {"a": -1, "b": 1}, 0.2)
+        traj = integrate(Z, (0.2, 0.0), t_max=5.0)
+        assert event_log(traj) == [("Graze", "tangency_seed_X", 2), ("BoxExit", "", None)]
+        assert traj.samples[0].mode is Mode.SMOOTH_X
+        assert traj.terminal.kind is EventKind.BOX_EXIT
+
+    def test_fold_of_arriving_field_grazes_on(self):
+        # [DERIVED] the X orbit x2 = (x1 - 0.3)^2 / 2 touches Sigma2+ at its
+        # fold (0.3, 0), where Y2 = 1 does not vanish: graze, stay on X
+        Z = make_system(1.0, FOLD_X, -1.0, 1.0)
+        traj = integrate(Z, (0.2, 0.005), t_max=5.0)
+        assert event_log(traj) == [("Graze", "fold_of_arriving_field", 2),
+                                   ("BoxExit", "", None)]
+        assert traj.events[0].point[0] == pytest.approx(0.3, abs=1e-9)
+        assert traj.events[0].t == pytest.approx(0.1, abs=1e-9)
+        assert {s.mode for s in traj.samples} == {Mode.SMOOTH_X}
+        assert traj.terminal.kind is EventKind.BOX_EXIT
+
+    def test_both_fields_tangent_at_a_junction_stops(self):
+        # the same orbit with Y = X: both normal components vanish at the fold
+        Z = make_system(1.0, FOLD_X, 1.0, FOLD_X)
+        traj = integrate(Z, (0.2, 0.005), t_max=5.0)
+        assert event_log(traj) == [("TangencyStop", "both_fields_tangent", 2)]
+        assert traj.terminal is traj.events[-1]
+        assert traj.terminal.point[0] == pytest.approx(0.3, abs=1e-9)
+        assert traj.samples[-1].mode is Mode.STATIONARY_TANGENCY
+        assert traj.samples[-2].mode is Mode.SMOOTH_X
+
+    def test_both_fields_tangent_at_a_sliding_cut_stops(self):
+        # X2 = x1 - 0.3 and Y2 = 0.6 - 2 x1 both vanish at x1 = 0.3, the one
+        # tangency cut of Sigma2+; the orbit slides from the seed into it
+        Z = make_system(1.0, FOLD_X, -1.0, {(0, 0): 0.6, (1, 0): -2.0})
+        traj = integrate(Z, (0.15, 0.0), t_max=5.0)
+        assert event_log(traj) == [("SlidingEntry", "seed_on_sliding_arc", 2),
+                                   ("TangencyStop", "both_fields_tangent", 2)]
+        assert traj.terminal.point[0] == pytest.approx(0.3, abs=1e-9)
+        assert traj.samples[-1].mode is Mode.STATIONARY_TANGENCY
+        assert traj.samples[-2].mode is Mode.SLIDING2
+
+    def test_sliding_field_vanishing_at_the_origin_stops(self):
+        # xi1 < 0 < xi2, so the origin slides through Sigma1; det Z's constant
+        # term, 8e-16, falls under CANON_EPS, so the sliding field is 0 there
+        Z = make_system(2e-8, 2e-8, -2e-8, 2e-8)
+        traj = integrate(Z, (0.0, 0.0), t_max=1.0)
+        assert event_log(traj) == [
+            ("OriginStop", "slide_through_sigma1_nonunique", 1),
+            ("OriginStop", "sliding_field_vanishes_at_origin", 1)]
+        assert traj.terminal is traj.events[-1]
+        assert [s.mode for s in traj.samples] == [Mode.STATIONARY_ORIGIN] * 2
+
+    def test_grazing_arrival_on_an_escaping_arc_keeps_the_field(self):
+        # [DERIVED] RK4 is exact on x2 = (x1 - 0.3)^2 / 2 for X = (1, x1 - 0.3):
+        # the step ending at x1 = 0.300001 comes within SNAP of Sigma2+ without
+        # crossing it, and lands just past X's fold, where X2 > 0 and Y2 = -1
+        # make the arc escaping; the orbit grazes on with X
+        Z = make_system(1.0, FOLD_X, 1.0, -1.0)
+        traj = integrate(Z, (0.200001, 0.099999 ** 2 / 2), t_max=1.0)
+        assert event_log(traj) == [
+            ("Graze", "grazing_arrival_on_escaping_arc_same_field", 2),
+            ("TimeLimit", "", None)]
+        assert traj.events[0].point == pytest.approx((0.300001, 0.0), abs=1e-12)
+        assert traj.nonunique
+        assert {s.mode for s in traj.samples} == {Mode.SMOOTH_X}
+
+    @pytest.mark.parametrize("seed", [(0.5, -0.15), (0.2, 0.0)],
+                             ids=["smooth", "sliding"])
+    def test_step_limit(self, monkeypatch, seed):
+        monkeypatch.setattr(flow, "MAX_STEPS", 10)
+        with pytest.raises(StepLimit, match="exceeded 10 RK4 steps"):
+            integrate(c32_normal(), seed, t_max=1.0)
+
+    def test_portrait_drops_step_limited_trajectories(self, monkeypatch):
+        # at 200 steps of h = 1e-3, only the runs that stop before t = 0.2 stay
+        kw = dict(box=0.5, seeds_per_quadrant=1, seeds_per_branch=1, t_max=1.0)
+        full = phase_portrait(c32_normal(), **kw)
+        assert len(full) == 16
+        monkeypatch.setattr(flow, "MAX_STEPS", 200)
+        kept = phase_portrait(c32_normal(), **kw)
+        want = [t for t in full if t.terminal.t < 0.2]
+        assert 0 < len(want) < len(full)
+        assert [(t.seed, t.direction) for t in kept] == [(t.seed, t.direction) for t in want]
+        assert [t.samples for t in kept] == [t.samples for t in want]
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,19 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["normal-form", "stable_c1", "--signs", "a=1,b=1,a=-1"],
+    ["sweep", "--family", "codim1_regularfold", "--signs", "a=1,b=1, b=-1",
+     "--deltas=-0.1:0.1:3"],
+], ids=["normal-form", "sweep"])
+def test_cli_repeated_sign_key_exits_2(argv, capsys):
+    # the last value used to win silently: a=1,b=1,a=-1 built a = -1
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "repeated sign key" in err
+
+
 def test_cli_non_finite_coefficients_exit_3(tmp_path, capsys):
     p = tmp_path / "inf.json"
     p.write_text('{"X": {"f1": [{"c": Infinity, "i": 0, "j": 0}], '

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from crosswitch.errors import (LeftDomain, NotTransient, NotTransverse, RouteMismatch,
-                               StepLimit)
+from crosswitch.errors import (CrosswitchError, LeftDomain, NotTransient, NotTransverse,
+                               RouteMismatch, StepLimit)
 from crosswitch.fields import make_system
 from crosswitch.flow import half_crossing
 import crosswitch.returnmap as returnmap
@@ -202,6 +202,26 @@ class TestNumericFit:
         numeric = half_map_numeric_fit(Z, "X")
         assert numeric.source == "numeric"
         assert numeric.error_estimate is not None
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="DOP853 fails on a Y chart whose radius of convergence "
+                              "is below the fit's 0.02 span (ROADMAP item 3)")
+    def test_failed_fit_raises_a_named_error(self):
+        # pool system 909 of the benchmark: its Y jet has c = -1975, and DOP853
+        # stops with "Required step size is less than spacing between numbers"
+        Z = make_system(
+            {(0, 0): 2.0227081739417927, (1, 0): 1.6422036342868056,
+             (1, 2): -2.459006067914465, (2, 2): 1.835721492021925},
+            {(0, 0): -0.3986005422037274, (0, 1): -1.2739748055507667,
+             (3, 2): 0.13291892923739645},
+            {(0, 0): 0.4416999520262266, (0, 1): 1.7518745037332195},
+            {(0, 0): 2.786647711101133, (0, 3): 0.4295546959585823,
+             (2, 3): 1.6122981358848119, (3, 3): 2.7196408729147956})
+        assert half_map_jet(Z, "Y").c == pytest.approx(-1975.083, abs=1e-3)
+        try:
+            half_map_numeric_fit(Z, "Y")
+        except CrosswitchError:
+            pass        # a named error is a usable answer; a fit is too
 
 
 # ---------------------------------------------------------------------------
