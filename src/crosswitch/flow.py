@@ -271,7 +271,7 @@ class _Integrator:
                                  f"|x| <= {self.box}")
         if on1 and on2:
             self.record((0.0, 0.0), Mode.STATIONARY_ORIGIN)
-            return self.handle_origin(arriving_field=None)
+            return self.handle_origin(arriving_field=None, seeded=True)
         if not on1 and not on2:
             return partial(self.run_smooth, seed, active_field(x1, x2))
         branch = 1 if on1 else 2
@@ -320,7 +320,9 @@ class _Integrator:
         return partial(self.run_smooth, p, active_field(nu, s))
 
     # -- origin ------------------------------------------------------------
-    def handle_origin(self, arriving_field: str | None):
+    def handle_origin(self, arriving_field: str | None, seeded: bool = False):
+        """Continue or stop at the origin.  A stop records a stationary
+        sample there, unless the origin is the seed, which has recorded it."""
         Z = self.Z
         origin = (0.0, 0.0)
         if vanishing_components(Z):
@@ -333,7 +335,8 @@ class _Integrator:
                       note=f"passthrough_{name}_nonunique_selection")
             return partial(self.run_smooth, origin, name)
         if xi1 < 0.0 and xi2 < 0.0:
-            self.record(origin, Mode.STATIONARY_ORIGIN)
+            if not seeded:
+                self.record(origin, Mode.STATIONARY_ORIGIN)
             return self.stop(EventKind.ORIGIN_STOP, origin, note="stationary_origin")
         branch = 1 if xi1 < 0.0 else 2
         self.emit(EventKind.ORIGIN_STOP, origin, branch,
@@ -341,7 +344,8 @@ class _Integrator:
         sf, _ = self.sliding_data(branch)
         v = sf.value(0.0)
         if v == 0.0:
-            self.record(origin, Mode.STATIONARY_ORIGIN)
+            if not seeded:
+                self.record(origin, Mode.STATIONARY_ORIGIN)
             return self.stop(EventKind.ORIGIN_STOP, origin, branch,
                              note="sliding_field_vanishes_at_origin")
         return partial(self.run_sliding, branch, 0.0)

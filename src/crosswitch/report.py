@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
+import re
 from dataclasses import dataclass
 
 from . import __version__
@@ -37,19 +37,20 @@ def _format_float(v: float) -> str:
     return FLOAT_FORMAT % v
 
 
+#: A character that `_escape` must rewrite: a quote, a backslash or a control
+#: character below U+0020. Quote and backslash take a backslash; a control
+#: character takes a \u00XX escape.
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_ESCAPES = {'"': '\\"', "\\": "\\\\"}
+
+
+def _escape_char(m: re.Match) -> str:
+    ch = m[0]
+    return _ESCAPES.get(ch) or "\\u%04x" % ord(ch)
+
+
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + _NEEDS_ESCAPE.sub(_escape_char, s) + '"'
 
 
 def _write_canonical(obj, out: list[str]) -> None:
@@ -93,23 +94,29 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
+def _obj_digest(obj) -> str:
+    return hashlib.sha256(canonical_json(obj).encode("ascii")).hexdigest()
+
+
 def system_digest(Z: PiecewiseSystem) -> str:
     """sha256 over the canonical JSON of the system definition."""
-    return hashlib.sha256(canonical_json(system_to_obj(Z)).encode("ascii")).hexdigest()
+    return _obj_digest(system_to_obj(Z))
 
 
-def _header(Z: PiecewiseSystem) -> dict:
-    """Schema, tool and system digest: the keys every JSON report opens with."""
+def _header(system_obj: dict) -> dict:
+    """Schema, tool and the digest of `system_to_obj(Z)`: the keys every JSON
+    report opens with."""
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "crosswitch", "version": __version__},
-        "system_digest": system_digest(Z),
+        "system_digest": _obj_digest(system_obj),
     }
 
 
 def _envelope(Z: PiecewiseSystem) -> dict:
     """`_header` with the system itself."""
-    return {**_header(Z), "system": system_to_obj(Z)}
+    obj = system_to_obj(Z)
+    return {**_header(obj), "system": obj}
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +258,7 @@ def events_report(Z: PiecewiseSystem, tr: Trajectory) -> dict:
     """JSON-ready event log of one trajectory of Z, under `_header`."""
     events = [{"kind": e.kind.value, "t": e.t, "point": [e.point[0], e.point[1]],
                "branch": e.branch, "note": e.note} for e in tr.events]
-    return {**_header(Z), "seed": [tr.seed[0], tr.seed[1]],
+    return {**_header(system_to_obj(Z)), "seed": [tr.seed[0], tr.seed[1]],
             "direction": tr.direction, "nonunique": tr.nonunique, "events": events}
 
 
@@ -276,6 +283,8 @@ def sweep_family(family: str, signs: dict, deltas: list[float],
 
     if jobs <= 1:
         return [worker(d) for d in deltas]
+    from concurrent.futures import ThreadPoolExecutor  # kept out of CLI start-up
+
     with ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(worker, deltas))
 

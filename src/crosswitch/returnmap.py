@@ -34,13 +34,18 @@ comes from the signs of phi(x) - x at the ends of its scan cell.
 
 `flow` owns the orbit-leg constants (`ARM`, `LEG_BOX`) and `half_crossing`;
 this module imports them, and `flow` imports nothing from here.
+
+scipy serves one function here, the DOP853 legs of `half_map_numeric_fit`,
+which only `return-map --numeric` reaches; its import costs more than the
+rest of the package's.  So `solve_ivp` is a module-level function that
+imports scipy's on its first call and forwards to it: importing this module,
+and with it the CLI, loads no scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NotTransient, NotTransverse, RouteMismatch
 from .fields import FIELD_SIGN, PiecewiseSystem, Point, Poly2
@@ -140,6 +145,14 @@ def half_map_jet(Z: PiecewiseSystem, field: str) -> HalfMapCoeffs:
     w = picard_chart_jet(num, den)
     g1, g2, g3 = invert_graph(w)
     return HalfMapCoeffs(field, g1, g2, g3, source="jet", error_estimate=None)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's `solve_ivp`, imported on the first call.  The benchmark's
+    tracer counts the fit's DOP853 legs as calls to this binding."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def half_map_value_numeric(num: Poly2, den: Poly2, x: float) -> float:

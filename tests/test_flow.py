@@ -27,7 +27,7 @@ from crosswitch.flow import (
     integrate,
     phase_portrait,
 )
-from crosswitch.report import canonical_json, events_report
+from crosswitch.report import canonical_json, events_report, trajectory_csv
 from crosswitch.returnmap import FixedPoint, fixed_points
 
 
@@ -201,15 +201,22 @@ class TestOriginRules:
         assert traj.terminal is not None
         assert traj.terminal.kind is EventKind.ORIGIN_STOP
         assert traj.terminal.note == "stationary_origin"
-        assert traj.samples[-1].mode is Mode.STATIONARY_ORIGIN
+        # an arrival keeps its landing sample beside the stationary one
+        assert [s.mode for s in traj.samples[-2:]] == [Mode.SLIDING1,
+                                                       Mode.STATIONARY_ORIGIN]
+        assert traj.samples[-2][:3] == traj.samples[-1][:3]
         fx, fy = traj.final_point()
         assert abs(fx) <= 1e-10 and abs(fy) <= 1e-10
 
     def test_origin_seed_stationary(self):
+        # the seed's one sample is the stop's: one sample, one CSV row
         Z = make_system(2.0, -1.0, -1.0, 1.0)
         traj = integrate(Z, (0.0, 0.0), t_max=1.0)
         assert traj.terminal.kind is EventKind.ORIGIN_STOP
-        assert len(traj.samples) >= 1
+        assert traj.terminal.note == "stationary_origin"
+        assert traj.samples == [Sample(0.0, 0.0, 0.0, Mode.STATIONARY_ORIGIN)]
+        assert trajectory_csv([traj]).splitlines()[1:] == [
+            "0.000000000000e+00,0.000000000000e+00,0.000000000000e+00,StationaryOrigin"]
 
     def test_slide_through_origin(self):
         # [DERIVED] X=(2,1), Y=(-1,2): xi1 = -2 < 0 < 2 = xi2, det(0) = 5,
@@ -364,7 +371,7 @@ class TestJunctionRules:
             ("OriginStop", "slide_through_sigma1_nonunique", 1),
             ("OriginStop", "sliding_field_vanishes_at_origin", 1)]
         assert traj.terminal is traj.events[-1]
-        assert [s.mode for s in traj.samples] == [Mode.STATIONARY_ORIGIN] * 2
+        assert traj.samples == [Sample(0.0, 0.0, 0.0, Mode.STATIONARY_ORIGIN)]
 
     def test_grazing_arrival_on_an_escaping_arc_keeps_the_field(self):
         # [DERIVED] RK4 is exact on x2 = (x1 - 0.3)^2 / 2 for X = (1, x1 - 0.3):

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crosswitch import (
     CLASS_C1,
@@ -34,6 +36,7 @@ import crosswitch.returnmap as returnmap
 from crosswitch.cli import main
 from crosswitch.report import (
     SweepRecord,
+    _escape,
     _format_float,
     canonical_json,
     classification_report,
@@ -93,6 +96,30 @@ def test_canonical_json_scalars():
 def test_canonical_json_escapes_strings():
     assert canonical_json('a"b\\c') == '"a\\"b\\\\c"'
     assert canonical_json("x\ny") == '"x\\u000ay"'
+
+
+def _escape_by_loop(s: str) -> str:
+    """The per-character rule `_escape` implements."""
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+@given(st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\u00e9\u2028\U0001f600'),
+                         st.characters())))
+@example("plain")
+@example('a"b\\c\x00\x7f\u00e9')
+def test_escape_matches_the_per_character_loop(s):
+    assert _escape(s) == _escape_by_loop(s)
 
 
 def test_canonical_json_rejects_non_finite():
@@ -727,3 +754,49 @@ def test_make_portraits_rejects_a_box_or_time_that_is_not_positive_and_finite(
     assert proc.returncode == 2, proc.stderr
     assert f"{args[0]} must be positive and finite" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# start-up: what importing the CLI loads
+# ---------------------------------------------------------------------------
+
+def _run_fresh(code: str, *args: str) -> str:
+    """Standard output of `code` run with `args` in a fresh interpreter; the
+    test process has loaded scipy for its own oracles, so it cannot tell."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_neither_scipy_nor_concurrent_futures():
+    out = _run_fresh("import sys, crosswitch.cli\n"
+                     "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))")
+    assert out == "[]\n"
+
+
+def test_cli_classify_loads_no_scipy(c32_file, tmp_path):
+    out = tmp_path / "classify.json"
+    assert _run_fresh("import sys\n"
+                      "from crosswitch.cli import main\n"
+                      "code = main(['classify', '--system', sys.argv[1], '--out', sys.argv[2]])\n"
+                      "print(code, 'scipy' in sys.modules)",
+                      c32_file, str(out)) == "0 False\n"
+    assert main(["classify", "--system", c32_file, "--out", str(tmp_path / "here.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
+def test_cli_numeric_return_map_in_a_fresh_interpreter(c32_file, tmp_path):
+    # the first numeric fit imports scipy; the report is the in-process one
+    out = tmp_path / "fresh.json"
+    assert _run_fresh("import sys\n"
+                      "from crosswitch.cli import main\n"
+                      "code = main(['return-map', '--system', sys.argv[1], '--numeric',\n"
+                      "             '--out', sys.argv[2]])\n"
+                      "print(code, 'scipy' in sys.modules)",
+                      c32_file, str(out)) == "0 True\n"
+    here = tmp_path / "here.json"
+    assert main(["return-map", "--system", c32_file, "--numeric", "--out", str(here)]) == 0
+    assert out.read_bytes() == here.read_bytes()

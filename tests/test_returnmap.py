@@ -203,6 +203,24 @@ class TestNumericFit:
         assert numeric.source == "numeric"
         assert numeric.error_estimate is not None
 
+    def test_fit_calls_the_module_binding_of_solve_ivp(self, monkeypatch):
+        # the benchmark counts DOP853 legs as calls to `returnmap.solve_ivp`:
+        # one per sample of the fit, x in {±h/4, ±h/2, ±h, ±2h}
+        calls = []
+        deferred = returnmap.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return deferred(*args, **kwargs)
+
+        monkeypatch.setattr(returnmap, "solve_ivp", counting)
+        h = returnmap.NUMERIC_FIT_H
+        for field in ("X", "Y"):
+            calls.clear()
+            half_map_numeric_fit(c32_normal(), field)
+            assert sorted(x for x, _ in calls) == sorted(
+                s * m * h for s in (1, -1) for m in (0.25, 0.5, 1.0, 2.0))
+
     @pytest.mark.xfail(strict=True, raises=RuntimeError,
                        reason="DOP853 fails on a Y chart whose radius of convergence "
                               "is below the fit's 0.02 span (ROADMAP item 3)")
