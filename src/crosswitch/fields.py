@@ -24,7 +24,11 @@ coefficients included, unrolled into straight-line code, so its values
 equal the loops' bit for bit.  The event-driven flow evaluates one field
 hundreds of thousands of times and binds `compiled_eval` directly.  `Poly2`
 keeps its loop because the classifier evaluates most of its polynomials
-only a few times, which would not pay for a compilation each.  The series
+only a few times, which would not pay for a compilation each.  The sliding
+field N/D on each branch is an object of the system, as det Z is:
+`PiecewiseSystem.sliding_field(branch)` returns one `SlidingField` per
+branch, whose generated `value` is also built on first use, so it compiles
+once per system (and once per negated system, itself built once).  The series
 arithmetic of the half-map jets builds no `Poly2` at all: it reads the
 chart polynomials' terms into dense coefficient lists (`series`).
 """
@@ -33,11 +37,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
-from .errors import DegenerateInput, NonFiniteCoefficients, ParseError
+from .errors import (
+    DegenerateInput,
+    EvaluationOutsideDomain,
+    NonFiniteCoefficients,
+    ParseError,
+)
 
 Point = tuple[float, float]
 
@@ -64,7 +72,7 @@ def _as_float(c) -> float:
 def _canonical_terms(terms: Iterable[tuple[int, int, float]]) -> tuple[tuple[int, int, float], ...]:
     acc: dict[tuple[int, int], float] = {}
     for i, j, c in terms:
-        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        if not (isinstance(i, Integral) and isinstance(j, Integral)):
             raise ParseError(f"monomial exponents must be integers, got ({i!r}, {j!r})")
         if i < 0 or j < 0:
             raise ParseError(f"monomial exponents must be non-negative, got ({i}, {j})")
@@ -328,6 +336,43 @@ class FieldSpec:
         return FieldSpec(-self.f1, -self.f2)
 
 
+def _denominator_vanishes(branch: int, s: float) -> EvaluationOutsideDomain:
+    return EvaluationOutsideDomain(
+        f"sliding denominator vanishes at s={s} on Sigma{branch}")
+
+
+@dataclass(frozen=True)
+class SlidingField:
+    """Scalar sliding dynamics s' = N(s)/D(s) on Sigma_branch.
+
+    N = (det Z) restricted to the branch; D = (-1)^(branch-1) * (X_i - Y_i)
+    restricted.  Valid wherever the two normal components differ (in
+    particular on every sliding/escaping arc).
+    """
+
+    branch: int
+    numerator: Poly1
+    denominator: Poly1
+
+    @cached_property
+    def value(self) -> Callable[[float], float]:
+        """s -> N(s)/D(s), raising `EvaluationOutsideDomain` where
+        |D(s)| < 1e-300.  One generated straight-line function, built on
+        first use: the Horner steps of `Poly1.__call__` unrolled, so it
+        equals `numerator(s) / denominator(s)` bit for bit."""
+        return compile_function("value", (
+            "def value(s):\n"
+            f"    d = {self.denominator.source()}\n"
+            "    if abs(d) < 1e-300:\n"
+            "        raise outside(branch, s)\n"
+            f"    return {self.numerator.source()} / d\n"),
+            outside=_denominator_vanishes, branch=self.branch)
+
+    def derivative_at_root(self, s0: float) -> float:
+        """d/ds of N/D at a zero of N: exactly N'(s0)/D(s0)."""
+        return self.numerator.derivative()(s0) / self.denominator(s0)
+
+
 @dataclass(frozen=True)
 class PiecewiseSystem:
     """The pair Z = (X, Y): X acts on {x1*x2 > 0}, Y on {x1*x2 < 0}."""
@@ -343,6 +388,24 @@ class PiecewiseSystem:
 
     def det(self, p: Point) -> float:
         return self.det_poly.eval_point(p)
+
+    def sliding_field(self, branch: int) -> SlidingField:
+        """The sliding field on Sigma_branch, one instance per branch, so its
+        evaluator `value` compiles once per system."""
+        if branch not in (1, 2):
+            raise ValueError(f"branch must be 1 or 2, got {branch}")
+        return self._sliding_fields[branch - 1]
+
+    @cached_property
+    def _sliding_fields(self) -> tuple[SlidingField, SlidingField]:
+        out = []
+        for branch, sign in ((1, 1.0), (2, -1.0)):
+            numer = self.det_poly.restrict_to_branch(branch)
+            diff = (self.X.component(branch)
+                    - self.Y.component(branch)).restrict_to_branch(branch)
+            out.append(SlidingField(branch, numer,
+                                    Poly1([sign * c for c in diff.coeffs])))
+        return tuple(out)
 
     def origin_components(self) -> tuple[float, float, float, float]:
         """(X1, X2, Y1, Y2) evaluated at the origin."""
@@ -451,12 +514,10 @@ def system_from_obj(obj) -> PiecewiseSystem:
 # ---------------------------------------------------------------------------
 
 def make_system(X1, X2, Y1, Y2) -> PiecewiseSystem:
-    """Build a system from four components given as Poly2, mapping
-    {(i, j): c}, or plain numbers (constants)."""
+    """Build a system from four components given as mappings
+    {(i, j): c} or plain numbers (constants)."""
 
     def as_poly(v) -> Poly2:
-        if isinstance(v, Poly2):
-            return v
         if isinstance(v, Mapping):
             return Poly2.from_dict(v)
         return Poly2.constant(float(v))

@@ -21,7 +21,11 @@ Junction handling follows the convex (Filippov) convention:
 - origin: stop as `degenerate_origin_data` when some component X_i(0),
   Y_i(0) vanishes (`switching.vanishing_components`, the classifier's own
   test), else pass through (both branches crossing), slide through (one
-  branch crossing), or stop (no branch crossing).
+  branch crossing), or stop (no branch crossing).  A stop there records a
+  `StationaryOrigin` sample (on degenerate data only for a seed, as an
+  arrival has recorded its landing sample); a seed at the origin that
+  passes or slides through starts with the entry sample of the handler it
+  enters.
 
 Backward time integrates the negated system forward; all sliding/escaping
 roles then swap consistently because every decision is made on the
@@ -37,7 +41,10 @@ reads: the landing point and whether it lies off a crossing arc.
 The RK4 steps call generated straight-line evaluators,
 `FieldSpec.compiled_eval` off the branches and `SlidingField.value` on
 them; every step still goes through `numerics.rk4_step_2d` or
-`rk4_step_1d`.
+`rk4_step_1d`.  Both evaluators belong to the system, built once per
+system (`PiecewiseSystem.sliding_field` on a branch), so a run holds only
+its own state: time, step count, samples and events.  A sliding segment
+finds its tangency cuts within the run's box when it starts.
 """
 from __future__ import annotations
 
@@ -54,7 +61,6 @@ from .switching import (
     ArcKind,
     branch_point_class,
     find_tangencies,
-    sliding_field,
     tangency_tolerance,
     vanishing_components,
     xi_values,
@@ -224,7 +230,6 @@ class _Integrator:
         self.samples: list[Sample] = []
         self.events: list[Event] = []
         self.terminal: Event | None = None
-        self._sliding_cache: dict[int, tuple] = {}
 
     # -- bookkeeping -------------------------------------------------------
     def emit(self, kind: EventKind, p: Point, branch: int | None,
@@ -245,16 +250,6 @@ class _Integrator:
         if self.steps > MAX_STEPS:
             raise StepLimit(f"exceeded {MAX_STEPS} RK4 steps")
 
-    # -- sliding data ------------------------------------------------------
-    def sliding_data(self, branch: int):
-        """(scalar field, sorted tangency cut coordinates) on one branch."""
-        if branch not in self._sliding_cache:
-            sf = sliding_field(self.Z, branch)
-            cuts = sorted(t.s for t in find_tangencies(
-                self.Z, branch, -self.box, self.box))
-            self._sliding_cache[branch] = (sf, cuts)
-        return self._sliding_cache[branch]
-
     # -- main loop ---------------------------------------------------------
     def run(self, seed: Point) -> None:
         handler = self.start_state(seed)
@@ -270,8 +265,7 @@ class _Integrator:
             raise SeedOutsideBox(f"seed {seed} is not a point of the box "
                                  f"|x| <= {self.box}")
         if on1 and on2:
-            self.record((0.0, 0.0), Mode.STATIONARY_ORIGIN)
-            return self.handle_origin(arriving_field=None, seeded=True)
+            return self.handle_origin(arriving_field=None)
         if not on1 and not on2:
             return partial(self.run_smooth, seed, active_field(x1, x2))
         branch = 1 if on1 else 2
@@ -320,12 +314,20 @@ class _Integrator:
         return partial(self.run_smooth, p, active_field(nu, s))
 
     # -- origin ------------------------------------------------------------
-    def handle_origin(self, arriving_field: str | None, seeded: bool = False):
-        """Continue or stop at the origin.  A stop records a stationary
-        sample there, unless the origin is the seed, which has recorded it."""
+    def handle_origin(self, arriving_field: str | None):
+        """Continue or stop at the origin, reached or seeded there.
+
+        A stop at a stationary origin, or where the sliding field vanishes
+        there, records a `StationaryOrigin` sample; a stop on degenerate
+        origin data records one only for a seed, as an arrival has recorded
+        its landing sample.  A pass or slide through records nothing here:
+        the handler it enters records its entry sample at the origin.  The
+        sliding field is the system's own, `Z.sliding_field(branch)`."""
         Z = self.Z
         origin = (0.0, 0.0)
         if vanishing_components(Z):
+            if not self.samples:
+                self.record(origin, Mode.STATIONARY_ORIGIN)
             return self.stop(EventKind.ORIGIN_STOP, origin,
                              note="degenerate_origin_data")
         xi1, xi2 = xi_values(Z)
@@ -335,17 +337,13 @@ class _Integrator:
                       note=f"passthrough_{name}_nonunique_selection")
             return partial(self.run_smooth, origin, name)
         if xi1 < 0.0 and xi2 < 0.0:
-            if not seeded:
-                self.record(origin, Mode.STATIONARY_ORIGIN)
+            self.record(origin, Mode.STATIONARY_ORIGIN)
             return self.stop(EventKind.ORIGIN_STOP, origin, note="stationary_origin")
         branch = 1 if xi1 < 0.0 else 2
         self.emit(EventKind.ORIGIN_STOP, origin, branch,
                   note=f"slide_through_sigma{branch}_nonunique")
-        sf, _ = self.sliding_data(branch)
-        v = sf.value(0.0)
-        if v == 0.0:
-            if not seeded:
-                self.record(origin, Mode.STATIONARY_ORIGIN)
+        if Z.sliding_field(branch).value(0.0) == 0.0:
+            self.record(origin, Mode.STATIONARY_ORIGIN)
             return self.stop(EventKind.ORIGIN_STOP, origin, branch,
                              note="sliding_field_vanishes_at_origin")
         return partial(self.run_sliding, branch, 0.0)
@@ -426,12 +424,13 @@ class _Integrator:
         """Slide on Sigma_branch from s, recorded here, to the next stop."""
         mode = Mode.SLIDING1 if branch == 1 else Mode.SLIDING2
         self.record(branch_point(branch, s), mode)
-        sf, cuts = self.sliding_data(branch)
-        f = sf.value
+        f = self.Z.sliding_field(branch).value
         h = self.h
         append = self.samples.append
-        # the origin cannot match while s == 0.0, as a stop differs from s
-        candidates = cuts + [0.0]
+        # the tangency cuts within the box and the origin, which cannot
+        # match while s == 0.0, as a stop differs from s
+        candidates = [t.s for t in find_tangencies(
+            self.Z, branch, -self.box, self.box)] + [0.0]
         while True:
             if self.t >= self.t_max:
                 return self.stop(EventKind.TIME_LIMIT, branch_point(branch, s), branch)

@@ -9,6 +9,8 @@ integrators appear only as independent oracles in the test suite.
 and finds the zero and sign-change cells with array masks.  Elementwise
 IEEE multiplies and adds round exactly as Python floats do, so a `Poly1`'s
 Horner loop gives the same grid values on an array as point by point.
+For a polynomial it also splits each cell whose end values hide roots at
+the turns inside it, so that every simple root shows as a sign change.
 
 `bisect_root` is the one scalar bisection loop: it refines the roots of
 `scan_roots` to width ROOT_XTOL (exact zeros stop early), and it localises
@@ -18,9 +20,12 @@ their roots on lanes with `multisect_roots`.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .fields import Poly1
 
 #: Default number of scan cells for root isolation on an interval.
 SCAN_CELLS = 512
@@ -36,17 +41,16 @@ MULTISECTIONS = 256
 
 
 def bisect_root(f: Callable[[float], float], a: float, b: float,
-                fa: float | None = None, fb: float | None = None,
+                fa: float, fb: float,
                 xtol: float = ROOT_XTOL, ftol: float = 0.0) -> float:
-    """Bisection on a bracketing interval [a, b] (f(a), f(b) opposite signs).
+    """Bisection on a bracketing interval [a, b] with fa = f(a) and
+    fb = f(b) of opposite signs.
 
     Returns the first of a, b and the midpoints where |f| <= ftol, else the
     midpoint of the first bracket no wider than xtol (or of the last one
     after BISECT_MAX_ITER halvings).  With ftol = 0 only an exact zero stops
     early.
     """
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
     if abs(fa) <= ftol:
         return a
     if abs(fb) <= ftol:
@@ -120,16 +124,97 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
 
     f maps a point to a value and an array of points to an array of values
     (a `Poly1` does both); the scan makes one call on the whole grid, and
-    `bisect_root` refines each sign-change cell with scalar calls.  Roots
-    of even multiplicity (no sign change) are not detected; duplicates
-    within a small merge window are collapsed.  Returns an ascending list.
+    `bisect_root` refines each sign-change cell with scalar calls.  When f
+    is a polynomial (it has `derivative`), a cell that holds more roots
+    than its end values show gets its turns as extra scan points (see
+    `_hidden_turns`); for any other f such roots go undetected.  Roots of
+    even multiplicity (no sign change) are not detected; duplicates within
+    a small merge window are collapsed.  Returns an ascending list.
     """
     if not hi > lo:
         return []
     xs = scan_grid(lo, hi, cells)
     vals = f(xs)
+    turns = _hidden_turns(f, xs, vals) if hasattr(f, "derivative") else []
+    if turns:
+        tx, tv = (np.array(t) for t in zip(*turns))
+        order = np.argsort(np.concatenate([xs, tx]), kind="stable")
+        xs = np.concatenate([xs, tx])[order]
+        vals = np.concatenate([vals, tv])[order]
     return [r for r, _ in sign_change_roots(
         xs, vals, lambda brackets: [bisect_root(f, *c) for c in brackets])]
+
+
+def _hidden_turns(f: Poly1, xs: np.ndarray, vals: np.ndarray
+                  ) -> list[tuple[float, float]]:
+    """(t, f(t)) for the turns t of f inside every scan cell where f changes
+    sign more often, along the cell's ends and turns, than between its ends.
+
+    By Taylor's formula at a cell's left end a, exact for a polynomial, f
+    can vanish in the cell only if |f(a)| <= sum_{j>=1} |f^(j)(a)| h^j / j!
+    and f' only if |f'(a)| <= sum_{j>=2} |f^(j)(a)| h^(j-1) / (j-1)!; a
+    cell that fails either holds at most the one root its ends show.  Only
+    a cell that holds a root of f and one of f' can gain turns, and there
+    f at both ends and f' at a lie within `_cell_reach` of zero, so the
+    cells are sifted by these cheap bounds first.
+    """
+    if f.degree < 2:
+        return []
+    lo, hi = float(xs[0]), float(xs[-1])
+    r, h = max(-lo, hi), (hi - lo) / (len(xs) - 1)
+    small = np.abs(vals) <= _cell_reach(f, r, h)
+    near = np.flatnonzero(small[:-1] & small[1:])
+    if near.size == 0:
+        return []
+    g = f.derivative()
+    slope = np.abs(g(xs[near]))
+    keep = slope <= _cell_reach(g, r, h)
+    near, slope = near[keep], slope[keep]
+    if near.size == 0:
+        return []
+    a, width = xs[near], xs[near + 1] - xs[near]
+    term = width
+    bound0, bound1 = slope * term, np.zeros(near.shape)
+    for j in range(2, f.degree + 1):
+        g = g.derivative()
+        d = np.abs(g(a))
+        bound1 = bound1 + d * term
+        term = term * width / j
+        bound0 = bound0 + d * term
+    out: list[tuple[float, float]] = []
+    for k in near[(np.abs(vals[near]) <= 2.0 * bound0) & (slope <= 2.0 * bound1)].tolist():
+        pts = [(t, f(t)) for t in _turns(f, float(xs[k]), float(xs[k + 1]))]
+        fa, fb = float(vals[k]), float(vals[k + 1])
+        if _sign_changes([fa, *(v for _, v in pts), fb]) > _sign_changes([fa, fb]):
+            out += pts
+    return out
+
+
+def _cell_reach(f: Poly1, r: float, h: float) -> float:
+    """Twice sum_i |c_i| ((r + h)^i - r^i), a bound (with room for rounding)
+    on |f(x) - f(a)| for |a| <= r and |x - a| <= h."""
+    return 2.0 * sum(abs(c) * ((r + h) ** i - r ** i) for i, c in enumerate(f.coeffs))
+
+
+def _sign_changes(vals: list[float]) -> int:
+    """Sign changes along vals, zeros skipped."""
+    signs = [v < 0.0 for v in vals if v != 0.0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _turns(f: Poly1, a: float, b: float) -> list[float]:
+    """The turns of f strictly inside (a, b): the sign-change roots (and
+    exact zeros) of f' there, ascending.
+
+    f' is monotone between its own turns, so each piece between a, those
+    turns and b holds at most one of them."""
+    if f.degree <= 1:
+        return []
+    g = f.derivative()
+    pts = [a, *_turns(g, a, b), b]
+    return [r for r, _ in sign_change_roots(
+        pts, [g(x) for x in pts], lambda brackets: [bisect_root(g, *c) for c in brackets])
+        if a < r < b]
 
 
 def multisect_roots(f: Callable[[np.ndarray], np.ndarray],

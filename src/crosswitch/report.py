@@ -94,22 +94,14 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def _obj_digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("ascii")).hexdigest()
-
-
-def system_digest(Z: PiecewiseSystem) -> str:
-    """sha256 over the canonical JSON of the system definition."""
-    return _obj_digest(system_to_obj(Z))
-
-
 def _header(system_obj: dict) -> dict:
-    """Schema, tool and the digest of `system_to_obj(Z)`: the keys every JSON
-    report opens with."""
+    """Schema, tool and the digest of `system_to_obj(Z)` (sha256 over its
+    canonical JSON): the keys every JSON report opens with."""
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "crosswitch", "version": __version__},
-        "system_digest": _obj_digest(system_obj),
+        "system_digest": hashlib.sha256(
+            canonical_json(system_obj).encode("ascii")).hexdigest(),
     }
 
 

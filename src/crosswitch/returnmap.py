@@ -476,7 +476,7 @@ def _lane_window(Z: PiecewiseSystem, xs: np.ndarray,
 
 
 def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
-                 cells: int = 256) -> list[FixedPoint]:
+                 cells: int) -> list[FixedPoint]:
     """Fixed points of the numeric full turn with x in [lo, hi], 0 excluded.
 
     Each side of 0 is one scan window: a grid of `cells` cells over which

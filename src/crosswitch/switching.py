@@ -1,6 +1,6 @@
 """Decomposition of the switching cross into crossing / sliding / escaping
-arcs, tangency (fold) points, the sliding vector field on each branch and its
-pseudo-equilibria.
+arcs, tangency (fold) points, and the pseudo-equilibria of the sliding
+vector field on each branch.
 
 Sign conventions: on the half-branch of Sigma_i with running-coordinate sign
 h, field X occupies the side where the normal coordinate has sign h and Y
@@ -14,7 +14,9 @@ Yi for the normal components,
 
 The sliding field on Sigma_i factors as  Z_i^s(s) = N_i(s) / D_i(s)  with
 N_i = (det Z)|Sigma_i and D_i = (-1)^(i-1) * (X_i - Y_i)|Sigma_i, where
-det Z = X1*Y2 - X2*Y1.
+det Z = X1*Y2 - X2*Y1.  It is an object of the system, as det Z is:
+`fields.SlidingField`, built once per system and branch by
+`PiecewiseSystem.sliding_field`.
 """
 from __future__ import annotations
 
@@ -22,19 +24,9 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable
 
-from .errors import EvaluationOutsideDomain, ParseError, TooManyTangencies
-from .fields import (
-    FIELD_SIGN,
-    FieldSpec,
-    PiecewiseSystem,
-    Point,
-    Poly1,
-    branch_point,
-    compile_function,
-)
+from .errors import ParseError, TooManyTangencies
+from .fields import FIELD_SIGN, FieldSpec, PiecewiseSystem, Point, branch_point
 from .numerics import scan_roots
 
 #: Relative tolerance for treating a normal component as vanishing.
@@ -259,56 +251,6 @@ def sigma_decomposition(Z: PiecewiseSystem, radius: float = 1.0) -> SigmaDecompo
 
 
 # ---------------------------------------------------------------------------
-# sliding dynamics
-# ---------------------------------------------------------------------------
-
-def _denominator_vanishes(branch: int, s: float) -> EvaluationOutsideDomain:
-    return EvaluationOutsideDomain(
-        f"sliding denominator vanishes at s={s} on Sigma{branch}")
-
-
-@dataclass(frozen=True)
-class SlidingField:
-    """Scalar sliding dynamics s' = N(s)/D(s) on Sigma_branch.
-
-    N = (det Z) restricted to the branch; D = (-1)^(branch-1) * (X_i - Y_i)
-    restricted.  Valid wherever the two normal components differ (in
-    particular on every sliding/escaping arc).
-    """
-
-    branch: int
-    numerator: Poly1
-    denominator: Poly1
-
-    @cached_property
-    def value(self) -> Callable[[float], float]:
-        """s -> N(s)/D(s), raising `EvaluationOutsideDomain` where
-        |D(s)| < 1e-300.  One generated straight-line function, built on
-        first use: the Horner steps of `Poly1.__call__` unrolled, so it
-        equals `numerator(s) / denominator(s)` bit for bit."""
-        return compile_function("value", (
-            "def value(s):\n"
-            f"    d = {self.denominator.source()}\n"
-            "    if abs(d) < 1e-300:\n"
-            "        raise outside(branch, s)\n"
-            f"    return {self.numerator.source()} / d\n"),
-            outside=_denominator_vanishes, branch=self.branch)
-
-    def derivative_at_root(self, s0: float) -> float:
-        """d/ds of N/D at a zero of N: exactly N'(s0)/D(s0)."""
-        return self.numerator.derivative()(s0) / self.denominator(s0)
-
-
-def sliding_field(Z: PiecewiseSystem, branch: int) -> SlidingField:
-    i = branch
-    sign = 1.0 if branch == 1 else -1.0
-    numer = Z.det_poly.restrict_to_branch(branch)
-    diff = (Z.X.component(i) - Z.Y.component(i)).restrict_to_branch(branch)
-    denom = Poly1([sign * c for c in diff.coeffs])
-    return SlidingField(branch, numer, denom)
-
-
-# ---------------------------------------------------------------------------
 # pseudo-equilibria
 # ---------------------------------------------------------------------------
 
@@ -334,7 +276,7 @@ def pseudo_equilibria(Z: PiecewiseSystem, branch: int,
     The origin is excluded: a vanishing determinant there is an organizing-
     center condition handled by the classifier.
     """
-    sf = sliding_field(Z, branch)
+    sf = Z.sliding_field(branch)
     eps = 1e-9 * radius
     roots: list[float] = []
     for lo, hi in ((-radius, -eps), (eps, radius)):

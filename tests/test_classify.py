@@ -34,8 +34,11 @@ from crosswitch import (
     SIGN_KEYS,
     STABLE_CLASSES,
     Classification,
+    FieldSpec,
     InvalidSigns,
     ParseError,
+    PiecewiseSystem,
+    Poly2,
     UnfoldingVerification,
     VerifyCheck,
     all_sign_tuples,
@@ -47,6 +50,7 @@ from crosswitch import (
     unfolding,
     verify_unfolding,
 )
+from crosswitch.switching import vanishing_components
 
 ALL_CLASSES = STABLE_CLASSES + CODIM1_CLASSES
 
@@ -161,24 +165,43 @@ def test_witnesses_recorded_for_fold():
 # non-canonical fold positions
 # ---------------------------------------------------------------------------
 
-def test_fold_in_first_component_of_x():
-    # [DERIVED] axis swap moves the fold to the canonical slot: (a,b)=(sgn Y2, sgn Y1)
-    Z = make_system({(0, 1): 1.0}, 1.0, 3.0, -2.0)  # X = (x2, 1), Y = (3, -2)
-    got = classify(Z)
-    assert got.class_name == CLASS_RF
-    assert got.signs == {"a": -1, "b": 1}
-    assert got.witnesses["fold_field"] == "X"
-    assert got.witnesses["fold_component"] == 1.0
+def reflect_x1(Z: PiecewiseSystem) -> PiecewiseSystem:
+    """Z pushed forward by (x1, x2) -> (-x1, x2), F -> (-F1, F2) at the
+    mirror point.  The reflection maps {x1*x2 > 0} onto {x1*x2 < 0}, so the
+    fields exchange."""
+    def push(f: FieldSpec) -> FieldSpec:
+        mirrored = [Poly2((i, j, (-1) ** i * c) for i, j, c in p.terms)
+                    for p in (f.f1, f.f2)]
+        return FieldSpec(-mirrored[0], mirrored[1])
+
+    return PiecewiseSystem(push(Z.Y), push(Z.X))
 
 
-def test_fold_in_y_reduces_to_canonical_frame():
-    # [DERIVED] reflecting x1 -> -x1 exchanges the fields; the reduced
-    # companion signs are (sgn(-X1), sgn(X2))
-    Z = make_system(-2.0, 1.0, 1.0, {(1, 0): -1.0})  # Y = (1, -x1): fold in Y2
+#: The four fold slots, each reached from the canonical one (X2) of the
+#: regular-fold normal form by conjugations that keep its class and signs.
+FOLD_SLOTS = {
+    ("X", 2): lambda Z: Z,
+    ("X", 1): swap_axes,
+    ("Y", 2): reflect_x1,
+    ("Y", 1): lambda Z: swap_axes(reflect_x1(Z)),
+}
+
+
+@pytest.mark.parametrize("slot", list(FOLD_SLOTS), ids=lambda v: f"{v[0]}{v[1]}")
+@pytest.mark.parametrize("signs", all_sign_tuples(CLASS_RF),
+                         ids=lambda v: ",".join(f"{k}{'+' if s > 0 else '-'}"
+                                                for k, s in v.items()))
+def test_fold_in_every_slot_reduces_to_canonical_frame(slot, signs):
+    # [DERIVED] the axis swap moves a fold between the components of one
+    # field, and the reflection x1 -> -x1 exchanges the fields; neither
+    # changes the class or the companion signs of the canonical frame
+    Z = FOLD_SLOTS[slot](normal_form(CLASS_RF, signs))
+    assert vanishing_components(Z) == [slot]
     got = classify(Z)
     assert got.class_name == CLASS_RF
-    assert got.signs == {"a": 1, "b": 1}
-    assert got.witnesses["fold_field"] == "Y"
+    assert got.signs == signs
+    assert (got.witnesses["fold_field"], got.witnesses["fold_component"]) == (
+        slot[0], float(slot[1]))
 
 
 def test_double_tangency_is_higher_codimension():

@@ -71,6 +71,14 @@ class TestPoly2Canonical:
         with pytest.raises(ParseError):
             Poly2([(-1, 0, 1.0)])
 
+    def test_numpy_integer_exponents_accepted(self):
+        # fields imports no numpy, yet numpy's integers are integers
+        p = Poly2([(np.int64(2), np.uint8(1), 3.0)])
+        assert p.terms == ((2, 1, 3.0),)
+        assert all(type(e) is int for e in p.terms[0][:2])
+        with pytest.raises(ParseError):
+            Poly2([(1.0, 0, 1.0)])
+
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteCoefficients):
             Poly2([(0, 0, math.nan)])
@@ -300,11 +308,11 @@ class TestRegions:
         # [TRIVIAL] the flow's seeding places each point in its region: a
         # quadrant seed starts there with the quadrant's field, a seed within
         # ARM of a branch is snapped onto it, and one within ARM of both
-        # starts at the origin
+        # starts at the origin, which X = Y = (1, 1) passes through with X
         first = integrate(make_system(1.0, 1.0, 1.0, 1.0), p, t_max=1e-3,
                           box=4.0).samples[0]
         if want == "origin":
-            assert (first.x1, first.x2, first.mode) == (0.0, 0.0, Mode.STATIONARY_ORIGIN)
+            assert (first.x1, first.x2, first.mode) == (0.0, 0.0, Mode.SMOOTH_X)
         elif want == 1:
             assert (first.x1, first.x2) == (0.0, p[1])
         elif want == 2:

@@ -9,15 +9,17 @@ Oracle notes:
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crosswitch.flow as flow
-from crosswitch.classify import CLASS_RF, classify, unfolding
+from crosswitch.classify import CLASS_C2, CLASS_C32, CLASS_RF, classify, normal_form, unfolding
 from crosswitch.errors import NotTransverse, SeedOutsideBox, StepLimit
-from crosswitch.fields import make_system
+from crosswitch.fields import compile_function, make_system
 from crosswitch.flow import (
     EventKind,
     Mode,
@@ -238,6 +240,25 @@ class TestOriginRules:
         traj = integrate(Z, (0.0, 0.0), t_max=1.0)
         assert traj.terminal.kind is EventKind.ORIGIN_STOP
         assert traj.terminal.note == "degenerate_origin_data"
+        # a seed has no arrival sample: the stop records the stationary one
+        assert traj.samples == [Sample(0.0, 0.0, 0.0, Mode.STATIONARY_ORIGIN)]
+
+    def test_origin_seed_passing_through_starts_moving(self):
+        # X = Y = (1, 1) passes the origin: the seed's first sample is the
+        # entry sample of the smooth run, and no sample is stationary
+        traj = integrate(make_system(1.0, 1.0, 1.0, 1.0), (0.0, 0.0), t_max=0.01)
+        assert traj.samples[0] == Sample(0.0, 0.0, 0.0, Mode.SMOOTH_X)
+        assert Mode.STATIONARY_ORIGIN not in {s.mode for s in traj.samples}
+
+    def test_origin_seed_sliding_through_starts_sliding(self):
+        # Stable_C32 at a = b = c = 1 slides through the origin on Sigma2:
+        # the CSV opens with the sliding run's entry row
+        Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
+        traj = integrate(Z, (0.0, 0.0), t_max=0.01)
+        rows = trajectory_csv([traj]).splitlines()
+        assert rows[1] == ("0.000000000000e+00,0.000000000000e+00,"
+                           "0.000000000000e+00,Sliding2")
+        assert Mode.STATIONARY_ORIGIN not in {s.mode for s in traj.samples}
 
     @given(*(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1.0, -1.0])
              for _ in range(4)))
@@ -432,6 +453,27 @@ class TestPortraitAndCycles:
         assert isinstance(c, FixedPoint)
         assert c.x < 0.0 < c.conjugate
         assert c.stable is False
+
+    def test_portrait_compiles_each_evaluator_once(self, monkeypatch):
+        # the evaluators belong to the system: one per field and one per
+        # sliding branch, in each time direction, however many runs use them
+        calls = Counter()
+
+        def counting(name, source, **env):
+            calls[name, env.get("branch")] += 1
+            return compile_function(name, source, **env)
+
+        # every binding of the function, so a module that imports it by
+        # name is counted too
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("crosswitch")
+                    and getattr(mod, "compile_function", None) is compile_function):
+                monkeypatch.setattr(mod, "compile_function", counting)
+        Z = normal_form(CLASS_C2, {"a": 1, "b": 1, "c": 1})
+        trajs = phase_portrait(Z, box=0.8, t_max=3.0)
+        assert {s.mode for t in trajs for s in t.samples} >= {Mode.SLIDING1,
+                                                              Mode.SLIDING2}
+        assert calls == {("field", None): 4, ("value", 1): 2, ("value", 2): 2}
 
     def test_no_cycle_when_none(self):
         assert fixed_points(c32_normal(), -0.1, -1e-7, cells=64) == []

@@ -5,6 +5,7 @@ CLI command must reproduce its output byte for byte.
 """
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -31,6 +32,7 @@ from crosswitch import (
     normal_form,
     phase_portrait,
     system_to_obj,
+    unfolding,
 )
 import crosswitch.returnmap as returnmap
 from crosswitch.cli import main
@@ -44,7 +46,6 @@ from crosswitch.report import (
     return_map_report,
     sweep_csv,
     sweep_family,
-    system_digest,
     trajectory_csv,
 )
 from crosswitch.classify import UnfoldingVerification, VerifyCheck
@@ -140,6 +141,12 @@ def test_canonical_json_rejects_unknown_types():
 # digests
 # ---------------------------------------------------------------------------
 
+def system_digest(Z) -> str:
+    """The reports' `system_digest`: sha256 over the canonical JSON of the
+    system definition."""
+    return hashlib.sha256(canonical_json(system_to_obj(Z)).encode("ascii")).hexdigest()
+
+
 def test_system_digest_is_stable_and_sensitivity():
     Z = make_system({(0, 0): 1.0, (1, 0): 2.0}, 1.0, -1.0, -2.0)
     # same polynomial entered in a different term order
@@ -177,6 +184,23 @@ def test_classification_report_fold_kinds():
     t = rep["sigma"]["tangencies"][0]
     assert t["field"] == "X" and abs(t["s"] - 0.3) < 1e-9
     assert t["visibility"] == "visible"
+
+
+def test_classification_report_and_portrait_without_a_decomposition(tmp_path):
+    # X = (1, x2): X2 vanishes identically on Sigma2, so no decomposition
+    # exists; the report names the error in place of sigma and writes no
+    # pseudo-equilibria, and the CLI portrait draws the plain axes
+    Z = make_system(1.0, {(0, 1): 1.0}, 1.0, 1.0)
+    rep = classification_report(Z)
+    assert rep["sigma"] == {"error": "X2 vanishes identically on Sigma2"}
+    assert "pseudo_equilibria" not in rep
+    p, svg = tmp_path / "sys.json", tmp_path / "p.svg"
+    p.write_text(json.dumps(system_to_obj(Z)))
+    assert main(["portrait", "--system", str(p), "--box", "0.5",
+                 "--t-max", "0.1", "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    ET.fromstring(text)
+    assert text.count("<line") == text.count('stroke="#b0b0b0"') == 2
 
 
 def test_classification_report_lists_pseudo_equilibria():
@@ -336,6 +360,17 @@ def test_portrait_svg_without_decomposition_draws_axes():
     assert svg.count("<line") == 2
 
 
+def test_portrait_svg_circles_the_folds_inside_the_box():
+    # the regular-fold unfolding at delta = 0.2 has one fold, X2 = 0 at
+    # x1 = 0.2 on Sigma2: circled in a box of 0.8, left out of one of 0.1
+    from crosswitch import sigma_decomposition
+    Z = unfolding(CLASS_RF, {"a": -1, "b": 1}, 0.2)
+    dec = sigma_decomposition(Z, 0.8)
+    assert [(t.field, t.branch) for t in dec.tangencies] == [("X", 2)]
+    assert portrait_svg(Z, [], box=0.8, decomposition=dec).count('r="4"') == 1
+    assert portrait_svg(Z, [], box=0.1, decomposition=dec).count('r="4"') == 0
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -445,6 +480,15 @@ def test_cli_return_map(c32_file, capsys):
     assert main(["return-map", "--system", c32_file]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["return_map"]["alpha"] == -0.5
+
+
+def test_cli_return_map_series_overflow_exits_3(tmp_path, capsys):
+    # Y2 = 1 + 1e200 (x1^2 + x2^2): a product of the half-map jet overflows
+    Z = make_system(1.0, -1.0, 1.0, {(0, 0): 1.0, (2, 0): 1e200, (0, 2): 1e200})
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(system_to_obj(Z)))
+    assert main(["return-map", "--system", str(p)]) == 3
+    assert "series coefficient inf" in capsys.readouterr().err
 
 
 def test_cli_return_map_rejects_non_transient(tmp_path, capsys):

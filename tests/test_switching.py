@@ -16,12 +16,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crosswitch.errors import EvaluationOutsideDomain, TooManyTangencies
-from crosswitch.fields import Poly1, branch_point, make_system
+from crosswitch.fields import Poly1, SlidingField, branch_point, make_system
 from crosswitch.numerics import (ROOT_XTOL, SCAN_CELLS, bisect_root, multisect_roots,
                                  scan_grid, scan_roots)
 from crosswitch.switching import (
     ArcKind,
-    SlidingField,
     Visibility,
     branch_point_class,
     find_tangencies,
@@ -29,7 +28,6 @@ from crosswitch.switching import (
     fold_visibility,
     pseudo_equilibria,
     sigma_decomposition,
-    sliding_field,
     xi_values,
 )
 
@@ -89,14 +87,9 @@ def section3_example(alpha: float):
 # root scanning
 # ---------------------------------------------------------------------------
 
-def loop_scan(f, lo, hi, cells=SCAN_CELLS, xtol=ROOT_XTOL):
-    """The scalar scan that `scan_roots` vectorised, kept as its oracle: a
-    list grid, one call of f per grid point, a comprehension over the
-    cells and one bisection per sign-change cell.  Returns (roots, grid)."""
-    step = (hi - lo) / cells
-    xs = [lo + step * k for k in range(cells + 1)]
-    xs[-1] = hi
-    vals = [f(x) for x in xs]
+def loop_roots(f, xs, vals, xtol):
+    """Zero points and bisected sign-change cells of f over the list grid
+    xs, ascending, duplicates within the merge window collapsed."""
     hits = [k for k, (fa, fb) in enumerate(zip(vals, vals[1:]))
             if fa == 0.0 or (fb != 0.0 and (fa < 0.0) != (fb < 0.0))]
     if vals[-1] == 0.0:
@@ -108,7 +101,58 @@ def loop_scan(f, lo, hi, cells=SCAN_CELLS, xtol=ROOT_XTOL):
         if roots and abs(r - roots[-1]) <= max(4.0 * xtol, 1e-11 * (1.0 + abs(r))):
             continue
         roots.append(r)
-    return roots, xs
+    return roots
+
+
+def loop_turns(f, a, b, xtol):
+    """Turns of f strictly inside (a, b): the roots of f' there, with f'
+    split at its own turns first."""
+    if f.degree <= 1:
+        return []
+    g = f.derivative()
+    pts = [a, *loop_turns(g, a, b, xtol), b]
+    return [r for r in loop_roots(g, pts, [g(x) for x in pts], xtol) if a < r < b]
+
+
+def sign_flips(vals):
+    signs = [v < 0.0 for v in vals if v != 0.0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def loop_scan(f, lo, hi, cells=SCAN_CELLS, xtol=ROOT_XTOL):
+    """The scalar scan that `scan_roots` vectorised, kept as its oracle: a
+    list grid, one call of f per grid point, per cell the Taylor tests at
+    its left end of whether f and f' can vanish in it, the turns of every
+    cell that passes both and where they show more sign changes than its
+    ends, and one bisection per sign-change cell.  Returns (roots, grid)."""
+    step = (hi - lo) / cells
+    grid = [lo + step * k for k in range(cells + 1)]
+    grid[-1] = hi
+    vals = [f(x) for x in grid]
+    derivs, g = [], f
+    for _ in range(f.degree):
+        g = g.derivative()
+        derivs.append(g)
+    pairs = list(zip(grid, vals))
+    for k in range(cells if f.degree >= 2 else 0):
+        a, b = grid[k], grid[k + 1]
+        bound0, bound1, term = 0.0, 0.0, 1.0
+        for j, g in enumerate(derivs, 1):
+            d = abs(g(a))
+            if j == 1:
+                slope = d
+            else:
+                bound1 = bound1 + d * term
+            term = term * (b - a) / j
+            bound0 = bound0 + d * term
+        if abs(vals[k]) <= 2.0 * bound0 and slope <= 2.0 * bound1:
+            turns = [(t, f(t)) for t in loop_turns(f, a, b, xtol)]
+            if (sign_flips([vals[k], *(v for _, v in turns), vals[k + 1]])
+                    > sign_flips([vals[k], vals[k + 1]])):
+                pairs += turns
+    pairs.sort(key=lambda xv: xv[0])
+    xs = [x for x, _ in pairs]
+    return loop_roots(f, xs, [v for _, v in pairs], xtol), grid
 
 
 def hexes(values) -> list[str]:
@@ -132,14 +176,17 @@ class TestScanRoots:
         assert hexes(q(np.array(want_grid))) == hexes(q(x) for x in want_grid)
         assert hexes(scan_roots(q, lo, hi, cells)) == hexes(want_roots)
 
-    @pytest.mark.xfail(strict=True, reason="a root in a cell whose other end is an "
-                       "exact grid zero shows no sign change (ROADMAP item 1)")
-    @pytest.mark.parametrize("cs, want", [
-        ([0.0, 2.0 ** -9, 1.0], [-2.0 ** -9, 0.0]),       # 2^-9 s + s^2
-        ([0.0, 1e-6, 0.0, -1.0], [-1e-3, 0.0, 1e-3]),     # 1e-6 s - s^3
+    @pytest.mark.parametrize("cs, r, want", [
+        ([0.0, 2.0 ** -9, 1.0], 1.0, [-2.0 ** -9, 0.0]),         # 2^-9 s + s^2
+        ([0.0, 1e-6, 0.0, -1.0], 1.0, [-1e-3, 0.0, 1e-3]),       # 1e-6 s - s^3
+        ([0.0, 2.0 ** -8, 1.0], 2.0, [-2.0 ** -8, 0.0]),         # 2^-8 s + s^2
+        ([2.0 ** -52, 2.0 ** -7, 1.0], 2.0, [-2.0 ** -7, 0.0]),  # two roots, one cell
+        ([0.1 * 0.1001, -0.2001, 1.0], 1.0, [0.1, 0.1001]),      # (s - 0.1)(s - 0.1001)
     ])
-    def test_known_misses(self, cs, want):
-        got = scan_roots(Poly1(cs), -1.0, 1.0, cells=512)
+    def test_roots_hidden_in_a_cell(self, cs, r, want):
+        # [TRIVIAL] roots whose cell shows no sign change: one beside an
+        # exact grid zero, or two in one cell; the cell's turn shows them
+        got = scan_roots(Poly1(cs), -r, r, cells=512)
         assert got == pytest.approx(want, abs=1e-11)
 
     def test_hand_roots(self):
@@ -180,7 +227,7 @@ class TestScanRoots:
         def f(x):
             return (x - r) * (1.0 + x * x)
 
-        x = bisect_root(f, -1.0, 1.0, xtol=1e-16, ftol=t)
+        x = bisect_root(f, -1.0, 1.0, f(-1.0), f(1.0), xtol=1e-16, ftol=t)
         assert -1.0 <= x <= 1.0
         assert abs(f(x)) <= t
 
@@ -291,9 +338,19 @@ class TestSlidingField:
     def test_canonical_value(self):
         # [TRIVIAL] Z1^s(s) = s/(s-2); at s=0.5 the value is -1/3
         Z = canonical_example()
-        sf = sliding_field(Z, 1)
+        sf = Z.sliding_field(1)
         assert sf.value(0.5) == pytest.approx(-1.0 / 3.0, abs=1e-14)
         assert sliding_value_direct(Z, 1, 0.5) == pytest.approx(-1.0 / 3.0, abs=1e-14)
+
+    def test_one_sliding_field_per_system_and_branch(self):
+        # the system owns its sliding fields, as it owns det Z
+        Z = canonical_example()
+        for W in (Z, Z.negate()):
+            for branch in (1, 2):
+                assert W.sliding_field(branch) is W.sliding_field(branch)
+                assert W.sliding_field(branch).branch == branch
+        with pytest.raises(ValueError):
+            Z.sliding_field(3)
 
     def test_convex_combination_normal_vanishes(self):
         Z = canonical_example()
@@ -310,7 +367,7 @@ class TestSlidingField:
     def test_factorization_matches_direct(self, Z, branch, mag, sgn):
         # [DERIVED] h_i * det route == Filippov convex combination route
         s = sgn * mag
-        sf = sliding_field(Z, branch)
+        sf = Z.sliding_field(branch)
         if abs(sf.denominator(s)) < 1e-6:
             assume(False)
         lhs = sf.value(s)
@@ -320,7 +377,7 @@ class TestSlidingField:
     def test_denominator_vanishing_raises(self):
         Z = make_system(1.0, 1.0, 1.0, -1.0)  # X1 == Y1 everywhere
         with pytest.raises(EvaluationOutsideDomain):
-            sliding_field(Z, 1).value(0.5)
+            Z.sliding_field(1).value(0.5)
 
     @given(st.lists(coeffs, min_size=1, max_size=9),
            st.lists(coeffs, min_size=1, max_size=9),
@@ -343,7 +400,7 @@ class TestSlidingField:
         # [DERIVED] Z2^s = det/(Y2 - X2); X=(1,1), Y=(2,-1) at s:
         # det = 1*(-1) - 1*2 = -3; Y2-X2 = -2 -> value 1.5 everywhere
         Z = make_system(1.0, 1.0, 2.0, -1.0)
-        sf = sliding_field(Z, 2)
+        sf = Z.sliding_field(2)
         assert sf.value(0.3) == pytest.approx(1.5, abs=1e-14)
         assert sliding_value_direct(Z, 2, 0.3) == pytest.approx(1.5, abs=1e-14)
 
@@ -374,6 +431,14 @@ class TestTangencies:
         tp = tps[0]
         assert tp.field == "Y" and tp.s == pytest.approx(-0.5, abs=1e-10)
         assert tp.visibility == Visibility.VISIBLE  # -1 * 1 * (-1) > 0
+
+    def test_two_folds_in_one_scan_cell(self):
+        # [DERIVED] X2|Sigma2 = (x1 - 0.1)(x1 - 0.1001): two folds of X
+        # 1e-4 apart, inside one of the 512 scan cells
+        Z = make_system(1.0, {(2, 0): 1.0, (1, 0): -0.2001, (0, 0): 0.1 * 0.1001}, 1.0, 1.0)
+        tps = find_tangencies(Z, 2, -1.0, 1.0)
+        assert [tp.field for tp in tps] == ["X", "X"]
+        assert [tp.s for tp in tps] == pytest.approx([0.1, 0.1001], abs=1e-10)
 
     def test_identically_tangent_raises(self):
         # X2 = x2 vanishes identically on Sigma2
@@ -491,6 +556,15 @@ class TestPseudoEquilibria:
         # there X2=1, Y2=4-2=2 > 0 -> crossing -> filtered out
         assert pseudo_equilibria(Z, 2, radius=1.0) == []
 
+    def test_two_pseudo_equilibria_in_one_scan_cell(self):
+        # [DERIVED] X = (-1, 1), Y = (1, -1 + (x2 - 0.3)(x2 - 0.3001)):
+        # det|Sigma1 = (s - 0.3)(s - 0.3001), two zeros inside one scan
+        # cell, both in the sliding region (X1 < 0 < Y1)
+        Z = make_system(-1.0, 1.0, 1.0, {(0, 2): 1.0, (0, 1): -0.6001, (0, 0): 0.3 * 0.3001 - 1.0})
+        pes = pseudo_equilibria(Z, 1)
+        assert [pe.s for pe in pes] == pytest.approx([0.3, 0.3001], abs=1e-10)
+        assert all(pe.region_kind == ArcKind.SLIDING for pe in pes)
+
     @given(generic_system(), st.integers(1, 2))
     @settings(max_examples=80, deadline=None)
     def test_pe_points_really_zero_det(self, Z, branch):
@@ -506,7 +580,7 @@ class TestPseudoEquilibria:
         # [DERIVED] analytic derivative at the root vs Richardson quotient of
         # the sliding value
         Z = section3_example(0.1)
-        sf = sliding_field(Z, 1)
+        sf = Z.sliding_field(1)
         pe = pseudo_equilibria(Z, 1, radius=1.0)[0]
         num = richardson_slope(sf.value, pe.s, 1e-4)
         assert_close(pe.derivative, num, 1e-7, "sliding slope")

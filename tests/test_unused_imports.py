@@ -7,8 +7,10 @@ scripts, and fails on an imported name that the module never reads.  A name
 listed in the module's `__all__` counts as used (a re-export), and so does a
 name that appears only inside a string annotation.  The second fails on a
 module-level private function, class or constant of `src/crosswitch` that
-no module of `src/crosswitch` reads, so that a helper cannot outlive its
-last caller, nor live on for the tests alone.
+no module of `src/crosswitch` reads, and on a public module-level function
+or class that no module reads and that `crosswitch.__all__` does not
+export, so that a helper cannot outlive its last caller, nor live on for
+the tests alone.
 """
 from __future__ import annotations
 
@@ -93,6 +95,20 @@ def _private_defs(tree: ast.Module) -> dict[str, int]:
     return out
 
 
+def _public_defs(tree: ast.Module) -> dict[str, int]:
+    """Public module-level function or class -> line of its definition."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in a module's `__all__`."""
+    return {e.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for e in node.value.elts}
+
+
 def _read(tree: ast.Module) -> set[str]:
     """Names a module reads: loaded names, attribute names and the names it
     imports from other modules."""
@@ -115,9 +131,27 @@ def test_every_private_name_is_read():
     assert not dead, "private names no module of the package reads: " + ", ".join(dead)
 
 
+def test_every_public_function_and_class_is_read_or_exported():
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in PACKAGE}
+    # the package's own `__all__` does not count as a read
+    read = set().union(*(_read(t) for p, t in trees.items() if p.name != "__init__.py"))
+    kept = read | _exported(trees[ROOT / "src" / "crosswitch" / "__init__.py"])
+    dead = [f"{p.name}: {name} (line {line})" for p, tree in trees.items()
+            for name, line in _public_defs(tree).items() if name not in kept]
+    assert not dead, ("public functions and classes no module of the package "
+                      "reads or exports: " + ", ".join(dead))
+
+
 def test_the_check_sees_a_dead_private_name():
     tree = ast.parse("_A = 1\n_B: int = 2\n__all__ = []\nclass _C: pass\n"
                      "def _d(): return _A\ndef _e(): pass\n"
                      "from m import _f\nprint(_B, m._e)\n")
     assert set(_private_defs(tree)) == {"_A", "_B", "_C", "_d", "_e"}
     assert set(_private_defs(tree)) - _read(tree) == {"_C", "_d"}
+
+
+def test_the_check_sees_a_dead_public_name():
+    tree = ast.parse("__all__ = ['E']\nclass C: pass\nclass E: pass\n"
+                     "def d(): return f()\ndef f(): pass\ndef _g(): pass\nX = 1\n")
+    assert set(_public_defs(tree)) == {"C", "E", "d", "f"}
+    assert set(_public_defs(tree)) - _read(tree) - _exported(tree) == {"C", "d"}
