@@ -24,7 +24,6 @@ def main() -> int:
     ap.add_argument("--out-dir", default="sweeps")
     ap.add_argument("--points", type=int, default=9,
                     help="odd grid size, at least 3, so delta = 0 is included")
-    ap.add_argument("--jobs", type=int, default=2)
     args = ap.parse_args()
     if args.points < 3:
         ap.error("--points must be at least 3")
@@ -39,7 +38,7 @@ def main() -> int:
         step = 2.0 * span / (n - 1)
         deltas = [round(-span + k * step, 15) for k in range(n)]
         deltas[n // 2] = 0.0
-        records = sweep_family(family, signs, deltas, jobs=args.jobs)
+        records = sweep_family(family, signs, deltas)
         path = out_dir / f"{family.lower()}.csv"
         path.write_text(sweep_csv(records))
         bad = [r for r in records if not r.verification.ok]

@@ -37,6 +37,7 @@ from .switching import (
     component_tolerance,
     field_scale,
     find_tangencies,
+    fold_lie_value,
     pseudo_equilibria,
     vanishing_components,
 )
@@ -184,9 +185,7 @@ def _classify_fold_layer(Z, vanishing, witnesses, quad_tol) -> Classification:
             CLASS_HIGHER, {}, witnesses,
             tuple(f"boundary value: {n} at the origin" for n in names), None)
     (fname, comp), = vanishing
-    j = 2 if comp == 1 else 1
-    fld = Z.field(fname)
-    lie = fld.component(j)(0.0, 0.0) * fld.component(comp).partial(j)(0.0, 0.0)
+    lie = fold_lie_value(Z.field(fname), comp, (0.0, 0.0))
     witnesses["fold_field"] = fname
     witnesses["fold_component"] = float(comp)
     witnesses["fold_lie"] = lie
@@ -220,11 +219,8 @@ def validate_signs(class_name: str, signs: dict) -> dict:
 def all_sign_tuples(class_name: str):
     """Every admissible sign dict for a class (for exhaustive sweeps)."""
     keys = SIGN_KEYS[class_name]
-    out = []
-    for mask in range(2 ** len(keys)):
-        out.append({k: 1 if (mask >> i) & 1 == 0 else -1
-                    for i, k in enumerate(keys)})
-    return out
+    return [{k: 1 if (mask >> i) & 1 == 0 else -1 for i, k in enumerate(keys)}
+            for mask in range(2 ** len(keys))]
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +323,10 @@ def _predict_side_class(family: str, s: dict, delta: float) -> str:
 PH_FP_MAX_DELTA = 5e-3
 
 
-def verify_unfolding(family: str, signs: dict, delta: float,
-                     check_fixed_points: bool = True) -> UnfoldingVerification:
+def verify_unfolding(family: str, signs: dict, delta: float) -> UnfoldingVerification:
     """Build the family member, classify it, and test the quantitative
-    predictions of the family against independently computed objects."""
+    predictions of the family against independently computed objects, the
+    pseudo-Hopf fixed-point scan at every 0 < |delta| <= PH_FP_MAX_DELTA."""
     s = validate_signs(family, signs)
     Z = unfolding(family, s, delta)
     got = classify(Z)
@@ -365,7 +361,7 @@ def verify_unfolding(family: str, signs: dict, delta: float,
         check("alpha_formula",
               abs(model.alpha - alpha_want) <= 1e-12 * (1 + abs(alpha_want)),
               f"alpha = {model.alpha!r}, expected {alpha_want!r}")
-        if delta != 0.0 and check_fixed_points and abs(delta) <= PH_FP_MAX_DELTA:
+        if 0.0 < abs(delta) <= PH_FP_MAX_DELTA:
             fps = fixed_points(Z, -0.25, -1e-6, cells=96)
             expect_pair = (_sgn(delta) * _sgn(a * c) == b)
             check("fixed_point_pair_side",

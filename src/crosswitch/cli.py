@@ -258,9 +258,7 @@ def _cmd_sweep(args) -> int:
         raise ParseError(f"--family must be one of {CODIM1_CLASSES}")
     signs = _parse_signs(args.signs)
     deltas = _parse_delta_grid(args.deltas, args.delta_list)
-    records = sweep_family(family, signs, deltas,
-                           check_fixed_points=not args.skip_fixed_points,
-                           jobs=args.jobs)
+    records = sweep_family(family, signs, deltas)
     _write_text(args.out, sweep_csv(records))
     bad = [r for r in records if not r.verification.ok]
     if bad:
@@ -348,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signs", required=True)
     p.add_argument("--deltas", default=None, help="grid 'lo:hi:n' (must span 0)")
     p.add_argument("--delta-list", default=None, help="explicit 'v1,v2,...'")
-    p.add_argument("--skip-fixed-points", action="store_true",
-                   help="skip the fixed-point scans of the pseudo-Hopf family")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
@@ -361,15 +356,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonFiniteCoefficients as e:
+    except (NonFiniteCoefficients, PredictionMismatch, *_USABLE_INPUT_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except PredictionMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except _USABLE_INPUT_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return (3 if isinstance(e, NonFiniteCoefficients)
+                else 4 if isinstance(e, PredictionMismatch) else 2)
 
 
 if __name__ == "__main__":

@@ -63,8 +63,8 @@ class SeedOutsideBox(CrosswitchError, ValueError):
 
 
 class NonFiniteValue(CrosswitchError, ValueError):
-    """A computed value bound for a canonical output is NaN or infinite
-    (e.g. field magnitudes whose products overflow)."""
+    """A computed value bound for a canonical output, or a flow step, is NaN
+    or infinite (e.g. field magnitudes whose products overflow)."""
 
 
 class InvalidSigns(CrosswitchError):

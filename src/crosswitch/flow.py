@@ -54,7 +54,7 @@ from enum import Enum
 from functools import partial
 from typing import NamedTuple
 
-from .errors import LeftDomain, NotTransverse, SeedOutsideBox, StepLimit
+from .errors import LeftDomain, NonFiniteValue, NotTransverse, SeedOutsideBox, StepLimit
 from .fields import FIELD_SIGN, PiecewiseSystem, Point, active_field, branch_point
 from .numerics import bisect_root, rk4_step_1d, rk4_step_2d
 from .switching import (
@@ -155,6 +155,13 @@ def _event_time(g, h: float, g0: float, gh: float) -> float:
     return bisect_root(g, 0.0, h, g0, gh, 1e-16 * h, ftol=SNAP)
 
 
+def _require_finite(q: tuple[float, ...]) -> tuple[float, ...]:
+    """q, unless the field overflowed to a coordinate that is not finite."""
+    if not all(map(math.isfinite, q)):
+        raise NonFiniteValue(f"a step of the flow ended at non-finite coordinates {q}")
+    return q
+
+
 def _land_on_axis(F, p: Point, q: Point, h: float, axis: int) -> tuple[float, Point]:
     """(tau, point) where the RK4 step of F from p, whose full step h ends at
     q, meets the axis {x[axis] = 0}, the point snapped onto the axis."""
@@ -197,7 +204,8 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
     home_armed = False
     for _ in range(MAX_STEPS):
         q = rk4_step_2d(F, p, STEP_H)
-        if max(abs(q[0]), abs(q[1])) > LEG_BOX:
+        if not (abs(q[0]) <= LEG_BOX and abs(q[1]) <= LEG_BOX):  # NaN fails too
+            _require_finite(q)
             raise LeftDomain(f"orbit leg left the box |x| <= {LEG_BOX}")
         if not home_armed:
             if abs(q[home]) > ARM:
@@ -364,14 +372,16 @@ class _Integrator:
             self.tick()
             step = min(h, self.t_max - self.t)
             q = rk4_step_2d(F, p, step)
-            if max(abs(q[0]), abs(q[1])) > self.box:
+            if not (abs(q[0]) <= self.box and abs(q[1]) <= self.box):  # NaN fails too
+                _require_finite(q)
+
                 def g(u: float) -> float:
                     e = rk4_step_2d(F, p, u)
                     return max(abs(e[0]), abs(e[1])) - self.box
 
                 tau = _event_time(g, step, max(abs(p[0]), abs(p[1])) - self.box,
                                   max(abs(q[0]), abs(q[1])) - self.box)
-                edge = rk4_step_2d(F, p, tau)
+                edge = _require_finite(rk4_step_2d(F, p, tau))
                 self.t += tau
                 self.record(edge, mode)
                 return self.stop(EventKind.BOX_EXIT, edge)
@@ -442,7 +452,8 @@ class _Integrator:
             lo, hi = (s, s_new) if s < s_new else (s_new, s)
             stops = [c for c in candidates
                      if lo < c < hi or (abs(s_new - c) <= SNAP and c != s)]
-            if abs(s_new) > self.box:
+            if not abs(s_new) <= self.box:
+                _require_finite((s_new,))
                 stops.append(self.box if s_new > 0 else -self.box)
             if not stops:
                 s = s_new
@@ -478,7 +489,8 @@ def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
     Backward trajectories integrate the negated system forward (sample times
     remain non-negative; the direction is recorded on the trajectory).
     The seed's coordinates are taken as floats, ints included.  Raises
-    ValueError unless t_max, box and the step h are positive and finite.
+    ValueError unless t_max, box and the step h are positive and finite, and
+    NonFiniteValue when a step overflows to NaN or infinity.
     """
     for name, value in (("t_max", t_max), ("box", box), ("the step h", h)):
         if not 0.0 < value < math.inf:
@@ -487,10 +499,9 @@ def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
     W = Z.negate() if backward else Z
     eng = _Integrator(W, t_max, box, h)
     eng.run(seed)
-    traj = Trajectory(seed=seed, direction=-1 if backward else 1,
+    return Trajectory(seed=seed, direction=-1 if backward else 1,
                       samples=eng.samples, events=eng.events,
                       terminal=eng.terminal)
-    return traj
 
 
 # ---------------------------------------------------------------------------

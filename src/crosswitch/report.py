@@ -1,6 +1,6 @@
-"""Deterministic output layer: canonical JSON reports, CSV tables, a sweep
-driver for the one-parameter model families, and a dependency-free SVG
-writer for phase portraits.
+"""Deterministic output layer: canonical JSON reports, CSV tables, a
+sequential sweep driver for the one-parameter model families, and a
+dependency-free SVG writer for phase portraits.
 
 Canonical JSON rules (so reruns are byte-identical): object keys sorted,
 no whitespace, floats rendered as %.12e with negative zero normalized,
@@ -139,18 +139,14 @@ def _sigma_obj(dec: SigmaDecomposition) -> dict:
 
 
 def _pseudo_eq_obj(Z: PiecewiseSystem, radius: float) -> list[dict]:
-    out = []
-    for branch in (1, 2):
-        for pe in pseudo_equilibria(Z, branch, radius=radius):
-            out.append({
-                "branch": pe.branch, "s": pe.s,
-                "point": [pe.point[0], pe.point[1]],
-                "region_kind": pe.region_kind.value,
-                "derivative": pe.derivative,
-                "hyperbolic": pe.hyperbolic,
-                "stability": pe.stability,
-            })
-    return out
+    return [{
+        "branch": pe.branch, "s": pe.s,
+        "point": [pe.point[0], pe.point[1]],
+        "region_kind": pe.region_kind.value,
+        "derivative": pe.derivative,
+        "hyperbolic": pe.hyperbolic,
+        "stability": pe.stability,
+    } for branch in (1, 2) for pe in pseudo_equilibria(Z, branch, radius=radius)]
 
 
 def classification_obj(cls: Classification) -> dict:
@@ -264,21 +260,13 @@ class SweepRecord:
     verification: UnfoldingVerification
 
 
-def sweep_family(family: str, signs: dict, deltas: list[float],
-                 check_fixed_points: bool = True, jobs: int = 1) -> list[SweepRecord]:
-    """Verify one model family across a delta grid; order follows `deltas`."""
-
-    def worker(delta: float) -> SweepRecord:
-        rep = verify_unfolding(family, signs, delta,
-                               check_fixed_points=check_fixed_points)
-        return SweepRecord(delta, rep)
-
-    if jobs <= 1:
-        return [worker(d) for d in deltas]
-    from concurrent.futures import ThreadPoolExecutor  # kept out of CLI start-up
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(worker, deltas))
+def sweep_family(family: str, signs: dict, deltas: list[float], *,
+                 jobs: int = 1) -> list[SweepRecord]:
+    """`verify_unfolding` at each delta, in order.  The work holds the GIL,
+    so a sweep runs in one thread: `jobs` must be 1."""
+    if jobs != 1:
+        raise ValueError(f"a sweep runs in one thread; jobs must be 1, got {jobs!r}")
+    return [SweepRecord(d, verify_unfolding(family, signs, d)) for d in deltas]
 
 
 def sweep_csv(records: list[SweepRecord]) -> str:

@@ -43,6 +43,7 @@ and with it the CLI, loads no scipy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -501,8 +502,12 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
     The full turn preserves orientation, so a root is stable exactly when
     phi(x) - x falls from + to - across its cell; `stable` is read from the
     cell's end values, and is None only for a root at an exact zero of the
-    scan.  The multiplier is reported as computed.
+    scan.  The multiplier is reported as computed.  Raises ValueError
+    unless cells >= 1 and lo < hi, both finite.
     """
+    if not (cells >= 1 and -math.inf < lo < hi < math.inf):
+        raise ValueError(f"a fixed-point scan needs cells >= 1 and finite "
+                         f"lo < hi, got cells={cells!r}, lo={lo!r}, hi={hi!r}")
     require_transient(Z)
     guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
     windows = ((lo, min(hi, -guard)), (max(lo, guard), hi))

@@ -228,9 +228,16 @@ class SigmaDecomposition:
         return tuple(SHORT_CODE[a.kind] for a in self.half_branch(branch, half))
 
 
+def _require_radius(radius: float) -> None:
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+
+
 def sigma_decomposition(Z: PiecewiseSystem, radius: float = 1.0) -> SigmaDecomposition:
     """Decompose all four half-branches within |s| <= radius into arcs of
-    constant kind separated by tangency points."""
+    constant kind separated by tangency points.  Raises ValueError unless
+    the radius is positive and finite."""
+    _require_radius(radius)
     arcs: list[Arc] = []
     tangencies: list[TangencyPoint] = []
     eps = 1e-9 * radius
@@ -274,8 +281,10 @@ def pseudo_equilibria(Z: PiecewiseSystem, branch: int,
     Zeros of det Z restricted to the branch, kept only where the branch point
     lies in a sliding or escaping region (normal components of opposite sign).
     The origin is excluded: a vanishing determinant there is an organizing-
-    center condition handled by the classifier.
+    center condition handled by the classifier.  Raises ValueError unless
+    the radius is positive and finite.
     """
+    _require_radius(radius)
     sf = Z.sliding_field(branch)
     eps = 1e-9 * radius
     roots: list[float] = []

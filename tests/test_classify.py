@@ -371,12 +371,13 @@ def test_double_pseudo_equilibrium_unfolding_all_signs():
                 assert rep.observed_class == CLASS_C2
 
 
-def test_pseudo_hopf_unfolding_all_signs_classification_only():
+def test_pseudo_hopf_unfolding_all_signs_with_fixed_point_scans():
     for signs in all_sign_tuples(CLASS_PH):
         for delta in (-1e-3, 0.0, 1e-3):
-            rep = verify_unfolding(CLASS_PH, signs, delta,
-                                   check_fixed_points=False)
+            rep = verify_unfolding(CLASS_PH, signs, delta)
             assert rep.ok, (signs, delta, rep)
+            names = [c.name for c in rep.checks]
+            assert ("fixed_point_pair_side" in names) is (delta != 0.0)
             if delta != 0.0:
                 assert rep.observed_class == CLASS_C32
 
@@ -387,7 +388,7 @@ def test_pseudo_hopf_unfolding_all_signs_classification_only():
 ])
 def test_pseudo_hopf_unfolding_fixed_point_side(signs):
     for delta in (-1e-3, 1e-3):
-        rep = verify_unfolding(CLASS_PH, signs, delta, check_fixed_points=True)
+        rep = verify_unfolding(CLASS_PH, signs, delta)
         assert rep.ok, (signs, delta, rep)
         names = [c.name for c in rep.checks]
         assert "fixed_point_pair_side" in names

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import crosswitch.flow as flow
 from crosswitch.classify import CLASS_C2, CLASS_C32, CLASS_RF, classify, normal_form, unfolding
-from crosswitch.errors import NotTransverse, SeedOutsideBox, StepLimit
+from crosswitch.errors import LeftDomain, NonFiniteValue, NotTransverse, SeedOutsideBox, StepLimit
 from crosswitch.fields import compile_function, make_system
 from crosswitch.flow import (
     EventKind,
@@ -40,6 +40,14 @@ def c32_normal():
 def fold_family(delta: float, y2: float = 1.0, y1: float = 1.0):
     """X = (1, x1 - delta), Y = (y1, y2)."""
     return make_system(1.0, {(0, 0): -delta, (1, 0): 1.0}, y1, y2)
+
+
+def overflowing_system():
+    """Fields of magnitude ~1e150 near the branches, each within 1e9 of the
+    others, so no start point is a tangency; the quadratic and cubic terms
+    of Y1 overflow in the first RK4 stage of a step, to inf - inf = NaN."""
+    c = 1e150
+    return make_system(c, -c, {(0, 0): 2 * c, (2, 0): c, (3, 0): -c}, c)
 
 
 def event_kinds(traj: Trajectory) -> list[str]:
@@ -91,6 +99,27 @@ class TestHalfCrossing:
     def test_bad_start_rejected(self):
         with pytest.raises(ValueError):
             half_crossing(c32_normal(), "Y", (0.1, 0.1))
+
+    def test_leg_back_on_its_starting_branch_raises(self):
+        # [DERIVED] the leg runs backward, along (1, -1 - 200 x1) from
+        # x1 = -0.008: x2(t) = 0.6 t - 100 t^2 is back at 0 at t = 0.006,
+        # x1 = -0.002, before the leg reaches Sigma1
+        Z = make_system(1, -1, -1, {(0, 0): 1, (1, 0): 200})
+        with pytest.raises(LeftDomain, match="returned to its starting branch"):
+            half_crossing(Z, "Y", (-0.008, 0.0))
+
+    def test_step_limit(self, monkeypatch):
+        # the first leg of test_four_legs_of_c32 takes about 50 steps
+        monkeypatch.setattr(flow, "MAX_STEPS", 10)
+        with pytest.raises(StepLimit, match="within 10 steps"):
+            half_crossing(c32_normal(), "Y", (-0.1, 0.0))
+
+    @pytest.mark.parametrize("start", [(-0.1, 0.0), (0.1, 0.0), (0.0, 0.1)])
+    def test_overflowing_leg_raises(self, start):
+        # a NaN step passed the box test: one leg returned a NaN landing
+        # point, the others stepped NaN until the step limit
+        with pytest.raises(NonFiniteValue, match="non-finite coordinates"):
+            half_crossing(overflowing_system(), "Y", start)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +436,22 @@ class TestJunctionRules:
         assert traj.events[0].point == pytest.approx((0.300001, 0.0), abs=1e-12)
         assert traj.nonunique
         assert {s.mode for s in traj.samples} == {Mode.SMOOTH_X}
+
+    @pytest.mark.parametrize("seed", [(0.5, -0.15), (0.2, 0.0)],
+                             ids=["smooth", "sliding"])
+    def test_overflowing_step_raises(self, seed):
+        # a NaN step passed the box test and the run recorded NaN samples
+        # up to its time limit
+        with pytest.raises(NonFiniteValue, match="non-finite coordinates"):
+            integrate(overflowing_system(), seed, t_max=1.0)
+
+    def test_overflow_to_nan_inside_a_small_box_raises(self):
+        # max(abs(q[0]), abs(q[1])) is 0.5 for q = (0.5, nan): 1,000 NaN
+        # samples and a TimeLimit at (nan, nan)
+        Z = make_system({(0, 0): 1, (2, 0): 1e300}, {(0, 0): 1, (0, 2): -1e300},
+                        {(0, 0): 1, (2, 0): 1e300}, {(0, 0): -1, (1, 1): 1e300})
+        with pytest.raises(NonFiniteValue):
+            integrate(Z, (0.1, 0.1), 1.0, box=0.8)
 
     @pytest.mark.parametrize("seed", [(0.5, -0.15), (0.2, 0.0)],
                              ids=["smooth", "sliding"])

@@ -307,8 +307,8 @@ def test_trajectory_csv_matches_write_csv_route():
 
 def test_sweep_family_order_and_csv():
     deltas = [-0.3, 0.0, 0.3]
-    records = sweep_family(CLASS_RF, {"a": 1, "b": 1}, deltas, jobs=3)
-    assert [r.delta for r in records] == deltas  # thread map preserves order
+    records = sweep_family(CLASS_RF, {"a": 1, "b": 1}, deltas)
+    assert [r.delta for r in records] == deltas
     text = sweep_csv(records)
     lines = text.strip().split("\n")
     assert lines[0] == ("delta,family,predicted_class,observed_class,ok,"
@@ -318,6 +318,11 @@ def test_sweep_family_order_and_csv():
     assert lines[2].split(",")[3] == CLASS_RF  # delta = 0 row
     # repeated run is identical
     assert sweep_csv(sweep_family(CLASS_RF, {"a": 1, "b": 1}, deltas)) == text
+    # a sweep runs in one thread; the keyword takes only 1
+    assert sweep_csv(sweep_family(CLASS_RF, {"a": 1, "b": 1}, deltas,
+                                  jobs=1)) == text
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        sweep_family(CLASS_RF, {"a": 1, "b": 1}, deltas, jobs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +458,34 @@ def test_cli_repeated_sign_key_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "repeated sign key" in err
+
+
+_SWEEP = ["sweep", "--family", "codim1_regularfold", "--signs", "a=1,b=1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["normal-form", "stable_c1", "--signs", "a1"], "bad sign assignment 'a1'"),
+    (["normal-form", "stable_c1", "--signs", "a=x"], "bad sign value 'x' for 'a'"),
+    (["integrate", "--system", "{c32}", "--seed", "1,2,3"],
+     "seed must be 'x1,x2', got '1,2,3'"),
+    (_SWEEP + ["--deltas=-1:1:3", "--delta-list=0"], "give exactly one of"),
+    (_SWEEP, "give exactly one of"),
+    (_SWEEP + ["--deltas", "1:2"], "--deltas must be lo:hi:n, got '1:2'"),
+    (_SWEEP + ["--deltas", "a:b:c"], "bad --deltas 'a:b:c'"),
+    (_SWEEP + ["--deltas", "0:1:1"], "--deltas needs n >= 2"),
+    (_SWEEP + ["--delta-list=x"], "bad --delta-list 'x'"),
+    (_SWEEP + ["--delta-list=,"], "--delta-list is empty"),
+    (["normal-form", "HigherCodimension", "--signs", "a=1"],
+     "no normal form is defined for HigherCodimension"),
+], ids=["sign-without-value", "sign-not-an-int", "seed-of-three", "two-grids",
+        "no-grid", "deltas-of-two", "deltas-not-numbers", "deltas-of-one",
+        "delta-list-not-a-number", "delta-list-empty", "higher-codimension"])
+def test_cli_parse_errors_exit_2_with_their_message(c32_file, capsys, argv, message):
+    argv = [c32_file if a == "{c32}" else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {message}" in err
 
 
 def test_cli_non_finite_coefficients_exit_3(tmp_path, capsys):
@@ -668,6 +701,20 @@ def test_cli_internal_value_error_is_not_unusable_input(monkeypatch, c32_file):
         main(["classify", "--system", c32_file])
 
 
+def test_cli_portrait_of_an_overflowing_system_exits_2(tmp_path, capsys):
+    # a NaN step passed the flow's box test, and the SVG was written with
+    # nan coordinates, exit 0
+    Z = make_system({(0, 0): 1, (2, 0): 1e300}, {(0, 0): 1, (0, 2): -1e300},
+                    {(0, 0): 1, (2, 0): 1e300}, {(0, 0): -1, (1, 1): 1e300})
+    system = tmp_path / "overflow.json"
+    system.write_text(json.dumps(system_to_obj(Z)))
+    svg = tmp_path / "p.svg"
+    assert main(["portrait", "--system", str(system), "--box", "0.8", "--t-max", "1",
+                 "--svg", str(svg)]) == 2
+    assert "non-finite coordinates" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_cli_portrait_deterministic(c32_file, tmp_path):
     svg1, svg2 = tmp_path / "p1.svg", tmp_path / "p2.svg"
     csv1 = tmp_path / "p1.csv"
@@ -695,6 +742,15 @@ def test_cli_sweep_ok(tmp_path):
                  "--signs", "a=-1,b=1", "--deltas=-0.3:0.3:3",
                  "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--skip-fixed-points"]])
+def test_cli_sweep_has_one_configuration(capsys, option):
+    # a sweep runs in one thread with every check; neither switch exists
+    with pytest.raises(SystemExit) as exc:
+        main(_SWEEP + ["--deltas=-0.1:0.1:3"] + option)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def test_cli_sweep_requires_zero_in_grid(capsys):
@@ -743,7 +799,7 @@ def test_cli_sweep_mismatch_exits_4(monkeypatch, tmp_path, capsys):
         CLASS_RF, {"a": 1, "b": 1}, 0.1, "Stable_C1", "Stable_C2",
         (VerifyCheck("fold_location", False, "off by 1"),))
 
-    def fake_sweep(family, signs, deltas, check_fixed_points=True, jobs=1):
+    def fake_sweep(family, signs, deltas):
         return [SweepRecord(0.1, bad)]
 
     monkeypatch.setattr("crosswitch.cli.sweep_family", fake_sweep)
@@ -769,6 +825,16 @@ def test_cli_route_mismatch_in_a_sweep_is_not_unusable_input(monkeypatch):
     with pytest.raises(RouteMismatch, match="lane value"):
         main(["sweep", "--family", "codim1_pseudohopf",
               "--signs", "a=1,b=1,c=1", "--deltas=-1e-3:1e-3:3"])
+
+
+def test_sweep_demo_has_no_jobs_option():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sweep_demo.py"), "--help"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "--points" in proc.stdout and "--jobs" not in proc.stdout
 
 
 def test_sweep_demo_rejects_fewer_than_three_points(tmp_path):

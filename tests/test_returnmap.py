@@ -386,6 +386,17 @@ class TestFixedPoints:
         b = fixed_points(Z, -0.2, -1e-6, cells=192)[0].x
         assert abs(a - b) < 1e-8
 
+    @pytest.mark.parametrize("lo, hi, cells", [
+        (-0.25, -1e-6, 0), (-0.25, -1e-6, -3), (-0.25, -1e-6, float("nan")),
+        (float("nan"), -1e-6, 96), (-0.25, float("nan"), 96),
+        (-float("inf"), -1e-6, 96), (-1e-6, -0.25, 96), (-0.1, -0.1, 96),
+    ])
+    def test_bad_scan_parameters_rejected(self, lo, hi, cells):
+        # cells = 0 raised ZeroDivisionError and cells = -3 IndexError from
+        # inside scan_grid; a NaN end returned [] without a scan
+        with pytest.raises(ValueError, match="cells >= 1 and finite lo < hi"):
+            fixed_points(hopf_family(1e-3), lo, hi, cells=cells)
+
 
 # ---------------------------------------------------------------------------
 # lane route of fixed_points vs the scalar route

@@ -514,6 +514,20 @@ class TestDecomposition:
                 assert abs(arcs[-1].outer) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 0.0])
+def test_radius_must_be_positive_and_finite(radius):
+    # on C32 (a = b = c = 1) the decomposition returned Arc(1, 1, 0.0, nan,
+    # ESCAPING) for nan and a crossing arc out to -1.0 for -1; 0 raised the
+    # internal "origin does not lie on an open half-branch"; and
+    # pseudo_equilibria returned [] for all three
+    Z = make_system(1.0, -1.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        sigma_decomposition(Z, radius)
+    for branch in (1, 2):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            pseudo_equilibria(Z, branch, radius=radius)
+
+
 # ---------------------------------------------------------------------------
 # pseudo-equilibria
 # ---------------------------------------------------------------------------
