@@ -26,9 +26,10 @@ so classify(normal_form(name, signs)) reproduces (name, signs) exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import InvalidSigns
+from .errors import InvalidSigns, ParseError
 from .fields import PiecewiseSystem, make_system
 from .returnmap import fixed_points, return_map_model
 from .switching import (
@@ -252,7 +253,10 @@ def normal_form(class_name: str, signs: dict) -> PiecewiseSystem:
 
 
 def unfolding(family: str, signs: dict, delta: float) -> PiecewiseSystem:
-    """One-parameter model family through a codimension-one class."""
+    """One-parameter model family through a codimension-one class.  Raises
+    ParseError unless delta is finite."""
+    if not math.isfinite(delta):
+        raise ParseError(f"delta must be finite, got {delta!r}")
     s = validate_signs(family, signs)
     if family == CLASS_DPE:
         a, b, c1, c2 = s["a"], s["b"], s["c1"], s["c2"]

@@ -6,13 +6,14 @@ rerunning a command reproduces its output byte for byte.
 
 Exit codes: 0 success; 2 unusable input (parse errors, unreadable files,
 output paths that cannot be written, invalid signs or sign keys, systems
-outside a verb's domain, seeds outside the box or not finite, radii, boxes,
-times or steps that are not positive and finite, negative seed counts,
-deltas that are not finite, a CROSSWITCH_TOL that is not a finite number
->= 0, results that overflow to non-finite values); 3 non-finite
-coefficients; 4 a model-family prediction failed verification.
+outside a verb's domain, seeds outside the box or not finite, radii, boxes
+or times that are not positive and finite, negative seed counts, deltas
+that are not finite, a CROSSWITCH_TOL that is not a finite number >= 0,
+results that overflow to non-finite values); 3 non-finite coefficients;
+4 a model-family prediction failed verification.
 Only the named errors in `_USABLE_INPUT_ERRORS` mean unusable input; any
-other exception is a bug and is not caught.
+other exception is a bug and is not caught.  The library function that
+takes a numeric option checks it; the CLI checks only what it parses.
 """
 from __future__ import annotations
 
@@ -134,6 +135,11 @@ def _parse_seed(text: str) -> tuple[float, float]:
         raise ParseError(f"non-numeric seed {text!r}") from None
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ParseError(f"{name} must be finite, got {value!r}")
+
+
 def _parse_delta_grid(spec: str | None, listing: str | None) -> list[float]:
     if (spec is None) == (listing is None):
         raise ParseError("give exactly one of --deltas lo:hi:n or --delta-list v,...")
@@ -173,21 +179,9 @@ def _parse_delta_grid(spec: str | None, listing: str | None) -> list[float]:
 # verbs
 # ---------------------------------------------------------------------------
 
-def _require_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ParseError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ParseError(f"{name} must be finite, got {value!r}")
-
-
 def _cmd_classify(args) -> int:
-    _require_positive("--radius", args.radius)
     Z = _load_system(args.system)
-    rep = classification_report(Z, radius=args.radius,
-                                include_sigma=not args.no_sigma)
+    rep = classification_report(Z, radius=args.radius)
     _write_text(args.out, canonical_json(rep) + "\n")
     return 0
 
@@ -201,7 +195,6 @@ def _cmd_normal_form(args) -> int:
         if name not in CODIM1_CLASSES:
             raise ParseError(f"--delta applies only to the codimension-one "
                              f"families {CODIM1_CLASSES}")
-        _require_finite("--delta", args.delta)
         Z = unfolding(name, signs, args.delta)
     else:
         Z = normal_form(name, signs)
@@ -217,12 +210,9 @@ def _cmd_return_map(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    _require_positive("--t-max", args.t_max)
-    _require_positive("--box", args.box)
-    _require_positive("--h", args.h)
     Z = _load_system(args.system)
     tr = integrate(Z, _parse_seed(args.seed), t_max=args.t_max, box=args.box,
-                   h=args.h, backward=args.backward)
+                   backward=args.backward)
     _write_text(args.out, trajectory_csv([tr]))
     if args.events is not None:
         _write_text(args.events, canonical_json(events_report(Z, tr)) + "\n")
@@ -230,15 +220,10 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_portrait(args) -> int:
-    _require_positive("--box", args.box)
-    _require_positive("--t-max", args.t_max)
-    _require_positive("--h", args.h)
-    if min(args.seeds_per_quadrant, args.seeds_per_branch) < 0:
-        raise ParseError("--seeds-per-quadrant and --seeds-per-branch must be >= 0")
     Z = _load_system(args.system)
     trajectories = phase_portrait(
         Z, box=args.box, seeds_per_quadrant=args.seeds_per_quadrant,
-        seeds_per_branch=args.seeds_per_branch, t_max=args.t_max, h=args.h)
+        seeds_per_branch=args.seeds_per_branch, t_max=args.t_max)
     if args.csv is not None:
         _write_text(args.csv, trajectory_csv(trajectories, with_id=True))
     if args.svg is not None or args.csv is None:
@@ -292,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="system JSON file ('-' = stdin)")
     p.add_argument("--radius", type=float, default=1.0,
                    help="decomposition radius along the branches")
-    p.add_argument("--no-sigma", action="store_true",
-                   help="omit the switching-set decomposition")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_classify)
 
@@ -318,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--seed", required=True, help="'x1,x2'")
     p.add_argument("--t-max", type=float, default=5.0)
-    p.add_argument("--h", type=float, default=1e-3, help="RK4 step size")
     p.add_argument("--box", type=float, default=2.0,
                    help="stop when |x_i| reaches this bound")
     p.add_argument("--backward", action="store_true")
@@ -331,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--box", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=5.0)
-    p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--seeds-per-quadrant", type=int, default=3)
     p.add_argument("--seeds-per-branch", type=int, default=2)
     p.add_argument("--title", default="")

@@ -1,16 +1,26 @@
-"""Exception hierarchy for the crosswitch package."""
+"""Exception hierarchy for the crosswitch package, and `require_positive`,
+the one check of a parameter that must be positive and finite."""
 from __future__ import annotations
+
+import math
 
 
 class CrosswitchError(Exception):
     """Base class for all crosswitch-specific errors."""
 
 
-class ParseError(CrosswitchError):
+class ParseError(CrosswitchError, ValueError):
     """Malformed or invalid input: a system description (bad JSON, bad
     schema, degree cap exceeded, wrong monomial records), an option value
-    (a path that cannot be read or written included), or the CROSSWITCH_TOL
-    setting."""
+    (a path that cannot be read or written included), the CROSSWITCH_TOL
+    setting, or a library parameter outside its domain (`require_positive`,
+    seed counts, a scan's cells and bounds, a delta that is not finite)."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise ParseError unless value is positive and finite (NaN is not)."""
+    if not 0.0 < value < math.inf:
+        raise ParseError(f"{name} must be positive and finite, got {value!r}")
 
 
 class NonFiniteCoefficients(CrosswitchError):

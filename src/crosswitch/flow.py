@@ -1,6 +1,6 @@
 """Event-driven integration of the piecewise flow.
 
-Fixed-step RK4 (h = 1e-3).  Every event is located inside its final
+Fixed-step RK4 (h = STEP_H = 1e-3).  Every event is located inside its final
 substep by one rule, `_event_time`: `numerics.bisect_root` on the event
 function g(tau) of the RK4(tau) image over [0, h] (the branch coordinate at
 a junction, the sup norm minus the box at a box exit, the running coordinate
@@ -54,7 +54,15 @@ from enum import Enum
 from functools import partial
 from typing import NamedTuple
 
-from .errors import LeftDomain, NonFiniteValue, NotTransverse, SeedOutsideBox, StepLimit
+from .errors import (
+    LeftDomain,
+    NonFiniteValue,
+    NotTransverse,
+    ParseError,
+    SeedOutsideBox,
+    StepLimit,
+    require_positive,
+)
 from .fields import FIELD_SIGN, PiecewiseSystem, Point, active_field, branch_point
 from .numerics import bisect_root, rk4_step_1d, rk4_step_2d
 from .switching import (
@@ -66,7 +74,7 @@ from .switching import (
     xi_values,
 )
 
-#: Fixed RK4 step.
+#: Fixed RK4 step of every flow run: `integrate` and `half_crossing`.
 STEP_H = 1e-3
 
 #: Hard cap on RK4 steps per integration call.
@@ -228,11 +236,10 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
 # ---------------------------------------------------------------------------
 
 class _Integrator:
-    def __init__(self, Z: PiecewiseSystem, t_max: float, box: float, h: float):
+    def __init__(self, Z: PiecewiseSystem, t_max: float, box: float):
         self.Z = Z
         self.t_max = t_max
         self.box = box
-        self.h = h
         self.t = 0.0
         self.steps = 0
         self.samples: list[Sample] = []
@@ -364,7 +371,7 @@ class _Integrator:
         self.record(p, mode)
         armed = [abs(p[0]) > ARM, abs(p[1]) > ARM]
         F = self.Z.field(name).compiled_eval
-        h = self.h
+        h = STEP_H
         append = self.samples.append
         while True:
             if self.t >= self.t_max:
@@ -435,7 +442,7 @@ class _Integrator:
         mode = Mode.SLIDING1 if branch == 1 else Mode.SLIDING2
         self.record(branch_point(branch, s), mode)
         f = self.Z.sliding_field(branch).value
-        h = self.h
+        h = STEP_H
         append = self.samples.append
         # the tangency cuts within the box and the origin, which cannot
         # match while s == 0.0, as a stop differs from s
@@ -482,22 +489,21 @@ class _Integrator:
 
 
 def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
-              box: float = 2.0, h: float = STEP_H,
-              backward: bool = False) -> Trajectory:
-    """Integrate the piecewise flow from a seed for orbit time t_max.
+              box: float = 2.0, backward: bool = False) -> Trajectory:
+    """Integrate the piecewise flow from a seed for orbit time t_max, in RK4
+    steps of STEP_H.
 
     Backward trajectories integrate the negated system forward (sample times
     remain non-negative; the direction is recorded on the trajectory).
     The seed's coordinates are taken as floats, ints included.  Raises
-    ValueError unless t_max, box and the step h are positive and finite, and
+    ParseError unless t_max and box are positive and finite, and
     NonFiniteValue when a step overflows to NaN or infinity.
     """
-    for name, value in (("t_max", t_max), ("box", box), ("the step h", h)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    require_positive("t_max", t_max)
+    require_positive("box", box)
     seed = (float(seed[0]), float(seed[1]))
     W = Z.negate() if backward else Z
-    eng = _Integrator(W, t_max, box, h)
+    eng = _Integrator(W, t_max, box)
     eng.run(seed)
     return Trajectory(seed=seed, direction=-1 if backward else 1,
                       samples=eng.samples, events=eng.events,
@@ -510,12 +516,15 @@ def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,
 
 def phase_portrait(Z: PiecewiseSystem, box: float = 1.0,
                    seeds_per_quadrant: int = 3, seeds_per_branch: int = 2,
-                   t_max: float = 5.0, h: float = STEP_H) -> list[Trajectory]:
+                   t_max: float = 5.0) -> list[Trajectory]:
     """Trajectories from a deterministic seed lattice: points along each
     quadrant diagonal and along each half-branch, each integrated in both
-    time directions.  Raises ValueError on a negative seed count."""
+    time directions.  Raises ParseError, before any seed is built, unless box
+    and t_max are positive and finite and both seed counts are >= 0."""
+    require_positive("box", box)
+    require_positive("t_max", t_max)
     if min(seeds_per_quadrant, seeds_per_branch) < 0:
-        raise ValueError(f"seed counts must be >= 0, got {seeds_per_quadrant!r} "
+        raise ParseError(f"seed counts must be >= 0, got {seeds_per_quadrant!r} "
                          f"and {seeds_per_branch!r}")
     seeds: list[Point] = []
     inv_sqrt2 = 2.0 ** -0.5
@@ -532,8 +541,7 @@ def phase_portrait(Z: PiecewiseSystem, box: float = 1.0,
     for seed in seeds:
         for backward in (False, True):
             try:
-                out.append(integrate(Z, seed, t_max, box=box, h=h,
-                                     backward=backward))
+                out.append(integrate(Z, seed, t_max, box=box, backward=backward))
             except StepLimit:
                 continue
     return out

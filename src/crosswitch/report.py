@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .classify import Classification, UnfoldingVerification, classify, verify_unfolding
-from .errors import EvaluationOutsideDomain, NonFiniteValue, TooManyTangencies
+from .errors import NonFiniteValue, TooManyTangencies
 from .fields import PiecewiseSystem, system_to_obj
 from .flow import Mode, Trajectory
 from .returnmap import ReturnMapModel, half_map_numeric_fit, return_map_model
@@ -159,17 +159,16 @@ def classification_obj(cls: Classification) -> dict:
     }
 
 
-def classification_report(Z: PiecewiseSystem, radius: float = 1.0,
-                          include_sigma: bool = True) -> dict:
-    """Full JSON-ready classification record for one system."""
+def classification_report(Z: PiecewiseSystem, radius: float = 1.0) -> dict:
+    """Full JSON-ready classification record for one system, with its
+    decomposition and pseudo-equilibria within the radius."""
     rep = _envelope(Z)
     rep["classification"] = classification_obj(classify(Z))
-    if include_sigma:
-        try:
-            rep["sigma"] = _sigma_obj(sigma_decomposition(Z, radius))
-            rep["pseudo_equilibria"] = _pseudo_eq_obj(Z, radius)
-        except (TooManyTangencies, EvaluationOutsideDomain) as e:
-            rep["sigma"] = {"error": str(e)}
+    try:
+        rep["sigma"] = _sigma_obj(sigma_decomposition(Z, radius))
+        rep["pseudo_equilibria"] = _pseudo_eq_obj(Z, radius)
+    except TooManyTangencies as e:
+        rep["sigma"] = {"error": str(e)}
     return rep
 
 

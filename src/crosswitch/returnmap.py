@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import NotTransient, NotTransverse, RouteMismatch
+from .errors import NotTransient, NotTransverse, ParseError, RouteMismatch
 from .fields import FIELD_SIGN, PiecewiseSystem, Point, Poly2
 from .flow import ARM, LEG_BOX, half_crossing
 from .numerics import multisect_roots, scan_grid, sign_change_roots
@@ -502,12 +503,13 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
     The full turn preserves orientation, so a root is stable exactly when
     phi(x) - x falls from + to - across its cell; `stable` is read from the
     cell's end values, and is None only for a root at an exact zero of the
-    scan.  The multiplier is reported as computed.  Raises ValueError
-    unless cells >= 1 and lo < hi, both finite.
+    scan.  The multiplier is reported as computed.  Raises ParseError
+    unless cells is an integer >= 1 and lo < hi, both finite.
     """
-    if not (cells >= 1 and -math.inf < lo < hi < math.inf):
-        raise ValueError(f"a fixed-point scan needs cells >= 1 and finite "
-                         f"lo < hi, got cells={cells!r}, lo={lo!r}, hi={hi!r}")
+    if not (isinstance(cells, Integral) and cells >= 1
+            and -math.inf < lo < hi < math.inf):
+        raise ParseError(f"a fixed-point scan needs an integer cells >= 1 and "
+                         f"finite lo < hi, got cells={cells!r}, lo={lo!r}, hi={hi!r}")
     require_transient(Z)
     guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
     windows = ((lo, min(hi, -guard)), (max(lo, guard), hi))

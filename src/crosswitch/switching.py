@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParseError, TooManyTangencies
+from .errors import ParseError, TooManyTangencies, require_positive
 from .fields import FIELD_SIGN, FieldSpec, PiecewiseSystem, Point, branch_point
 from .numerics import scan_roots
 
@@ -228,16 +228,11 @@ class SigmaDecomposition:
         return tuple(SHORT_CODE[a.kind] for a in self.half_branch(branch, half))
 
 
-def _require_radius(radius: float) -> None:
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-
-
 def sigma_decomposition(Z: PiecewiseSystem, radius: float = 1.0) -> SigmaDecomposition:
     """Decompose all four half-branches within |s| <= radius into arcs of
-    constant kind separated by tangency points.  Raises ValueError unless
+    constant kind separated by tangency points.  Raises ParseError unless
     the radius is positive and finite."""
-    _require_radius(radius)
+    require_positive("radius", radius)
     arcs: list[Arc] = []
     tangencies: list[TangencyPoint] = []
     eps = 1e-9 * radius
@@ -281,10 +276,10 @@ def pseudo_equilibria(Z: PiecewiseSystem, branch: int,
     Zeros of det Z restricted to the branch, kept only where the branch point
     lies in a sliding or escaping region (normal components of opposite sign).
     The origin is excluded: a vanishing determinant there is an organizing-
-    center condition handled by the classifier.  Raises ValueError unless
+    center condition handled by the classifier.  Raises ParseError unless
     the radius is positive and finite.
     """
-    _require_radius(radius)
+    require_positive("radius", radius)
     sf = Z.sliding_field(branch)
     eps = 1e-9 * radius
     roots: list[float] = []

@@ -358,6 +358,15 @@ def test_unfolding_rejects_stable_class():
         unfolding(CLASS_C1, {"a": 1, "b": 1}, 0.1)
 
 
+@pytest.mark.parametrize("family", CODIM1_CLASSES)
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_unfolding_rejects_a_delta_that_is_not_finite(family, delta):
+    # a NaN delta reached the coefficient builder: NonFiniteCoefficients
+    signs = all_sign_tuples(family)[0]
+    with pytest.raises(ParseError, match=f"delta must be finite, got {delta!r}"):
+        unfolding(family, signs, delta)
+
+
 # ---------------------------------------------------------------------------
 # unfoldings: side classes and quantitative predictions
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from crosswitch import (
     CLASS_PH,
     CLASS_RF,
     NonFiniteValue,
+    ParseError,
     RouteMismatch,
     integrate,
     make_system,
@@ -402,10 +403,11 @@ def test_cli_classify_roundtrip_and_determinism(c32_file, tmp_path):
 def test_cli_classify_reads_stdin(monkeypatch, capsys):
     Z = normal_form(CLASS_C1, {"a": 1, "b": -1})
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(system_to_obj(Z))))
-    assert main(["classify", "--system", "-", "--no-sigma"]) == 0
+    assert main(["classify", "--system", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["classification"]["class"] == CLASS_C1
-    assert "sigma" not in rep
+    assert rep["sigma"]["radius"] == 1.0
+    assert "pseudo_equilibria" in rep
 
 
 def test_cli_normal_form_pipes_into_classify(tmp_path, capsys):
@@ -413,10 +415,19 @@ def test_cli_normal_form_pipes_into_classify(tmp_path, capsys):
     sys_json = capsys.readouterr().out
     p = tmp_path / "sys.json"
     p.write_text(sys_json)
-    assert main(["classify", "--system", str(p), "--no-sigma"]) == 0
+    assert main(["classify", "--system", str(p)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["classification"]["class"] == CLASS_C32
     assert rep["classification"]["signs"] == {"a": 1, "b": -1, "c": -1}
+
+
+def test_cli_classify_always_reports_the_decomposition(c32_file, capsys):
+    # the report always holds the decomposition within --radius, which the
+    # library checks; no switch leaves it out
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--system", c32_file, "--no-sigma"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-sigma" in capsys.readouterr().err
 
 
 def test_cli_normal_form_delta_builds_unfolding(capsys):
@@ -555,62 +566,66 @@ def test_cli_integrate_rejects_bad_seed(c32_file, capsys):
 
 
 def test_cli_rejects_steps_boxes_and_radii_that_are_not_positive_and_finite(
-        c32_file, monkeypatch, capsys):
-    # a negative step wrote samples at negative times, and an infinite box
-    # drew a portrait from overflowing values; both exited 0
-    assert main(["integrate", "--system", c32_file, "--seed", "0.1,0.1",
-                 "--h=-1e-3", "--t-max", "1"]) == 2
-    assert main(["portrait", "--system", c32_file, "--box", "inf"]) == 2
-    assert main(["classify", "--system", c32_file, "--radius", "inf"]) == 2
+        c32_file, tmp_path, capsys):
+    # an infinite box drew a portrait from overflowing values, exit 0; the
+    # library refuses it, and an infinite radius, before any output
+    svg, rep = tmp_path / "p.svg", tmp_path / "r.json"
+    assert main(["portrait", "--system", c32_file, "--box", "inf",
+                 "--svg", str(svg)]) == 2
+    assert "error: box must be positive and finite, got inf" in capsys.readouterr().err
+    assert main(["classify", "--system", c32_file, "--radius", "inf",
+                 "--out", str(rep)]) == 2
+    assert "error: radius must be positive and finite, got inf" in (
+        capsys.readouterr().err)
+    assert not svg.exists() and not rep.exists()
 
-    # a zero or NaN step is refused before any integration starts
-    def never(*args, **kwargs):
-        raise AssertionError("integration started")
-
-    monkeypatch.setattr("crosswitch.cli.integrate", never)
-    monkeypatch.setattr("crosswitch.cli.phase_portrait", never)
-    for h in ("0", "nan"):
-        assert main(["integrate", "--system", c32_file, "--seed", "0.1,0.1",
-                     "--h", h]) == 2
-        assert main(["portrait", "--system", c32_file, "--h", h,
-                     "--t-max", "1"]) == 2
-    assert "--h must be positive and finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("h", [-1e-3, 0.0, math.nan, math.inf])
-def test_integrate_rejects_a_step_that_is_not_positive_and_finite(h):
-    Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
-    with pytest.raises(ValueError, match="positive and finite"):
-        integrate(Z, (0.1, 0.1), 1.0, h=h)
+    # the RK4 step is fixed (flow.STEP_H): no verb has an option for it
+    for verb in ("integrate", "portrait"):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        assert "--h H" not in capsys.readouterr().out
 
 
 def test_cli_rejects_times_and_boxes_that_are_not_positive_and_finite(
-        c32_file, monkeypatch, capsys):
+        c32_file, tmp_path, capsys):
     # a NaN box integrated to x1 = 8 and a NaN time limit never stopped the
     # orbit; both exited 0, as did a portrait with a negative time limit
-    def never(*args, **kwargs):
-        raise AssertionError("integration started")
-
-    monkeypatch.setattr("crosswitch.cli.integrate", never)
-    monkeypatch.setattr("crosswitch.cli.phase_portrait", never)
+    csv, events = tmp_path / "t.csv", tmp_path / "e.json"
+    svg, samples = tmp_path / "p.svg", tmp_path / "p.csv"
+    integrate_to = ["--events", str(events), "--out", str(csv)]
     for bad in ("nan", "-1", "0", "inf"):
+        got = f"must be positive and finite, got {float(bad)!r}"
         assert main(["integrate", "--system", c32_file, "--seed", "0.1,0.1",
-                     "--box", bad, "--t-max", "5"]) == 2
+                     "--box", bad, "--t-max", "5", *integrate_to]) == 2
+        assert f"error: box {got}" in capsys.readouterr().err
         assert main(["integrate", "--system", c32_file, "--seed", "0.1,0.1",
-                     "--t-max", bad]) == 2
-        assert main(["portrait", "--system", c32_file, "--t-max", bad]) == 2
-    err = capsys.readouterr().err
-    assert "--box must be positive and finite" in err
-    assert "--t-max must be positive and finite" in err
+                     "--t-max", bad, *integrate_to]) == 2
+        assert f"error: t_max {got}" in capsys.readouterr().err
+        assert main(["portrait", "--system", c32_file, "--t-max", bad,
+                     "--svg", str(svg), "--csv", str(samples)]) == 2
+        assert f"error: t_max {got}" in capsys.readouterr().err
+    assert not any(p.exists() for p in (csv, events, svg, samples))
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
 def test_integrate_rejects_a_time_or_box_that_is_not_positive_and_finite(bad):
     Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
-    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+    with pytest.raises(ParseError, match="t_max must be positive and finite"):
         integrate(Z, (0.1, 0.1), bad)
-    with pytest.raises(ValueError, match="box must be positive and finite"):
+    with pytest.raises(ParseError, match="box must be positive and finite"):
         integrate(Z, (0.1, 0.1), 1.0, box=bad)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_phase_portrait_rejects_a_time_or_box_that_is_not_positive_and_finite(bad):
+    # with no seeds, only integrate checked them: box=nan, t_max=-1 gave []
+    Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
+    none = dict(seeds_per_quadrant=0, seeds_per_branch=0)
+    assert phase_portrait(Z, box=0.5, t_max=0.5, **none) == []
+    with pytest.raises(ParseError, match="t_max must be positive and finite"):
+        phase_portrait(Z, t_max=bad, **none)
+    with pytest.raises(ParseError, match="box must be positive and finite"):
+        phase_portrait(Z, box=bad, **none)
 
 
 def test_cli_input_errors_exit_2_through_named_errors(c32_file, tmp_path, capsys):
@@ -679,15 +694,15 @@ def test_cli_portrait_rejects_a_negative_seed_count(c32_file, tmp_path, capsys, 
     svg = tmp_path / "p.svg"
     assert main(["portrait", "--system", c32_file, option, "-1",
                  "--svg", str(svg)]) == 2
-    assert "--seeds-per-quadrant and --seeds-per-branch must be >= 0" in (
-        capsys.readouterr().err)
+    want = "-1 and 2" if option == "--seeds-per-quadrant" else "3 and -1"
+    assert f"error: seed counts must be >= 0, got {want}" in capsys.readouterr().err
     assert not svg.exists()
 
 
 @pytest.mark.parametrize("counts", [(-1, 2), (3, -2)])
 def test_phase_portrait_rejects_a_negative_seed_count(counts):
     Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
-    with pytest.raises(ValueError, match="must be >= 0"):
+    with pytest.raises(ParseError, match="must be >= 0"):
         phase_portrait(Z, seeds_per_quadrant=counts[0], seeds_per_branch=counts[1])
 
 
@@ -780,7 +795,7 @@ def test_cli_normal_form_rejects_a_delta_that_is_not_finite(capsys):
     for bad in ("nan", "inf"):
         assert main(["normal-form", "codim1_regularfold", "--signs", "a=1,b=1",
                      "--delta", bad]) == 2
-    assert "--delta must be finite" in capsys.readouterr().err
+    assert "error: delta must be finite" in capsys.readouterr().err
 
 
 def test_cli_sweep_rejects_deltas_that_are_not_finite(capsys):

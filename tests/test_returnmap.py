@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from crosswitch.errors import (CrosswitchError, LeftDomain, NotTransient, NotTransverse,
-                               RouteMismatch, StepLimit)
+                               ParseError, RouteMismatch, StepLimit)
 from crosswitch.fields import make_system
 from crosswitch.flow import half_crossing
 import crosswitch.returnmap as returnmap
@@ -390,11 +390,13 @@ class TestFixedPoints:
         (-0.25, -1e-6, 0), (-0.25, -1e-6, -3), (-0.25, -1e-6, float("nan")),
         (float("nan"), -1e-6, 96), (-0.25, float("nan"), 96),
         (-float("inf"), -1e-6, 96), (-1e-6, -0.25, 96), (-0.1, -0.1, 96),
+        (-0.25, -1e-6, 1.5), (-0.25, -1e-6, 96.0),
     ])
     def test_bad_scan_parameters_rejected(self, lo, hi, cells):
         # cells = 0 raised ZeroDivisionError and cells = -3 IndexError from
-        # inside scan_grid; a NaN end returned [] without a scan
-        with pytest.raises(ValueError, match="cells >= 1 and finite lo < hi"):
+        # inside scan_grid; a NaN end returned [] without a scan, and
+        # cells = 1.5 scanned a grid whose last cell was half as wide
+        with pytest.raises(ParseError, match="integer cells >= 1 and finite lo < hi"):
             fixed_points(hopf_family(1e-3), lo, hi, cells=cells)
 
 

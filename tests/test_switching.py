@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crosswitch.errors import EvaluationOutsideDomain, TooManyTangencies
+from crosswitch.errors import EvaluationOutsideDomain, ParseError, TooManyTangencies
 from crosswitch.fields import Poly1, SlidingField, branch_point, make_system
 from crosswitch.numerics import (ROOT_XTOL, SCAN_CELLS, bisect_root, multisect_roots,
                                  scan_grid, scan_roots)
@@ -246,12 +246,15 @@ class TestScanRoots:
     @given(st.lists(st.floats(-2, 2), min_size=2, max_size=5), st.floats(0.5, 2.0))
     @example(cs=[0.25, 1.0, 1e-09], r=1.0)   # numpy's root is off by 1.2e-7
     @example(cs=[0.5, 1.0, 1.9839346996837883e-11], r=1.0)   # off by 7.6e-6
+    @example(cs=[2.440300306241937e-271, 0.0625, 1.0, 1.749464813927288e-15],
+             r=1.0)   # -0.125 for the root -0.0625, next to a root at -5.7e14
     @settings(max_examples=150, deadline=None)
     def test_matches_numpy_polyroots(self, cs, r):
         # [DERIVED] every simple real numpy root well inside the window is
         # found by the scanner, and every scanner root is a numpy root; the
-        # simple real numpy roots in the window are first polished by Newton
-        # steps on q, as numpy's companion-matrix roots can be off by 1e-7
+        # simple real numpy roots in the window are first polished by 60
+        # Newton steps on q, kept where they lower |q|, as numpy's
+        # companion-matrix roots can be off by 1e-7, or by a factor of 2
         q = Poly1(cs)
         assume(q.degree >= 1)
         dq = q.derivative()
@@ -263,9 +266,9 @@ class TestScanRoots:
             if not (simple_real(z) and abs(z.real) <= r):
                 return z
             x = float(z.real)
-            for _ in range(4):
+            for _ in range(60):
                 x -= q(x) / dq(x)
-            return complex(x)
+            return complex(x) if abs(q(x)) <= abs(q(float(z.real))) else z
 
         npr = [polish(z) for z in
                np.polynomial.polynomial.polyroots(np.asarray(q.coeffs))]
@@ -521,10 +524,10 @@ def test_radius_must_be_positive_and_finite(radius):
     # internal "origin does not lie on an open half-branch"; and
     # pseudo_equilibria returned [] for all three
     Z = make_system(1.0, -1.0, 2.0, 1.0)
-    with pytest.raises(ValueError, match="radius must be positive and finite"):
+    with pytest.raises(ParseError, match="radius must be positive and finite"):
         sigma_decomposition(Z, radius)
     for branch in (1, 2):
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
+        with pytest.raises(ParseError, match="radius must be positive and finite"):
             pseudo_equilibria(Z, branch, radius=radius)
 
 
