@@ -7,7 +7,6 @@ Usage: python3 scripts/make_portraits.py [--out-dir portraits] [--box 0.8]
 from __future__ import annotations
 
 import argparse
-import math
 from pathlib import Path
 
 from crosswitch import (
@@ -18,12 +17,14 @@ from crosswitch import (
     CLASS_DPE,
     CLASS_PH,
     CLASS_RF,
+    ParseError,
     TooManyTangencies,
     normal_form,
     phase_portrait,
     sigma_decomposition,
     unfolding,
 )
+from crosswitch.errors import require_positive
 from crosswitch.report import portrait_svg
 
 GALLERY = [
@@ -49,9 +50,12 @@ def main() -> int:
     ap.add_argument("--box", type=float, default=0.8)
     ap.add_argument("--t-max", type=float, default=3.0)
     args = ap.parse_args()
-    for name, value in (("--box", args.box), ("--t-max", args.t_max)):
-        if not 0.0 < value < math.inf:
-            ap.error(f"{name} must be positive and finite, got {value!r}")
+    # checked before the output directory is made; exit 2 as for any bad option
+    try:
+        require_positive("--box", args.box)
+        require_positive("--t-max", args.t_max)
+    except ParseError as e:
+        ap.error(str(e))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -265,23 +265,28 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser.  No parser matches an option by a prefix of its
+    name: a mistyped or removed option (say `--h` or `--t`) exits 2 as
+    unrecognized, where it would be read as `--help` or `--t-max`."""
     ap = argparse.ArgumentParser(
-        prog="crosswitch",
+        prog="crosswitch", allow_abbrev=False,
         description="Planar piecewise-smooth systems switched across "
                     "{x1*x2 = 0}: classification, return maps, model "
                     "families, trajectories.")
     ap.add_argument("--version", action="version", version=f"crosswitch {__version__}")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("classify", help="classify the origin of a system")
+    def verb(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p = verb("classify", help="classify the origin of a system")
     p.add_argument("--system", required=True, help="system JSON file ('-' = stdin)")
     p.add_argument("--radius", type=float, default=1.0,
                    help="decomposition radius along the branches")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("normal-form",
-                       help="emit the system JSON of a class representative")
+    p = verb("normal-form", help="emit the system JSON of a class representative")
     p.add_argument("class_name", help="class name (case-insensitive)")
     p.add_argument("--signs", required=True, help="e.g. 'a=1,b=-1'")
     p.add_argument("--delta", type=float, default=None,
@@ -289,15 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_normal_form)
 
-    p = sub.add_parser("return-map",
-                       help="cubic return-map model of a transient system")
+    p = verb("return-map", help="cubic return-map model of a transient system")
     p.add_argument("--system", required=True)
     p.add_argument("--numeric", action="store_true",
                    help="also fit the half maps from integrated orbits")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_return_map)
 
-    p = sub.add_parser("integrate", help="integrate one trajectory to CSV")
+    p = verb("integrate", help="integrate one trajectory to CSV")
     p.add_argument("--system", required=True)
     p.add_argument("--seed", required=True, help="'x1,x2'")
     p.add_argument("--t-max", type=float, default=5.0)
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_integrate)
 
-    p = sub.add_parser("portrait", help="phase portrait (SVG and/or CSV)")
+    p = verb("portrait", help="phase portrait (SVG and/or CSV)")
     p.add_argument("--system", required=True)
     p.add_argument("--box", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=5.0)
@@ -320,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write samples as CSV")
     p.set_defaults(func=_cmd_portrait)
 
-    p = sub.add_parser("sweep",
-                       help="verify a model family across a delta grid")
+    p = verb("sweep", help="verify a model family across a delta grid")
     p.add_argument("--family", required=True,
                    help="codimension-one class name (case-insensitive)")
     p.add_argument("--signs", required=True)

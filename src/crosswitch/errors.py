@@ -63,7 +63,7 @@ class StepLimit(CrosswitchError):
 class RouteMismatch(CrosswitchError):
     """The lane route of a fixed-point scan and the scalar orbit legs of
     `numeric_return_map` gave full-turn values further apart than
-    `returnmap.LANE_CHECK_TOL` * (1 + |x|): a numerical fault, not unusable
+    `lanes.LANE_CHECK_TOL` * (1 + |x|): a numerical fault, not unusable
     input."""
 
 

@@ -1,31 +1,35 @@
 """Hand-rolled numerical primitives used by the analysis layers.
 
-These are pinned implementations (grid-scan root isolation + bisection or
-vectorised multisection, classical RK4 steps) so that results are
-bit-reproducible across platforms.  Library root finders and adaptive
-integrators appear only as independent oracles in the test suite.
+These are pinned implementations (grid-scan root isolation + bisection,
+classical RK4 steps) so that results are bit-reproducible across
+platforms.  Library root finders and adaptive integrators appear only as
+independent oracles in the test suite.  Nothing here needs arrays, and this
+module imports no numpy: the lane code of the fixed-point scans lives in
+`lanes`, which only the verbs that run lanes import.
 
-`scan_roots` evaluates f once per scan, on the whole grid as a numpy array,
-and finds the zero and sign-change cells with array masks.  Elementwise
-IEEE multiplies and adds round exactly as Python floats do, so a `Poly1`'s
-Horner loop gives the same grid values on an array as point by point.
-For a polynomial it also splits each cell whose end values hide roots at
-the turns inside it, so that every simple root shows as a sign change.
+`scan_roots` evaluates f point by point on a list grid, each point
+lo + step * k (hi exact), and finds the zero and sign-change cells in one
+pass over the values.  For a `Poly1` it first tries a certified exit: when
+the Bernstein coefficients of f on [lo, hi] all have one sign, with a
+margin above a rigorous bound on every rounding error involved, f has no
+root there and every value the scan would compute has that sign, so the
+scan returns [] without running (`_has_no_root`).  Otherwise it also splits
+each cell whose end values hide roots at the turns inside it, so that every
+simple root shows as a sign change.
 
 `bisect_root` is the one scalar bisection loop: it refines the roots of
 `scan_roots` to width ROOT_XTOL (exact zeros stop early), and it localises
 every flow event inside an RK4 substep [0, h], where it stops at
 |g| <= `flow.SNAP` or at width 1e-16 * h.  The fixed-point scans refine
-their roots on lanes with `multisect_roots`.
+their roots on lanes with `lanes.multisect_roots`.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+import math
+from operator import itemgetter, mul
+from typing import Callable, Sequence
 
-import numpy as np
-
-if TYPE_CHECKING:
-    from .fields import Poly1
+from .fields import Poly1
 
 #: Default number of scan cells for root isolation on an interval.
 SCAN_CELLS = 512
@@ -35,10 +39,6 @@ ROOT_XTOL = 1e-12
 
 #: Most halvings `bisect_root` makes.
 BISECT_MAX_ITER = 200
-
-#: Sections per round of `multisect_roots`.
-MULTISECTIONS = 256
-
 
 def bisect_root(f: Callable[[float], float], a: float, b: float,
                 fa: float, fb: float,
@@ -71,10 +71,11 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
-def scan_grid(lo: float, hi: float, cells: int) -> np.ndarray:
+def scan_grid(lo: float, hi: float, cells: int) -> list[float]:
     """The cells + 1 equally spaced scan points from lo to hi (hi exact),
-    each lo + step * k with the same two roundings as on Python floats."""
-    xs = lo + (hi - lo) / cells * np.arange(cells + 1)
+    each lo + step * k, step = (hi - lo) / cells."""
+    step = (hi - lo) / cells
+    xs = [lo + step * k for k in range(cells + 1)]
     xs[-1] = hi
     return xs
 
@@ -82,35 +83,39 @@ def scan_grid(lo: float, hi: float, cells: int) -> np.ndarray:
 Cell = tuple[float, float, float, float]   # (a, b, f(a), f(b))
 
 
-def sign_change_roots(xs: Sequence[float] | np.ndarray,
-                      vals: Sequence[float] | np.ndarray,
+def sign_change_roots(xs: Sequence[float], vals: Sequence[float],
                       refine: Callable[[list[Cell]], Sequence[float]]
                       ) -> list[tuple[float, Cell]]:
-    """Roots from the values of f on a scan grid (lists or arrays).
+    """Roots from the values of f on a scan grid (lists of floats).
 
     A zero grid value is a root, and every cell whose end values have
     opposite signs holds one.  refine([(a, b, f(a), f(b)), ...]) locates
-    the roots of all those cells in a single call, one per cell, the cell
-    data being Python floats.  Returns ascending (root, cell) pairs, cell
-    being the root's (a, b, f(a), f(b)), or (r, r, 0.0, 0.0) for a zero
-    grid value r, with duplicates within a small merge window collapsed.
+    the roots of all those cells in a single call, one per cell.  Returns
+    ascending (root, cell) pairs, cell being the root's (a, b, f(a), f(b)),
+    or (r, r, 0.0, 0.0) for a zero grid value r, with duplicates within a
+    small merge window collapsed.
     """
-    v = np.asarray(vals, dtype=float)
-    zero, neg = v == 0.0, v < 0.0
-    # grid indices of zero values and of sign-change cells, ascending
-    flip = ~zero[:-1] & ~zero[1:] & (neg[:-1] != neg[1:])
-    hits = np.flatnonzero(np.append(zero[:-1] | flip, zero[-1])).tolist()
-    cells = np.flatnonzero(flip).tolist()
-    brackets = [(float(xs[k]), float(xs[k + 1]), float(v[k]), float(v[k + 1]))
-                for k in cells]
-    refined = dict(zip(cells, zip(refine(brackets), brackets)))
+    # grid indices of zero values and of sign-change cells, ascending; only
+    # a cell whose end values have no positive product can be either
+    hits: list[int] = []
+    brackets: list[Cell] = []
+    for k in [k for k, p in enumerate(map(mul, vals, vals[1:])) if not p > 0.0]:
+        fa, fb = vals[k], vals[k + 1]
+        if fa == 0.0:
+            hits.append(k)
+        elif fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            hits.append(k)
+            brackets.append((xs[k], xs[k + 1], fa, fb))
+    if vals[-1] == 0.0:
+        hits.append(len(vals) - 1)
+    refined = iter(zip(refine(brackets), brackets))
     out: list[tuple[float, Cell]] = []
     for k in hits:
-        if k in refined:
-            r, cell = refined[k]
-        else:
-            r = float(xs[k])
+        if vals[k] == 0.0:
+            r = xs[k]
             cell = (r, r, 0.0, 0.0)
+        else:
+            r, cell = next(refined)
         if out and abs(r - out[-1][0]) <= max(4.0 * ROOT_XTOL, 1e-11 * (1.0 + abs(r))):
             continue
         out.append((r, cell))
@@ -122,30 +127,84 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
     """Sign-change roots of f on [lo, hi]: uniform scan + bisection to
     ROOT_XTOL.
 
-    f maps a point to a value and an array of points to an array of values
-    (a `Poly1` does both); the scan makes one call on the whole grid, and
-    `bisect_root` refines each sign-change cell with scalar calls.  When f
-    is a polynomial (it has `derivative`), a cell that holds more roots
-    than its end values show gets its turns as extra scan points (see
-    `_hidden_turns`); for any other f such roots go undetected.  Roots of
-    even multiplicity (no sign change) are not detected; duplicates within
-    a small merge window are collapsed.  Returns an ascending list.
+    The scan calls f once per grid point, and `bisect_root` refines each
+    sign-change cell.  When f is a `Poly1`, a certified exit returns []
+    without the scan where f has no root (`_has_no_root`), and a cell that
+    holds more roots than its end values show gets its turns as extra scan
+    points (see `_hidden_turns`); for any other f such roots go undetected.
+    Roots of even multiplicity (no sign change) are not detected;
+    duplicates within a small merge window are collapsed.  Returns an
+    ascending list.
     """
     if not hi > lo:
         return []
+    poly = isinstance(f, Poly1)
+    if poly and _has_no_root(f, lo, hi):
+        return []
     xs = scan_grid(lo, hi, cells)
-    vals = f(xs)
-    turns = _hidden_turns(f, xs, vals) if hasattr(f, "derivative") else []
+    vals = f.values(xs) if poly else [f(x) for x in xs]
+    turns = _hidden_turns(f, xs, vals) if poly else []
     if turns:
-        tx, tv = (np.array(t) for t in zip(*turns))
-        order = np.argsort(np.concatenate([xs, tx]), kind="stable")
-        xs = np.concatenate([xs, tx])[order]
-        vals = np.concatenate([vals, tv])[order]
+        pairs = sorted([*zip(xs, vals), *turns], key=itemgetter(0))
+        xs = [x for x, _ in pairs]
+        vals = [v for _, v in pairs]
     return [r for r, _ in sign_change_roots(
         xs, vals, lambda brackets: [bisect_root(f, *c) for c in brackets])]
 
 
-def _hidden_turns(f: Poly1, xs: np.ndarray, vals: np.ndarray
+def _has_no_root(f: Poly1, lo: float, hi: float) -> bool:
+    """True only if f has no zero on [lo, hi] and its Horner value (as
+    `Poly1.__call__` computes it) at every float x in [lo, hi] is nonzero
+    with the sign of f there: a scan of [lo, hi] then finds no root.
+
+    The Bernstein coefficients b_k of f, degree n, on [lo, lo + w], w =
+    hi - lo rounded up, bound f there from both sides.  They are computed in
+    floats: a Taylor shift to lo by repeated synthetic division, a scaling
+    by w^i / C(n, i), and n rounds of pairwise sums.  Along this computation
+    each term of a b_k passes through at most 5n + 2 roundings, and along
+    Horner's rule each term of f(x) through at most 2n.  So with u = 2^-53,
+    gamma_m = m u / (1 - m u) and P(rho) = sum |c_i| rho^i, rho = |lo| + w
+    (rounded up), every computed b_k is within gamma_{5n+2} P(rho) of b_k
+    and every computed f(x), |x| <= rho, within gamma_{2n} P(rho) of f(x)
+    (the usual sum-of-products bound; Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3 and 5).  Underflow adds an absolute error
+    of at most 2^-1075 per multiplication, amplified by at most
+    2 (2 + 2 rho)^(2n); there are fewer than (n + 2)^2 of them.
+
+    The test asks every computed b_k to have one sign s and to exceed, as
+    s b_k, the margin 2 (7n + 7) u P(rho) + 2^-999 (2 + 2 rho)^(2n), twice
+    the sum of these bounds; an overflow anywhere fails it.
+    """
+    cs = f.coeffs
+    n = len(cs) - 1
+    w = math.nextafter(hi - lo, math.inf)
+    rho = math.nextafter(abs(lo) + w, math.inf)
+    try:
+        tiny = 2.0 ** -999 * (2.0 + 2.0 * rho) ** (2 * n)
+    except OverflowError:
+        return False
+    bound = 0.0
+    for c in reversed(cs):
+        bound = bound * rho + abs(c)
+    margin = 2.0 * (7 * n + 7) * 2.0 ** -53 * bound + tiny
+    # Taylor shift: d holds the coefficients of f(lo + t) in t
+    d = list(cs)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            d[j] = d[j] + lo * d[j + 1]
+    # b_k = sum_i C(k, i) d_i w^i / C(n, i): position k summed k times
+    b, wp = [], 1.0
+    for i, di in enumerate(d):
+        b.append(di * wp / math.comb(n, i))
+        wp = wp * w
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            b[i] = b[i] + b[i - 1]
+    return (all(margin < v < math.inf for v in b)
+            or all(-math.inf < v < -margin for v in b))
+
+
+def _hidden_turns(f: Poly1, xs: list[float], vals: list[float]
                   ) -> list[tuple[float, float]]:
     """(t, f(t)) for the turns t of f inside every scan cell where f changes
     sign more often, along the cell's ends and turns, than between its ends.
@@ -160,31 +219,35 @@ def _hidden_turns(f: Poly1, xs: np.ndarray, vals: np.ndarray
     """
     if f.degree < 2:
         return []
-    lo, hi = float(xs[0]), float(xs[-1])
+    lo, hi = xs[0], xs[-1]
     r, h = max(-lo, hi), (hi - lo) / (len(xs) - 1)
-    small = np.abs(vals) <= _cell_reach(f, r, h)
-    near = np.flatnonzero(small[:-1] & small[1:])
-    if near.size == 0:
+    reach = _cell_reach(f, r, h)
+    small = [k for k, v in enumerate(vals) if abs(v) <= reach]
+    near = [k for k, j in zip(small, small[1:]) if j == k + 1]
+    if not near:
         return []
     g = f.derivative()
-    slope = np.abs(g(xs[near]))
-    keep = slope <= _cell_reach(g, r, h)
-    near, slope = near[keep], slope[keep]
-    if near.size == 0:
-        return []
-    a, width = xs[near], xs[near + 1] - xs[near]
-    term = width
-    bound0, bound1 = slope * term, np.zeros(near.shape)
-    for j in range(2, f.degree + 1):
+    reach = _cell_reach(g, r, h)
+    near = [(k, slope) for k in near if (slope := abs(g(xs[k]))) <= reach]
+    higher = []
+    for _ in range(2, f.degree + 1):
         g = g.derivative()
-        d = np.abs(g(a))
-        bound1 = bound1 + d * term
-        term = term * width / j
-        bound0 = bound0 + d * term
+        higher.append(g)
     out: list[tuple[float, float]] = []
-    for k in near[(np.abs(vals[near]) <= 2.0 * bound0) & (slope <= 2.0 * bound1)].tolist():
-        pts = [(t, f(t)) for t in _turns(f, float(xs[k]), float(xs[k + 1]))]
-        fa, fb = float(vals[k]), float(vals[k + 1])
+    for k, slope in near:
+        a, b = xs[k], xs[k + 1]
+        width = b - a
+        term = width
+        bound0, bound1 = slope * term, 0.0
+        for j, g in enumerate(higher, 2):
+            d = abs(g(a))
+            bound1 = bound1 + d * term
+            term = term * width / j
+            bound0 = bound0 + d * term
+        if not (abs(vals[k]) <= 2.0 * bound0 and slope <= 2.0 * bound1):
+            continue
+        pts = [(t, f(t)) for t in _turns(f, a, b)]
+        fa, fb = vals[k], vals[k + 1]
         if _sign_changes([fa, *(v for _, v in pts), fb]) > _sign_changes([fa, fb]):
             out += pts
     return out
@@ -215,40 +278,6 @@ def _turns(f: Poly1, a: float, b: float) -> list[float]:
     return [r for r, _ in sign_change_roots(
         pts, [g(x) for x in pts], lambda brackets: [bisect_root(g, *c) for c in brackets])
         if a < r < b]
-
-
-def multisect_roots(f: Callable[[np.ndarray], np.ndarray],
-                    cells: Sequence[Cell]) -> list[float]:
-    """Roots of f in sign-change cells [(a, b, f(a), f(b)), ...], refined
-    together, the vectorised counterpart of `bisect_root`.
-
-    f maps an array of points to an array of values.  Every round evaluates
-    f once, at the MULTISECTIONS - 1 interior section points of all open
-    cells, and keeps the first sub-cell of each that holds a sign change (an
-    exact zero ends its cell), until the width is at most ROOT_XTOL.
-    """
-    if not cells:
-        return []
-    a, b, fa, fb = (np.array(c, dtype=float) for c in zip(*cells))
-    root = np.full(a.shape, np.nan)
-    frac = np.arange(1, MULTISECTIONS) / MULTISECTIONS
-    while True:
-        live = np.flatnonzero(np.isnan(root) & (b - a > ROOT_XTOL))
-        if live.size == 0:
-            break
-        pts = a[live, None] + (b - a)[live, None] * frac
-        vals = f(pts.ravel()).reshape(pts.shape)
-        # section points with both cell ends, so the first flip always exists
-        xs = np.hstack([a[live, None], pts, b[live, None]])
-        fs = np.hstack([fa[live, None], vals, fb[live, None]])
-        flip = (fs[:, 1:] == 0.0) | ((fs[:, 1:] < 0.0) != (fs[:, :1] < 0.0))
-        j = np.argmax(flip, axis=1) + 1
-        rows = np.arange(live.size)
-        hit = fs[rows, j] == 0.0
-        root[live[hit]] = xs[rows, j][hit]
-        a[live], fa[live] = xs[rows, j - 1], fs[rows, j - 1]
-        b[live], fb[live] = xs[rows, j], fs[rows, j]
-    return np.where(np.isnan(root), 0.5 * (a + b), root).tolist()
 
 
 def rk4_step_2d(f: Callable[[tuple[float, float]], tuple[float, float]],

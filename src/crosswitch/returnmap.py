@@ -17,29 +17,21 @@ jets of the half maps come from `half_map_jet` (exact) or
 Two numeric routes evaluate the orbit maps.  The scalar route,
 `numeric_return_map`, follows one seed leg by leg with the event-driven,
 time-parametrised RK4 of `flow.half_crossing`.  The lane route of
-`fixed_points` runs all seeds of a scan at once on numpy lanes; each leg is
-an RK4 run in the chart variable whose step count each lane doubles until
-its step-doubling error estimate meets the leg tolerance.  A lane that no
-step count up to 256 brings within it, or that fails a guard of the scalar
-route (transverse start, chart denominator of constant sign and above the
-tangency tolerance, no return to the starting branch, the box
-|x| <= `flow.LEG_BOX` of the orbit legs), is evaluated on the scalar route.
+`fixed_points` runs all seeds of a scan window at once on numpy lanes, each
+leg an error-controlled RK4 run in the chart variable, and the scalar route
+checks it (see `lanes`).
 
-A scan has one result route: grid, lanes, multisection of the sign-change
-cells on lanes, and the multiplier as a central difference on lanes.  The
-scalar route checks it at the widest-leg lane of each scan (its outermost
-accepted seed) and at every root, where it also gives the conjugate and
-`hit_sliding`; a disagreement raises `RouteMismatch`.  A root's stability
-comes from the signs of phi(x) - x at the ends of its scan cell.
+`flow` owns `half_crossing` and the orbit-leg constants (`ARM`, `LEG_BOX`)
+that the lanes share; `flow` imports nothing from here.
 
-`flow` owns the orbit-leg constants (`ARM`, `LEG_BOX`) and `half_crossing`;
-this module imports them, and `flow` imports nothing from here.
-
-scipy serves one function here, the DOP853 legs of `half_map_numeric_fit`,
-which only `return-map --numeric` reaches; its import costs more than the
-rest of the package's.  So `solve_ivp` is a module-level function that
-imports scipy's on its first call and forwards to it: importing this module,
-and with it the CLI, loads no scipy.
+Two third-party imports wait for the functions that need them, as each
+costs more than importing the rest of the package.  numpy serves the lane
+route and the 3x3 solves of `half_map_numeric_fit`: these live in `lanes`,
+which `fixed_points` and `half_map_numeric_fit` import when they run.
+scipy serves the DOP853 legs of `half_map_numeric_fit`, which only
+`return-map --numeric` reaches: `solve_ivp` is a module-level function that
+imports scipy's on its first call and forwards to it.  So importing this
+module, and with it the CLI, loads neither numpy nor scipy.
 """
 from __future__ import annotations
 
@@ -47,33 +39,18 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-import numpy as np
-
-from .errors import NotTransient, NotTransverse, ParseError, RouteMismatch
-from .fields import FIELD_SIGN, PiecewiseSystem, Point, Poly2
-from .flow import ARM, LEG_BOX, half_crossing
-from .numerics import multisect_roots, scan_grid, sign_change_roots
+from .errors import NotTransient, NotTransverse, ParseError
+from .fields import PiecewiseSystem, Point, Poly2
+from .flow import half_crossing
+from .numerics import scan_grid
 from .series import invert_graph, picard_chart_jet
-from .switching import _tangency_band, band_tolerance, vanishing_components
+from .switching import band_tolerance, vanishing_components
 
 #: Fields of the legs of a full turn from Sigma2, in order.
 _TURN_LEGS = ("Y", "X", "Y", "X")
 
-#: Largest accepted lane-vs-scalar full-turn difference, times (1 + |x|).
-LANE_CHECK_TOL = 1e-9
-
-#: Largest accepted step-doubling error estimate of one lane chart leg,
-#: times (1 + |w|): well inside LANE_CHECK_TOL after four legs.
-_LEG_TOL = 1e-3 * LANE_CHECK_TOL
-
-#: RK4 steps per chart leg on the step-doubling ladder of the lane route.
-_LEG_STEPS = (4, 8, 16, 32, 64, 128, 256)
-
 #: Base magnitude h of the numeric fit's samples at x in {±h/4, ±h/2, ±h, ±2h}.
 NUMERIC_FIT_H = 0.01
-
-#: Central-difference step of a fixed point's multiplier, times (1 + |x|).
-SLOPE_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +150,6 @@ def half_map_value_numeric(num: Poly2, den: Poly2, x: float) -> float:
     return float(sol.y[0, -1])
 
 
-def _fit_cubic_through_origin(samples: dict[float, float], mags: tuple[float, float, float]):
-    """Solve for (a, b, c) of f = a x + b x^2 + c x^3 + O(x^4) from values at
-    +/- the three magnitudes, separating odd and even parts exactly."""
-    m = np.asarray(mags)
-    odd = np.array([(samples[mm] - samples[-mm]) / (2.0 * mm) for mm in mags])
-    even = np.array([(samples[mm] + samples[-mm]) / (2.0 * mm * mm) for mm in mags])
-    # odd[m]  = a + c m^2 + e m^4 ; even[m] = b + d m^2 + f m^4
-    van = np.vander(m * m, 3, increasing=True)  # columns 1, m^2, m^4
-    a, c, _e = np.linalg.solve(van, odd)
-    b, _d, _f = np.linalg.solve(van, even)
-    return float(a), float(b), float(c)
-
-
 def half_map_numeric_fit(Z: PiecewiseSystem, field: str) -> HalfMapCoeffs:
     """Cubic coefficients fitted to accurately integrated half-map values at
     x in {±h/4, ±h/2, ±h, ±2h}, h = NUMERIC_FIT_H.  Two staggered
@@ -204,8 +168,10 @@ def half_map_numeric_fit(Z: PiecewiseSystem, field: str) -> HalfMapCoeffs:
     for m in mags:
         samples[m] = half_map_value_numeric(num, den, m)
         samples[-m] = half_map_value_numeric(num, den, -m)
-    fine = _fit_cubic_through_origin(samples, mags[:3])
-    coarse = _fit_cubic_through_origin(samples, mags[1:])
+    from .lanes import fit_cubic_through_origin
+
+    fine = fit_cubic_through_origin(samples, mags[:3])
+    coarse = fit_cubic_through_origin(samples, mags[1:])
     err = max(abs(f - g) for f, g in zip(fine, coarse))
     return HalfMapCoeffs(field, *fine, source="numeric", error_estimate=err)
 
@@ -310,193 +276,27 @@ class FixedPoint:
     hit_sliding: bool
 
 
-def _rk4_leg(num: Poly2, den: Poly2, start: np.ndarray, n: int):
-    """n fixed RK4 steps of the chart ODE dw/ds = num/den from
-    (s, w) = (start, 0) to s = 0, on numpy lanes.
-
-    Returns (w, den_min, w_min, w_max): the end values, the least
-    den * sign(den(start, 0)) over all stages, and the least and the largest
-    w after each step.  Every operation is elementwise, so a lane's results
-    do not depend on the other lanes of the call.
-    """
-    zero = np.zeros_like(start)
-    den_sign = np.sign(den(start, zero))
-    h = -start / n
-    half_h, sixth_h = 0.5 * h, h / 6.0
-    w = zero
-    den_min = np.full(start.shape, np.inf)
-    w_min = np.full(start.shape, np.inf)
-    w_max = np.full(start.shape, -np.inf)
-
-    def f(s, w):
-        nonlocal den_min
-        d = den(s, w)
-        den_min = np.minimum(den_min, d * den_sign)
-        return num(s, w) / d
-
-    for k in range(n):
-        s = start + k * h
-        mid = s + half_h
-        k1 = f(s, w)
-        k2 = f(mid, w + half_h * k1)
-        k3 = f(mid, w + half_h * k2)
-        k4 = f(s + h, w + h * k3)
-        w = w + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w_min = np.minimum(w_min, w)
-        w_max = np.maximum(w_max, w)
-    return w, den_min, w_min, w_max
-
-
-def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
-    """Numeric full turn from the seeds (x, 0), all seeds at once.
-
-    Each leg integrates the chart ODE dw/ds = num/den from (s, w) =
-    (start, 0) to s = 0 on numpy lanes, with error control by step
-    doubling: `_rk4_leg` runs N = 4, 8, ..., 256 RK4 steps on the lanes not
-    yet accepted, and a lane is accepted at the first N with
-    |w_2N - w_N| / 15 <= _LEG_TOL * (1 + |w_2N|).  Its value and its guards
-    come from that 2N run.  A lane is evaluated only on its own seed, so its
-    value does not depend on which other seeds share the call.
-
-    Returns (values, ok).  ok is False on every lane that fails a guard of
-    the scalar route, or that no N up to 256 accepts, and the value of such
-    a lane is meaningless: the start point is not transverse (|num| within
-    the tangency tolerance there) or not on an open half-branch; the chart
-    denominator changes sign or comes within that tolerance at some stage;
-    w is outside the field's own quadrants after some step (the orbit leg
-    heads away from the other branch, or back to its starting branch); or
-    the leg leaves the box.
-    """
-    start = np.array(xs, dtype=float)
-    ok = np.ones(start.shape, dtype=bool)
-    components = (Z.X.f1, Z.X.f2, Z.Y.f1, Z.Y.f2)
-    charts = {field: _chart_polys(Z, field) for field in FIELD_SIGN}
-    with np.errstate(all="ignore"):
-        for field in _TURN_LEGS:
-            num, den = charts[field]
-            zero = np.zeros_like(start)
-            # the branch point (x1, x2) of the leg start, and the sign of w on
-            # the field's own quadrants, where x1*x2 has the sign FIELD_SIGN
-            point = (start, zero) if field == "Y" else (zero, start)
-            side = FIELD_SIGN[field] * np.sign(start)
-            scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
-            tol = _tangency_band(scale)
-            ok &= ((np.abs(num(start, zero)) > tol) & (np.abs(start) > ARM)
-                   & (np.abs(start) <= LEG_BOX))
-
-            # the accepted 2N run of each lane: w, den_min, w_min, w_max
-            leg = np.full((4,) + start.shape, np.nan)
-            live = np.flatnonzero(ok)
-            coarse = _rk4_leg(num, den, start[live], _LEG_STEPS[0])
-            for n in _LEG_STEPS[1:]:
-                if not live.size:
-                    break
-                fine = _rk4_leg(num, den, start[live], n)
-                accept = (np.abs(fine[0] - coarse[0]) / 15.0
-                          <= _LEG_TOL * (1.0 + np.abs(fine[0])))
-                leg[:, live[accept]] = np.array(fine)[:, accept]
-                live = live[~accept]
-                coarse = tuple(r[~accept] for r in fine)
-            w, den_min, w_min, w_max = leg
-            # least and largest w * side
-            ws_min = np.where(side > 0.0, w_min, -w_max)
-            ws_max = np.where(side > 0.0, w_max, -w_min)
-            ok &= (den_min > tol) & (ws_min > 0.0) & (ws_max <= LEG_BOX)
-            start = w
-    return start, ok
-
-
-def _turn_values(Z: PiecewiseSystem, xs: np.ndarray):
-    """`_chart_turn`, with every lane that is not ok (a failed guard, or a
-    leg that 256 steps did not bring within its tolerance) evaluated by the
-    scalar `numeric_return_map` instead, which raises what it raises."""
-    values, ok = _chart_turn(Z, xs)
-    for k in np.flatnonzero(~ok):
-        values[k] = numeric_return_map(Z, float(xs[k])).value
-    return values, ok
-
-
-def _bracket_verdict(fa: float, fb: float) -> bool | None:
-    """Stability of the root of phi(x) - x in a scan cell from its end
-    values, fa at the lower end and fb at the upper end.
-
-    The full turn preserves orientation, so its multiplier is >= 0, and the
-    root is stable exactly when phi(x) - x falls from + to - across it.  A
-    root at an exact zero of the scan has no bracket and gets None.
-    """
-    if fa == 0.0 or fb == 0.0:
-        return None
-    return fa > 0.0
-
-
-def _checked_turn(Z: PiecewiseSystem, x: float, lane: float) -> NumericReturn:
-    """`numeric_return_map` at x, checked against the lane value of the full
-    turn there; RouteMismatch when they differ by more than
-    LANE_CHECK_TOL * (1 + |x|)."""
-    res = numeric_return_map(Z, x)
-    if abs(lane - res.value) > LANE_CHECK_TOL * (1.0 + abs(x)):
-        raise RouteMismatch(f"full turn at x = {x!r}: lane value {lane!r}, "
-                            f"orbit legs {res.value!r}")
-    return res
-
-
-def _lane_window(Z: PiecewiseSystem, xs: np.ndarray,
-                 guard: float) -> list[FixedPoint]:
-    """Fixed points in one scan window, grid xs, on the lane route.  The
-    scalar check before any multisection runs at the widest-leg lane, whose
-    chart error is largest: the outermost accepted seed (see fixed_points)."""
-
-    def lanes(u):
-        vals, ok = _turn_values(Z, u)
-        d = vals - u
-        d[np.abs(u) <= guard] = 0.0
-        return d, ok
-
-    vals, ok = lanes(xs)
-    if ok.any():
-        k = int(np.argmax(np.where(ok, np.abs(xs), -1.0)))
-        _checked_turn(Z, float(xs[k]), float(vals[k] + xs[k]))
-
-    def refine(brackets):
-        return multisect_roots(lambda u: lanes(u)[0], brackets)
-
-    roots = [(r, cell) for r, cell in sign_change_roots(xs, vals, refine)
-             if abs(r) > 2.0 * guard]
-    if not roots:
-        return []
-    at = np.array([r for r, _ in roots])
-    h = SLOPE_STEP * (1.0 + np.abs(at))
-    values = _turn_values(Z, np.concatenate([at - h, at, at + h]))[0]
-    below, value, above = np.split(values, 3)
-    out: list[FixedPoint] = []
-    for i, (root, (_, _, fa, fb)) in enumerate(roots):
-        res = _checked_turn(Z, root, float(value[i]))
-        mult = float((above[i] - below[i]) / (2.0 * h[i]))
-        out.append(FixedPoint(root, res.legs[2][0], mult,
-                              _bracket_verdict(fa, fb), res.hit_sliding))
-    return out
-
-
 def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
                  cells: int) -> list[FixedPoint]:
     """Fixed points of the numeric full turn with x in [lo, hi], 0 excluded.
 
     Each side of 0 is one scan window: a grid of `cells` cells over which
     phi(x) - x is scanned for sign changes.  Every window runs one
-    sequence.  The grid seeds run through the four legs together on numpy
-    lanes, each leg an error-controlled RK4 run in the chart variable
-    (`_chart_turn`); a lane that fails one of the scalar route's guards, or
+    sequence, in `lanes`.  The grid seeds run through the four legs together
+    on numpy lanes, each leg an error-controlled RK4 run in the chart
+    variable (`lanes._chart_turn`); a lane that fails one of the scalar route's guards, or
     whose legs do not meet their tolerance, is evaluated by
     `numeric_return_map` instead, which raises what it raises.  The
     sign-change cells are refined together by lane multisection
-    (`multisect_roots`) to width 1e-12, and the multiplier is the central
-    difference of the lane map with step SLOPE_STEP * (1 + |x|).  One
+    (`lanes.multisect_roots`) to width 1e-12, and the multiplier is the
+    central difference of the lane map with step `lanes.SLOPE_STEP` *
+    (1 + |x|).  One
     scalar `numeric_return_map` at each root gives `hit_sliding` and the
     conjugate.
 
     The scalar orbit legs also check the lanes, at the widest-leg lane of
     the grid (before any multisection) and at every root: a difference
-    above LANE_CHECK_TOL * (1 + |x|) raises RouteMismatch.  The widest-leg
+    above `lanes.LANE_CHECK_TOL` * (1 + |x|) raises RouteMismatch.  The widest-leg
     lane is the outermost accepted grid seed, since orbits of one field
     never cross and every leg end moves outward with |x|.
 
@@ -511,7 +311,9 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
         raise ParseError(f"a fixed-point scan needs an integer cells >= 1 and "
                          f"finite lo < hi, got cells={cells!r}, lo={lo!r}, hi={hi!r}")
     require_transient(Z)
+    from .lanes import lane_window
+
     guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
     windows = ((lo, min(hi, -guard)), (max(lo, guard), hi))
     return [fp for wlo, whi in windows if whi > wlo
-            for fp in _lane_window(Z, scan_grid(wlo, whi, cells), guard)]
+            for fp in lane_window(Z, scan_grid(wlo, whi, cells), guard)]

@@ -35,7 +35,7 @@ from crosswitch import (
     system_to_obj,
     unfolding,
 )
-import crosswitch.returnmap as returnmap
+import crosswitch.lanes as lanes
 from crosswitch.cli import main
 from crosswitch.report import (
     SweepRecord,
@@ -559,6 +559,18 @@ def test_cli_integrate_csv_and_events(tmp_path, capsys):
     assert events["direction"] == 1
 
 
+@pytest.mark.parametrize("option", ["--h", "--t"])
+def test_cli_option_prefixes_are_unrecognized(c32_file, tmp_path, capsys, option):
+    # `--h` was read as `--help` (usage, exit 0) and `--t` as `--t-max`
+    out = tmp_path / "traj.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--system", c32_file, "--seed", "0.5,-0.15",
+              option, "1e-3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1e-3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_integrate_rejects_bad_seed(c32_file, capsys):
     assert main(["integrate", "--system", c32_file, "--seed", "zero,0"]) == 2
     assert main(["integrate", "--system", c32_file, "--seed", "99,99"]) == 2
@@ -830,13 +842,13 @@ def test_cli_sweep_mismatch_exits_4(monkeypatch, tmp_path, capsys):
 def test_cli_route_mismatch_in_a_sweep_is_not_unusable_input(monkeypatch):
     # lane and orbit-leg full turns that disagree are a numerical fault: the
     # RouteMismatch of the fixed-point scan escapes instead of exiting 2
-    chart_turn = returnmap._chart_turn
+    chart_turn = lanes._chart_turn
 
     def biased(Z, xs):
         values, ok = chart_turn(Z, xs)
         return values + np.where(ok, 1e-7, 0.0), ok
 
-    monkeypatch.setattr(returnmap, "_chart_turn", biased)
+    monkeypatch.setattr(lanes, "_chart_turn", biased)
     with pytest.raises(RouteMismatch, match="lane value"):
         main(["sweep", "--family", "codim1_pseudohopf",
               "--signs", "a=1,b=1,c=1", "--deltas=-1e-3:1e-3:3"])
@@ -897,20 +909,42 @@ def _run_fresh(code: str, *args: str) -> str:
 
 
 def test_cli_import_loads_neither_scipy_nor_concurrent_futures():
+    # nor numpy: only `lanes`, imported by the verbs that run lanes, loads it
     out = _run_fresh("import sys, crosswitch.cli\n"
-                     "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))")
+                     "print(sorted({'numpy', 'scipy', 'concurrent.futures'}\n"
+                     "             & set(sys.modules)))")
     assert out == "[]\n"
 
 
+#: Prints the exit code of the verb given as the arguments and whether
+#: numpy or scipy was loaded.
+_VERB_LOADS = ("import sys\n"
+               "from crosswitch.cli import main\n"
+               "code = main(sys.argv[1:])\n"
+               "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)")
+
+
 def test_cli_classify_loads_no_scipy(c32_file, tmp_path):
+    # nor numpy: its root scans run in pure Python
     out = tmp_path / "classify.json"
-    assert _run_fresh("import sys\n"
-                      "from crosswitch.cli import main\n"
-                      "code = main(['classify', '--system', sys.argv[1], '--out', sys.argv[2]])\n"
-                      "print(code, 'scipy' in sys.modules)",
-                      c32_file, str(out)) == "0 False\n"
+    assert _run_fresh(_VERB_LOADS, "classify", "--system", c32_file,
+                      "--out", str(out)) == "0 False False\n"
     assert main(["classify", "--system", c32_file, "--out", str(tmp_path / "here.json")]) == 0
     assert out.read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["portrait", "--box", "0.8", "--svg", "{out}"],
+    ["integrate", "--seed", "0.5,-0.15", "--t-max", "2", "--out", "{out}"],
+    ["return-map", "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_cli_verbs_without_lanes_load_neither_numpy_nor_scipy(c32_file, tmp_path, argv):
+    argv = [argv[0], "--system", c32_file, *argv[1:]]
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    assert _run_fresh(_VERB_LOADS, *(str(fresh) if a == "{out}" else a
+                                     for a in argv)) == "0 False False\n"
+    assert main([str(here) if a == "{out}" else a for a in argv]) == 0
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 def test_cli_numeric_return_map_in_a_fresh_interpreter(c32_file, tmp_path):

@@ -23,6 +23,7 @@ from crosswitch.errors import (CrosswitchError, LeftDomain, NotTransient, NotTra
                                ParseError, RouteMismatch, StepLimit)
 from crosswitch.fields import make_system
 from crosswitch.flow import half_crossing
+import crosswitch.lanes as lanes
 import crosswitch.returnmap as returnmap
 from crosswitch.numerics import bisect_root, scan_grid, sign_change_roots
 from crosswitch.returnmap import (
@@ -477,16 +478,16 @@ def dop853_turn(Z, xs):
     return w
 
 
-def counting(monkeypatch, name: str):
-    """Count the calls of a returnmap function; returns the call list."""
+def counting(monkeypatch, module, name: str):
+    """Count the calls of a module's function; returns the call list."""
     calls = []
-    original = getattr(returnmap, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(returnmap, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -499,7 +500,7 @@ class TestLaneRoute:
         for seed in range(12):
             Z = curved_transient(seed)
             assert is_transient(Z)
-            values, ok = returnmap._chart_turn(Z, xs)
+            values, ok = lanes._chart_turn(Z, xs)
             for x, value in zip(xs[ok], values[ok]):
                 want = numeric_return_map(Z, float(x)).value
                 assert abs(value - want) <= 1e-9, (seed, x)
@@ -514,11 +515,11 @@ class TestLaneRoute:
         compared = 0
         for seed in range(8):
             Z = curved_transient(seed)
-            values, ok = returnmap._chart_turn(Z, xs)
+            values, ok = lanes._chart_turn(Z, xs)
             if not ok.any():
                 continue
             want = dop853_turn(Z, xs[ok])
-            bound = returnmap.LANE_CHECK_TOL * (1.0 + np.abs(xs[ok]))
+            bound = lanes.LANE_CHECK_TOL * (1.0 + np.abs(xs[ok]))
             assert (np.abs(values[ok] - want) <= bound).all(), seed
             compared += int(ok.sum())
         assert compared >= 150     # of 256 lanes
@@ -530,9 +531,9 @@ class TestLaneRoute:
         xs = np.concatenate([np.linspace(-0.3, -0.01, 5),
                              np.linspace(0.01, 0.3, 5)])
         Z = curved_transient(3)
-        values, ok = returnmap._chart_turn(Z, xs)
+        values, ok = lanes._chart_turn(Z, xs)
         for k, x in enumerate(xs):
-            v, o = returnmap._chart_turn(Z, xs[k:k + 1])
+            v, o = lanes._chart_turn(Z, xs[k:k + 1])
             assert o[0] == ok[k], x
             if ok[k]:
                 assert v[0] == values[k], x
@@ -552,7 +553,7 @@ class TestLaneRoute:
         # [ORACLE] lanes whose X leg meets the fold pair fail the guards;
         # the fixed points are those of the scalar route all the same
         Z = fold_pair_system()
-        _, ok = returnmap._chart_turn(Z, np.linspace(-0.25, -1e-6, 97))
+        _, ok = lanes._chart_turn(Z, np.linspace(-0.25, -1e-6, 97))
         assert (~ok).sum() >= 10
         got = fixed_points(Z, -0.25, -1e-6, cells=96)
         want = scalar_fixed_points(Z, -0.25, -1e-6, cells=96)
@@ -568,7 +569,7 @@ class TestLaneRoute:
         # box |x1|, |x2| <= 4, and its scalar legs raise
         Z = make_system(2.0, -1.0, 1.0, 10.0)
         xs = -(np.arange(1, 20) + 0.5) / 1000.0
-        _, ok = returnmap._chart_turn(Z, xs)
+        _, ok = lanes._chart_turn(Z, xs)
         assert np.array_equal(ok, 400.0 * np.abs(xs) < 4.0)
         with pytest.raises(LeftDomain):
             numeric_return_map(Z, -0.015)
@@ -582,7 +583,7 @@ class TestLaneRoute:
         # at a point outside Y's quadrants; at x = -0.1 the start is tangent
         Z = make_system(1.0, -1.0, 1.0, {(0, 0): 1.0, (1, 0): 10.0})
         xs = np.array([-0.25, -0.15, -0.1, -0.05])
-        _, ok = returnmap._chart_turn(Z, xs)
+        _, ok = lanes._chart_turn(Z, xs)
         assert ok.tolist() == [False, False, False, True]
         with pytest.raises(LeftDomain):
             numeric_return_map(Z, -0.25)
@@ -598,22 +599,22 @@ class TestLaneRoute:
         # denominator shows the pole
         Z = make_system(1.0, -1.0, {(0, 0): 0.1, (1, 0): 1.0}, -0.01)
         xs = -np.linspace(0.11, 0.3, 20) - 3e-4
-        _, ok = returnmap._chart_turn(Z, xs)
+        _, ok = lanes._chart_turn(Z, xs)
         assert not ok.any()
 
     def test_widest_lane_disagreement_raises_before_multisection(self, monkeypatch):
         # a widest lane (the outermost accepted seed) off by 1e-7 misses the
         # 1e-9 check against its scalar orbit legs: the scan raises, naming
         # that lane, before it refines any root
-        chart_turn = returnmap._chart_turn
+        chart_turn = lanes._chart_turn
 
         def biased(Z, xs):
             values, ok = chart_turn(Z, xs)
             widest = np.abs(xs) == np.max(np.where(ok, np.abs(xs), -1.0))
             return values + np.where(widest, 1e-7, 0.0), ok
 
-        monkeypatch.setattr(returnmap, "_chart_turn", biased)
-        multisections = counting(monkeypatch, "multisect_roots")
+        monkeypatch.setattr(lanes, "_chart_turn", biased)
+        multisections = counting(monkeypatch, lanes, "multisect_roots")
         with pytest.raises(RouteMismatch, match=r"at x = -0\.2: lane value"):
             fixed_points(curved_hopf(), -0.2, -1e-6, cells=96)
         assert multisections == []
@@ -623,15 +624,15 @@ class TestLaneRoute:
         # per-scan check; the scalar evaluation at the root catches them
         Z = curved_hopf()
         (fp,) = fixed_points(Z, -0.2, -1e-6, cells=96)
-        chart_turn = returnmap._chart_turn
+        chart_turn = lanes._chart_turn
 
         def biased(Z, xs):
             values, ok = chart_turn(Z, xs)
             return values + np.where(np.abs(xs) < 0.199, 1e-7, 0.0), ok
 
-        monkeypatch.setattr(returnmap, "_chart_turn", biased)
-        calls = counting(monkeypatch, "numeric_return_map")
-        multisections = counting(monkeypatch, "multisect_roots")
+        monkeypatch.setattr(lanes, "_chart_turn", biased)
+        calls = counting(monkeypatch, returnmap, "numeric_return_map")
+        multisections = counting(monkeypatch, lanes, "multisect_roots")
         with pytest.raises(RouteMismatch) as err:
             fixed_points(Z, -0.2, -1e-6, cells=96)
         assert len(multisections) == 1

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from crosswitch.errors import EvaluationOutsideDomain, ParseError, TooManyTangencies
 from crosswitch.fields import Poly1, SlidingField, branch_point, make_system
-from crosswitch.numerics import (ROOT_XTOL, SCAN_CELLS, bisect_root, multisect_roots,
-                                 scan_grid, scan_roots)
+from crosswitch.lanes import multisect_roots
+from crosswitch.numerics import (ROOT_XTOL, SCAN_CELLS, _has_no_root, bisect_root, scan_grid,
+                                 scan_roots)
 from crosswitch.switching import (
     ArcKind,
     Visibility,
@@ -120,8 +121,8 @@ def sign_flips(vals):
 
 
 def loop_scan(f, lo, hi, cells=SCAN_CELLS, xtol=ROOT_XTOL):
-    """The scalar scan that `scan_roots` vectorised, kept as its oracle: a
-    list grid, one call of f per grid point, per cell the Taylor tests at
+    """The scalar scan that `scan_roots` runs, kept as its oracle: a list
+    grid, one call of f per grid point, per cell the Taylor tests at
     its left end of whether f and f' can vanish in it, the turns of every
     cell that passes both and where they show more sign changes than its
     ends, and one bisection per sign-change cell.  Returns (roots, grid)."""
@@ -159,6 +160,12 @@ def hexes(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+#: Chebyshev T_16: degree 16, the most a sliding numerator det Z restricted to
+#: a branch reaches (component degree cap 8), with 16 simple roots in (-1, 1).
+T16 = [1.0, 0.0, -128.0, 0.0, 2688.0, 0.0, -21504.0, 0.0, 84480.0, 0.0,
+       -180224.0, 0.0, 212992.0, 0.0, -131072.0, 0.0, 32768.0]
+
+
 class TestScanRoots:
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=6),
            st.floats(-2.0, 1.0), st.floats(1e-3, 3.0), st.sampled_from([7, 96, 512]))
@@ -166,13 +173,23 @@ class TestScanRoots:
     @example(cs=[0.0, 2.0 ** -9, 1.0], lo=-1.0, width=2.0, cells=512)   # 2^-9 s + s^2
     @example(cs=[0.0], lo=-1.0, width=2.0, cells=512)              # zero polynomial
     @example(cs=[1.5], lo=-1.0, width=2.0, cells=512)              # constant
+    # at the edge of the certified no-root exit
+    @example(cs=[0.09 + 1e-15, -0.6, 1.0], lo=-1.0, width=2.0, cells=512)  # (s-0.3)^2 + 1e-15
+    @example(cs=[0.25, -1.0, 1.0], lo=0.5, width=1.0, cells=512)   # (s - 0.5)^2, root at lo
+    @example(cs=[0.25, 1.0, 1.0], lo=-1.5, width=1.0, cells=512)   # (s + 0.5)^2, root at hi
+    @example(cs=[-1.0, 1.0], lo=0.0, width=1.0, cells=96)          # simple root at hi
+    @example(cs=[0.7872777540343942, -1.7745734744263413, 1.0], lo=0.8872867148653585,
+             width=1.7590175427351085e-08, cells=512)   # rounding-level values, two roots
+    @example(cs=T16, lo=-1.0, width=2.0, cells=512)    # degree 16, as det Z can reach
+    @example(cs=[1.0] + [0.0] * 15 + [1.0], lo=-1.0, width=2.0, cells=512)  # 1 + s^16
     @settings(max_examples=150, deadline=None)
-    def test_vectorised_scan_is_bit_identical(self, cs, lo, width, cells):
-        # the one-call array scan against the scalar loop: same grid points,
-        # same grid values and same roots, bit for bit
+    def test_scan_is_bit_identical_to_the_loop_oracle(self, cs, lo, width, cells):
+        # the scan (or its certified exit) against the scalar loop: same grid
+        # points, same grid values and same roots, bit for bit
         q, hi = Poly1(cs), lo + width
         want_roots, want_grid = loop_scan(q, lo, hi, cells)
         assert hexes(scan_grid(lo, hi, cells)) == hexes(want_grid)
+        assert hexes(q.values(want_grid)) == hexes(q(x) for x in want_grid)
         assert hexes(q(np.array(want_grid))) == hexes(q(x) for x in want_grid)
         assert hexes(scan_roots(q, lo, hi, cells)) == hexes(want_roots)
 
@@ -204,6 +221,24 @@ class TestScanRoots:
 
     def test_no_roots(self):
         assert scan_roots(Poly1([1.0, 0.0, 1.0]), -1.0, 1.0) == []
+
+    @pytest.mark.parametrize("cs, lo, hi, certified", [
+        ([1.5], -1.0, 1.0, True),                         # constant
+        ([2.0, 0.0, 1.0], -1.0, 1.0, True),               # 2 + s^2
+        ([-0.125, 0.25, 1.0], 0.3, 1.0, True),            # (s - 0.25)(s + 0.5)
+        ([1.0] + [0.0] * 15 + [1.0], -0.5, 0.5, True),    # 1 + s^16
+        ([1.0, 0.0, 1.0], -1.0, 1.0, False),   # no root, but a Bernstein coefficient 0
+        ([0.0], -1.0, 1.0, False),                        # zero polynomial
+        ([0.09 + 1e-15, -0.6, 1.0], -1.0, 1.0, False),    # (s - 0.3)^2 + 1e-15
+        ([-1.0, 1.0], 0.0, 1.0, False),                   # simple root at hi
+        ([1.0, 1.0], 0.0, 1e300, False),       # no root, but the margin overflows
+    ])
+    def test_certified_no_root_exit(self, cs, lo, hi, certified):
+        # the exit fires where every Bernstein coefficient clears the
+        # rounding margin with one sign; it declines at a root, at a
+        # minimum within rounding of 0, and wherever the coefficients are
+        # too coarse a bound
+        assert _has_no_root(Poly1(cs), lo, hi) is certified
 
     def test_multisection_matches_bisection(self):
         # [TRIVIAL] (s + 0.5)(s - 0.1)(s - 0.3): all three sign-change cells
