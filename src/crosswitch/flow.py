@@ -21,11 +21,8 @@ Junction handling follows the convex (Filippov) convention:
 - origin: stop as `degenerate_origin_data` when some component X_i(0),
   Y_i(0) vanishes (`switching.vanishing_components`, the classifier's own
   test), else pass through (both branches crossing), slide through (one
-  branch crossing), or stop (no branch crossing).  A stop there records a
-  `StationaryOrigin` sample (on degenerate data only for a seed, as an
-  arrival has recorded its landing sample); a seed at the origin that
-  passes or slides through starts with the entry sample of the handler it
-  enters.
+  branch crossing), or stop (no branch crossing); see `handle_origin` for
+  the samples recorded there.
 
 Backward time integrates the negated system forward; all sliding/escaping
 roles then swap consistently because every decision is made on the
@@ -38,17 +35,19 @@ off-branch coordinate is recorded as 0.0.
 `half_crossing`, the orbit leg of the return map, returns only what that map
 reads: the landing point and whether it lies off a crossing arc.
 
-The RK4 steps call generated straight-line evaluators,
-`FieldSpec.compiled_eval` off the branches and `SlidingField.value` on
-them; every step still goes through `numerics.rk4_step_2d` or
-`rk4_step_1d`.  Both evaluators belong to the system, built once per
-system (`PiecewiseSystem.sliding_field` on a branch), so a run holds only
-its own state: time, step count, samples and events.  A sliding segment
-finds its tangency cuts within the run's box when it starts.
+The RK4 steps call generated straight-line evaluators that the system
+builds once, `FieldSpec.compiled_eval` off the branches and
+`PiecewiseSystem.sliding_field(branch).value` on them; every step still
+goes through `numerics.rk4_step_2d` or `rk4_step_1d`.  A run holds only its
+own state (time, step count, samples and events); its step loops keep time
+and step count in locals, written back at every exit, raises included, and
+a sliding step scans the tangency cuts only when one bisection finds a cut
+within 2 SNAP of it (`_cuts_reached`).
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import partial
@@ -178,6 +177,16 @@ def _land_on_axis(F, p: Point, q: Point, h: float, axis: int) -> tuple[float, Po
     return tau, ((0.0, land[1]) if axis == 0 else (land[0], 0.0))
 
 
+def _cuts_reached(cuts: list[float], s: float, s_new: float) -> list[float]:
+    """The cuts, ascending, strictly inside a sliding step from s to s_new, or
+    within SNAP of s_new but not at s: each lies within 2 SNAP of the step."""
+    lo, hi = (s, s_new) if s < s_new else (s_new, s)
+    k = bisect_left(cuts, lo - 2.0 * SNAP)
+    if k == len(cuts) or not cuts[k] <= hi + 2.0 * SNAP:
+        return []
+    return [c for c in cuts if lo < c < hi or (abs(s_new - c) <= SNAP and c != s)]
+
+
 def half_crossing(Z: PiecewiseSystem, field_name: str,
                   start: Point) -> HalfCrossingResult:
     """Follow the orbit of one field from a branch point to the other branch,
@@ -260,11 +269,6 @@ class _Integrator:
     def record(self, p: Point, mode: Mode) -> None:
         self.samples.append(Sample(self.t, p[0], p[1], mode))
 
-    def tick(self) -> None:
-        self.steps += 1
-        if self.steps > MAX_STEPS:
-            raise StepLimit(f"exceeded {MAX_STEPS} RK4 steps")
-
     # -- main loop ---------------------------------------------------------
     def run(self, seed: Point) -> None:
         handler = self.start_state(seed)
@@ -336,8 +340,7 @@ class _Integrator:
         there, records a `StationaryOrigin` sample; a stop on degenerate
         origin data records one only for a seed, as an arrival has recorded
         its landing sample.  A pass or slide through records nothing here:
-        the handler it enters records its entry sample at the origin.  The
-        sliding field is the system's own, `Z.sliding_field(branch)`."""
+        the handler it enters records its entry sample at the origin."""
         Z = self.Z
         origin = (0.0, 0.0)
         if vanishing_components(Z):
@@ -369,50 +372,50 @@ class _Integrator:
         A coordinate's crossing watch arms once it leaves the ARM band."""
         mode = Mode.SMOOTH_X if name == "X" else Mode.SMOOTH_Y
         self.record(p, mode)
-        armed = [abs(p[0]) > ARM, abs(p[1]) > ARM]
+        armed1, armed2 = abs(p[0]) > ARM, abs(p[1]) > ARM
         F = self.Z.field(name).compiled_eval
-        h = STEP_H
+        t, n, t_max, box, max_steps = self.t, self.steps, self.t_max, self.box, MAX_STEPS
         append = self.samples.append
-        while True:
-            if self.t >= self.t_max:
-                return self.stop(EventKind.TIME_LIMIT, p)
-            self.tick()
-            step = min(h, self.t_max - self.t)
-            q = rk4_step_2d(F, p, step)
-            if not (abs(q[0]) <= self.box and abs(q[1]) <= self.box):  # NaN fails too
-                _require_finite(q)
-
-                def g(u: float) -> float:
-                    e = rk4_step_2d(F, p, u)
-                    return max(abs(e[0]), abs(e[1])) - self.box
-
-                tau = _event_time(g, step, max(abs(p[0]), abs(p[1])) - self.box,
-                                  max(abs(q[0]), abs(q[1])) - self.box)
-                edge = _require_finite(rk4_step_2d(F, p, tau))
-                self.t += tau
-                self.record(edge, mode)
-                return self.stop(EventKind.BOX_EXIT, edge)
-            hits = []
-            for axis in (0, 1):
-                if not armed[axis]:
-                    if abs(q[axis]) > ARM:
-                        armed[axis] = True
-                    continue
-                if (q[axis] < 0.0) != (p[axis] < 0.0) or abs(q[axis]) <= SNAP:
-                    hits.append((*_land_on_axis(F, p, q, step, axis), axis))
-            if not hits:
+        hit = None
+        try:
+            while t < t_max:
+                n += 1
+                if n > max_steps:
+                    raise StepLimit(f"exceeded {max_steps} RK4 steps")
+                step = t_max - t if t_max - t < STEP_H else STEP_H
+                q = rk4_step_2d(F, p, step)
+                x1, x2 = q
+                if not (abs(x1) <= box and abs(x2) <= box):  # NaN fails too
+                    _require_finite(q)
+                    tau = _event_time(lambda u: max(map(abs, rk4_step_2d(F, p, u))) - box,
+                                      step, max(map(abs, p)) - box, max(map(abs, q)) - box)
+                    hit = (tau, _require_finite(rk4_step_2d(F, p, tau)), None)
+                else:
+                    if armed1 and ((x1 < 0.0) != (p[0] < 0.0) or abs(x1) <= SNAP):
+                        hit = (*_land_on_axis(F, p, q, step, 0), 0)
+                    if armed2 and ((x2 < 0.0) != (p[1] < 0.0) or abs(x2) <= SNAP):
+                        hit2 = (*_land_on_axis(F, p, q, step, 1), 1)
+                        if hit is None or hit2[0] < hit[0]:
+                            hit = hit2
+                    armed1, armed2 = armed1 or abs(x1) > ARM, armed2 or abs(x2) > ARM
+                if hit is not None:
+                    t += hit[0]
+                    break
                 p = q
-                self.t += step
-                append(Sample(self.t, q[0], q[1], mode))
-                continue
-            tau, land, axis = min(hits, key=lambda r: r[0])
-            self.t += tau
-            branch = axis + 1
-            other = land[1] if branch == 1 else land[0]
-            self.record(land, mode)
-            if abs(other) <= ARM:
-                return self.handle_origin(arriving_field=name)
-            return self.handle_junction(land, branch, other, name)
+                t += step
+                append(Sample(t, x1, x2, mode))
+        finally:
+            self.t, self.steps = t, n
+        if hit is None:
+            return self.stop(EventKind.TIME_LIMIT, p)
+        _, land, axis = hit
+        self.record(land, mode)
+        if axis is None:  # the box edge
+            return self.stop(EventKind.BOX_EXIT, land)
+        other = land[1 - axis]
+        if abs(other) <= ARM:
+            return self.handle_origin(arriving_field=name)
+        return self.handle_junction(land, axis + 1, other, name)
 
     def handle_junction(self, p: Point, branch: int, s: float, arriving: str):
         kind = branch_point_class(self.Z, branch, s)
@@ -442,50 +445,47 @@ class _Integrator:
         mode = Mode.SLIDING1 if branch == 1 else Mode.SLIDING2
         self.record(branch_point(branch, s), mode)
         f = self.Z.sliding_field(branch).value
-        h = STEP_H
+        t, n, t_max, box, max_steps = self.t, self.steps, self.t_max, self.box, MAX_STEPS
         append = self.samples.append
         # the tangency cuts within the box and the origin, which cannot
         # match while s == 0.0, as a stop differs from s
-        candidates = [t.s for t in find_tangencies(
-            self.Z, branch, -self.box, self.box)] + [0.0]
-        while True:
-            if self.t >= self.t_max:
-                return self.stop(EventKind.TIME_LIMIT, branch_point(branch, s), branch)
-            self.tick()
-            step = min(h, self.t_max - self.t)
-            s_new = rk4_step_1d(f, s, step)
-            # stop coordinates reached within this step (tangency cuts, the
-            # origin, the box edge), nearest first
-            lo, hi = (s, s_new) if s < s_new else (s_new, s)
-            stops = [c for c in candidates
-                     if lo < c < hi or (abs(s_new - c) <= SNAP and c != s)]
-            if not abs(s_new) <= self.box:
-                _require_finite((s_new,))
-                stops.append(self.box if s_new > 0 else -self.box)
-            if not stops:
+        cuts = sorted([c.s for c in find_tangencies(self.Z, branch, -box, box)] + [0.0])
+        target = None
+        try:
+            while t < t_max:
+                n += 1
+                if n > max_steps:
+                    raise StepLimit(f"exceeded {max_steps} RK4 steps")
+                step = t_max - t if t_max - t < STEP_H else STEP_H
+                s_new = rk4_step_1d(f, s, step)
+                stops = _cuts_reached(cuts, s, s_new)
+                if not abs(s_new) <= box:
+                    _require_finite((s_new,))
+                    stops.append(box if s_new > 0 else -box)
+                if stops:
+                    target = min(stops, key=lambda c: abs(c - s))
+                    t += _event_time(lambda u: rk4_step_1d(f, s, u) - target, step,
+                                     s - target, s_new - target)
+                    break
                 s = s_new
-                self.t += step
-                append(Sample(self.t, 0.0, s, mode) if branch == 1
-                       else Sample(self.t, s, 0.0, mode))
-                continue
-            target = min(stops, key=lambda c: abs(c - s))
-            tau = _event_time(lambda u: rk4_step_1d(f, s, u) - target, step,
-                              s - target, s_new - target)
-            self.t += tau
-            s = target
-            p = branch_point(branch, s)
-            self.record(p, mode)
-            if abs(s) >= self.box:
-                return self.stop(EventKind.BOX_EXIT, p, branch)
-            if s == 0.0:
-                return self.handle_origin(arriving_field=None)
-            # tangency cut: leave the branch with the tangent field
-            tangent = self.tangent_field_at(p, branch)
-            if tangent is None:
-                return self.stop_both_tangent(p, branch)
-            self.emit(EventKind.SLIDING_EXIT, p, branch,
-                      note=f"exit_at_fold_of_{tangent}")
-            return partial(self.run_smooth, p, tangent)
+                t += step
+                append(Sample(t, 0.0, s, mode) if branch == 1 else Sample(t, s, 0.0, mode))
+        finally:
+            self.t, self.steps = t, n
+        if target is None:
+            return self.stop(EventKind.TIME_LIMIT, branch_point(branch, s), branch)
+        p = branch_point(branch, target)
+        self.record(p, mode)
+        if abs(target) >= box:
+            return self.stop(EventKind.BOX_EXIT, p, branch)
+        if target == 0.0:
+            return self.handle_origin(arriving_field=None)
+        # tangency cut: leave the branch with the tangent field
+        tangent = self.tangent_field_at(p, branch)
+        if tangent is None:
+            return self.stop_both_tangent(p, branch)
+        self.emit(EventKind.SLIDING_EXIT, p, branch, note=f"exit_at_fold_of_{tangent}")
+        return partial(self.run_smooth, p, tangent)
 
 
 def integrate(Z: PiecewiseSystem, seed: Point, t_max: float,

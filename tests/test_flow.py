@@ -8,6 +8,7 @@ Oracle notes:
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from collections import Counter
@@ -17,20 +18,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crosswitch.flow as flow
-from crosswitch.classify import CLASS_C2, CLASS_C32, CLASS_RF, classify, normal_form, unfolding
+from crosswitch.classify import (CLASS_C2, CLASS_C32, CLASS_PH, CLASS_RF, classify, normal_form,
+                                 unfolding)
 from crosswitch.errors import LeftDomain, NonFiniteValue, NotTransverse, SeedOutsideBox, StepLimit
 from crosswitch.fields import compile_function, make_system
 from crosswitch.flow import (
+    SNAP,
     EventKind,
     Mode,
     Sample,
     Trajectory,
     half_crossing,
     integrate,
+    _cuts_reached,
     phase_portrait,
 )
 from crosswitch.report import canonical_json, events_report, trajectory_csv
 from crosswitch.returnmap import FixedPoint, fixed_points
+from crosswitch.switching import find_tangencies
 
 
 def c32_normal():
@@ -196,6 +201,20 @@ class TestSmoothAndJunctions:
         for e in traj.events:
             if e.kind in (EventKind.BRANCH_CROSS, EventKind.SLIDING_ENTRY):
                 assert abs(e.point[0] * e.point[1]) <= 1e-10
+
+    def test_each_event_has_the_sample_of_its_point(self):
+        # the event's t is the run's time at the point, as its sample records
+        trajs = phase_portrait(normal_form(CLASS_PH, {"a": 1, "b": -1, "c": 1}),
+                               box=0.8, t_max=1.0)
+        kinds = set()
+        for traj in trajs:
+            recorded = {(s.t, s.x1, s.x2) for s in traj.samples}
+            for e in traj.events:
+                assert (e.t, *e.point) in recorded, (traj.seed, e)
+                kinds.add(e.kind)
+        assert kinds >= {EventKind.BRANCH_CROSS, EventKind.SLIDING_ENTRY,
+                         EventKind.SLIDING_EXIT, EventKind.GRAZE, EventKind.BOX_EXIT,
+                         EventKind.TIME_LIMIT}
 
     def test_sample_is_a_read_only_record(self):
         s = Sample(0.5, 0.25, -0.0, Mode.SLIDING2)
@@ -460,6 +479,24 @@ class TestJunctionRules:
         with pytest.raises(StepLimit, match="exceeded 10 RK4 steps"):
             integrate(c32_normal(), seed, t_max=1.0)
 
+    @pytest.mark.parametrize("Z, seed, t_max, steps, kinds", [
+        # [DERIVED] Y = (1, 1) reaches Sigma2 at t = 0.1 in 100 steps, then
+        # the orbit slides at speed 1 until t_max = 0.2, 100 steps more
+        (fold_family(0.3), (0.05, -0.1), 0.2, 200, ["SlidingEntry", "TimeLimit"]),
+        # [DERIVED] Y = (1, 2) crosses Sigma2 at t = 0.15, step 150; X = (1, 1)
+        # then leaves the box |x| <= 1 at t = 0.5, step 500
+        (make_system(1.0, 1.0, 1.0, 2.0), (0.5, -0.3), 5.0, 500, ["BranchCross", "BoxExit"]),
+    ], ids=["sliding", "junction"])
+    def test_step_limit_counts_the_steps_of_every_handler(self, monkeypatch, Z, seed,
+                                                          t_max, steps, kinds):
+        # the budget runs out in the run's second handler only if the step
+        # count of the first one carries over to it
+        monkeypatch.setattr(flow, "MAX_STEPS", steps)
+        assert event_kinds(integrate(Z, seed, t_max=t_max, box=1.0)) == kinds
+        monkeypatch.setattr(flow, "MAX_STEPS", steps - 1)
+        with pytest.raises(StepLimit, match=f"^exceeded {steps - 1} RK4 steps$"):
+            integrate(Z, seed, t_max=t_max, box=1.0)
+
     def test_portrait_drops_step_limited_trajectories(self, monkeypatch):
         # at 200 steps of h = 1e-3, only the runs that stop before t = 0.2 stay
         kw = dict(box=0.5, seeds_per_quadrant=1, seeds_per_branch=1, t_max=1.0)
@@ -474,10 +511,87 @@ class TestJunctionRules:
 
 
 # ---------------------------------------------------------------------------
+# sliding cuts
+# ---------------------------------------------------------------------------
+
+def cuts_rule(cuts: list[float], s: float, s_new: float) -> list[float]:
+    """The stop rule of a sliding step over every cut, with no window."""
+    lo, hi = (s, s_new) if s < s_new else (s_new, s)
+    return [c for c in cuts if lo < c < hi or (abs(s_new - c) <= SNAP and c != s)]
+
+
+@st.composite
+def step_among_cuts(draw):
+    """(cuts ascending, s, s_new): points a few SNAP and a few ulps apart
+    around one base point of magnitude up to a box of 4, with a few cuts
+    drawn anywhere in that box and steps of up to twice STEP_H."""
+    base = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
+
+    def near(x: float) -> float:
+        x += draw(st.integers(-6, 6)) * (SNAP / 2)
+        for _ in range(draw(st.integers(0, 3))):
+            x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+        return x
+
+    cuts = [near(base) for _ in range(draw(st.integers(0, 4)))]
+    cuts += draw(st.lists(st.floats(-4.0, 4.0), max_size=3))
+    s = near(base)
+    s_new = near(base) if draw(st.booleans()) else near(s + draw(st.floats(-2e-3, 2e-3)))
+    return sorted(cuts + [0.0]), s, s_new
+
+
+class TestSlidingCuts:
+    @given(step_among_cuts())
+    @example(([0.0, 0.3], 0.3 - 1e-3, 0.3 + SNAP))      # just past a cut
+    @example(([0.0, 0.3], 0.3 + 2 * SNAP, 0.3 + SNAP))  # back to a cut
+    @example(([-1e-12, 0.0, 1e-12], 0.0, 5e-13))        # from the origin
+    @settings(max_examples=400, deadline=None)
+    def test_window_keeps_every_stop_of_the_rule(self, step):
+        cuts, s, s_new = step
+        assert _cuts_reached(cuts, s, s_new) == cuts_rule(cuts, s, s_new)
+
+    def test_a_step_past_two_cuts_stops_at_the_nearer(self):
+        # [DERIVED] X = (10, -(x1 - 0.3)(x1 - 0.305)), Y = (10, 1): Sigma2 is
+        # sliding below x1 = 0.3 at speed 10, and X has folds at 0.3 and
+        # 0.305; one step of length 0.01 from 0.2995 passes both
+        X2 = {(0, 0): -0.3 * 0.305, (1, 0): 0.605, (2, 0): -1.0}
+        Z = make_system(10.0, X2, 10.0, 1.0)
+        cuts = sorted(t.s for t in find_tangencies(Z, 2, -2.0, 2.0))
+        assert cuts == pytest.approx([0.3, 0.305], abs=1e-9)
+        assert _cuts_reached(cuts, 0.2995, 0.3095) == cuts
+        traj = integrate(Z, (0.2995, 0.0), t_max=1.0)
+        assert event_log(traj)[:2] == [("SlidingEntry", "seed_on_sliding_arc", 2),
+                                       ("SlidingExit", "exit_at_fold_of_X", 2)]
+        assert traj.events[1].point == (cuts[0], 0.0)
+        assert traj.events[1].t == pytest.approx(5e-5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # portraits and cycles
 # ---------------------------------------------------------------------------
 
 class TestPortraitAndCycles:
+    @pytest.mark.parametrize("name, signs, csv_digest, bits_digest", [
+        # crossings and sliding entries
+        (CLASS_C32, {"a": 1, "b": 1, "c": 1},
+         "6406820528229000fe109f3dd92f3f6cf850380aa9f6de724c764780459ea271",
+         "836d0ee2e87d395158227a2c4d8b7306a4d6b04e341504c6895c961fe6b63f67"),
+        # sliding segments with exits at tangency cuts, and grazes
+        (CLASS_PH, {"a": 1, "b": -1, "c": 1},
+         "8515179f1b42e03d540a59e7c25bcfb2a7835626cd3844f1aed137d2882b9d09",
+         "1dd3d198b25bb336ab2fb840cc5f242f086f5c018cbcaa9b232096c952a54eb2"),
+    ], ids=["C32", "PseudoHopf"])
+    def test_portrait_bytes_are_pinned(self, name, signs, csv_digest, bits_digest):
+        # the CSV, as the benchmark checks it, to 13 digits; and every bit of
+        # every sample, so that a step whose float operations differ in kind
+        # or order fails here
+        trajs = phase_portrait(normal_form(name, signs), box=0.8, t_max=3)
+        csv = trajectory_csv(trajs, with_id=True)
+        assert hashlib.sha256(csv.encode()).hexdigest() == csv_digest
+        bits = "".join(f"{k},{s.t.hex()},{s.x1.hex()},{s.x2.hex()},{s.mode.value}\n"
+                       for k, traj in enumerate(trajs) for s in traj.samples)
+        assert hashlib.sha256(bits.encode()).hexdigest() == bits_digest
+
     def test_portrait_seed_count(self):
         Z = make_system(1.0, 1.0, 1.0, 2.0)
         trajs = phase_portrait(Z, box=0.5, seeds_per_quadrant=2,

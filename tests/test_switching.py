@@ -9,6 +9,7 @@ Oracle notes:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,25 +46,26 @@ def filippov_combination(Z, branch: int, p) -> tuple[float, tuple[float, float]]
     """Independent route to the sliding vector: the convex combination
     lam*X + (1-lam)*Y with vanishing normal component.  Returns (lam, vector).
 
-    The difference Y_i - X_i of the normal components is summed term by term
-    with math.fsum: where the two nearly agree, the difference of their two
-    rounded values would lose the digits this oracle is compared on.
+    Evaluated exactly, in rationals on the float inputs, and rounded once at
+    the end: where the normal components X_i and Y_i nearly agree, lam is
+    large and a float route loses the digits this oracle is compared on.
     """
-    xv = Z.X.eval(p)
-    yv = Z.Y.eval(p)
+    q = (Fraction(p[0]), Fraction(p[1]))
+
+    def value(poly) -> Fraction:
+        return sum((Fraction(c) * q[0] ** a * q[1] ** b for a, b, c in poly.terms),
+                   Fraction(0))
+
+    xv = [value(Z.X.component(k)) for k in (1, 2)]
+    yv = [value(Z.Y.component(k)) for k in (1, 2)]
     i = branch - 1
-
-    def terms(poly, sign):
-        return [sign * c * p[0] ** a * p[1] ** b for a, b, c in poly.terms]
-
-    denom = math.fsum(terms(Z.Y.component(branch), 1.0)
-                      + terms(Z.X.component(branch), -1.0))
-    if abs(denom) < 1e-300:
+    denom = yv[i] - xv[i]
+    if denom == 0:
         raise EvaluationOutsideDomain(
             f"normal components coincide at {p}: no unique convex combination")
     lam = yv[i] / denom
-    vec = (lam * xv[0] + (1.0 - lam) * yv[0], lam * xv[1] + (1.0 - lam) * yv[1])
-    return lam, vec
+    vec = [lam * x + (1 - lam) * y for x, y in zip(xv, yv)]
+    return float(lam), (float(vec[0]), float(vec[1]))
 
 
 def sliding_value_direct(Z, branch: int, s: float) -> float:
@@ -401,6 +403,11 @@ class TestSlidingField:
            st.floats(0.05, 1.0), st.sampled_from([-1.0, 1.0]))
     @example(make_system(1.0, 1.0, 0.5, {(0, 0): 1.0, (3, 0): 2.0 ** -14}),
              2, 0.394, -1.0)  # X2 and Y2 agree to 3.7e-6 at the branch point
+    # X1 and Y1 differ by 1e-5, so lam is about 2e5 and 1 - lam about -2e5:
+    # lam*X + (1-lam)*Y cancels about five digits in floats, and a float
+    # oracle was 1.8e-11 off N/D = -4.00001 here, over the bound of 9e-12,
+    # where the program is 8.3e-13 off
+    @example(make_system(-2.0, -2.00001, -2.00001, -2.0), 1, 1.0, -1.0)
     @settings(max_examples=200, deadline=None)
     def test_factorization_matches_direct(self, Z, branch, mag, sgn):
         # [DERIVED] h_i * det route == Filippov convex combination route
