@@ -46,8 +46,9 @@ class EvaluationOutsideDomain(CrosswitchError):
 
 
 class TooManyTangencies(CrosswitchError):
-    """More than one tangency point on a half-branch inside the requested
-    radius; the single-segment-split decomposition does not apply."""
+    """An object of the decomposition fills a whole arc: a normal component
+    vanishes identically on its branch, or det Z does on a branch with a
+    sliding or escaping arc."""
 
 
 class LeftDomain(CrosswitchError):

@@ -15,11 +15,9 @@ Conventions used throughout the package:
 
 Evaluation: every polynomial evaluates by one dense Horner loop over its
 coefficients, in evaluation order.  A `Poly1` stores them reversed when it
-is built, and its `values` runs the same loop over a list of points (the
-root scans' grids) without a call per point.  A `Poly2` runs a two-level
-loop over `_rows`, which a `cached_property` builds on first use, as many
-polynomials (swapped chart polynomials, intermediate products) are never
-evaluated.  A `FieldSpec`
+is built.  A `Poly2` runs a two-level loop over `_rows`, which a
+`cached_property` builds on first use, as many polynomials (swapped chart
+polynomials, intermediate products) are never evaluated.  A `FieldSpec`
 evaluates through one generated function, `compiled_eval`, also built on
 first use: the Horner operations of both components in the same order, zero
 coefficients included, unrolled into straight-line code, so its values
@@ -265,17 +263,6 @@ class Poly1:
         for c in self._rev:
             t = t * s + c
         return t
-
-    def values(self, xs: Iterable[float]) -> list[float]:
-        """[self(x) for x in xs], by the same loop without a call per point."""
-        rev = self._rev
-        out = []
-        for x in xs:
-            t = 0.0
-            for c in rev:
-                t = t * x + c
-            out.append(t)
-        return out
 
     def source(self) -> str:
         """Straight-line expression of this polynomial in the variable s,

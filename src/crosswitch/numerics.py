@@ -1,21 +1,17 @@
 """Hand-rolled numerical primitives used by the analysis layers.
 
-These are pinned implementations (grid-scan root isolation + bisection,
+These are pinned implementations (certified root isolation + bisection,
 classical RK4 steps) so that results are bit-reproducible across
 platforms.  Library root finders and adaptive integrators appear only as
 independent oracles in the test suite.  Nothing here needs arrays, and this
 module imports no numpy: the lane code of the fixed-point scans lives in
 `lanes`, which only the verbs that run lanes import.
 
-`scan_roots` evaluates f point by point on a list grid, each point
-lo + step * k (hi exact), and finds the zero and sign-change cells in one
-pass over the values.  For a `Poly1` it first tries a certified exit: when
-the Bernstein coefficients of f on [lo, hi] all have one sign, with a
-margin above a rigorous bound on every rounding error involved, f has no
-root there and every value the scan would compute has that sign, so the
-scan returns [] without running (`_has_no_root`).  Otherwise it also splits
-each cell whose end values hide roots at the turns inside it, so that every
-simple root shows as a sign change.
+`scan_roots` isolates the roots of a branch polynomial (`Poly1`) with one
+certified test, `_bernstein_sign`, and signs certified (or exact) at the
+ends of the pieces it leaves (`_isolate`); it refines each root in the cell
+where a grid scan would, so the bits are a grid scan's wherever no grid
+cell holds two roots.
 
 `bisect_root` is the one scalar bisection loop: it refines the roots of
 `scan_roots` to width ROOT_XTOL (exact zeros stop early), and it localises
@@ -26,12 +22,12 @@ their roots on lanes with `lanes.multisect_roots`.
 from __future__ import annotations
 
 import math
-from operator import itemgetter, mul
+from operator import mul
 from typing import Callable, Sequence
 
 from .fields import Poly1
 
-#: Default number of scan cells for root isolation on an interval.
+#: Default number of grid cells of a scan; a root is refined in its grid cell.
 SCAN_CELLS = 512
 
 #: Absolute width to which scan roots are refined; `bisect_root`'s default.
@@ -124,38 +120,99 @@ def sign_change_roots(xs: Sequence[float], vals: Sequence[float],
 
 def scan_roots(f: Callable[[float], float], lo: float, hi: float,
                cells: int = SCAN_CELLS) -> list[float]:
-    """Sign-change roots of f on [lo, hi]: uniform scan + bisection to
-    ROOT_XTOL.
+    """Roots of f on [lo, hi], ascending, each refined by `bisect_root` to
+    ROOT_XTOL.  Raises ValueError for the zero polynomial.
 
-    The scan calls f once per grid point, and `bisect_root` refines each
-    sign-change cell.  When f is a `Poly1`, a certified exit returns []
-    without the scan where f has no root (`_has_no_root`), and a cell that
-    holds more roots than its end values show gets its turns as extra scan
-    points (see `_hidden_turns`); for any other f such roots go undetected.
-    Roots of even multiplicity (no sign change) are not detected;
-    duplicates within a small merge window are collapsed.  Returns an
-    ascending list.
+    A `Poly1` has its roots bracketed by certified signs (`_isolate`), and
+    each bracket is bisected; the root is then refined again in the
+    `scan_grid` cell holding it, if that cell's computed end values change
+    sign and the result stays in the bracket.  So where no grid cell holds
+    two roots the bits are a grid scan's.  Any other f is scanned on the
+    grid (`sign_change_roots`), which misses roots hidden in a cell and
+    roots of even multiplicity.
     """
     if not hi > lo:
         return []
-    poly = isinstance(f, Poly1)
-    if poly and _has_no_root(f, lo, hi):
+    if not isinstance(f, Poly1):
+        xs = scan_grid(lo, hi, cells)
+        return [r for r, _ in sign_change_roots(
+            xs, [f(x) for x in xs], lambda brackets: [bisect_root(f, *c) for c in brackets])]
+    if f.is_zero:
+        raise ValueError("scan_roots: the zero polynomial vanishes everywhere")
+    lo += 0.0           # as scan_grid's first point: 0.0 for a window from -0.0
+    step = (hi - lo) / cells
+
+    def grid(k: int) -> float:
+        return hi if k == cells else lo + step * k
+
+    roots = []
+    for a, b, fa, fb in _isolate(f, lo, hi):
+        r = bisect_root(f, a, b, fa, fb)
+        # the grid cell holding r, which a grid scan bisects if its values
+        # change sign; a cell that hides other roots may yield one of them
+        k = min(max(int((r - lo) / step), 0), cells - 1)
+        k += (k + 1 < cells and grid(k + 1) <= r) - (k > 0 and grid(k) > r)
+        va, vb = f(grid(k)), f(grid(k + 1))
+        if a < b and va != 0.0 and vb != 0.0 and (va < 0.0) != (vb < 0.0):
+            c = bisect_root(f, grid(k), grid(k + 1), va, vb)
+            r = c if a - ROOT_XTOL <= c <= b + ROOT_XTOL else r
+        roots.append(r)
+    return roots
+
+
+def _isolate(f: Poly1, lo: float, hi: float) -> list[Cell]:
+    """Brackets of the roots of a nonzero f on [lo, hi], ascending: (x, x,
+    0.0, 0.0) for a zero x, (a, b, sa, sb) for a stretch whose ends have
+    the signs sa, sb (-1.0 or 1.0) of f and hold a root between them.
+
+    [lo, hi] is halved until `_bernstein_sign` shows, on each piece, f of one
+    sign (no root), or f' of one sign (f monotone), or the piece narrower
+    than ROOT_XTOL (1 + |a|), or |f| too small, at every point of the piece
+    that lies between two of its roots, for the sign test on that point: a
+    cluster of roots that no certified sign separates.  Each piece end takes
+    its certified sign, or else the sign of f in exact arithmetic.  One root
+    lies between neighbouring ends whose signs (-, 0, +) differ, at the end
+    where f is 0 if there is one; the other roots of a cluster are not seen.
+    """
+    if f.degree == 0:
         return []
-    xs = scan_grid(lo, hi, cells)
-    vals = f.values(xs) if poly else [f(x) for x in xs]
-    turns = _hidden_turns(f, xs, vals) if poly else []
-    if turns:
-        pairs = sorted([*zip(xs, vals), *turns], key=itemgetter(0))
-        xs = [x for x, _ in pairs]
-        vals = [v for _, v in pairs]
-    return [r for r, _ in sign_change_roots(
-        xs, vals, lambda brackets: [bisect_root(f, *c) for c in brackets])]
+    g = f.derivative()
+    kept, todo = [], [(lo, hi)]
+    while todo:
+        a, b = todo.pop()
+        sign, top = _bernstein_sign(f, a, b)
+        if sign:
+            continue
+        quiet = _quiet(f.coeffs, 0.0 if a <= 0.0 <= b else min(abs(a), abs(b)))
+        gsign, gtop = (0, 0.0) if top <= quiet else _bernstein_sign(g, a, b)
+        if gsign or (b - a) * gtop <= 2.0 * quiet or b - a <= ROOT_XTOL * (1.0 + abs(a)):
+            kept.append((a, b))
+        else:
+            m = 0.5 * (a + b)
+            todo += [(m, b), (a, m)]
+    pts = []
+    for x in sorted({x for piece in kept for x in piece}):
+        sign = _bernstein_sign(f, x, x)[0]
+        if not sign:
+            from fractions import Fraction     # loaded by the first uncertified sign
+            e = sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(f.coeffs))
+            sign = (e > 0) - (e < 0)
+        pts.append((x, float(sign)))
+    out: list[Cell] = []
+    for (a, fa), (b, fb) in zip(pts, pts[1:]):
+        if fa == fb:
+            continue
+        cell = ((b, b, 0.0, 0.0) if fb == 0.0 else (a, a, 0.0, 0.0) if fa == 0.0
+                else (a, b, fa, fb))
+        if not out or out[-1] != cell:     # a zero between two changes of sign
+            out.append(cell)
+    return out
 
 
-def _has_no_root(f: Poly1, lo: float, hi: float) -> bool:
-    """True only if f has no zero on [lo, hi] and its Horner value (as
-    `Poly1.__call__` computes it) at every float x in [lo, hi] is nonzero
-    with the sign of f there: a scan of [lo, hi] then finds no root.
+def _bernstein_sign(f: Poly1, lo: float, hi: float) -> tuple[int, float]:
+    """(sign, top): sign is 1 or -1 only if f has that sign on [lo, hi] and
+    so has its Horner value at every float there (a scan of [lo, hi] then
+    finds no root), else 0; top bounds |f| on [lo, hi] (inf on overflow).
 
     The Bernstein coefficients b_k of f, degree n, on [lo, lo + w], w =
     hi - lo rounded up, bound f there from both sides.  They are computed in
@@ -171,9 +228,11 @@ def _has_no_root(f: Poly1, lo: float, hi: float) -> bool:
     of at most 2^-1075 per multiplication, amplified by at most
     2 (2 + 2 rho)^(2n); there are fewer than (n + 2)^2 of them.
 
-    The test asks every computed b_k to have one sign s and to exceed, as
-    s b_k, the margin 2 (7n + 7) u P(rho) + 2^-999 (2 + 2 rho)^(2n), twice
-    the sum of these bounds; an overflow anywhere fails it.
+    A sign asks every computed b_k to have it and to exceed, in it, the
+    margin 2 (7n + 7) u P(rho) + tiny, tiny = 2^-999 (2 + 2 rho)^(2n),
+    twice the sum of these bounds; an overflow anywhere fails it.  So a
+    point x with a sign has |f(x)| > (12n + 13) u P(|x|) exactly.  top is
+    the largest computed |b_k| plus (5n + 3) u P(rho) + tiny.
     """
     cs = f.coeffs
     n = len(cs) - 1
@@ -182,10 +241,8 @@ def _has_no_root(f: Poly1, lo: float, hi: float) -> bool:
     try:
         tiny = 2.0 ** -999 * (2.0 + 2.0 * rho) ** (2 * n)
     except OverflowError:
-        return False
-    bound = 0.0
-    for c in reversed(cs):
-        bound = bound * rho + abs(c)
+        return 0, math.inf
+    bound = sum(abs(c) * rho ** i for i, c in enumerate(cs))
     margin = 2.0 * (7 * n + 7) * 2.0 ** -53 * bound + tiny
     # Taylor shift: d holds the coefficients of f(lo + t) in t
     d = list(cs)
@@ -200,84 +257,20 @@ def _has_no_root(f: Poly1, lo: float, hi: float) -> bool:
     for k in range(1, n + 1):
         for i in range(n, k - 1, -1):
             b[i] = b[i] + b[i - 1]
-    return (all(margin < v < math.inf for v in b)
-            or all(-math.inf < v < -margin for v in b))
+    sign = (1 if all(margin < v < math.inf for v in b)
+            else -1 if all(-math.inf < v < -margin for v in b) else 0)
+    top = max(abs(v) if v == v else math.inf for v in b)
+    return sign, top + (5 * n + 3) * 2.0 ** -53 * bound + tiny
 
 
-def _hidden_turns(f: Poly1, xs: list[float], vals: list[float]
-                  ) -> list[tuple[float, float]]:
-    """(t, f(t)) for the turns t of f inside every scan cell where f changes
-    sign more often, along the cell's ends and turns, than between its ends.
-
-    By Taylor's formula at a cell's left end a, exact for a polynomial, f
-    can vanish in the cell only if |f(a)| <= sum_{j>=1} |f^(j)(a)| h^j / j!
-    and f' only if |f'(a)| <= sum_{j>=2} |f^(j)(a)| h^(j-1) / (j-1)!; a
-    cell that fails either holds at most the one root its ends show.  Only
-    a cell that holds a root of f and one of f' can gain turns, and there
-    f at both ends and f' at a lie within `_cell_reach` of zero, so the
-    cells are sifted by these cheap bounds first.
-    """
-    if f.degree < 2:
-        return []
-    lo, hi = xs[0], xs[-1]
-    r, h = max(-lo, hi), (hi - lo) / (len(xs) - 1)
-    reach = _cell_reach(f, r, h)
-    small = [k for k, v in enumerate(vals) if abs(v) <= reach]
-    near = [k for k, j in zip(small, small[1:]) if j == k + 1]
-    if not near:
-        return []
-    g = f.derivative()
-    reach = _cell_reach(g, r, h)
-    near = [(k, slope) for k in near if (slope := abs(g(xs[k]))) <= reach]
-    higher = []
-    for _ in range(2, f.degree + 1):
-        g = g.derivative()
-        higher.append(g)
-    out: list[tuple[float, float]] = []
-    for k, slope in near:
-        a, b = xs[k], xs[k + 1]
-        width = b - a
-        term = width
-        bound0, bound1 = slope * term, 0.0
-        for j, g in enumerate(higher, 2):
-            d = abs(g(a))
-            bound1 = bound1 + d * term
-            term = term * width / j
-            bound0 = bound0 + d * term
-        if not (abs(vals[k]) <= 2.0 * bound0 and slope <= 2.0 * bound1):
-            continue
-        pts = [(t, f(t)) for t in _turns(f, a, b)]
-        fa, fb = vals[k], vals[k + 1]
-        if _sign_changes([fa, *(v for _, v in pts), fb]) > _sign_changes([fa, fb]):
-            out += pts
-    return out
-
-
-def _cell_reach(f: Poly1, r: float, h: float) -> float:
-    """Twice sum_i |c_i| ((r + h)^i - r^i), a bound (with room for rounding)
-    on |f(x) - f(a)| for |a| <= r and |x - a| <= h."""
-    return 2.0 * sum(abs(c) * ((r + h) ** i - r ** i) for i, c in enumerate(f.coeffs))
-
-
-def _sign_changes(vals: list[float]) -> int:
-    """Sign changes along vals, zeros skipped."""
-    signs = [v < 0.0 for v in vals if v != 0.0]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _turns(f: Poly1, a: float, b: float) -> list[float]:
-    """The turns of f strictly inside (a, b): the sign-change roots (and
-    exact zeros) of f' there, ascending.
-
-    f' is monotone between its own turns, so each piece between a, those
-    turns and b holds at most one of them."""
-    if f.degree <= 1:
-        return []
-    g = f.derivative()
-    pts = [a, *_turns(g, a, b), b]
-    return [r for r, _ in sign_change_roots(
-        pts, [g(x) for x in pts], lambda brackets: [bisect_root(g, *c) for c in brackets])
-        if a < r < b]
+def _quiet(cs: Sequence[float], r: float) -> float:
+    """12 n u P(r), below which |f(x)| at a point |x| >= r gets no sign from
+    `_bernstein_sign`; inf where that test overflows at r, so at every such x."""
+    try:
+        (2.0 + 2.0 * r) ** (2 * len(cs) - 2)
+    except OverflowError:
+        return math.inf
+    return 12 * (len(cs) - 1) * 2.0 ** -53 * sum(abs(c) * r ** i for i, c in enumerate(cs))
 
 
 def rk4_step_2d(f: Callable[[tuple[float, float]], tuple[float, float]],

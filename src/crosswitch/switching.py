@@ -276,11 +276,18 @@ def pseudo_equilibria(Z: PiecewiseSystem, branch: int,
     Zeros of det Z restricted to the branch, kept only where the branch point
     lies in a sliding or escaping region (normal components of opposite sign).
     The origin is excluded: a vanishing determinant there is an organizing-
-    center condition handled by the classifier.  Raises ParseError unless
-    the radius is positive and finite.
+    center condition handled by the classifier.  Where det Z vanishes on
+    the whole branch, every point of a sliding or escaping arc would be one:
+    raises TooManyTangencies if the branch has such an arc, else returns [].
+    Raises ParseError unless the radius is positive and finite.
     """
     require_positive("radius", radius)
     sf = Z.sliding_field(branch)
+    if sf.numerator.is_zero:
+        if any(a.branch == branch and a.kind in (ArcKind.SLIDING, ArcKind.ESCAPING)
+               for a in sigma_decomposition(Z, radius).arcs):
+            raise TooManyTangencies(f"det Z vanishes identically on Sigma{branch}")
+        return []
     eps = 1e-9 * radius
     roots: list[float] = []
     for lo, hi in ((-radius, -eps), (eps, radius)):

@@ -4,23 +4,29 @@ Oracle notes:
   [DERIVED] sliding factorization route vs independent Filippov convex
             combination; scan_roots vs numpy polyroots; half-branch kind
             table re-derived from the side-occupancy geometry.
+  [ORACLE]  scan_roots vs sympy's exact real roots of the float coefficients.
   [TRIVIAL] hand-computed example values.
 """
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from crosswitch.classify import CLASS_C1, all_sign_tuples, normal_form
 from crosswitch.errors import EvaluationOutsideDomain, ParseError, TooManyTangencies
 from crosswitch.fields import Poly1, SlidingField, branch_point, make_system
+from crosswitch import numerics
 from crosswitch.lanes import multisect_roots
-from crosswitch.numerics import (ROOT_XTOL, SCAN_CELLS, _has_no_root, bisect_root, scan_grid,
-                                 scan_roots)
+from crosswitch.numerics import (ROOT_XTOL, SCAN_CELLS, _bernstein_sign, bisect_root,
+                                 scan_grid, scan_roots)
+from crosswitch.report import canonical_json, classification_report
 from crosswitch.switching import (
     ArcKind,
     Visibility,
@@ -90,72 +96,75 @@ def section3_example(alpha: float):
 # root scanning
 # ---------------------------------------------------------------------------
 
-def loop_roots(f, xs, vals, xtol):
-    """Zero points and bisected sign-change cells of f over the list grid
-    xs, ascending, duplicates within the merge window collapsed."""
-    hits = [k for k, (fa, fb) in enumerate(zip(vals, vals[1:]))
-            if fa == 0.0 or (fb != 0.0 and (fa < 0.0) != (fb < 0.0))]
-    if vals[-1] == 0.0:
-        hits.append(len(vals) - 1)
-    roots: list[float] = []
-    for k in hits:
-        r = xs[k] if vals[k] == 0.0 else bisect_root(f, xs[k], xs[k + 1],
-                                                     vals[k], vals[k + 1], xtol)
-        if roots and abs(r - roots[-1]) <= max(4.0 * xtol, 1e-11 * (1.0 + abs(r))):
-            continue
-        roots.append(r)
-    return roots
-
-
-def loop_turns(f, a, b, xtol):
-    """Turns of f strictly inside (a, b): the roots of f' there, with f'
-    split at its own turns first."""
-    if f.degree <= 1:
-        return []
-    g = f.derivative()
-    pts = [a, *loop_turns(g, a, b, xtol), b]
-    return [r for r in loop_roots(g, pts, [g(x) for x in pts], xtol) if a < r < b]
-
-
-def sign_flips(vals):
-    signs = [v < 0.0 for v in vals if v != 0.0]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
 def loop_scan(f, lo, hi, cells=SCAN_CELLS, xtol=ROOT_XTOL):
-    """The scalar scan that `scan_roots` runs, kept as its oracle: a list
-    grid, one call of f per grid point, per cell the Taylor tests at
-    its left end of whether f and f' can vanish in it, the turns of every
-    cell that passes both and where they show more sign changes than its
-    ends, and one bisection per sign-change cell.  Returns (roots, grid)."""
+    """The scalar grid scan, kept as the oracle of `scan_roots`: a list grid,
+    one call of f per grid point, each zero value a root, one bisection per
+    sign-change cell, duplicates within the merge window collapsed.  Returns
+    (roots, grid)."""
     step = (hi - lo) / cells
     grid = [lo + step * k for k in range(cells + 1)]
     grid[-1] = hi
     vals = [f(x) for x in grid]
-    derivs, g = [], f
-    for _ in range(f.degree):
-        g = g.derivative()
-        derivs.append(g)
-    pairs = list(zip(grid, vals))
-    for k in range(cells if f.degree >= 2 else 0):
-        a, b = grid[k], grid[k + 1]
-        bound0, bound1, term = 0.0, 0.0, 1.0
-        for j, g in enumerate(derivs, 1):
-            d = abs(g(a))
-            if j == 1:
-                slope = d
-            else:
-                bound1 = bound1 + d * term
-            term = term * (b - a) / j
-            bound0 = bound0 + d * term
-        if abs(vals[k]) <= 2.0 * bound0 and slope <= 2.0 * bound1:
-            turns = [(t, f(t)) for t in loop_turns(f, a, b, xtol)]
-            if (sign_flips([vals[k], *(v for _, v in turns), vals[k + 1]])
-                    > sign_flips([vals[k], vals[k + 1]])):
-                pairs += turns
-    pairs.sort(key=lambda xv: xv[0])
-    xs = [x for x, _ in pairs]
-    return loop_roots(f, xs, [v for _, v in pairs], xtol), grid
+    hits = [k for k, (fa, fb) in enumerate(zip(vals, vals[1:]))
+            if fa == 0.0 or (fb != 0.0 and (fa < 0.0) != (fb < 0.0))]
+    if vals[-1] == 0.0:
+        hits.append(cells)
+    roots: list[float] = []
+    for k in hits:
+        r = grid[k] if vals[k] == 0.0 else bisect_root(f, grid[k], grid[k + 1],
+                                                       vals[k], vals[k + 1], xtol)
+        if roots and abs(r - roots[-1]) <= max(4.0 * xtol, 1e-11 * (1.0 + abs(r))):
+            continue
+        roots.append(r)
+    return roots, grid
+
+
+def exact_roots(q: Poly1) -> list[float]:
+    """The real roots of q, with multiplicity, ascending: sympy's exact real
+    root isolation (as in `sympy.real_roots`) on the float coefficients
+    taken as rationals, refined to intervals of width 1e-15 whose midpoints
+    are returned."""
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(q.coeffs)], sympy.Symbol("s"))
+    return [float((a + b) / 2) for (a, b), k in poly.intervals(eps=sympy.Rational(1, 10 ** 15))
+            for _ in range(k)]
+
+
+def exact_value(q: Poly1, x: float) -> Fraction:
+    return sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(q.coeffs)), Fraction(0))
+
+
+def rounding_level(q: Poly1, x: float) -> bool:
+    """True if q(x), exactly, lies within twice Horner's error bound
+    gamma_2n sum |c_i| |x|^i, widened by the slope over 1e-12: the computed
+    sign of q within 1e-12 of x may be wrong there."""
+    n, ax = q.degree, abs(x) + 1e-12
+    bound = 4 * n * 2.0 ** -53 * sum(abs(c) * ax ** i for i, c in enumerate(q.coeffs))
+    slope = sum(i * abs(c) * ax ** (i - 1) for i, c in enumerate(q.coeffs) if i)
+    return abs(exact_value(q, x)) <= bound + 1e-12 * slope
+
+
+def has_sign(q: Poly1, lo: float, hi: float) -> bool:
+    """The certified no-root test: q has one sign on [lo, hi], and so has
+    its Horner value at every float there."""
+    return _bernstein_sign(q, lo, hi)[0] != 0
+
+
+def assert_matches_exact(q: Poly1, lo: float, hi: float, got: list[float]) -> None:
+    """Every scan root lies within 1e-9 of an exact root of q, or where q is
+    at rounding level (in a cluster that rounding hides, roots are placed by
+    float signs); and every exact root that lies over 4 ROOT_XTOL (1 + |r|)
+    from its neighbours and the window ends, the scan's resolution, and
+    whose midpoints to them have a certified sign (`has_sign` on a
+    point) is found: one scan root lies between those midpoints."""
+    exact = [r for r in exact_roots(q) if lo <= r <= hi]
+    for g in got:
+        assert any(abs(g - r) <= 1e-9 for r in exact) or rounding_level(q, g), f"root {g}"
+    ends = [lo, *exact, hi]
+    for left, r, right in zip(ends, ends[1:], ends[2:]):
+        m1, m2 = 0.5 * (left + r), 0.5 * (r + right)
+        if (min(r - left, right - r) > 4 * ROOT_XTOL * (1 + abs(r))
+                and has_sign(q, m1, m1) and has_sign(q, m2, m2)):
+            assert len([g for g in got if m1 < g < m2]) == 1, f"missed root {r}"
 
 
 def hexes(values) -> list[str]:
@@ -167,33 +176,138 @@ def hexes(values) -> list[str]:
 T16 = [1.0, 0.0, -128.0, 0.0, 2688.0, 0.0, -21504.0, 0.0, 84480.0, 0.0,
        -180224.0, 0.0, 212992.0, 0.0, -131072.0, 0.0, 32768.0]
 
+#: Coefficients of one scan: up to degree 5, window [lo, lo + width], cells.
+scans = (st.lists(st.floats(-2, 2), min_size=1, max_size=6), st.floats(-2.0, 1.0),
+         st.floats(1e-3, 3.0), st.sampled_from([7, 96, 512]))
+
 
 class TestScanRoots:
-    @given(st.lists(st.floats(-2, 2), min_size=1, max_size=6),
-           st.floats(-2.0, 1.0), st.floats(1e-3, 3.0), st.sampled_from([7, 96, 512]))
+    @given(*scans)
     @example(cs=[-0.25, 1.0], lo=-1.0, width=2.0, cells=512)       # root on a grid point
     @example(cs=[0.0, 2.0 ** -9, 1.0], lo=-1.0, width=2.0, cells=512)   # 2^-9 s + s^2
-    @example(cs=[0.0], lo=-1.0, width=2.0, cells=512)              # zero polynomial
     @example(cs=[1.5], lo=-1.0, width=2.0, cells=512)              # constant
     # at the edge of the certified no-root exit
     @example(cs=[0.09 + 1e-15, -0.6, 1.0], lo=-1.0, width=2.0, cells=512)  # (s-0.3)^2 + 1e-15
     @example(cs=[0.25, -1.0, 1.0], lo=0.5, width=1.0, cells=512)   # (s - 0.5)^2, root at lo
     @example(cs=[0.25, 1.0, 1.0], lo=-1.5, width=1.0, cells=512)   # (s + 0.5)^2, root at hi
     @example(cs=[-1.0, 1.0], lo=0.0, width=1.0, cells=96)          # simple root at hi
-    @example(cs=[0.7872777540343942, -1.7745734744263413, 1.0], lo=0.8872867148653585,
-             width=1.7590175427351085e-08, cells=512)   # rounding-level values, two roots
     @example(cs=T16, lo=-1.0, width=2.0, cells=512)    # degree 16, as det Z can reach
     @example(cs=[1.0] + [0.0] * 15 + [1.0], lo=-1.0, width=2.0, cells=512)  # 1 + s^16
     @settings(max_examples=150, deadline=None)
     def test_scan_is_bit_identical_to_the_loop_oracle(self, cs, lo, width, cells):
-        # the scan (or its certified exit) against the scalar loop: same grid
-        # points, same grid values and same roots, bit for bit
+        # the scan against the scalar grid loop, bit for bit, wherever no
+        # grid cell holds two exact roots (counted with multiplicity; a root
+        # at a grid point where Horner's rule gives 0.0 holds both cells
+        # beside it, as the grid bisects neither) and Horner's rule gives
+        # 0.0 at no grid point where f is not 0.  There the grid shows every
+        # root and invents none, and the scan refines each root in the
+        # grid's cell.  Elsewhere the grid can miss a pair, or report such a
+        # grid point, and the scan is checked against the exact roots
         q, hi = Poly1(cs), lo + width
+        assume(not q.is_zero)
         want_roots, want_grid = loop_scan(q, lo, hi, cells)
         assert hexes(scan_grid(lo, hi, cells)) == hexes(want_grid)
-        assert hexes(q.values(want_grid)) == hexes(q(x) for x in want_grid)
         assert hexes(q(np.array(want_grid))) == hexes(q(x) for x in want_grid)
-        assert hexes(scan_roots(q, lo, hi, cells)) == hexes(want_roots)
+        got = scan_roots(q, lo, hi, cells)
+        zeros = [k for k, x in enumerate(want_grid) if q(x) == 0.0]
+        held = []
+        for r in exact_roots(q):
+            if lo - 1e-12 <= r <= hi + 1e-12:
+                at = [k for k in zeros if abs(want_grid[k] - r) <= 1e-12]
+                held += ([k for k in (at[0] - 1, at[0]) if 0 <= k < cells] if at
+                         else [min(math.floor((r - lo) / (hi - lo) * cells), cells - 1)])
+        if len(set(held)) == len(held) and all(exact_value(q, want_grid[k]) == 0 for k in zeros):
+            assert hexes(got) == hexes(want_roots)
+        else:
+            assert_matches_exact(q, lo, hi, got)
+
+    @given(*scans)
+    @example(cs=[0.7872777540343942, -1.7745734744263413, 1.0], lo=0.8872867148653585,
+             width=1.7590175427351085e-08, cells=512)   # no real root: discriminant -7.4e-17
+    @settings(max_examples=150, deadline=None)
+    def test_no_more_roots_than_the_degree(self, cs, lo, width, cells):
+        # [TRIVIAL] every root is shown by a change of certified sign, so
+        # there are no more of them than the degree
+        q = Poly1(cs)
+        assume(not q.is_zero)
+        assert len(scan_roots(q, lo, lo + width, cells)) <= q.degree
+
+    def test_rounding_level_quadratic_without_real_root(self):
+        # [DERIVED] exact discriminant -7.4e-17 of the float coefficients: no
+        # real root, though the window's values lie at rounding level and
+        # the grid's signs flip 39 times.  Horner's value at hi is 0.0 where
+        # the exact one is 4.1e-17, so hi is no root as a window end either
+        cs, lo = [0.7872777540343942, -1.7745734744263413, 1.0], 0.8872867148653585
+        q, hi = Poly1(cs), lo + 1.7590175427351085e-08
+        assert exact_roots(q) == []
+        assert len(loop_scan(q, lo, hi)[0]) == 39
+        assert scan_roots(q, lo, hi) == []
+        assert q(hi) == 0.0
+        assert scan_roots(q, 0.8, hi) == [] and scan_roots(q, hi, 1.0) == []
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_a_cluster_costs_few_tests(self, k, monkeypatch):
+        # [ORACLE] (s - 0.3)^k, rounded to float coefficients: rounding hides
+        # the signs of f and f' in a band around 0.3 that widens with k, so
+        # halving to ROOT_XTOL would take ~1e4 pieces for k = 3 and ~1e7 for
+        # k = 4; pieces where |f| or |f'| is certified to be too small for
+        # any point's sign to show stop at once.  The window ends have
+        # certified signs, so the roots found are as many as the exact ones
+        # modulo 2, and they lie in the band
+        real, calls = numerics._bernstein_sign, []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 500:
+                raise RuntimeError("over 500 tests for one cluster")
+            return real(*args)
+
+        monkeypatch.setattr(numerics, "_bernstein_sign", counted)
+        q = Poly1(np.polynomial.polynomial.polyfromroots([0.3] * k))
+        got = scan_roots(q, -1.0, 1.0)
+        assert (len(got) - len(exact_roots(q))) % 2 == 0
+        assert all(abs(r - 0.3) < 1e-2 for r in got)
+        assert_matches_exact(q, -1.0, 1.0, got)
+
+    def test_roots_beside_dyadic_double_roots(self):
+        # [ORACLE] s^2 (s^2 - 1)^2 (s - 0.5)(s + 0.25): dyadic coefficients,
+        # so f and f' are exactly 0 at -1, 0 and 1, the ends and midpoint of
+        # the window; the simple roots between them are found, as the grid
+        # finds them, and the double roots as exact zeros
+        q = Poly1(np.polynomial.polynomial.polyfromroots([0, 0, 1, 1, -1, -1, 0.5, -0.25]))
+        got = scan_roots(q, -1.0, 1.0)
+        assert got == [-1.0, -0.25, 0.0, 0.5, 1.0] == loop_scan(q, -1.0, 1.0)[0]
+        assert_matches_exact(q, -1.0, 1.0, got)
+
+    def test_huge_window(self):
+        # [ORACLE] s^3 - 3 s + 1/2 on |s| <= 1e200, as `classify --radius
+        # 1e200` scans it: values overflow far out, and the roots are found
+        q = Poly1([0.5, -3.0, 0.0, 1.0])
+        assert scan_roots(q, -1e200, 1e200) == pytest.approx(exact_roots(q), abs=1e-9)
+
+    def test_zero_polynomial_raises(self):
+        # every point is a root: the callers decide what that means
+        with pytest.raises(ValueError):
+            scan_roots(Poly1([0.0]), -1.0, 1.0)
+
+    @given(st.floats(-0.95, 0.5), st.lists(st.floats(-6.0, -0.3), max_size=4),
+           st.sampled_from([1.0, -0.5, 3.0]))
+    @example(first=0.1, exps=[-4.0], scale=1.0)                 # (s - 0.1)(s - 0.1001)
+    @example(first=0.2, exps=[-6.0, -0.1549], scale=1.0)        # gap 1e-6 and a third root
+    @example(first=-0.5, exps=[-6.0, -6.0, -6.0, -6.0], scale=1.0)   # five roots in 4e-6
+    @settings(max_examples=80, deadline=None)
+    def test_roots_match_sympy(self, first, exps, scale):
+        # [ORACLE] a product of up to 5 rational linear factors with root
+        # gaps down to 1e-6, rounded to float coefficients, against sympy's
+        # exact real roots of those coefficients
+        roots = [Fraction(first)]
+        for e in exps:
+            roots.append(roots[-1] + Fraction(10.0 ** e))
+        cs = [Fraction(scale)]
+        for r in roots:     # times (s - r), ascending coefficients
+            cs = [a - r * b for a, b in zip([Fraction(0), *cs], [*cs, Fraction(0)])]
+        q = Poly1([float(c) for c in cs])
+        assert_matches_exact(q, -1.0, 1.0, scan_roots(q, -1.0, 1.0))
 
     @pytest.mark.parametrize("cs, r, want", [
         ([0.0, 2.0 ** -9, 1.0], 1.0, [-2.0 ** -9, 0.0]),         # 2^-9 s + s^2
@@ -240,7 +354,7 @@ class TestScanRoots:
         # rounding margin with one sign; it declines at a root, at a
         # minimum within rounding of 0, and wherever the coefficients are
         # too coarse a bound
-        assert _has_no_root(Poly1(cs), lo, hi) is certified
+        assert has_sign(Poly1(cs), lo, hi) is certified
 
     def test_multisection_matches_bisection(self):
         # [TRIVIAL] (s + 0.5)(s - 0.1)(s - 0.3): all three sign-change cells
@@ -623,6 +737,29 @@ class TestPseudoEquilibria:
         pes = pseudo_equilibria(Z, 1)
         assert [pe.s for pe in pes] == pytest.approx([0.3, 0.3001], abs=1e-10)
         assert all(pe.region_kind == ArcKind.SLIDING for pe in pes)
+
+    def test_vanishing_det_with_sliding_arcs_raises(self):
+        # [DERIVED] X = (-1, 1), Y = -X: det Z vanishes identically, and
+        # each branch slides on one half and escapes on the other, so every
+        # point of those arcs is a pseudo-equilibrium: the report names the
+        # error instead of listing scan points
+        Z = make_system(-1.0, 1.0, 1.0, -1.0)
+        for branch in (1, 2):
+            assert Z.sliding_field(branch).numerator.is_zero
+            with pytest.raises(TooManyTangencies):
+                pseudo_equilibria(Z, branch)
+        rep = canonical_json(classification_report(Z))
+        assert len(rep.encode()) < 2048
+        assert "error" in json.loads(rep)["sigma"]
+
+    @pytest.mark.parametrize("signs", all_sign_tuples(CLASS_C1))
+    def test_vanishing_det_on_crossing_branches_gives_none(self, signs):
+        # [DERIVED] Stable_C1 has X = Y: det Z vanishes identically, and both
+        # branches are crossing, so there is no pseudo-equilibrium
+        Z = normal_form(CLASS_C1, signs)
+        for branch in (1, 2):
+            assert Z.sliding_field(branch).numerator.is_zero
+            assert pseudo_equilibria(Z, branch) == []
 
     @given(generic_system(), st.integers(1, 2))
     @settings(max_examples=80, deadline=None)
