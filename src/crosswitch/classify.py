@@ -2,8 +2,8 @@
 model families (unfoldings), and quantitative verification of their
 predicted behavior.
 
-Decision tree (all sign decisions at the origin, with a configurable
-degeneracy band; see band_tolerance):
+Decision tree (all sign decisions at the origin, with one degeneracy
+band; see switching.BAND):
 
 1. If some field component vanishes at the origin
    (`switching.vanishing_components`, the test on which the flow stops at
@@ -33,13 +33,14 @@ from .errors import InvalidSigns, ParseError
 from .fields import PiecewiseSystem, make_system
 from .returnmap import fixed_points, return_map_model
 from .switching import (
+    BAND,
     Visibility,
-    band_tolerance,
     component_tolerance,
     field_scale,
     find_tangencies,
     fold_lie_value,
     pseudo_equilibria,
+    scaled_band,
     vanishing_components,
 )
 
@@ -109,14 +110,13 @@ def classify(Z: PiecewiseSystem) -> Classification:
     """Classify the origin of a two-field system switched across the cross."""
     x1, x2, y1, y2 = Z.origin_components()
     scale = field_scale(Z, (0.0, 0.0))
-    band = band_tolerance()
     comp_tol = component_tolerance(Z, (0.0, 0.0))
     # det, its gradient and the Lie value are products of two components
-    quad_tol = band * (1.0 + scale * scale)
+    quad_tol = scaled_band(scale * scale)
     witnesses = {
         "X1_at_origin": x1, "X2_at_origin": x2,
         "Y1_at_origin": y1, "Y2_at_origin": y2,
-        "band_tolerance": band, "component_tolerance": comp_tol,
+        "band_tolerance": BAND, "component_tolerance": comp_tol,
     }
 
     vanishing = vanishing_components(Z)
@@ -309,7 +309,7 @@ def _predict_side_class(family: str, s: dict, delta: float) -> str:
     if family == CLASS_PH:
         # alpha = -ac / (ac + delta), on the critical band as in `classify`
         ac = s["a"] * s["c"]
-        if abs(-ac / (ac + delta) + 1.0) <= band_tolerance():
+        if abs(-ac / (ac + delta) + 1.0) <= BAND:
             return family
         return CLASS_C32
     # regular fold: X = (1, x1 - delta), Y = (a, b)

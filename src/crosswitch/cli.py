@@ -8,9 +8,8 @@ Exit codes: 0 success; 2 unusable input (parse errors, unreadable files,
 output paths that cannot be written, invalid signs or sign keys, systems
 outside a verb's domain, seeds outside the box or not finite, radii, boxes
 or times that are not positive and finite, negative seed counts, deltas
-that are not finite, a CROSSWITCH_TOL that is not a finite number >= 0,
-results that overflow to non-finite values); 3 non-finite coefficients;
-4 a model-family prediction failed verification.
+that are not finite, results that overflow to non-finite values); 3
+non-finite coefficients; 4 a model-family prediction failed verification.
 Only the named errors in `_USABLE_INPUT_ERRORS` mean unusable input; any
 other exception is a bug and is not caught.  The library function that
 takes a numeric option checks it; the CLI checks only what it parses.

@@ -12,9 +12,9 @@ class CrosswitchError(Exception):
 class ParseError(CrosswitchError, ValueError):
     """Malformed or invalid input: a system description (bad JSON, bad
     schema, degree cap exceeded, wrong monomial records), an option value
-    (a path that cannot be read or written included), the CROSSWITCH_TOL
-    setting, or a library parameter outside its domain (`require_positive`,
-    seed counts, a scan's cells and bounds, a delta that is not finite)."""
+    (a path that cannot be read or written included), or a library
+    parameter outside its domain (`require_positive`, seed counts, a scan's
+    cells and bounds, a delta that is not finite)."""
 
 
 def require_positive(name: str, value: float) -> None:

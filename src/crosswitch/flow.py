@@ -51,6 +51,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import partial
+from numbers import Integral
 from typing import NamedTuple
 
 from .errors import (
@@ -67,8 +68,8 @@ from .numerics import bisect_root, rk4_step_1d, rk4_step_2d
 from .switching import (
     ArcKind,
     branch_point_class,
+    component_tolerance,
     find_tangencies,
-    tangency_tolerance,
     vanishing_components,
     xi_values,
 )
@@ -210,7 +211,7 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
         raise ValueError(f"start {start} must lie on exactly one open half-branch")
     fld = Z.field(field_name)
     ni = fld.component(i).eval_point(p)
-    if abs(ni) <= tangency_tolerance(Z, p):
+    if abs(ni) <= component_tolerance(Z, p):
         raise NotTransverse(
             f"{field_name}{i} vanishes at the start point {p}: leg is tangent")
     forward = FIELD_SIGN[field_name] * s0 * ni > 0.0
@@ -313,7 +314,7 @@ class _Integrator:
     # -- helpers for junctions ----------------------------------------------
     def tangent_field_at(self, p: Point, branch: int) -> str | None:
         """Which field is tangent at a tangency-classified point; None if both."""
-        tol = tangency_tolerance(self.Z, p)
+        tol = component_tolerance(self.Z, p)
         xn = self.Z.X.component(branch).eval_point(p)
         yn = self.Z.Y.component(branch).eval_point(p)
         xt, yt = abs(xn) <= tol, abs(yn) <= tol
@@ -520,12 +521,13 @@ def phase_portrait(Z: PiecewiseSystem, box: float = 1.0,
     """Trajectories from a deterministic seed lattice: points along each
     quadrant diagonal and along each half-branch, each integrated in both
     time directions.  Raises ParseError, before any seed is built, unless box
-    and t_max are positive and finite and both seed counts are >= 0."""
+    and t_max are positive and finite and both seed counts are integers >= 0."""
     require_positive("box", box)
     require_positive("t_max", t_max)
-    if min(seeds_per_quadrant, seeds_per_branch) < 0:
+    if not all(isinstance(n, Integral) and n >= 0
+               for n in (seeds_per_quadrant, seeds_per_branch)):
         raise ParseError(f"seed counts must be >= 0, got {seeds_per_quadrant!r} "
-                         f"and {seeds_per_branch!r}")
+                         f"and {seeds_per_branch!r} (integers only)")
     seeds: list[Point] = []
     inv_sqrt2 = 2.0 ** -0.5
     for s1, s2 in ((1, 1), (-1, 1), (-1, -1), (1, -1)):

@@ -36,7 +36,7 @@ from .fields import FIELD_SIGN, PiecewiseSystem, Poly2
 from .flow import ARM, LEG_BOX
 from .numerics import ROOT_XTOL, Cell, sign_change_roots
 from .returnmap import _TURN_LEGS, FixedPoint, NumericReturn, _chart_polys
-from .switching import _tangency_band
+from .switching import scaled_band
 
 #: Largest accepted lane-vs-scalar full-turn difference, times (1 + |x|).
 LANE_CHECK_TOL = 1e-9
@@ -171,7 +171,7 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
             point = (start, zero) if field == "Y" else (zero, start)
             side = FIELD_SIGN[field] * np.sign(start)
             scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
-            tol = _tangency_band(scale)
+            tol = scaled_band(scale)
             ok &= ((np.abs(num(start, zero)) > tol) & (np.abs(start) > ARM)
                    & (np.abs(start) <= LEG_BOX))
 

@@ -149,13 +149,15 @@ def scan_roots(f: Callable[[float], float], lo: float, hi: float,
     for a, b, fa, fb in _isolate(f, lo, hi):
         r = bisect_root(f, a, b, fa, fb)
         # the grid cell holding r, which a grid scan bisects if its values
-        # change sign; a cell that hides other roots may yield one of them
-        k = min(max(int((r - lo) / step), 0), cells - 1)
-        k += (k + 1 < cells and grid(k + 1) <= r) - (k > 0 and grid(k) > r)
-        va, vb = f(grid(k)), f(grid(k + 1))
-        if a < b and va != 0.0 and vb != 0.0 and (va < 0.0) != (vb < 0.0):
-            c = bisect_root(f, grid(k), grid(k + 1), va, vb)
-            r = c if a - ROOT_XTOL <= c <= b + ROOT_XTOL else r
+        # change sign; a cell that hides other roots may yield one of them.
+        # A window so narrow that its step underflows to 0 has no cells.
+        if step > 0.0:
+            k = min(max(int((r - lo) / step), 0), cells - 1)
+            k += (k + 1 < cells and grid(k + 1) <= r) - (k > 0 and grid(k) > r)
+            va, vb = f(grid(k)), f(grid(k + 1))
+            if a < b and va != 0.0 and vb != 0.0 and (va < 0.0) != (vb < 0.0):
+                c = bisect_root(f, grid(k), grid(k + 1), va, vb)
+                r = c if a - ROOT_XTOL <= c <= b + ROOT_XTOL else r
         roots.append(r)
     return roots
 

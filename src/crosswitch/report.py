@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .classify import Classification, UnfoldingVerification, classify, verify_unfolding
-from .errors import NonFiniteValue, TooManyTangencies
+from .errors import NonFiniteValue, TooManyTangencies, require_positive
 from .fields import PiecewiseSystem, system_to_obj
 from .flow import Mode, Trajectory
 from .returnmap import ReturnMapModel, half_map_numeric_fit, return_map_model
@@ -332,7 +332,9 @@ def portrait_svg(Z: PiecewiseSystem, trajectories: list[Trajectory],
                  box: float = 1.0,
                  decomposition: SigmaDecomposition | None = None,
                  title: str = "") -> str:
-    """Deterministic standalone SVG of trajectories and the switching set."""
+    """Deterministic standalone SVG of trajectories and the switching set.
+    Raises ParseError unless box is positive and finite."""
+    require_positive("box", box)
     size = SVG_SIZE
     margin = 24.0
     span = size - 2.0 * margin

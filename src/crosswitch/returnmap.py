@@ -44,7 +44,7 @@ from .fields import PiecewiseSystem, Point, Poly2
 from .flow import half_crossing
 from .numerics import scan_grid
 from .series import invert_graph, picard_chart_jet
-from .switching import band_tolerance, vanishing_components
+from .switching import BAND, vanishing_components
 
 #: Fields of the legs of a full turn from Sigma2, in order.
 _TURN_LEGS = ("Y", "X", "Y", "X")
@@ -209,8 +209,8 @@ class ReturnMapModel:
     @property
     def attractive(self) -> bool | None:
         """Origin attracts the orbit sequence iff |alpha| < 1 (None within
-        band_tolerance() of |alpha| = 1)."""
-        if abs(abs(self.alpha) - 1.0) <= band_tolerance():
+        BAND of |alpha| = 1)."""
+        if abs(abs(self.alpha) - 1.0) <= BAND:
             return None
         return abs(self.alpha) < 1.0
 
@@ -219,7 +219,7 @@ def return_map_model(Z: PiecewiseSystem, half_map=None) -> ReturnMapModel:
     """Build the cubic return-map model; requires a transient system.
     The half maps come from `half_map(Z, field)`: `half_map_jet` when
     half_map is None, looked up at the call, or `half_map_numeric_fit`.
-    eta is set on the critical band |alpha + 1| <= band_tolerance()."""
+    eta is set on the critical band |alpha + 1| <= BAND."""
     require_transient(Z)
     half_map = half_map or half_map_jet
     hx, hy = half_map(Z, "X"), half_map(Z, "Y")
@@ -227,7 +227,7 @@ def return_map_model(Z: PiecewiseSystem, half_map=None) -> ReturnMapModel:
     a, b, c = psi
     phi = compose_cubic(psi, psi)
     eta = None
-    if abs(a + 1.0) <= band_tolerance():
+    if abs(a + 1.0) <= BAND:
         eta = -2.0 * (c + b * b)
     return ReturnMapModel(alpha=a, gamma=gamma_value(Z), beta=b, c3=c, eta=eta,
                           half_x=hx, half_y=hy, psi=psi, phi=phi)

@@ -20,29 +20,16 @@ det Z = X1*Y2 - X2*Y1.  It is an object of the system, as det Z is:
 """
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParseError, TooManyTangencies, require_positive
+from .errors import TooManyTangencies, require_positive
 from .fields import FIELD_SIGN, FieldSpec, PiecewiseSystem, Point, branch_point
 from .numerics import scan_roots
 
-#: Relative tolerance for treating a normal component as vanishing.
-TANGENCY_RTOL = 1e-9
-
-
-def band_tolerance() -> float:
-    """Global degeneracy half-width for sign decisions: 1e-9, or
-    CROSSWITCH_TOL, which must be a finite number >= 0 (else ParseError)."""
-    text = os.environ.get("CROSSWITCH_TOL", "1e-9")
-    try:
-        if 0.0 <= (tol := float(text)) < math.inf:
-            return tol
-    except ValueError:
-        pass
-    raise ParseError(f"CROSSWITCH_TOL must be a finite number >= 0, got {text!r}")
+#: Degeneracy band of every sign decision: a quantity whose magnitude is
+#: within BAND (times 1 + its local scale, `scaled_band`) counts as zero.
+BAND = 1e-9
 
 
 def field_scale(Z: PiecewiseSystem, p: Point) -> float:
@@ -53,20 +40,16 @@ def field_scale(Z: PiecewiseSystem, p: Point) -> float:
                abs(Z.Y.f1.eval_point(p)), abs(Z.Y.f2.eval_point(p)))
 
 
-def _tangency_band(scale):
-    """The tangency band for a field scale (a float, or an array of them on
-    lanes): a normal component within it counts as vanishing."""
-    return TANGENCY_RTOL * (1.0 + scale)
-
-
-def tangency_tolerance(Z: PiecewiseSystem, p: Point) -> float:
-    return _tangency_band(field_scale(Z, p))
+def scaled_band(scale):
+    """The band for a quantity of the given scale (a float, or an array of
+    them on lanes): BAND * (1 + scale)."""
+    return BAND * (1.0 + scale)
 
 
 def component_tolerance(Z: PiecewiseSystem, p: Point) -> float:
     """Degeneracy band for one field component (or a quantity of the same
-    scale) at p: band_tolerance() relative to the local field scale."""
-    return band_tolerance() * (1.0 + field_scale(Z, p))
+    scale) at p, normal components of the branches included."""
+    return scaled_band(field_scale(Z, p))
 
 
 def vanishing_components(Z: PiecewiseSystem) -> list[tuple[str, int]]:
@@ -115,7 +98,7 @@ def branch_point_class(Z: PiecewiseSystem, branch: int, s: float) -> ArcKind:
     p = branch_point(branch, s)
     xn = Z.X.component(branch).eval_point(p)
     yn = Z.Y.component(branch).eval_point(p)
-    tol = tangency_tolerance(Z, p)
+    tol = component_tolerance(Z, p)
     if abs(xn) <= tol or abs(yn) <= tol:
         return ArcKind.TANGENCY
     if xn * yn > 0.0:
@@ -187,7 +170,7 @@ def find_tangencies(Z: PiecewiseSystem, branch: int,
                 continue
             p = branch_point(branch, s)
             lie = fold_lie_value(field, branch, p)
-            vis = fold_visibility(name, lie, s, tangency_tolerance(Z, p))
+            vis = fold_visibility(name, lie, s, component_tolerance(Z, p))
             out.append(TangencyPoint(name, branch, s, p, lie, vis))
     out.sort(key=lambda t: (t.s, t.field))
     return out
@@ -244,7 +227,8 @@ def sigma_decomposition(Z: PiecewiseSystem, radius: float = 1.0) -> SigmaDecompo
                            if t.half == half and eps < abs(t.s) < radius})
             stops = [0.0] + cuts + [radius]
             for lo_abs, hi_abs in zip(stops, stops[1:]):
-                mid = half * 0.5 * (lo_abs + hi_abs)
+                # an arc (0, 5e-324] has no midpoint: classify its outer end
+                mid = half * (0.5 * (lo_abs + hi_abs) or hi_abs)
                 kind = branch_point_class(Z, branch, mid)
                 arcs.append(Arc(branch, half, half * lo_abs, half * hi_abs, kind))
     arcs.sort(key=lambda a: (a.branch, -a.half, abs(a.inner)))
@@ -291,7 +275,8 @@ def pseudo_equilibria(Z: PiecewiseSystem, branch: int,
     eps = 1e-9 * radius
     roots: list[float] = []
     for lo, hi in ((-radius, -eps), (eps, radius)):
-        roots.extend(scan_roots(sf.numerator, lo, hi))
+        # eps underflows to 0 for a subnormal radius: drop the origin
+        roots.extend(s for s in scan_roots(sf.numerator, lo, hi) if s != 0.0)
     out: list[PseudoEquilibrium] = []
     for s0 in sorted(roots):
         kind = branch_point_class(Z, branch, s0)

@@ -42,7 +42,6 @@ from crosswitch import (
     UnfoldingVerification,
     VerifyCheck,
     all_sign_tuples,
-    band_tolerance,
     classify,
     make_system,
     normal_form,
@@ -259,49 +258,43 @@ def test_vanishing_eta_on_band_is_higher_codimension():
     assert abs(got.witnesses["beta"] + 0.5) < 1e-12
 
 
-def test_band_tolerance_env_override(monkeypatch):
-    Z = make_system(1.0, {(0, 0): 1e-5, (1, 0): 1.0}, 1.0, 1.0)
-    monkeypatch.delenv("CROSSWITCH_TOL", raising=False)
-    assert classify(Z).class_name == CLASS_C1  # 1e-5 is a real sign at default band
-    monkeypatch.setenv("CROSSWITCH_TOL", "1e-3")
-    got = classify(Z)
-    assert got.class_name == CLASS_RF  # inside the loosened band: treated as a fold
-    assert got.witnesses["band_tolerance"] == 1e-3
+def test_a_component_inside_the_band_vanishes():
+    # X2(0) = 1e-5 is a real sign; 1e-10 lies inside the band 1e-9 * (1 + 1)
+    # and is treated as a fold
+    for x2, want in ((1e-5, CLASS_C1), (1e-10, CLASS_RF)):
+        got = classify(make_system(1.0, {(0, 0): x2, (1, 0): 1.0}, 1.0, 1.0))
+        assert got.class_name == want
+        assert got.witnesses["band_tolerance"] == 1e-9
+        assert got.witnesses["component_tolerance"] == 2e-9
 
 
-@pytest.mark.parametrize("text", ["abc", "-1", "-1e-9", "nan", "inf", "-inf"])
-def test_band_tolerance_must_be_a_finite_number_at_least_0(monkeypatch, text):
-    # "abc" raised a bare ValueError; -1 turned every degeneracy test off, so
-    # the pseudo-Hopf normal form classified as C32; nan and inf surfaced
-    # only as a non-finite value in the report
-    monkeypatch.setenv("CROSSWITCH_TOL", text)
-    with pytest.raises(ParseError, match="CROSSWITCH_TOL must be"):
-        band_tolerance()
-    with pytest.raises(ParseError, match=f"got {text!r}"):
-        classify(normal_form(CLASS_PH, {"a": 1, "b": 1, "c": 1}))
+def test_model_and_classify_share_the_critical_band():
+    # pseudo-Hopf unfolding with |alpha + 1| ~ delta: inside the band 1e-9 at
+    # delta = 1e-10, off it at 1e-7, for classify and the return-map model alike
+    for delta, want, eta_set, attractive in ((1e-10, CLASS_PH, True, None),
+                                             (1e-7, CLASS_C32, False, True)):
+        Z = unfolding(CLASS_PH, {"a": 1, "b": 1, "c": 1}, delta)
+        got = classify(Z)
+        model = return_map_model(Z)
+        assert got.class_name == want
+        assert (model.eta is not None) == eta_set
+        assert got.witnesses.get("eta") == model.eta
+        assert model.eta is None or model.eta == pytest.approx(1.0 / 6.0, abs=1e-6)
+        assert model.attractive is attractive
 
 
-def test_band_tolerance_accepts_0(monkeypatch):
-    monkeypatch.setenv("CROSSWITCH_TOL", "0")
-    assert band_tolerance() == 0.0
-
-
-def test_model_and_classify_share_the_critical_band(monkeypatch):
-    # pseudo-Hopf unfolding with |alpha + 1| ~ 1e-7: off the default band,
-    # inside a band of 1e-6, for classify and the return-map model alike
+@pytest.mark.parametrize("text", [None, "1e-3", "abc"])
+def test_classify_reads_no_environment_variable(monkeypatch, text):
+    # the band is the constant switching.BAND: CROSSWITCH_TOL, which once set
+    # it, changes nothing, and a value that is not a number is not an error
     Z = unfolding(CLASS_PH, {"a": 1, "b": 1, "c": 1}, 1e-7)
-    monkeypatch.delenv("CROSSWITCH_TOL", raising=False)
-    assert classify(Z).class_name == CLASS_C32
-    assert return_map_model(Z).eta is None
-    assert return_map_model(Z).attractive is True
-    monkeypatch.setenv("CROSSWITCH_TOL", "1e-6")
-    got = classify(Z)
-    model = return_map_model(Z)
-    assert got.class_name == CLASS_PH
-    assert model.eta is not None
-    assert got.witnesses["eta"] == model.eta
-    assert model.eta == pytest.approx(1.0 / 6.0, abs=1e-6)
-    assert model.attractive is None
+    want = classify(Z)
+    if text is None:
+        monkeypatch.delenv("CROSSWITCH_TOL", raising=False)
+    else:
+        monkeypatch.setenv("CROSSWITCH_TOL", text)
+    assert classify(Z) == want
+    assert want.class_name == CLASS_C32
 
 
 # ---------------------------------------------------------------------------

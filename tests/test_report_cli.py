@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from crosswitch import (
     CLASS_C1,
     CLASS_C32,
+    CLASS_DPE,
     CLASS_PH,
     CLASS_RF,
     NonFiniteValue,
@@ -351,6 +352,15 @@ def test_portrait_svg_well_formed_and_deterministic():
     assert "#2ca02c" in body or "#b0b0b0" in body  # switching-set styling
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_portrait_svg_rejects_a_box_that_is_not_positive_and_finite(bad):
+    # 0 raised ZeroDivisionError, nan and inf wrote nan coordinates, and a
+    # negative box mirrored the image
+    Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
+    with pytest.raises(ParseError, match="box must be positive and finite"):
+        portrait_svg(Z, [], box=bad)
+
+
 def test_portrait_svg_escapes_the_title():
     # '<' and '&' were written as given, and XML parsers rejected the file
     Z, trajectories = _portrait_pieces()
@@ -653,16 +663,6 @@ def test_cli_input_errors_exit_2_through_named_errors(c32_file, tmp_path, capsys
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("text", ["abc", "-1", "nan", "inf"])
-def test_cli_rejects_a_tolerance_that_is_not_a_finite_number_at_least_0(
-        c32_file, monkeypatch, capsys, text):
-    # abc ended in a ValueError traceback, -1 classified with every
-    # degeneracy test off, nan and inf blamed a non-finite report value
-    monkeypatch.setenv("CROSSWITCH_TOL", text)
-    assert main(["classify", "--system", c32_file]) == 2
-    assert "CROSSWITCH_TOL must be a finite number >= 0" in capsys.readouterr().err
-
-
 def test_cli_unreadable_system_path_exits_2(tmp_path, capsys):
     # a directory passed the exists() check and raised IsADirectoryError
     assert main(["classify", "--system", str(tmp_path)]) == 2
@@ -716,6 +716,26 @@ def test_phase_portrait_rejects_a_negative_seed_count(counts):
     Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
     with pytest.raises(ParseError, match="must be >= 0"):
         phase_portrait(Z, seeds_per_quadrant=counts[0], seeds_per_branch=counts[1])
+
+
+@pytest.mark.parametrize("counts", [(2.5, 2), (3, 1.0)])
+def test_phase_portrait_rejects_a_seed_count_that_is_not_an_integer(counts):
+    # 2.5 raised TypeError from range
+    Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
+    with pytest.raises(ParseError, match="integers only"):
+        phase_portrait(Z, seeds_per_quadrant=counts[0], seeds_per_branch=counts[1])
+
+
+def test_cli_subnormal_radius_and_box(c32_file, tmp_path):
+    # both ended in a ValueError traceback (exit 1): see
+    # test_switching.py::test_subnormal_radius
+    dpe = tmp_path / "dpe.json"
+    dpe.write_text(json.dumps(system_to_obj(
+        normal_form(CLASS_DPE, {"a": 1, "b": 1, "c1": 1, "c2": 1}))))
+    assert main(["classify", "--system", str(dpe), "--radius", "1e-320",
+                 "--out", str(tmp_path / "c.json")]) == 0
+    assert main(["portrait", "--system", c32_file, "--box", "5e-324", "--t-max", "0.1",
+                 "--svg", str(tmp_path / "p.svg")]) == 0
 
 
 def test_cli_internal_value_error_is_not_unusable_input(monkeypatch, c32_file):

@@ -2,8 +2,8 @@
 
 Oracle notes:
   [DERIVED] sliding factorization route vs independent Filippov convex
-            combination; scan_roots vs numpy polyroots; half-branch kind
-            table re-derived from the side-occupancy geometry.
+            combination; half-branch kind table re-derived from the
+            side-occupancy geometry.
   [ORACLE]  scan_roots vs sympy's exact real roots of the float coefficients.
   [TRIVIAL] hand-computed example values.
 """
@@ -19,7 +19,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crosswitch.classify import CLASS_C1, all_sign_tuples, normal_form
+from crosswitch.classify import CLASS_C1, CLASS_DPE, all_sign_tuples, normal_form
 from crosswitch.errors import EvaluationOutsideDomain, ParseError, TooManyTangencies
 from crosswitch.fields import Poly1, SlidingField, branch_point, make_system
 from crosswitch import numerics
@@ -193,6 +193,12 @@ class TestScanRoots:
     @example(cs=[-1.0, 1.0], lo=0.0, width=1.0, cells=96)          # simple root at hi
     @example(cs=T16, lo=-1.0, width=2.0, cells=512)    # degree 16, as det Z can reach
     @example(cs=[1.0] + [0.0] * 15 + [1.0], lo=-1.0, width=2.0, cells=512)  # 1 + s^16
+    # numpy's companion-matrix roots were off by 1.2e-7, 7.6e-6 and a factor
+    # of 2 (-0.125 for -0.0625, beside a root at -5.7e14)
+    @example(cs=[0.25, 1.0, 1e-09], lo=-1.0, width=2.0, cells=512)
+    @example(cs=[0.5, 1.0, 1.9839346996837883e-11], lo=-1.0, width=2.0, cells=512)
+    @example(cs=[2.440300306241937e-271, 0.0625, 1.0, 1.749464813927288e-15],
+             lo=-1.0, width=2.0, cells=512)
     @settings(max_examples=150, deadline=None)
     def test_scan_is_bit_identical_to_the_loop_oracle(self, cs, lo, width, cells):
         # the scan against the scalar grid loop, bit for bit, wherever no
@@ -289,6 +295,10 @@ class TestScanRoots:
         # every point is a root: the callers decide what that means
         with pytest.raises(ValueError):
             scan_roots(Poly1([0.0]), -1.0, 1.0)
+
+    def test_subnormal_window(self):
+        # the grid step 1e-321 / 512 underflowed to 0: ZeroDivisionError
+        assert scan_roots(Poly1([-5e-322, 1.0]), 0.0, 1e-321) == [5e-322]
 
     @given(st.floats(-0.95, 0.5), st.lists(st.floats(-6.0, -0.3), max_size=4),
            st.sampled_from([1.0, -0.5, 3.0]))
@@ -393,43 +403,6 @@ class TestScanRoots:
         assert bisect_root(f, 0.0, 1.0, 1.0, 5e-13, ftol=1e-12) == 1.0
         with pytest.raises(ValueError):
             bisect_root(f, 0.0, 1.0, 1.0, 5e-13)
-
-    @given(st.lists(st.floats(-2, 2), min_size=2, max_size=5), st.floats(0.5, 2.0))
-    @example(cs=[0.25, 1.0, 1e-09], r=1.0)   # numpy's root is off by 1.2e-7
-    @example(cs=[0.5, 1.0, 1.9839346996837883e-11], r=1.0)   # off by 7.6e-6
-    @example(cs=[2.440300306241937e-271, 0.0625, 1.0, 1.749464813927288e-15],
-             r=1.0)   # -0.125 for the root -0.0625, next to a root at -5.7e14
-    @settings(max_examples=150, deadline=None)
-    def test_matches_numpy_polyroots(self, cs, r):
-        # [DERIVED] every simple real numpy root well inside the window is
-        # found by the scanner, and every scanner root is a numpy root; the
-        # simple real numpy roots in the window are first polished by 60
-        # Newton steps on q, kept where they lower |q|, as numpy's
-        # companion-matrix roots can be off by 1e-7, or by a factor of 2
-        q = Poly1(cs)
-        assume(q.degree >= 1)
-        dq = q.derivative()
-
-        def simple_real(z: complex) -> bool:
-            return abs(z.imag) < 1e-9 and abs(dq(float(z.real))) > 1e-6
-
-        def polish(z: complex) -> complex:
-            if not (simple_real(z) and abs(z.real) <= r):
-                return z
-            x = float(z.real)
-            for _ in range(60):
-                x -= q(x) / dq(x)
-            return complex(x) if abs(q(x)) <= abs(q(float(z.real))) else z
-
-        npr = [polish(z) for z in
-               np.polynomial.polynomial.polyroots(np.asarray(q.coeffs))]
-        want = [float(z.real) for z in npr
-                if simple_real(z) and abs(z.real) < r - 0.05]
-        got = scan_roots(q, -r, r)
-        for w in want:
-            assert any(abs(g - w) < 1e-8 for g in got), f"missed root {w}"
-        for g in got:
-            assert min(abs(g - float(z.real)) + abs(z.imag) for z in npr) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +658,19 @@ def test_radius_must_be_positive_and_finite(radius):
     for branch in (1, 2):
         with pytest.raises(ParseError, match="radius must be positive and finite"):
             pseudo_equilibria(Z, branch, radius=radius)
+
+
+@pytest.mark.parametrize("radius", [1e-320, 5e-324])
+def test_subnormal_radius(radius):
+    # both raised "the origin does not lie on an open half-branch": the
+    # midpoint of the arc (0, 5e-324] rounded to 0, and with eps = 1e-9 r
+    # rounded to 0 the scan found the root s = 0 of det Z, which vanishes
+    # at the origin of this normal form
+    Z = normal_form(CLASS_DPE, {"a": 1, "b": 1, "c1": 1, "c2": 1})
+    assert [(a.outer, a.kind) for a in sigma_decomposition(Z, radius).arcs] == [
+        (radius, ArcKind.ESCAPING), (-radius, ArcKind.SLIDING)] * 2
+    for branch in (1, 2):
+        assert pseudo_equilibria(Z, branch, radius=radius) == []
 
 
 # ---------------------------------------------------------------------------
