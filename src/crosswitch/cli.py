@@ -223,15 +223,18 @@ def _cmd_portrait(args) -> int:
     trajectories = phase_portrait(
         Z, box=args.box, seeds_per_quadrant=args.seeds_per_quadrant,
         seeds_per_branch=args.seeds_per_branch, t_max=args.t_max)
-    if args.csv is not None:
-        _write_text(args.csv, trajectory_csv(trajectories, with_id=True))
+    svg = None
     if args.svg is not None or args.csv is None:
         try:
             dec = sigma_decomposition(Z, radius=args.box)
         except TooManyTangencies:
             dec = None
+        # drawn before any file is written: a box too small to draw writes none
         svg = portrait_svg(Z, trajectories, box=args.box, decomposition=dec,
                            title=args.title)
+    if args.csv is not None:
+        _write_text(args.csv, trajectory_csv(trajectories, with_id=True))
+    if svg is not None:
         _write_text(args.svg, svg)
     return 0
 

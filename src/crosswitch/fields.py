@@ -19,10 +19,13 @@ is built.  A `Poly2` runs a two-level loop over `_rows`, which a
 `cached_property` builds on first use, as many polynomials (swapped chart
 polynomials, intermediate products) are never evaluated.  A `FieldSpec`
 evaluates through one generated function, `compiled_eval`, also built on
-first use: the Horner operations of both components in the same order, zero
-coefficients included, unrolled into straight-line code, so its values
-equal the loops' bit for bit.  The event-driven flow evaluates one field
-hundreds of thousands of times and binds `compiled_eval` directly.  `Poly2`
+first use: the nonzero operations of both components' Horner loops, in
+the loops' order, unrolled into straight-line code (`_horner_source`).  At
+finite arguments its values equal the loops' bit for bit, the sign of a
+zero included; only a non-finite argument, where a loop's `0.0 * inf` gives
+NaN, can tell them apart.  The event-driven flow evaluates one field
+hundreds of thousands of times and binds `compiled_eval` directly, and the
+lane route of the fixed-point scans (`lanes`) runs it on numpy lanes.  `Poly2`
 keeps its loop because the classifier evaluates most of its polynomials
 only a few times, which would not pay for a compilation each.  The sliding
 field N/D on each branch is an object of the system, as det Z is:
@@ -85,13 +88,44 @@ def _canonical_terms(terms: Iterable[tuple[int, int, float]]) -> tuple[tuple[int
     return tuple(kept)
 
 
-def _horner_source(coeffs: Iterable[str], var: str) -> str:
-    """Source of the expression that `t = 0.0; for c in coeffs: t = t * var + c`
-    computes, unrolled with the same operations in the same order."""
-    src = "0.0"
+def _horner_source(coeffs: Iterable[str | None], var: str) -> str | None:
+    """Source of what `t = 0.0; for c in coeffs: t = t * var + c` computes,
+    with only the loop's nonzero operations, in its order; None when every
+    slot is zero.  A coefficient is its source text, or None for a zero.
+
+    The leading zero slots go, and the first nonzero coefficient is the
+    start value: at a finite var the loop holds 0.0 until it adds that
+    coefficient.  A later zero slot keeps only its multiplication: its
+    addition of 0.0 can only turn a -0.0 into 0.0.  So at a finite var the
+    result is the loop's up to the sign of a zero (see `_polynomial_source`).
+    """
+    src = None
     for c in coeffs:
-        src = f"({src} * {var} + {c})"
+        if src is None:
+            src = c
+        elif c is None:
+            src = f"({src} * {var})"
+        else:
+            src = f"({src} * {var} + {c})"
     return src
+
+
+def _literals(coeffs: Iterable[float]) -> Iterable[str | None]:
+    """The coefficients as `_horner_source` reads them."""
+    return (float.__repr__(c) if c else None for c in coeffs)
+
+
+def _polynomial_source(src: str | None, constant: float) -> str:
+    """The expression of a polynomial from the `_horner_source` of its
+    Horner loop: "0.0" when every coefficient is zero, and one final
+    `+ 0.0` when the constant term is zero, as the loop's last operation
+    then is.  A zero that the dropped operations leave with the other sign
+    is either replaced by the next nonzero coefficient or still a zero at
+    that final addition, so at finite arguments the expression equals the
+    loop bit for bit."""
+    if src is None:
+        return "0.0"
+    return src if constant else f"({src} + 0.0)"
 
 
 def compile_function(name: str, source: str, **env) -> Callable:
@@ -158,9 +192,11 @@ class Poly2:
 
     def source(self) -> str:
         """Straight-line expression of this polynomial in the variables x1
-        and x2, computing exactly what `__call__` computes."""
-        return _horner_source((_horner_source(map(float.__repr__, row), "x2")
-                               for row in self._rows), "x1")
+        and x2: the nonzero operations of `__call__`'s loop, in its order,
+        equal to it bit for bit at finite arguments.  An all-zero row keeps
+        only the multiplication by x1."""
+        rows = (_horner_source(_literals(row), "x2") for row in self._rows)
+        return _polynomial_source(_horner_source(rows, "x1"), self.constant_term())
 
     @property
     def total_degree(self) -> int:
@@ -239,12 +275,17 @@ class Poly2:
 
 
 class Poly1:
-    """Univariate polynomial, ascending coefficients, immutable."""
+    """Univariate polynomial, ascending coefficients, immutable.
+
+    A -0.0 coefficient is stored as 0.0 (a negated zero slot makes one), so
+    that `__call__`, like `Poly2`'s loop, never returns -0.0 at a finite s,
+    and `source()` can match it.
+    """
 
     __slots__ = ("coeffs", "_rev")
 
     def __init__(self, coeffs: Iterable[float]):
-        cs = [float(c) for c in coeffs]
+        cs = [float(c) + 0.0 for c in coeffs]
         while len(cs) > 1 and abs(cs[-1]) < CANON_EPS:
             cs.pop()
         if not cs:
@@ -265,9 +306,11 @@ class Poly1:
         return t
 
     def source(self) -> str:
-        """Straight-line expression of this polynomial in the variable s,
-        computing exactly what `__call__` computes."""
-        return _horner_source(map(float.__repr__, self._rev), "s")
+        """Straight-line expression of this polynomial in the variable s:
+        the nonzero operations of `__call__`'s loop, in its order, equal to
+        it bit for bit at finite s."""
+        return _polynomial_source(_horner_source(_literals(self._rev), "s"),
+                                  self.coeffs[0])
 
     @property
     def degree(self) -> int:
@@ -315,8 +358,9 @@ class FieldSpec:
     @cached_property
     def compiled_eval(self) -> Callable[[Point], tuple[float, float]]:
         """p -> (f1(p), f2(p)) as one generated straight-line function,
-        equal bit for bit to the components' Horner loops; built on first
-        use, once per field."""
+        equal bit for bit to the components' Horner loops at finite points;
+        built on first use, once per field.  A constant component comes
+        back as its float, whatever p holds."""
         return compile_function("field", (
             "def field(p):\n"
             "    x1, x2 = p\n"
@@ -358,8 +402,9 @@ class SlidingField:
     def value(self) -> Callable[[float], float]:
         """s -> N(s)/D(s), raising `EvaluationOutsideDomain` where
         |D(s)| < 1e-300.  One generated straight-line function, built on
-        first use: the Horner steps of `Poly1.__call__` unrolled, so it
-        equals `numerator(s) / denominator(s)` bit for bit."""
+        first use: the nonzero Horner steps of `Poly1.__call__` unrolled,
+        so at finite s it equals `numerator(s) / denominator(s)` bit for
+        bit."""
         return compile_function("value", (
             "def value(s):\n"
             f"    d = {self.denominator.source()}\n"

@@ -9,11 +9,13 @@ never load numpy.
 The lane route runs all seeds of a scan window at once on numpy lanes; each
 leg of the full turn is an RK4 run in the chart variable whose step count
 each lane doubles until its step-doubling error estimate meets the leg
-tolerance.  A lane that no step count up to 256 brings within it, or that
-fails a guard of the scalar route (transverse start, chart denominator of
-constant sign and above the tangency tolerance, no return to the starting
-branch, the box |x| <= `flow.LEG_BOX` of the orbit legs), is evaluated on
-the scalar route, `returnmap.numeric_return_map`.
+tolerance.  Every RK4 stage of a leg is one call of the field's generated
+evaluator, `FieldSpec.compiled_eval`, on the lane arrays.  A lane that no
+step count up to 256 brings within it, or that fails a guard of the scalar
+route (transverse start, chart denominator of constant sign and above the
+band `switching.scaled_band`, no return to the starting branch, the box
+|x| <= `flow.LEG_BOX` of the orbit legs), is evaluated on the scalar route,
+`returnmap.numeric_return_map`.
 
 A window has one result route: grid, lanes, multisection of the sign-change
 cells on lanes, and the multiplier as a central difference on lanes.  The
@@ -32,10 +34,10 @@ import numpy as np
 
 from . import returnmap
 from .errors import RouteMismatch
-from .fields import FIELD_SIGN, PiecewiseSystem, Poly2
+from .fields import FIELD_SIGN, PiecewiseSystem
 from .flow import ARM, LEG_BOX
 from .numerics import ROOT_XTOL, Cell, sign_change_roots
-from .returnmap import _TURN_LEGS, FixedPoint, NumericReturn, _chart_polys
+from .returnmap import _TURN_LEGS, FixedPoint, NumericReturn
 from .switching import scaled_band
 
 #: Largest accepted lane-vs-scalar full-turn difference, times (1 + |x|).
@@ -101,9 +103,19 @@ def fit_cubic_through_origin(samples: dict[float, float], mags: tuple[float, flo
     return float(a), float(b), float(c)
 
 
-def _rk4_leg(num: Poly2, den: Poly2, start: np.ndarray, n: int):
-    """n fixed RK4 steps of the chart ODE dw/ds = num/den from
-    (s, w) = (start, 0) to s = 0, on numpy lanes.
+def _chart(Z: PiecewiseSystem, field: str):
+    """The chart ODE dw/ds = num/den of a field's legs as (s, w) -> (num,
+    den), on the field's generated evaluator: Y(s, w) with its components
+    reversed (dw/ds = Y2/Y1), X(w, s) as it is (dw/ds = X1/X2)."""
+    F = Z.field(field).compiled_eval
+    if field == "Y":
+        return lambda s, w: F((s, w))[::-1]
+    return lambda s, w: F((w, s))
+
+
+def _rk4_leg(chart, start: np.ndarray, n: int):
+    """n fixed RK4 steps of the chart ODE dw/ds = num/den, (num, den) =
+    chart(s, w), from (s, w) = (start, 0) to s = 0, on numpy lanes.
 
     Returns (w, den_min, w_min, w_max): the end values, the least
     den * sign(den(start, 0)) over all stages, and the least and the largest
@@ -111,7 +123,7 @@ def _rk4_leg(num: Poly2, den: Poly2, start: np.ndarray, n: int):
     do not depend on the other lanes of the call.
     """
     zero = np.zeros_like(start)
-    den_sign = np.sign(den(start, zero))
+    den_sign = np.sign(chart(start, zero)[1])
     h = -start / n
     half_h, sixth_h = 0.5 * h, h / 6.0
     w = zero
@@ -121,9 +133,9 @@ def _rk4_leg(num: Poly2, den: Poly2, start: np.ndarray, n: int):
 
     def f(s, w):
         nonlocal den_min
-        d = den(s, w)
+        num, d = chart(s, w)
         den_min = np.minimum(den_min, d * den_sign)
-        return num(s, w) / d
+        return num / d
 
     for k in range(n):
         s = start + k * h
@@ -141,8 +153,8 @@ def _rk4_leg(num: Poly2, den: Poly2, start: np.ndarray, n: int):
 def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
     """Numeric full turn from the seeds (x, 0), all seeds at once.
 
-    Each leg integrates the chart ODE dw/ds = num/den from (s, w) =
-    (start, 0) to s = 0 on numpy lanes, with error control by step
+    Each leg integrates the chart ODE dw/ds = num/den (`_chart`) from
+    (s, w) = (start, 0) to s = 0 on numpy lanes, with error control by step
     doubling: `_rk4_leg` runs N = 4, 8, ..., 256 RK4 steps on the lanes not
     yet accepted, and a lane is accepted at the first N with
     |w_2N - w_N| / 15 <= _LEG_TOL * (1 + |w_2N|).  Its value and its guards
@@ -152,37 +164,38 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
     Returns (values, ok).  ok is False on every lane that fails a guard of
     the scalar route, or that no N up to 256 accepts, and the value of such
     a lane is meaningless: the start point is not transverse (|num| within
-    the tangency tolerance there) or not on an open half-branch; the chart
-    denominator changes sign or comes within that tolerance at some stage;
-    w is outside the field's own quadrants after some step (the orbit leg
-    heads away from the other branch, or back to its starting branch); or
-    the leg leaves the box.
+    the band `switching.scaled_band` of the field scale there) or not on an
+    open half-branch; the chart denominator changes sign or comes within
+    that band at some stage; w is outside the field's own quadrants after
+    some step (the orbit leg heads away from the other branch, or back to
+    its starting branch); or the leg leaves the box.
     """
     start = np.array(xs, dtype=float)
     ok = np.ones(start.shape, dtype=bool)
-    components = (Z.X.f1, Z.X.f2, Z.Y.f1, Z.Y.f2)
-    charts = {field: _chart_polys(Z, field) for field in FIELD_SIGN}
     with np.errstate(all="ignore"):
         for field in _TURN_LEGS:
-            num, den = charts[field]
+            chart = _chart(Z, field)
             zero = np.zeros_like(start)
             # the branch point (x1, x2) of the leg start, and the sign of w on
             # the field's own quadrants, where x1*x2 has the sign FIELD_SIGN
             point = (start, zero) if field == "Y" else (zero, start)
             side = FIELD_SIGN[field] * np.sign(start)
-            scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
+            at = {name: Z.field(name).compiled_eval(point) for name in FIELD_SIGN}
+            scale = np.maximum.reduce([np.abs(v) + zero
+                                       for values in at.values() for v in values])
             tol = scaled_band(scale)
-            ok &= ((np.abs(num(start, zero)) > tol) & (np.abs(start) > ARM)
+            num = at[field][1 if field == "Y" else 0]
+            ok &= ((np.abs(num) > tol) & (np.abs(start) > ARM)
                    & (np.abs(start) <= LEG_BOX))
 
             # the accepted 2N run of each lane: w, den_min, w_min, w_max
             leg = np.full((4,) + start.shape, np.nan)
             live = np.flatnonzero(ok)
-            coarse = _rk4_leg(num, den, start[live], _LEG_STEPS[0])
+            coarse = _rk4_leg(chart, start[live], _LEG_STEPS[0])
             for n in _LEG_STEPS[1:]:
                 if not live.size:
                     break
-                fine = _rk4_leg(num, den, start[live], n)
+                fine = _rk4_leg(chart, start[live], n)
                 accept = (np.abs(fine[0] - coarse[0]) / 15.0
                           <= _LEG_TOL * (1.0 + np.abs(fine[0])))
                 leg[:, live[accept]] = np.array(fine)[:, accept]

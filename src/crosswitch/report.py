@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .classify import Classification, UnfoldingVerification, classify, verify_unfolding
-from .errors import NonFiniteValue, TooManyTangencies, require_positive
+from .errors import NonFiniteValue, ParseError, TooManyTangencies, require_positive
 from .fields import PiecewiseSystem, system_to_obj
 from .flow import Mode, Trajectory
 from .returnmap import ReturnMapModel, half_map_numeric_fit, return_map_model
@@ -333,12 +333,16 @@ def portrait_svg(Z: PiecewiseSystem, trajectories: list[Trajectory],
                  decomposition: SigmaDecomposition | None = None,
                  title: str = "") -> str:
     """Deterministic standalone SVG of trajectories and the switching set.
-    Raises ParseError unless box is positive and finite."""
+    Raises ParseError unless box is positive and finite, and large enough
+    (above about 1e-306) that the pixels per unit are finite too."""
     require_positive("box", box)
     size = SVG_SIZE
     margin = 24.0
     span = size - 2.0 * margin
     scale = span / (2.0 * box)
+    if not math.isfinite(scale):
+        raise ParseError(f"box {box!r} is too small to draw: its pixels per "
+                         f"unit overflow")
 
     def at(x1: float, x2: float) -> tuple[float, float]:
         """Pixel coordinates of the point (x1, x2)."""

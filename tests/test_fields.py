@@ -22,6 +22,7 @@ from crosswitch.fields import (
     Poly2,
     active_field,
     branch_point,
+    compile_function,
     make_system,
     system_from_obj,
     system_to_obj,
@@ -250,6 +251,68 @@ class TestFieldSpec:
         # the generated evaluator against the Horner loops of f1 and f2
         got = FieldSpec(f1, f2).compiled_eval(p)
         assert [v.hex() for v in got] == [f1(*p).hex(), f2(*p).hex()]
+
+
+# finite arguments and coefficients of every scale: signed zeros,
+# subnormals, and magnitudes up to 1e300, so that some products overflow
+# to inf (and inf * 0.0 to NaN) in the middle of an evaluation
+wide_floats = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300]),
+)
+
+# sparse polynomials: a few terms of degree <= 8, so most Horner slots are 0
+sparse_poly2 = st.lists(
+    st.integers(0, 8).flatmap(lambda i: st.tuples(st.just(i), st.integers(0, 8 - i),
+                                                  wide_floats)),
+    max_size=4).map(Poly2)
+sparse_poly1 = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), wide_floats),
+                        max_size=9).map(Poly1)
+
+
+class TestGeneratedEvaluators:
+    """The generated sources keep only the nonzero operations of the Horner
+    loops, and still give the loops' values bit for bit at finite points."""
+
+    @given(sparse_poly2, st.tuples(wide_floats, wide_floats))
+    @example(Poly2([(1, 0, 1.0)]), (-0.0, 0.0))                  # zero constant, zero value
+    @example(Poly2([(2, 1, 2.0), (0, 0, -1.0)]), (0.5, -3.0))    # all-zero middle row
+    @example(Poly2([(2, 1, 2.0), (0, 2, -1.0)]), (-0.0, -0.0))    # signed zeros
+    @example(Poly2([(8, 0, 1e300), (0, 1, 1.0)]), (1e300, 0.0))  # inf mid-evaluation
+    @example(Poly2(), (0.3, -0.7))                               # zero polynomial
+    @settings(max_examples=400, deadline=None)
+    def test_poly2_source_is_bit_identical(self, p, pt):
+        got = FieldSpec(p, p).compiled_eval(pt)[0]
+        assert got.hex() == p(*pt).hex() == horner_loop(p, *pt).hex()
+
+    @given(sparse_poly1, wide_floats)
+    @example(Poly1([0.0, 1.0]), -0.0)                            # zero constant, zero value
+    @example(Poly1([-0.0, 0.0, 1.0]), -0.0)                      # a -0.0 coefficient
+    @example(Poly1([1.0, 0.0, 0.0, 2.0]), 1e300)
+    @example(Poly1([-0.0]), -1.0)                                # zero polynomial
+    @settings(max_examples=400, deadline=None)
+    def test_poly1_source_is_bit_identical(self, q, s):
+        f = compile_function("f", f"def f(s):\n    return {q.source()}\n")
+        assert f(s).hex() == q(s).hex()
+
+    def test_only_the_nonzero_operations_are_kept(self):
+        # a leading zero slot goes, a later one keeps its multiplication, an
+        # all-zero row keeps the multiplication by x1, and a zero constant
+        # term adds 0.0 once at the end
+        assert Poly2([(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)]).source() == (
+            "((1.0 * x1 + 1.0) * x1 + 1.0)")
+        assert Poly2([(1, 0, 1.0)]).source() == "((1.0 * x1) + 0.0)"
+        assert Poly2([(2, 1, 2.0), (0, 0, -1.0)]).source() == (
+            "(((2.0 * x2) * x1) * x1 + -1.0)")
+        assert Poly1([0.0, 0.0, 3.0]).source() == "(((3.0 * s) * s) + 0.0)"
+
+    @pytest.mark.parametrize("c", [1.5, -2.0, 7.25e10])
+    def test_a_constant_source_does_no_arithmetic(self, c):
+        f = FieldSpec(Poly2.constant(c), Poly2())
+        assert (f.f1.source(), f.f2.source()) == (repr(c), "0.0")
+        assert Poly1([c]).source() == repr(c)
+        assert f.compiled_eval((math.inf, math.nan)) == (c, 0.0)
 
 
 class TestPiecewiseSystem:

@@ -728,14 +728,37 @@ def test_phase_portrait_rejects_a_seed_count_that_is_not_an_integer(counts):
 
 def test_cli_subnormal_radius_and_box(c32_file, tmp_path):
     # both ended in a ValueError traceback (exit 1): see
-    # test_switching.py::test_subnormal_radius
+    # test_switching.py::test_subnormal_radius.  A subnormal box is too small
+    # to draw, so the portrait is unusable input
     dpe = tmp_path / "dpe.json"
     dpe.write_text(json.dumps(system_to_obj(
         normal_form(CLASS_DPE, {"a": 1, "b": 1, "c1": 1, "c2": 1}))))
     assert main(["classify", "--system", str(dpe), "--radius", "1e-320",
                  "--out", str(tmp_path / "c.json")]) == 0
     assert main(["portrait", "--system", c32_file, "--box", "5e-324", "--t-max", "0.1",
-                 "--svg", str(tmp_path / "p.svg")]) == 0
+                 "--svg", str(tmp_path / "p.svg")]) == 2
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("box", ["1e-310", "1.6e-306"])
+def test_cli_portrait_of_a_box_too_small_to_draw_exits_2(c32_file, tmp_path, box):
+    # span / (2 box) overflowed to inf, and the SVG was written with nan and
+    # inf coordinates, exit 0; neither it nor the CSV is written now
+    svg, csv = tmp_path / "p.svg", tmp_path / "p.csv"
+    assert main(["portrait", "--system", c32_file, "--box", box, "--t-max", "0.1",
+                 "--svg", str(svg), "--csv", str(csv)]) == 2
+    assert not svg.exists() and not csv.exists()
+
+
+def test_portrait_svg_draws_the_smallest_boxes_whose_scale_is_finite():
+    # 592 pixels over 2 box overflow below box = 1.647e-306
+    Z = normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1})
+    for box in (1.7e-306, 1e-300):
+        svg = portrait_svg(Z, [], box=box)
+        assert "nan" not in svg and "inf" not in svg
+        ET.fromstring(svg)
+    with pytest.raises(ParseError, match="too small to draw"):
+        portrait_svg(Z, [], box=1.6e-306)
 
 
 def test_cli_internal_value_error_is_not_unusable_input(monkeypatch, c32_file):

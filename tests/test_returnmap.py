@@ -19,13 +19,15 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from crosswitch.classify import CLASS_PH, all_sign_tuples, unfolding
 from crosswitch.errors import (CrosswitchError, LeftDomain, NotTransient, NotTransverse,
                                ParseError, RouteMismatch, StepLimit)
-from crosswitch.fields import make_system
-from crosswitch.flow import half_crossing
+from crosswitch.fields import FIELD_SIGN, make_system
+from crosswitch.flow import ARM, LEG_BOX, half_crossing
 import crosswitch.lanes as lanes
 import crosswitch.returnmap as returnmap
 from crosswitch.numerics import bisect_root, scan_grid, sign_change_roots
+from crosswitch.switching import scaled_band
 from crosswitch.returnmap import (
     compose_cubic,
     fixed_points,
@@ -491,7 +493,105 @@ def counting(monkeypatch, module, name: str):
     return calls
 
 
+def dense_rk4_leg(num, den, start, n):
+    """The lane leg as it ran on the dense `Poly2` loops of the chart
+    polynomials (`returnmap._chart_polys`): the oracle of
+    `lanes._rk4_leg`."""
+    zero = np.zeros_like(start)
+    den_sign = np.sign(den(start, zero))
+    h = -start / n
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    w = zero
+    den_min = np.full(start.shape, np.inf)
+    w_min = np.full(start.shape, np.inf)
+    w_max = np.full(start.shape, -np.inf)
+
+    def f(s, w):
+        nonlocal den_min
+        d = den(s, w)
+        den_min = np.minimum(den_min, d * den_sign)
+        return num(s, w) / d
+
+    for k in range(n):
+        s = start + k * h
+        mid = s + half_h
+        k1 = f(s, w)
+        k2 = f(mid, w + half_h * k1)
+        k3 = f(mid, w + half_h * k2)
+        k4 = f(s + h, w + h * k3)
+        w = w + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w_min = np.minimum(w_min, w)
+        w_max = np.maximum(w_max, w)
+    return w, den_min, w_min, w_max
+
+
+def dense_chart_turn(Z, xs):
+    """`lanes._chart_turn` with its legs and guards on the dense loops."""
+    start = np.array(xs, dtype=float)
+    ok = np.ones(start.shape, dtype=bool)
+    components = (Z.X.f1, Z.X.f2, Z.Y.f1, Z.Y.f2)
+    with np.errstate(all="ignore"):
+        for field in returnmap._TURN_LEGS:
+            num, den = returnmap._chart_polys(Z, field)
+            zero = np.zeros_like(start)
+            point = (start, zero) if field == "Y" else (zero, start)
+            side = FIELD_SIGN[field] * np.sign(start)
+            scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
+            tol = scaled_band(scale)
+            ok &= ((np.abs(num(start, zero)) > tol) & (np.abs(start) > ARM)
+                   & (np.abs(start) <= LEG_BOX))
+            leg = np.full((4,) + start.shape, np.nan)
+            live = np.flatnonzero(ok)
+            coarse = dense_rk4_leg(num, den, start[live], lanes._LEG_STEPS[0])
+            for n in lanes._LEG_STEPS[1:]:
+                if not live.size:
+                    break
+                fine = dense_rk4_leg(num, den, start[live], n)
+                accept = (np.abs(fine[0] - coarse[0]) / 15.0
+                          <= lanes._LEG_TOL * (1.0 + np.abs(fine[0])))
+                leg[:, live[accept]] = np.array(fine)[:, accept]
+                live = live[~accept]
+                coarse = tuple(r[~accept] for r in fine)
+            w, den_min, w_min, w_max = leg
+            ws_min = np.where(side > 0.0, w_min, -w_max)
+            ws_max = np.where(side > 0.0, w_max, -w_min)
+            ok &= (den_min > tol) & (ws_min > 0.0) & (ws_max <= LEG_BOX)
+            start = w
+    return start, ok
+
+
 class TestLaneRoute:
+    def test_chart_turn_matches_the_dense_loops_on_the_pseudo_hopf_unfoldings(self):
+        # [ORACLE] the generated evaluators give the loops' bits, and the
+        # X chart of these unfoldings is constant: the same values, NaN
+        # lanes included, and the same guards
+        xs = np.concatenate([scan_grid(-0.25, -1e-6, 96), scan_grid(1e-6, 0.25, 96),
+                             [-5.0, -3.9, 1e-12, 3.9, 5.0]])
+        for signs in all_sign_tuples(CLASS_PH):
+            for delta in (-2e-3, -1e-3, 0.0, 1e-3, 2e-3):
+                Z = unfolding(CLASS_PH, signs, delta)
+                values, ok = lanes._chart_turn(Z, xs)
+                want, want_ok = dense_chart_turn(Z, xs)
+                assert [v.hex() for v in values.tolist()] == [
+                    v.hex() for v in want.tolist()], (signs, delta)
+                assert (ok == want_ok).all(), (signs, delta)
+
+    def test_chart_turn_matches_the_dense_loops_on_curved_systems(self):
+        # [ORACLE] the X chart now runs X(w, s), nested in x1 = w outside,
+        # where the swapped polynomial nested s outside: with mixed
+        # monomials its values may move at rounding level only
+        xs = np.concatenate([np.linspace(-0.15, -0.01, 8), np.linspace(0.01, 0.15, 8)])
+        accepted = 0
+        for seed in range(40):
+            Z = curved_transient(seed)
+            values, ok = lanes._chart_turn(Z, xs)
+            want, want_ok = dense_chart_turn(Z, xs)
+            assert (ok == want_ok).all(), seed
+            assert (np.abs(values[ok] - want[ok])
+                    <= 1e-13 * (1.0 + np.abs(xs[ok]))).all(), seed
+            accepted += int(ok.sum())
+        assert accepted >= 500     # of 640 lanes
+
     def test_lane_values_match_scalar_on_curved_systems(self):
         # [ORACLE] the accepted chart legs reproduce the scalar orbit legs
         xs = np.concatenate([np.linspace(-0.15, -0.01, 8),
