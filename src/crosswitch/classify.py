@@ -42,6 +42,7 @@ from .switching import (
     pseudo_equilibria,
     scaled_band,
     vanishing_components,
+    xi_values,
 )
 
 CLASS_C1 = "Stable_C1"
@@ -123,10 +124,10 @@ def classify(Z: PiecewiseSystem) -> Classification:
     if vanishing:
         return _classify_fold_layer(Z, vanishing, witnesses, quad_tol)
 
-    xi1 = _sgn(x1) * _sgn(y1)
-    xi2 = _sgn(x2) * _sgn(y2)
-    witnesses["xi1"] = x1 * y1
-    witnesses["xi2"] = x2 * y2
+    # no component is in the band, so neither product is near underflow
+    xi1, xi2 = xi_values(Z)
+    witnesses["xi1"] = xi1
+    witnesses["xi2"] = xi2
 
     if xi1 > 0 and xi2 > 0:
         return Classification(CLASS_C1, {"a": _sgn(x1), "b": _sgn(x2)}, witnesses)
@@ -301,18 +302,22 @@ class UnfoldingVerification:
 
 
 def _predict_side_class(family: str, s: dict, delta: float) -> str:
-    """Independent side prediction from the generator's sign structure."""
-    if delta == 0.0:
-        return family
+    """Independent side prediction from the generator's closed form: the
+    family itself where its boundary quantity lies in the band `classify`
+    applies to it, else the class its sign structure gives."""
     if family == CLASS_DPE:
-        return CLASS_C2
+        # det Z(0) = -delta, against the band of a product of two components
+        # (X = (a - b c2 x1, b - a delta), Y = (-a, -b + a c1 x2))
+        scale = max(1.0, abs(s["b"] - s["a"] * delta))
+        return family if abs(delta) <= scaled_band(scale * scale) else CLASS_C2
     if family == CLASS_PH:
         # alpha = -ac / (ac + delta), on the critical band as in `classify`
         ac = s["a"] * s["c"]
-        if abs(-ac / (ac + delta) + 1.0) <= BAND:
-            return family
-        return CLASS_C32
-    # regular fold: X = (1, x1 - delta), Y = (a, b)
+        return family if abs(-ac / (ac + delta) + 1.0) <= BAND else CLASS_C32
+    # regular fold: X = (1, x1 - delta), Y = (a, b); X2(0) = -delta against
+    # the component band
+    if abs(delta) <= scaled_band(max(1.0, abs(delta))):
+        return family
     a, b = s["a"], s["b"]
     xi1 = a
     xi2 = _sgn(-delta) * b
@@ -340,7 +345,7 @@ def verify_unfolding(family: str, signs: dict, delta: float) -> UnfoldingVerific
     def check(name: str, ok: bool, detail: str) -> None:
         checks.append(VerifyCheck(name, bool(ok), detail))
 
-    if family == CLASS_DPE and delta != 0.0:
+    if family == CLASS_DPE and predicted != family:
         a, b, c1, c2 = s["a"], s["b"], s["c1"], s["c2"]
         d0 = Z.det((0.0, 0.0))
         check("det_at_origin", abs(d0 + delta) <= 1e-12 * (1 + abs(delta)),
@@ -377,7 +382,7 @@ def verify_unfolding(family: str, signs: dict, delta: float) -> UnfoldingVerific
                 check("fixed_point_stability", fps[0].stable is want_stable,
                       f"multiplier {fps[0].multiplier!r}")
 
-    if family == CLASS_RF and delta != 0.0:
+    if family == CLASS_RF and predicted != family:
         tps = find_tangencies(Z, 2, -1.0, 1.0)
         ok = (len(tps) == 1 and tps[0].field == "X"
               and abs(tps[0].s - delta) <= 1e-9)

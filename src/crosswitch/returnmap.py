@@ -313,7 +313,7 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
     require_transient(Z)
     from .lanes import lane_window
 
-    guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
+    guard = BAND * (1.0 + abs(lo) + abs(hi))
     windows = ((lo, min(hi, -guard)), (max(lo, guard), hi))
     return [fp for wlo, whi in windows if whi > wlo
             for fp in lane_window(Z, scan_grid(wlo, whi, cells), guard)]

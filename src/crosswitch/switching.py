@@ -46,6 +46,15 @@ def scaled_band(scale):
     return BAND * (1.0 + scale)
 
 
+def _origin_gap(reach: float) -> float:
+    """The origin's gap in the branch coordinate for a window reaching
+    |s| <= reach: BAND on windows of reach >= 1, proportionally less on
+    narrower ones, so a tiny window (a subnormal one included) keeps its
+    interior.  A root with |s| within it is the origin, not an object of
+    an open half-branch."""
+    return BAND * min(reach, 1.0)
+
+
 def component_tolerance(Z: PiecewiseSystem, p: Point) -> float:
     """Degeneracy band for one field component (or a quantity of the same
     scale) at p, normal components of the branches included."""
@@ -153,11 +162,13 @@ class TangencyPoint:
 def find_tangencies(Z: PiecewiseSystem, branch: int,
                     lo: float, hi: float) -> list[TangencyPoint]:
     """Folds of X and Y on Sigma_branch with running coordinate in [lo, hi],
-    the origin (|s| <= 1e-12) excluded.
+    sorted by (s, field).  A root with |s| <= `_origin_gap` of the window's
+    reach max(|lo|, |hi|) is the origin and is excluded.
 
     Raises TooManyTangencies when a normal component vanishes identically on
     the branch (every point would be a tangency).
     """
+    gap = _origin_gap(max(abs(lo), abs(hi)))
     out: list[TangencyPoint] = []
     for name in ("X", "Y"):
         field = Z.field(name)
@@ -166,7 +177,7 @@ def find_tangencies(Z: PiecewiseSystem, branch: int,
             raise TooManyTangencies(
                 f"{name}{branch} vanishes identically on Sigma{branch}")
         for s in scan_roots(restricted, lo, hi):
-            if abs(s) <= 1e-12:
+            if abs(s) <= gap:
                 continue
             p = branch_point(branch, s)
             lie = fold_lie_value(field, branch, p)
@@ -213,26 +224,25 @@ class SigmaDecomposition:
 
 def sigma_decomposition(Z: PiecewiseSystem, radius: float = 1.0) -> SigmaDecomposition:
     """Decompose all four half-branches within |s| <= radius into arcs of
-    constant kind separated by tangency points.  Raises ParseError unless
-    the radius is positive and finite."""
+    constant kind separated by tangency points.  Every tangency that
+    `find_tangencies` lists inside the radius is an arc end.  Arcs come in
+    (branch, -half, |inner|) order, tangencies in (branch, s, field) order.
+    Raises ParseError unless the radius is positive and finite."""
     require_positive("radius", radius)
     arcs: list[Arc] = []
     tangencies: list[TangencyPoint] = []
-    eps = 1e-9 * radius
     for branch in (1, 2):
         found = find_tangencies(Z, branch, -radius, radius)
-        tangencies.extend(t for t in found if abs(t.s) <= radius)
+        tangencies.extend(found)
         for half in (1, -1):
             cuts = sorted({abs(t.s) for t in found
-                           if t.half == half and eps < abs(t.s) < radius})
+                           if t.half == half and abs(t.s) < radius})
             stops = [0.0] + cuts + [radius]
             for lo_abs, hi_abs in zip(stops, stops[1:]):
                 # an arc (0, 5e-324] has no midpoint: classify its outer end
                 mid = half * (0.5 * (lo_abs + hi_abs) or hi_abs)
                 kind = branch_point_class(Z, branch, mid)
                 arcs.append(Arc(branch, half, half * lo_abs, half * hi_abs, kind))
-    arcs.sort(key=lambda a: (a.branch, -a.half, abs(a.inner)))
-    tangencies.sort(key=lambda t: (t.branch, t.s, t.field))
     return SigmaDecomposition(radius, tuple(arcs), tuple(tangencies))
 
 
@@ -255,7 +265,8 @@ class PseudoEquilibrium:
 
 def pseudo_equilibria(Z: PiecewiseSystem, branch: int,
                       radius: float = 1.0) -> list[PseudoEquilibrium]:
-    """Pseudo-equilibria on Sigma_branch with 0 < |s| <= radius.
+    """Pseudo-equilibria on Sigma_branch with `_origin_gap(radius)` < |s| <=
+    radius.
 
     Zeros of det Z restricted to the branch, kept only where the branch point
     lies in a sliding or escaping region (normal components of opposite sign).
@@ -272,10 +283,10 @@ def pseudo_equilibria(Z: PiecewiseSystem, branch: int,
                for a in sigma_decomposition(Z, radius).arcs):
             raise TooManyTangencies(f"det Z vanishes identically on Sigma{branch}")
         return []
-    eps = 1e-9 * radius
+    gap = _origin_gap(radius)
     roots: list[float] = []
-    for lo, hi in ((-radius, -eps), (eps, radius)):
-        # eps underflows to 0 for a subnormal radius: drop the origin
+    for lo, hi in ((-radius, -gap), (gap, radius)):
+        # gap underflows to 0 for a subnormal radius: drop the origin
         roots.extend(s for s in scan_roots(sf.numerator, lo, hi) if s != 0.0)
     out: list[PseudoEquilibrium] = []
     for s0 in sorted(roots):

@@ -432,6 +432,26 @@ def test_regular_fold_unfolding_all_signs():
             assert rep.observed_class == want
 
 
+#: 30 log-spaced |delta| in [1e-11, 1e-7], across each family's band edge
+#: (|delta| = 2e-9 for both: X2(0), and det Z(0), against BAND * (1 + 1))
+NEAR_BAND_DELTAS = [10.0 ** (-11 + 4 * k / 29) for k in range(30)]
+
+
+@pytest.mark.parametrize("family", [CLASS_RF, CLASS_DPE])
+def test_side_prediction_applies_the_band(family):
+    # [DERIVED] the regular fold's X2(0) = -delta and the double
+    # pseudo-equilibrium's det Z(0) = -delta: inside the band classify
+    # observes the family itself.  The prediction ignored the band and
+    # said Stable_C32 (fold) or Stable_C2, and the off-band fold and
+    # pseudo-equilibrium checks failed there
+    for signs in all_sign_tuples(family):
+        for delta in NEAR_BAND_DELTAS:
+            for d in (delta, -delta):
+                rep = verify_unfolding(family, signs, d)
+                assert rep.predicted_class == rep.observed_class, (signs, d, rep)
+                assert rep.ok, (signs, d, rep)
+
+
 def test_verification_report_ok_logic():
     # [TRIVIAL]
     good = VerifyCheck("x", True, "")

@@ -19,7 +19,8 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crosswitch.classify import CLASS_C1, CLASS_DPE, all_sign_tuples, normal_form
+from crosswitch.classify import (CLASS_C1, CLASS_DPE, CLASS_RF, all_sign_tuples,
+                                 normal_form, unfolding)
 from crosswitch.errors import EvaluationOutsideDomain, ParseError, TooManyTangencies
 from crosswitch.fields import Poly1, SlidingField, branch_point, make_system
 from crosswitch import numerics
@@ -630,20 +631,49 @@ class TestDecomposition:
                 assert abs(arcs[-1].outer) == pytest.approx(2.0)
 
     @given(generic_system())
+    # X2(0) = -5e-10: the fold at s = 5e-10 was listed, next to one arc
+    # that spanned it, as the tangencies and the arc cuts had two origin gaps
+    @example(unfolding(CLASS_RF, {"a": -1, "b": 1}, 5e-10))
     @settings(max_examples=60, deadline=None)
     def test_partition_covers_radius(self, Z):
-        # [TRIVIAL] arcs tile each half-branch exactly
+        # [TRIVIAL] arcs tile each half-branch outward from 0 to the
+        # radius, and every listed tangency inside the radius is an arc end
         try:
             dec = sigma_decomposition(Z, radius=1.0)
         except TooManyTangencies:
             assume(False)
         for branch in (1, 2):
+            ends = set()
             for half in (1, -1):
                 arcs = dec.half_branch(branch, half)
-                assert arcs[0].inner == 0.0
-                for a, b in zip(arcs, arcs[1:]):
-                    assert a.outer == b.inner
-                assert abs(arcs[-1].outer) == pytest.approx(1.0)
+                stops = [0.0] + [a.outer for a in arcs]
+                assert [a.inner for a in arcs] == stops[:-1]
+                assert stops[-1] == half * 1.0
+                assert all(abs(u) < abs(v) for u, v in zip(stops, stops[1:]))
+                ends.update(stops[1:-1])
+            for tp in dec.tangencies:
+                if tp.branch == branch and abs(tp.s) < 1.0:
+                    assert tp.s in ends, (tp, ends)
+
+    def test_fold_is_cut_at_a_large_radius(self):
+        # [DERIVED] X = (1, x1 - 0.2), Y = (-1, 1): sliding on (0, 0.2) of
+        # Sigma2+, crossing beyond.  At radius 1e9 the cut's gap was
+        # 1e-9 * radius = 1: the fold was listed but Sigma2+ was one arc "c"
+        Z = unfolding(CLASS_RF, {"a": -1, "b": 1}, 0.2)
+        dec = sigma_decomposition(Z, 1e9)
+        assert [tp.s for tp in dec.tangencies] == pytest.approx([0.2], abs=1e-12)
+        assert dec.kind_sequence(2, 1) == ("s", "c")
+        assert dec.half_branch(2, 1)[0].outer == dec.tangencies[0].s
+
+    def test_fold_inside_the_origin_gap_is_not_listed(self):
+        # [DERIVED] X2(0) = -5e-10 lies in the component band, so the
+        # origin is the regular fold and s = 5e-10 is no fold of an open
+        # half-branch: it was listed, with no arc end at it
+        Z = unfolding(CLASS_RF, {"a": -1, "b": 1}, 5e-10)
+        assert find_tangencies(Z, 2, -1.0, 1.0) == []
+        dec = sigma_decomposition(Z, 1.0)
+        assert dec.tangencies == ()
+        assert dec.kind_sequence(2, 1) == ("c",)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 0.0])
@@ -723,6 +753,18 @@ class TestPseudoEquilibria:
         pes = pseudo_equilibria(Z, 1)
         assert [pe.s for pe in pes] == pytest.approx([0.3, 0.3001], abs=1e-10)
         assert all(pe.region_kind == ArcKind.SLIDING for pe in pes)
+
+    @pytest.mark.parametrize("radius", [1e8, 1e12])
+    def test_pseudo_equilibria_are_found_at_a_large_radius(self, radius):
+        # [DERIVED] the double pseudo-equilibrium family at delta = 0.1 (all
+        # signs +1) has one pseudo-equilibrium at s = 0.1 on each branch.
+        # With the scan windows outside +-1e-9 * radius, radius 1e8 and
+        # 1e12 found none
+        Z = unfolding(CLASS_DPE, {"a": 1, "b": 1, "c1": 1, "c2": 1}, 0.1)
+        for branch in (1, 2):
+            pes = pseudo_equilibria(Z, branch, radius=radius)
+            assert [pe.s for pe in pes] == pytest.approx([0.1], abs=1e-9)
+            assert pes[0].region_kind == ArcKind.ESCAPING
 
     def test_vanishing_det_with_sliding_arcs_raises(self):
         # [DERIVED] X = (-1, 1), Y = -X: det Z vanishes identically, and
