@@ -27,7 +27,7 @@ so classify(normal_form(name, signs)) reproduces (name, signs) exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidSigns, ParseError
 from .fields import PiecewiseSystem, make_system
@@ -73,8 +73,7 @@ def _sgn(v: float) -> int:
     return 1 if v > 0.0 else -1
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Classification verdict with every evaluated quantity recorded."""
 
     class_name: str
@@ -279,15 +278,13 @@ def unfolding(family: str, signs: dict, delta: float) -> PiecewiseSystem:
 # verification of unfolding predictions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class UnfoldingVerification:
+class UnfoldingVerification(NamedTuple):
     family: str
     signs: dict
     delta: float
@@ -335,9 +332,19 @@ PH_FP_MAX_DELTA = 5e-3
 def verify_unfolding(family: str, signs: dict, delta: float) -> UnfoldingVerification:
     """Build the family member, classify it, and test the quantitative
     predictions of the family against independently computed objects, the
-    pseudo-Hopf fixed-point scan at every 0 < |delta| <= PH_FP_MAX_DELTA."""
+    pseudo-Hopf fixed-point scan at every 0 < |delta| <= PH_FP_MAX_DELTA.
+    The regular fold is looked for in |s| <= max(1, 2|delta|).  Raises
+    ParseError for a pseudo-Hopf member at or past the edge delta = -ac."""
     s = validate_signs(family, signs)
     Z = unfolding(family, s, delta)
+    if family == CLASS_PH:
+        # X2(0) = -(ac + delta) meets the component band at the edge
+        # delta = -ac; there and past it the member is not transient
+        ac = s["a"] * s["c"]
+        if ac * (ac + delta) <= scaled_band(max(1.0, abs(ac + delta))):
+            raise ParseError(
+                f"delta = {delta!r} is at or past the pseudo-Hopf family's edge "
+                f"delta = -ac = {-ac}, where X2(0) = -(ac + delta) vanishes")
     got = classify(Z)
     predicted = _predict_side_class(family, s, delta)
     checks: list[VerifyCheck] = []
@@ -383,7 +390,8 @@ def verify_unfolding(family: str, signs: dict, delta: float) -> UnfoldingVerific
                       f"multiplier {fps[0].multiplier!r}")
 
     if family == CLASS_RF and predicted != family:
-        tps = find_tangencies(Z, 2, -1.0, 1.0)
+        reach = max(1.0, 2.0 * abs(delta))
+        tps = find_tangencies(Z, 2, -reach, reach)
         ok = (len(tps) == 1 and tps[0].field == "X"
               and abs(tps[0].s - delta) <= 1e-9)
         check("fold_location", ok,

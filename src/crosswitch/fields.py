@@ -12,6 +12,9 @@ Conventions used throughout the package:
   `active_field` built on it; the flow, the fold visibility and the return
   map's chart legs all read it from there.
 - Points are plain `(x1, x2)` float tuples.
+- Records are `typing.NamedTuple`s.  The three that cache (`FieldSpec`,
+  `SlidingField`, `PiecewiseSystem`) subclass one without `__slots__`, so
+  each `cached_property` has a `__dict__`, and refuse attribute assignment.
 
 Evaluation: every polynomial evaluates by one dense Horner loop over its
 coefficients, in evaluation order.  A `Poly1` stores them reversed when it
@@ -38,10 +41,9 @@ chart polynomials' terms into dense coefficient lists (`series`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     DegenerateInput,
@@ -339,18 +341,19 @@ class Poly1:
 # fields and systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """One smooth planar polynomial vector field (f1, f2)."""
+class FieldSpec(NamedTuple("FieldSpec", [("f1", Poly2), ("f2", Poly2)])):
+    """One smooth planar polynomial vector field (f1, f2), of total degree
+    at most MAX_DEGREE_DEFAULT."""
 
-    f1: Poly2
-    f2: Poly2
-
-    def __post_init__(self) -> None:
-        deg = max(self.f1.total_degree, self.f2.total_degree)
+    def __new__(cls, f1: Poly2, f2: Poly2) -> "FieldSpec":
+        deg = max(f1.total_degree, f2.total_degree)
         if deg > MAX_DEGREE_DEFAULT:
             raise DegenerateInput(
                 f"component total degree {deg} exceeds the cap {MAX_DEGREE_DEFAULT}")
+        return super().__new__(cls, f1, f2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldSpec is immutable")
 
     def eval(self, p: Point) -> tuple[float, float]:
         return self.compiled_eval(p)
@@ -385,8 +388,8 @@ def _denominator_vanishes(branch: int, s: float) -> EvaluationOutsideDomain:
         f"sliding denominator vanishes at s={s} on Sigma{branch}")
 
 
-@dataclass(frozen=True)
-class SlidingField:
+class SlidingField(NamedTuple("SlidingField", [
+        ("branch", int), ("numerator", Poly1), ("denominator", Poly1)])):
     """Scalar sliding dynamics s' = N(s)/D(s) on Sigma_branch.
 
     N = (det Z) restricted to the branch; D = (-1)^(branch-1) * (X_i - Y_i)
@@ -394,9 +397,8 @@ class SlidingField:
     particular on every sliding/escaping arc).
     """
 
-    branch: int
-    numerator: Poly1
-    denominator: Poly1
+    def __setattr__(self, name, value):
+        raise AttributeError("SlidingField is immutable")
 
     @cached_property
     def value(self) -> Callable[[float], float]:
@@ -418,12 +420,11 @@ class SlidingField:
         return self.numerator.derivative()(s0) / self.denominator(s0)
 
 
-@dataclass(frozen=True)
-class PiecewiseSystem:
+class PiecewiseSystem(NamedTuple("PiecewiseSystem", [("X", FieldSpec), ("Y", FieldSpec)])):
     """The pair Z = (X, Y): X acts on {x1*x2 > 0}, Y on {x1*x2 < 0}."""
 
-    X: FieldSpec
-    Y: FieldSpec
+    def __setattr__(self, name, value):
+        raise AttributeError("PiecewiseSystem is immutable")
 
     @cached_property
     def det_poly(self) -> Poly2:

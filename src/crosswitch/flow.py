@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import partial
 from numbers import Integral
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     LeftDomain,
@@ -107,8 +106,7 @@ class EventKind(str, Enum):
     BOX_EXIT = "BoxExit"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: EventKind
     t: float
     point: Point
@@ -123,14 +121,13 @@ class Sample(NamedTuple):
     mode: Mode
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Piecewise-smooth orbit with its event log."""
 
     seed: Point
     direction: int                      # +1 forward, -1 backward
-    samples: list[Sample] = dc_field(default_factory=list)
-    events: list[Event] = dc_field(default_factory=list)
+    samples: Sequence[Sample] = ()      # `integrate` passes its lists
+    events: Sequence[Event] = ()
     terminal: Event | None = None
 
     @property
@@ -146,8 +143,7 @@ class Trajectory:
 # half-branch crossing primitive (orbit geometry, used by the return map)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HalfCrossingResult:
+class HalfCrossingResult(NamedTuple):
     point: Point                  # landing point on the other branch
     off_crossing: bool            # landing point is not on a crossing arc
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .classify import Classification, UnfoldingVerification, classify, verify_unfolding
@@ -253,8 +253,7 @@ def events_report(Z: PiecewiseSystem, tr: Trajectory) -> dict:
 # sweep driver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     delta: float
     verification: UnfoldingVerification
 

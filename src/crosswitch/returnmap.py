@@ -36,8 +36,8 @@ module, and with it the CLI, loads neither numpy nor scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 from .errors import NotTransient, NotTransverse, ParseError
 from .fields import PiecewiseSystem, Point, Poly2
@@ -93,8 +93,7 @@ def gamma_value(Z: PiecewiseSystem) -> float:
 # half-map coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HalfMapCoeffs:
+class HalfMapCoeffs(NamedTuple):
     """Cubic jet G(x) = a x + b x^2 + c x^3 of one half map."""
 
     field: str                    # "X" or "Y"
@@ -192,8 +191,7 @@ def compose_cubic(outer: tuple[float, float, float],
     )
 
 
-@dataclass(frozen=True)
-class ReturnMapModel:
+class ReturnMapModel(NamedTuple):
     """Cubic models of the half turn psi and the full turn phi = psi o psi."""
 
     alpha: float                  # linear coefficient of psi
@@ -237,8 +235,7 @@ def return_map_model(Z: PiecewiseSystem, half_map=None) -> ReturnMapModel:
 # numeric return map (leg-by-leg orbit composition)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumericReturn:
+class NumericReturn(NamedTuple):
     """Result of composing actual orbit legs between branches."""
 
     value: float
@@ -265,8 +262,7 @@ def numeric_return_map(Z: PiecewiseSystem, x: float) -> NumericReturn:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """Nontrivial fixed point of the full-turn map on Sigma2."""
 
     x: float

@@ -20,8 +20,8 @@ det Z = X1*Y2 - X2*Y1.  It is an object of the system, as det Z is:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import TooManyTangencies, require_positive
 from .fields import FIELD_SIGN, FieldSpec, PiecewiseSystem, Point, branch_point
@@ -143,8 +143,7 @@ def fold_visibility(field_name: str, lie: float, s: float, tol: float) -> Visibi
             else Visibility.INVISIBLE)
 
 
-@dataclass(frozen=True)
-class TangencyPoint:
+class TangencyPoint(NamedTuple):
     """Fold of one field with one branch (W_i = 0 at an isolated point)."""
 
     field: str            # "X" or "Y"
@@ -191,8 +190,7 @@ def find_tangencies(Z: PiecewiseSystem, branch: int,
 # decomposition into arcs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Open sub-arc of one half-branch with a single region kind.
 
     inner/outer are signed running coordinates with |inner| < |outer|; the
@@ -206,8 +204,7 @@ class Arc:
     kind: ArcKind
 
 
-@dataclass(frozen=True)
-class SigmaDecomposition:
+class SigmaDecomposition(NamedTuple):
     """Arcs and tangency points on all four half-branches within a radius."""
 
     radius: float
@@ -250,8 +247,7 @@ def sigma_decomposition(Z: PiecewiseSystem, radius: float = 1.0) -> SigmaDecompo
 # pseudo-equilibria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PseudoEquilibrium:
+class PseudoEquilibrium(NamedTuple):
     """Zero of the sliding field inside a sliding or escaping arc."""
 
     branch: int

@@ -404,6 +404,18 @@ def test_pseudo_hopf_prediction_on_the_band():
     assert rep.ok, rep
 
 
+@pytest.mark.parametrize("signs", all_sign_tuples(CLASS_PH), ids=str)
+def test_pseudo_hopf_edge_raises_a_parse_error(signs):
+    # [DERIVED] X2(0) = -(ac + delta) vanishes at delta = -ac, where the
+    # side prediction divided by zero; past it the member is not transient,
+    # and the return-map check raised NotTransient
+    ac = signs["a"] * signs["c"]
+    for delta in (-ac, -2.0 * ac, -ac * (1.0 - 1e-12)):
+        with pytest.raises(ParseError, match=f"edge delta = -ac = {-ac}"):
+            verify_unfolding(CLASS_PH, signs, delta)
+    assert verify_unfolding(CLASS_PH, signs, -0.99 * ac).ok
+
+
 @settings(max_examples=24, deadline=None)
 @given(st.sampled_from(all_sign_tuples(CLASS_PH)),
        st.floats(min_value=math.log(1e-9), max_value=math.log(5e-3)),
@@ -418,17 +430,19 @@ def test_pseudo_hopf_unfolding_is_verified_next_to_the_band(signs, log_delta, si
 
 def test_regular_fold_unfolding_all_signs():
     side = {  # [DERIVED] sign table for X = (1, x1 - delta), Y = (a, b)
-        (1, 1): {-0.3: CLASS_C1, 0.3: CLASS_C32},
-        (1, -1): {-0.3: CLASS_C31, 0.3: CLASS_C1},
-        (-1, -1): {-0.3: CLASS_C2, 0.3: CLASS_C32},
-        (-1, 1): {-0.3: CLASS_C31, 0.3: CLASS_C2},
+        (1, 1): {-1: CLASS_C1, 1: CLASS_C32},
+        (1, -1): {-1: CLASS_C31, 1: CLASS_C1},
+        (-1, -1): {-1: CLASS_C2, 1: CLASS_C32},
+        (-1, 1): {-1: CLASS_C31, 1: CLASS_C2},
     }
+    # the fold lies at s = delta; it was looked for in |s| <= 1 only, so
+    # every |delta| > 1 failed fold_location
     for signs in all_sign_tuples(CLASS_RF):
-        for delta in (-0.3, 0.0, 0.3):
+        for delta in (-3.0, -1.5, -0.3, 0.0, 0.3, 1.5, 3.0):
             rep = verify_unfolding(CLASS_RF, signs, delta)
             assert rep.ok, (signs, delta, rep)
             want = (CLASS_RF if delta == 0.0
-                    else side[(signs["a"], signs["b"])][delta])
+                    else side[(signs["a"], signs["b"])][1 if delta > 0 else -1])
             assert rep.observed_class == want
 
 

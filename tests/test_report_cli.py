@@ -837,6 +837,15 @@ def test_cli_sweep_rejects_stable_family(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("delta", ["-1", "-2"])
+def test_cli_pseudo_hopf_sweep_at_the_family_edge_exits_2(capsys, delta):
+    # at delta = -ac = -1 the sweep crashed with a ZeroDivisionError; past
+    # it, it blamed the return map's input
+    assert main(["sweep", "--family", "codim1_pseudohopf", "--signs", "a=1,b=1,c=1",
+                 f"--delta-list=0,{delta}"]) == 2
+    assert "edge delta = -ac = -1" in capsys.readouterr().err
+
+
 def test_cli_pseudo_hopf_sweep_next_to_the_band_exits_0(capsys):
     # the cycles at delta = +-1e-7 have multipliers within 1e-6 of 1; they
     # got no stability verdict, and the sweep exited 4
@@ -951,11 +960,13 @@ def _run_fresh(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def test_cli_import_loads_neither_scipy_nor_concurrent_futures():
-    # nor numpy: only `lanes`, imported by the verbs that run lanes, loads it
+def test_cli_import_loads_no_numpy_scipy_futures_dataclasses_or_inspect():
+    # numpy: only `lanes`, imported by the verbs that run lanes, loads it;
+    # the records are NamedTuples, so nothing loads dataclasses (or the
+    # inspect it imports)
     out = _run_fresh("import sys, crosswitch.cli\n"
-                     "print(sorted({'numpy', 'scipy', 'concurrent.futures'}\n"
-                     "             & set(sys.modules)))")
+                     "print(sorted({'numpy', 'scipy', 'concurrent.futures',\n"
+                     "              'dataclasses', 'inspect'} & set(sys.modules)))")
     assert out == "[]\n"
 
 
