@@ -35,14 +35,12 @@ from .returnmap import fixed_points, return_map_model
 from .switching import (
     BAND,
     Visibility,
-    component_tolerance,
     field_scale,
     find_tangencies,
     fold_lie_value,
     pseudo_equilibria,
     scaled_band,
     vanishing_components,
-    xi_values,
 )
 
 CLASS_C1 = "Stable_C1"
@@ -110,28 +108,26 @@ def classify(Z: PiecewiseSystem) -> Classification:
     """Classify the origin of a two-field system switched across the cross."""
     x1, x2, y1, y2 = Z.origin_components()
     scale = field_scale(Z, (0.0, 0.0))
-    comp_tol = component_tolerance(Z, (0.0, 0.0))
     # det, its gradient and the Lie value are products of two components
     quad_tol = scaled_band(scale * scale)
     witnesses = {
         "X1_at_origin": x1, "X2_at_origin": x2,
         "Y1_at_origin": y1, "Y2_at_origin": y2,
-        "band_tolerance": BAND, "component_tolerance": comp_tol,
+        "band_tolerance": BAND, "component_tolerance": scaled_band(scale),
     }
 
     vanishing = vanishing_components(Z)
     if vanishing:
         return _classify_fold_layer(Z, vanishing, witnesses, quad_tol)
 
-    # no component is in the band, so neither product is near underflow
-    xi1, xi2 = xi_values(Z)
-    witnesses["xi1"] = xi1
-    witnesses["xi2"] = xi2
+    witnesses["xi1"], witnesses["xi2"] = x1 * y1, x2 * y2
+    # no component is in the band: signs decide, as a product can underflow
+    cross1, cross2 = _sgn(x1) == _sgn(y1), _sgn(x2) == _sgn(y2)
 
-    if xi1 > 0 and xi2 > 0:
+    if cross1 and cross2:
         return Classification(CLASS_C1, {"a": _sgn(x1), "b": _sgn(x2)}, witnesses)
 
-    if xi1 < 0 and xi2 < 0:
+    if not cross1 and not cross2:
         det0 = Z.det((0.0, 0.0))
         witnesses["det_at_origin"] = det0
         if abs(det0) > quad_tol:
@@ -164,17 +160,18 @@ def classify(Z: PiecewiseSystem) -> Classification:
             {"a": _sgn(x1), "b": _sgn(y1), "c": _sgn(model.alpha + 1.0)},
             witnesses)
 
+    # beta and eta are jet coefficients, which time scaling leaves unchanged
     beta, eta = model.beta, model.eta
     witnesses["beta"] = beta
     witnesses["eta"] = eta
-    if abs(beta) > comp_tol and abs(eta) > comp_tol:
+    if abs(beta) > BAND and abs(eta) > BAND:
         return Classification(
             CLASS_PH,
             {"a": _sgn(y1), "b": _sgn(eta), "c": _sgn(x1) * _sgn(y1)},
             witnesses, codimension=1)
     reasons = tuple(f"boundary value: {name} on the critical band"
                     for name, v in (("beta", beta), ("eta", eta))
-                    if abs(v) <= comp_tol)
+                    if abs(v) <= BAND)
     return Classification(CLASS_HIGHER, {}, witnesses, reasons, None)
 
 
@@ -298,31 +295,54 @@ class UnfoldingVerification(NamedTuple):
                 and all(c.ok for c in self.checks))
 
 
+def _require_inside_chart(delta: float, past: bool, edge: str) -> None:
+    """Raise ParseError when delta is at or past the family's edge."""
+    if past:
+        raise ParseError(f"delta = {delta!r} is at or past the family's edge "
+                         f"delta = {edge} vanishes")
+
+
 def _predict_side_class(family: str, s: dict, delta: float) -> str:
     """Independent side prediction from the generator's closed form: the
     family itself where its boundary quantity lies in the band `classify`
-    applies to it, else the class its sign structure gives."""
+    applies to it, else the class its sign structure gives.  Raises
+    ParseError at or past the chart's edge, where another quantity that the
+    side's class decision reads meets its band."""
+    a, b = s["a"], s["b"]
     if family == CLASS_DPE:
-        # det Z(0) = -delta, against the band of a product of two components
-        # (X = (a - b c2 x1, b - a delta), Y = (-a, -b + a c1 x2))
-        scale = max(1.0, abs(s["b"] - s["a"] * delta))
-        return family if abs(delta) <= scaled_band(scale * scale) else CLASS_C2
+        # X = (a - b c2 x1, b - a delta), Y = (-a, -b + a c1 x2): det Z(0) =
+        # a X2(0) - ab = -delta, on the generated X2(0), against a product's band
+        x2 = b - a * delta
+        scale = max(1.0, abs(x2))
+        _require_inside_chart(delta, b * x2 <= scaled_band(scale),
+                              f"b/a = {a * b}, where X2(0) = b - a delta")
+        return family if abs(a * x2 - a * b) <= scaled_band(scale * scale) else CLASS_C2
     if family == CLASS_PH:
-        # alpha = -ac / (ac + delta), on the critical band as in `classify`
-        ac = s["a"] * s["c"]
+        # X = (ac, -(ac + delta)): alpha = -ac / (ac + delta), on the
+        # critical band as in `classify`
+        ac = a * s["c"]
+        x2 = -(ac + delta)
+        _require_inside_chart(delta, -ac * x2 <= scaled_band(max(1.0, abs(x2))),
+                              f"-ac = {-ac}, where X2(0) = -(ac + delta)")
         return family if abs(-ac / (ac + delta) + 1.0) <= BAND else CLASS_C32
     # regular fold: X = (1, x1 - delta), Y = (a, b); X2(0) = -delta against
     # the component band
-    if abs(delta) <= scaled_band(max(1.0, abs(delta))):
+    scale = max(1.0, abs(delta))
+    if abs(delta) <= scaled_band(scale):
         return family
-    a, b = s["a"], s["b"]
-    xi1 = a
     xi2 = _sgn(-delta) * b
-    if xi1 > 0 and xi2 > 0:
+    if a > 0 and xi2 > 0:
         return CLASS_C1
-    if xi1 < 0 and xi2 < 0:
+    if a < 0 and xi2 < 0:
+        _require_inside_chart(delta, b * (b + a * delta) <= scaled_band(scale * scale),
+                              f"b = {b}, where det Z(0) = b + a delta")
         return CLASS_C2
-    return CLASS_C31 if delta < 0.0 else CLASS_C32
+    if delta < 0.0:
+        return CLASS_C31
+    # transient, so ab = 1: alpha = -ab/delta
+    _require_inside_chart(delta, 1.0 / delta - 1.0 <= BAND,
+                          "ab = 1, where alpha + 1 = 1 - ab/delta")
+    return CLASS_C32
 
 
 #: pseudo-Hopf fixed-point scans are only meaningful very close to the band
@@ -334,19 +354,11 @@ def verify_unfolding(family: str, signs: dict, delta: float) -> UnfoldingVerific
     predictions of the family against independently computed objects, the
     pseudo-Hopf fixed-point scan at every 0 < |delta| <= PH_FP_MAX_DELTA.
     The regular fold is looked for in |s| <= max(1, 2|delta|).  Raises
-    ParseError for a pseudo-Hopf member at or past the edge delta = -ac."""
+    ParseError for a member at or past the edge of the family's chart."""
     s = validate_signs(family, signs)
     Z = unfolding(family, s, delta)
-    if family == CLASS_PH:
-        # X2(0) = -(ac + delta) meets the component band at the edge
-        # delta = -ac; there and past it the member is not transient
-        ac = s["a"] * s["c"]
-        if ac * (ac + delta) <= scaled_band(max(1.0, abs(ac + delta))):
-            raise ParseError(
-                f"delta = {delta!r} is at or past the pseudo-Hopf family's edge "
-                f"delta = -ac = {-ac}, where X2(0) = -(ac + delta) vanishes")
-    got = classify(Z)
     predicted = _predict_side_class(family, s, delta)
+    got = classify(Z)
     checks: list[VerifyCheck] = []
 
     def check(name: str, ok: bool, detail: str) -> None:

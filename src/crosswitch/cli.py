@@ -166,7 +166,7 @@ def _parse_delta_grid(spec: str | None, listing: str | None) -> list[float]:
             raise ParseError("--delta-list is empty")
     for v in values:
         _require_finite("--deltas" if spec is not None else "--delta-list", v)
-    snap = 1e-15 * max(1.0, max(abs(v) for v in values))
+    snap = 1e-15 * max(abs(v) for v in values)
     values = [0.0 if abs(v) <= snap else v for v in values]
     if not any(v == 0.0 for v in values):
         raise ParseError("the sweep grid must include delta = 0 "

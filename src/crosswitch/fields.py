@@ -54,9 +54,6 @@ from .errors import (
 
 Point = tuple[float, float]
 
-#: Coefficients below this magnitude are dropped during canonicalization.
-CANON_EPS = 1e-15
-
 #: Default cap on the total degree of any field component.
 MAX_DEGREE_DEFAULT = 8
 
@@ -81,12 +78,12 @@ def _canonical_terms(terms: Iterable[tuple[int, int, float]]) -> tuple[tuple[int
             raise ParseError(f"monomial exponents must be integers, got ({i!r}, {j!r})")
         if i < 0 or j < 0:
             raise ParseError(f"monomial exponents must be non-negative, got ({i}, {j})")
-        c = _as_float(c)
+        key = (int(i), int(j))
+        acc[key] = acc.get(key, 0.0) + _as_float(c)
+    kept = sorted((i, j, c) for (i, j), c in acc.items() if c)
+    for i, j, c in kept:   # a sum of finite terms can overflow too
         if not math.isfinite(c):
             raise NonFiniteCoefficients(f"non-finite coefficient {c!r} at exponents ({i}, {j})")
-        key = (int(i), int(j))
-        acc[key] = acc.get(key, 0.0) + c
-    kept = sorted((i, j, c) for (i, j), c in acc.items() if abs(c) >= CANON_EPS)
     return tuple(kept)
 
 
@@ -147,7 +144,8 @@ class Poly2:
     """Sparse bivariate polynomial in (x1, x2) with canonical term storage.
 
     Terms are `(i, j, c)` = coefficient c on x1^i * x2^j, merged, sorted by
-    exponent pair, with |c| < CANON_EPS dropped.  Instances are immutable;
+    exponent pair, with exact zeros dropped (however small the others are,
+    so that c*Z has the terms of Z for every c > 0).  Instances are immutable;
     `_rows`, the Horner coefficients, is built on first use.
     """
 
@@ -288,7 +286,7 @@ class Poly1:
 
     def __init__(self, coeffs: Iterable[float]):
         cs = [float(c) + 0.0 for c in coeffs]
-        while len(cs) > 1 and abs(cs[-1]) < CANON_EPS:
+        while len(cs) > 1 and not cs[-1]:
             cs.pop()
         if not cs:
             cs = [0.0]
@@ -323,8 +321,6 @@ class Poly1:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0.0
 
     def derivative(self) -> "Poly1":
-        if self.degree == 0:
-            return Poly1([0.0])
         return Poly1([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other) -> bool:

@@ -70,7 +70,6 @@ from .switching import (
     component_tolerance,
     find_tangencies,
     vanishing_components,
-    xi_values,
 )
 
 #: Fixed RK4 step of every flow run: `integrate` and `half_crossing`.
@@ -333,11 +332,11 @@ class _Integrator:
     def handle_origin(self, arriving_field: str | None):
         """Continue or stop at the origin, reached or seeded there.
 
-        A stop at a stationary origin, or where the sliding field vanishes
-        there, records a `StationaryOrigin` sample; a stop on degenerate
-        origin data records one only for a seed, as an arrival has recorded
-        its landing sample.  A pass or slide through records nothing here:
-        the handler it enters records its entry sample at the origin."""
+        A stop records a `StationaryOrigin` sample at a stationary origin,
+        and on degenerate origin data only for a seed, as an arrival has
+        recorded its landing sample.  A pass or slide through records
+        nothing here: the handler it enters records its entry sample.  A
+        slide's field is nonzero there: |det Z(0)| = |X1 Y2| + |X2 Y1|."""
         Z = self.Z
         origin = (0.0, 0.0)
         if vanishing_components(Z):
@@ -345,22 +344,20 @@ class _Integrator:
                 self.record(origin, Mode.STATIONARY_ORIGIN)
             return self.stop(EventKind.ORIGIN_STOP, origin,
                              note="degenerate_origin_data")
-        xi1, xi2 = xi_values(Z)
-        if xi1 > 0.0 and xi2 > 0.0:
+        # no component vanishes: signs decide, as a product can underflow
+        x1, x2, y1, y2 = Z.origin_components()
+        cross1, cross2 = (x1 > 0.0) == (y1 > 0.0), (x2 > 0.0) == (y2 > 0.0)
+        if cross1 and cross2:
             name = arriving_field or "X"
             self.emit(EventKind.ORIGIN_STOP, origin, None,
                       note=f"passthrough_{name}_nonunique_selection")
             return partial(self.run_smooth, origin, name)
-        if xi1 < 0.0 and xi2 < 0.0:
+        if not cross1 and not cross2:
             self.record(origin, Mode.STATIONARY_ORIGIN)
             return self.stop(EventKind.ORIGIN_STOP, origin, note="stationary_origin")
-        branch = 1 if xi1 < 0.0 else 2
+        branch = 2 if cross1 else 1
         self.emit(EventKind.ORIGIN_STOP, origin, branch,
                   note=f"slide_through_sigma{branch}_nonunique")
-        if Z.sliding_field(branch).value(0.0) == 0.0:
-            self.record(origin, Mode.STATIONARY_ORIGIN)
-            return self.stop(EventKind.ORIGIN_STOP, origin, branch,
-                             note="sliding_field_vanishes_at_origin")
         return partial(self.run_sliding, branch, 0.0)
 
     # -- smooth mode ---------------------------------------------------------

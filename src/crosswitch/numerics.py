@@ -178,6 +178,13 @@ def _isolate(f: Poly1, lo: float, hi: float) -> list[Cell]:
     """
     if f.degree == 0:
         return []
+    # scaled by a power of two, exactly, so that its largest coefficient is
+    # at least 1: the signs are f's, and the sign test's underflow floor
+    # (2^-999 and up) no longer hides an f whose values all lie below it,
+    # which would be halved down to pieces of width ROOT_XTOL
+    big = max(abs(c) for c in f.coeffs)
+    if big < 1.0:
+        f = Poly1([math.ldexp(c, 1 - math.frexp(big)[1]) for c in f.coeffs])
     g = f.derivative()
     kept, todo = [], [(lo, hi)]
     while todo:

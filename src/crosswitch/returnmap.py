@@ -60,9 +60,10 @@ NUMERIC_FIT_H = 0.01
 def is_transient(Z: PiecewiseSystem) -> bool:
     """True when orbits near 0 cross all four half-branches in sequence:
     X1*X2(0) < 0 (X connects the two branches across its quadrants) and
-    Y1*Y2(0) > 0 (Y does across its quadrants)."""
+    Y1*Y2(0) > 0 (Y does across its quadrants), read from the signs."""
     x1, x2, y1, y2 = Z.origin_components()
-    return x1 * x2 < 0.0 and y1 * y2 > 0.0
+    return (min(x1, x2) < 0.0 < max(x1, x2)
+            and (min(y1, y2) > 0.0 or max(y1, y2) < 0.0))
 
 
 def require_transverse(Z: PiecewiseSystem) -> None:

@@ -14,19 +14,17 @@ most JET_DEGREE; monomials above it are never formed.
 
 The arithmetic reproduces, bit for bit, what the same steps give on
 `Poly2`: every coefficient is summed over the same products in the same
-order (nonzero slots in sorted order, pairs in `Poly2.__mul__`'s order), and
-wherever a `Poly2` would have been built, a slot with |c| < CANON_EPS is
-set to zero, as `Poly2` drops that term.  Half-map jets therefore do not
-depend on the representation, and the `Poly2` route in the tests is their
-oracle.  A non-finite coefficient in a kept monomial raises
-`NonFiniteCoefficients`, as building that `Poly2` would.
+order (nonzero slots in sorted order, pairs in `Poly2.__mul__`'s order), so
+the `Poly2` route in the tests is its oracle.  A non-finite coefficient in
+a kept monomial raises `NonFiniteCoefficients`, as building that `Poly2`
+would.
 """
 from __future__ import annotations
 
 import math
 
 from .errors import NonFiniteCoefficients, NotTransverse
-from .fields import CANON_EPS, Poly2
+from .fields import Poly2
 
 #: Working total degree for all series arithmetic (one above what the cubic
 #: half-map jets need, for safety margin).
@@ -74,11 +72,6 @@ def _checked(a: list[float]) -> list[float]:
     return a
 
 
-def _drop(a: list[float]) -> list[float]:
-    """a with |c| < CANON_EPS set to zero (a NaN stays, for `_checked`)."""
-    return [0.0 if abs(c) < CANON_EPS else c for c in a]
-
-
 def _mul(a: list[float], b: list[float]) -> list[float]:
     out = [0.0] * _N
     for ka, ca in enumerate(a):
@@ -87,7 +80,7 @@ def _mul(a: list[float], b: list[float]) -> list[float]:
                 cb = b[kb]
                 if cb:
                     out[k] += ca * cb
-    return _checked(_drop(out))
+    return _checked(out)
 
 
 def _reciprocal(p: list[float]) -> list[float]:
@@ -95,7 +88,7 @@ def _reciprocal(p: list[float]) -> list[float]:
     c0 = p[0]
     if c0 == 0.0:
         raise NotTransverse("series reciprocal of a polynomial vanishing at 0")
-    u = _drop([0.0] + [c / c0 for c in p[1:]])
+    u = [0.0] + [c / c0 for c in p[1:]]
     acc = _ONE
     upow = _ONE
     sign = 1.0
@@ -104,9 +97,9 @@ def _reciprocal(p: list[float]) -> list[float]:
         if not any(upow):
             break
         sign = -sign
-        acc = _drop([a + sign * c for a, c in zip(acc, upow)])
+        acc = [a + sign * c for a, c in zip(acc, upow)]
     r = 1.0 / c0
-    return _checked(_drop([r * c for c in acc]))
+    return _checked([r * c for c in acc])
 
 
 def _substitute_second(p: list[float], w: list[float]) -> list[float]:
@@ -124,10 +117,7 @@ def _substitute_second(p: list[float], w: list[float]) -> list[float]:
         for kb, k in _PRODUCTS[_SLOT[(i, 0)]]:
             cb = pw[kb]
             if cb:
-                v = c * cb
-                if abs(v) >= CANON_EPS:
-                    t = acc[k] + v
-                    acc[k] = 0.0 if abs(t) < CANON_EPS else t
+                acc[k] += c * cb
     return _checked(acc)
 
 
@@ -147,7 +137,7 @@ def picard_chart_jet(numerator: Poly2, denominator: Poly2) -> list[float]:
         w = list(_Y)
         for k, kt, n in _INTEGRALS:
             c = sub[k] / n
-            if abs(c) >= CANON_EPS:
+            if c:   # a -0.0 stays 0.0, as Poly2 drops it
                 w[kt] = c
     return w
 

@@ -23,12 +23,15 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import TooManyTangencies, require_positive
+from .errors import ParseError, TooManyTangencies, require_positive
 from .fields import FIELD_SIGN, FieldSpec, PiecewiseSystem, Point, branch_point
 from .numerics import scan_roots
 
-#: Degeneracy band of every sign decision: a quantity whose magnitude is
-#: within BAND (times 1 + its local scale, `scaled_band`) counts as zero.
+#: Degeneracy band of every sign decision, relative to the quantity's own
+#: scale (`scaled_band`): `field_scale` for a field component, its square
+#: for a product of two (det Z, a Lie value), 1 for alpha, beta and eta,
+#: which time scaling leaves unchanged.  So Z and c*Z, c > 0, get the same
+#: verdicts.
 BAND = 1e-9
 
 
@@ -42,8 +45,8 @@ def field_scale(Z: PiecewiseSystem, p: Point) -> float:
 
 def scaled_band(scale):
     """The band for a quantity of the given scale (a float, or an array of
-    them on lanes): BAND * (1 + scale)."""
-    return BAND * (1.0 + scale)
+    them on lanes): BAND * scale, with no absolute floor."""
+    return BAND * scale
 
 
 def _origin_gap(reach: float) -> float:
@@ -64,8 +67,15 @@ def component_tolerance(Z: PiecewiseSystem, p: Point) -> float:
 def vanishing_components(Z: PiecewiseSystem) -> list[tuple[str, int]]:
     """The components ("X"|"Y", 1|2) with |value at 0| <= the component
     tolerance there.  The one test of "X_i(0) or Y_i(0) vanishes": the
-    classifier, the half-map charts and the flow at the origin all use it."""
-    tol = component_tolerance(Z, (0.0, 0.0))
+    classifier, the half-map charts and the flow at the origin all use it.
+    Raises ParseError when the field scale at the origin is not 0 and lies
+    outside [2**-500, 2**500], where products of two components underflow
+    or overflow."""
+    scale = field_scale(Z, (0.0, 0.0))
+    if scale and not 2.0 ** -500 <= scale <= 2.0 ** 500:
+        raise ParseError(f"the field scale at the origin, {scale!r}, is outside "
+                         "[2**-500, 2**500]")
+    tol = scaled_band(scale)
     x1, x2, y1, y2 = Z.origin_components()
     return [k for k, v in ((("X", 1), x1), (("X", 2), x2),
                            (("Y", 1), y1), (("Y", 2), y2)) if abs(v) <= tol]
@@ -93,13 +103,6 @@ class Visibility(str, Enum):
     DEGENERATE = "degenerate"
 
 
-def xi_values(Z: PiecewiseSystem) -> tuple[float, float]:
-    """(xi1, xi2) with xi_i = X_i(0) * Y_i(0): positive means the half-branches
-    of Sigma_i are crossing arcs near the origin."""
-    x1, x2, y1, y2 = Z.origin_components()
-    return (x1 * y1, x2 * y2)
-
-
 def branch_point_class(Z: PiecewiseSystem, branch: int, s: float) -> ArcKind:
     """Classify the branch point at running coordinate s != 0 on Sigma_branch."""
     if s == 0.0:
@@ -110,7 +113,7 @@ def branch_point_class(Z: PiecewiseSystem, branch: int, s: float) -> ArcKind:
     tol = component_tolerance(Z, p)
     if abs(xn) <= tol or abs(yn) <= tol:
         return ArcKind.TANGENCY
-    if xn * yn > 0.0:
+    if (xn > 0.0) == (yn > 0.0):   # both nonzero here: the signs decide
         return ArcKind.CROSSING
     h = 1.0 if s > 0.0 else -1.0
     return ArcKind.SLIDING if h * xn < 0.0 else ArcKind.ESCAPING
@@ -180,7 +183,8 @@ def find_tangencies(Z: PiecewiseSystem, branch: int,
                 continue
             p = branch_point(branch, s)
             lie = fold_lie_value(field, branch, p)
-            vis = fold_visibility(name, lie, s, component_tolerance(Z, p))
+            # the Lie value is a product of two components
+            vis = fold_visibility(name, lie, s, scaled_band(field_scale(Z, p) ** 2))
             out.append(TangencyPoint(name, branch, s, p, lie, vis))
     out.sort(key=lambda t: (t.s, t.field))
     return out

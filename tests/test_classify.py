@@ -259,13 +259,15 @@ def test_vanishing_eta_on_band_is_higher_codimension():
 
 
 def test_a_component_inside_the_band_vanishes():
-    # X2(0) = 1e-5 is a real sign; 1e-10 lies inside the band 1e-9 * (1 + 1)
-    # and is treated as a fold
-    for x2, want in ((1e-5, CLASS_C1), (1e-10, CLASS_RF)):
-        got = classify(make_system(1.0, {(0, 0): x2, (1, 0): 1.0}, 1.0, 1.0))
-        assert got.class_name == want
-        assert got.witnesses["band_tolerance"] == 1e-9
-        assert got.witnesses["component_tolerance"] == 2e-9
+    # X2(0) = 1e-5 is a real sign; 1e-10 lies inside the band 1e-9 * 1 (the
+    # field scale at the origin) and is treated as a fold.  The band has no
+    # absolute floor: with the whole system scaled by c, so is the band
+    for c in (1.0, 2.0 ** -40, 2.0 ** 40):
+        for x2, want in ((1e-5, CLASS_C1), (1e-10, CLASS_RF)):
+            got = classify(make_system(c, {(0, 0): c * x2, (1, 0): c}, c, c))
+            assert got.class_name == want
+            assert got.witnesses["band_tolerance"] == 1e-9
+            assert got.witnesses["component_tolerance"] == 1e-9 * c
 
 
 def test_model_and_classify_share_the_critical_band():
@@ -429,26 +431,78 @@ def test_pseudo_hopf_unfolding_is_verified_next_to_the_band(signs, log_delta, si
 
 
 def test_regular_fold_unfolding_all_signs():
-    side = {  # [DERIVED] sign table for X = (1, x1 - delta), Y = (a, b)
-        (1, 1): {-1: CLASS_C1, 1: CLASS_C32},
-        (1, -1): {-1: CLASS_C31, 1: CLASS_C1},
-        (-1, -1): {-1: CLASS_C2, 1: CLASS_C32},
-        (-1, 1): {-1: CLASS_C31, 1: CLASS_C2},
+    side = {  # [DERIVED] sign table for X = (1, x1 - delta), Y = (a, b), and
+        # each side's edge |delta|: alpha + 1 = 1 - ab/delta vanishes at 1 on
+        # the transient side (C32), det Z(0) = b + a delta on the C2 side
+        (1, 1): {-1: (CLASS_C1, None), 1: (CLASS_C32, 1.0)},
+        (1, -1): {-1: (CLASS_C31, None), 1: (CLASS_C1, None)},
+        (-1, -1): {-1: (CLASS_C2, 1.0), 1: (CLASS_C32, 1.0)},
+        (-1, 1): {-1: (CLASS_C31, None), 1: (CLASS_C2, 1.0)},
     }
     # the fold lies at s = delta; it was looked for in |s| <= 1 only, so
-    # every |delta| > 1 failed fold_location
+    # every |delta| > 1 failed fold_location.  Past a side's edge the member
+    # is outside the family's chart
     for signs in all_sign_tuples(CLASS_RF):
         for delta in (-3.0, -1.5, -0.3, 0.0, 0.3, 1.5, 3.0):
+            want, edge = ((CLASS_RF, None) if delta == 0.0
+                          else side[(signs["a"], signs["b"])][1 if delta > 0 else -1])
+            if edge is not None and abs(delta) >= edge:
+                with pytest.raises(ParseError, match="family's edge"):
+                    verify_unfolding(CLASS_RF, signs, delta)
+                continue
             rep = verify_unfolding(CLASS_RF, signs, delta)
             assert rep.ok, (signs, delta, rep)
-            want = (CLASS_RF if delta == 0.0
-                    else side[(signs["a"], signs["b"])][1 if delta > 0 else -1])
             assert rep.observed_class == want
 
 
+def _past_the_edge(family: str, signs: dict, delta: float) -> bool:
+    """[DERIVED] whether delta is at or past the edge of the family's chart,
+    from the closed forms: X2(0) = b - a delta of the double
+    pseudo-equilibrium vanishes at delta = ab, the pseudo-Hopf family's
+    X2(0) = -(ac + delta) at -ac; the regular fold's alpha + 1 = 1 - ab/delta
+    at 1 on its transient side (ab > 0 < delta) and det Z(0) = b + a delta at
+    b on its C2 side (a < 0 < b delta).  Its other sides have no edge."""
+    a = signs["a"]
+    if family == CLASS_DPE:
+        edge = a * signs["b"]
+    elif family == CLASS_PH:
+        edge = -a * signs["c"]
+    elif a * signs["b"] > 0 < delta:
+        edge = 1
+    elif a < 0 < signs["b"] * delta:
+        edge = signs["b"]
+    else:
+        return False
+    return delta / edge >= 1.0
+
+
+#: 28 log-spaced |delta| in [1e-11, 1e3], none on a band or chart edge, and
+#: the chart edges |delta| = 1 with points on either side of them
+FAMILY_DELTAS = sorted({side * v for side in (1.0, -1.0)
+                        for v in [10.0 ** (-11 + 14 * k / 27) for k in range(28)]
+                        + [0.5, 1.0, 2.0, 3.0]})
+
+
+@pytest.mark.parametrize("family", CODIM1_CLASSES)
+def test_every_family_member_verifies_inside_its_chart(family):
+    # past a family's second boundary the prediction was wrong (240 double
+    # pseudo-equilibrium points, 4 regular-fold points at |delta| = 1), or the
+    # code raised; now a member verifies, or raises the named edge error
+    # exactly where delta is at or past its chart's edge
+    for signs in all_sign_tuples(family):
+        for delta in FAMILY_DELTAS:
+            if _past_the_edge(family, signs, delta):
+                with pytest.raises(ParseError, match="family's edge delta = "):
+                    verify_unfolding(family, signs, delta)
+                continue
+            rep = verify_unfolding(family, signs, delta)
+            assert rep.ok, (signs, delta, rep)
+
+
 #: 30 log-spaced |delta| in [1e-11, 1e-7], across each family's band edge
-#: (|delta| = 2e-9 for both: X2(0), and det Z(0), against BAND * (1 + 1))
-NEAR_BAND_DELTAS = [10.0 ** (-11 + 4 * k / 29) for k in range(30)]
+#: (|delta| = 1e-9 for both: X2(0), and det Z(0), against BAND * 1), and
+#: that edge itself
+NEAR_BAND_DELTAS = [10.0 ** (-11 + 4 * k / 29) for k in range(30)] + [1e-9]
 
 
 @pytest.mark.parametrize("family", [CLASS_RF, CLASS_DPE])
@@ -457,7 +511,9 @@ def test_side_prediction_applies_the_band(family):
     # pseudo-equilibrium's det Z(0) = -delta: inside the band classify
     # observes the family itself.  The prediction ignored the band and
     # said Stable_C32 (fold) or Stable_C2, and the off-band fold and
-    # pseudo-equilibrium checks failed there
+    # pseudo-equilibrium checks failed there.  At |delta| = 1e-9, on the
+    # band's edge, det Z(0) of the generated system is not -delta but
+    # -ab + a fl(b - a delta), 1.00000008e-9 for delta = -1e-9
     for signs in all_sign_tuples(family):
         for delta in NEAR_BAND_DELTAS:
             for d in (delta, -delta):

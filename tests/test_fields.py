@@ -58,10 +58,19 @@ class TestPoly2Canonical:
         p = Poly2([(1, 0, 2.0), (0, 0, 1.0), (1, 0, 3.0)])
         assert p.terms == ((0, 0, 1.0), (1, 0, 5.0))
 
-    def test_drop_tiny(self):
-        # [TRIVIAL] |c| < 1e-15 dropped, including after cancellation
-        p = Poly2([(2, 1, 1e-16), (0, 0, 1.0), (1, 1, 0.5), (1, 1, -0.5)])
-        assert p.terms == ((0, 0, 1.0),)
+    def test_drop_only_exact_zeros(self):
+        # [TRIVIAL] exact zeros dropped, including after cancellation; a
+        # coefficient of any magnitude, a subnormal one included, is kept
+        p = Poly2([(2, 1, 1e-16), (0, 0, 1.0), (1, 1, 0.5), (1, 1, -0.5),
+                   (3, 0, 5e-324), (0, 2, -0.0)])
+        assert p.terms == ((0, 0, 1.0), (2, 1, 1e-16), (3, 0, 5e-324))
+        assert Poly1([1.0, 1e-300, 0.0, -0.0]).coeffs == (1.0, 1e-300)
+
+    def test_a_sum_that_overflows_raises(self):
+        # two finite terms of one monomial whose sum overflows: the Poly2
+        # held an infinite coefficient
+        with pytest.raises(NonFiniteCoefficients, match="inf at exponents"):
+            Poly2([(1, 0, 1e308), (1, 0, 1e308)])
 
     def test_zero(self):
         assert Poly2().is_zero

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import crosswitch.flow as flow
 from crosswitch.classify import (CLASS_C2, CLASS_C32, CLASS_PH, CLASS_RF, classify, normal_form,
                                  unfolding)
-from crosswitch.errors import LeftDomain, NonFiniteValue, NotTransverse, SeedOutsideBox, StepLimit
+from crosswitch.errors import (LeftDomain, NonFiniteValue, NotTransverse, ParseError,
+                               SeedOutsideBox, StepLimit)
 from crosswitch.fields import compile_function, make_system
 from crosswitch.flow import (
     SNAP,
@@ -431,16 +432,27 @@ class TestJunctionRules:
         assert traj.samples[-1].mode is Mode.STATIONARY_TANGENCY
         assert traj.samples[-2].mode is Mode.SLIDING2
 
-    def test_sliding_field_vanishing_at_the_origin_stops(self):
-        # xi1 < 0 < xi2, so the origin slides through Sigma1; det Z's constant
-        # term, 8e-16, falls under CANON_EPS, so the sliding field is 0 there
-        Z = make_system(2e-8, 2e-8, -2e-8, 2e-8)
-        traj = integrate(Z, (0.0, 0.0), t_max=1.0)
-        assert event_log(traj) == [
-            ("OriginStop", "slide_through_sigma1_nonunique", 1),
-            ("OriginStop", "sliding_field_vanishes_at_origin", 1)]
-        assert traj.terminal is traj.events[-1]
-        assert traj.samples == [Sample(0.0, 0.0, 0.0, Mode.STATIONARY_ORIGIN)]
+    def test_a_small_system_slides_through_the_origin(self):
+        # xi1 < 0 < xi2, so the origin slides through Sigma1.  For c = 2e-8,
+        # det Z(0) = 8e-16 is not 0 (a 1e-15 coefficient drop made it 0, and
+        # the orbit stopped at the origin): the sliding field is c times the
+        # unit system's, and the orbit slides c times as far in a unit time
+        for c in (1.0, 2e-8):
+            traj = integrate(make_system(c, c, -c, c), (0.0, 0.0), t_max=1.0)
+            assert event_log(traj) == [
+                ("OriginStop", "slide_through_sigma1_nonunique", 1),
+                ("TimeLimit", "", 1)]
+            assert traj.samples[0] == Sample(0.0, 0.0, 0.0, Mode.SLIDING1)
+            assert traj.samples[-1].x2 == pytest.approx(c, rel=1e-12)
+
+    def test_an_origin_scale_whose_products_underflow_is_a_parse_error(self):
+        # X1*Y1 = -1e-340 underflows to -0.0.  Under a band without a floor
+        # no component vanishes, and the products' signs sent the flow to
+        # slide through Sigma2, the wrong branch, where it raised
+        # EvaluationOutsideDomain
+        Z = make_system(1e-170, 1e-170, -1e-170, 1e-170)
+        with pytest.raises(ParseError, match=r"outside \[2\*\*-500, 2\*\*500\]"):
+            integrate(Z, (0.0, 0.0), t_max=1.0)
 
     def test_grazing_arrival_on_an_escaping_arc_keeps_the_field(self):
         # [DERIVED] RK4 is exact on x2 = (x1 - 0.3)^2 / 2 for X = (1, x1 - 0.3):

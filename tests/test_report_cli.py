@@ -846,6 +846,33 @@ def test_cli_pseudo_hopf_sweep_at_the_family_edge_exits_2(capsys, delta):
     assert "edge delta = -ac = -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, signs, message", [
+    ("codim1_doublepseudoeq", "a=1,b=1,c1=1,c2=1", "edge delta = b/a = 1"),
+    ("codim1_regularfold", "a=1,b=1", "edge delta = ab = 1"),
+    ("codim1_regularfold", "a=-1,b=1", "edge delta = b = 1"),
+])
+def test_cli_sweep_past_the_family_edge_exits_2(capsys, family, signs, message):
+    # delta = 2 of the double pseudo-equilibrium family observed
+    # Codim1_PseudoHopf, and the regular fold's delta = 1 Codim1_PseudoHopf
+    # (alpha = -1) or HigherCodimension (det Z(0) = 0): the sweeps exited 4
+    for delta in ("1", "2"):
+        assert main(["sweep", "--family", family, "--signs", signs,
+                     f"--delta-list=0,{delta}"]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_cli_delta_grid_snaps_relative_to_its_largest_value(capsys):
+    # the snap to 0 had an absolute floor, 1e-15: 0,1e-16,-3e-16 swept
+    # delta = 0 three times
+    assert main(_SWEEP + ["--delta-list=0,1e-16,-3e-16"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+        "0.000000000000e+00", "1.000000000000e-16", "-3.000000000000e-16"]
+    # an even grid's middle value, a rounding residue, still snaps to 0
+    assert main(_SWEEP + ["--deltas=-0.3:0.1:5"]) == 0
+    assert "\n0.000000000000e+00," in capsys.readouterr().out
+
+
 def test_cli_pseudo_hopf_sweep_next_to_the_band_exits_0(capsys):
     # the cycles at delta = +-1e-7 have multipliers within 1e-6 of 1; they
     # got no stability verdict, and the sweep exited 4

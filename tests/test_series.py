@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from crosswitch.errors import NotTransverse
-from crosswitch.fields import CANON_EPS, Poly2, make_system
+from crosswitch.errors import NonFiniteCoefficients, NotTransverse
+from crosswitch.fields import Poly2, make_system
 from crosswitch.returnmap import half_map_jet
 from crosswitch.series import JET_DEGREE, MONOMIALS, invert_graph, picard_chart_jet
 
@@ -34,17 +34,24 @@ def truncate(p: Poly2, deg: int) -> Poly2:
     return Poly2(t for t in p.terms if t[0] + t[1] <= deg)
 
 
+def mul(a: Poly2, b: Poly2, deg: int) -> Poly2:
+    """truncate(a * b, deg), forming only the products within deg, in the
+    order of `Poly2.__mul__`: a product above deg that overflows does not
+    raise, as the dense series never forms it."""
+    return Poly2((i1 + i2, j1 + j2, c1 * c2) for i1, j1, c1 in a.terms
+                 for i2, j2, c2 in b.terms if i1 + i2 + j1 + j2 <= deg)
+
+
 def series_reciprocal(p: Poly2, deg: int) -> Poly2:
     c0 = p.constant_term()
     if c0 == 0.0:
         raise NotTransverse("series reciprocal of a polynomial vanishing at 0")
-    u = truncate(Poly2((i, j, c / c0) for i, j, c in p.terms
-                       if not (i == 0 and j == 0)), deg)
+    u = Poly2((i, j, c / c0) for i, j, c in p.terms if 0 < i + j <= deg)
     acc = Poly2.constant(1.0)
     upow = Poly2.constant(1.0)
     sign = 1.0
     for _ in range(deg):
-        upow = truncate(upow * u, deg)
+        upow = mul(upow, u, deg)
         if upow.is_zero:
             break
         sign = -sign
@@ -56,13 +63,12 @@ def substitute_second(p: Poly2, w: Poly2, deg: int) -> Poly2:
     max_j = max((j for _, j, _ in p.terms), default=0)
     powers = [Poly2.constant(1.0)]
     for _ in range(max_j):
-        powers.append(truncate(powers[-1] * w, deg))
+        powers.append(mul(powers[-1], w, deg))
     acc = Poly2()
     for i, j, c in p.terms:
         if i > deg:
             continue
-        term = Poly2([(i, 0, c)]) * powers[j]
-        acc = acc + truncate(term, deg)
+        acc = acc + mul(Poly2([(i, 0, c)]), powers[j], deg)
     return truncate(acc, deg)
 
 
@@ -72,7 +78,7 @@ def integrate_first(p: Poly2) -> Poly2:
 
 def sparse_chart_jet(numerator: Poly2, denominator: Poly2) -> Poly2:
     deg = JET_DEGREE
-    rate = truncate(truncate(numerator, deg) * series_reciprocal(denominator, deg), deg)
+    rate = mul(truncate(numerator, deg), series_reciprocal(denominator, deg), deg)
     w = Poly2([(0, 1, 1.0)])
     for _ in range(deg + 1):
         w = Poly2([(0, 1, 1.0)]) + integrate_first(substitute_second(rate, w, deg))
@@ -126,15 +132,16 @@ def _signed(magnitudes):
 
 
 # zeros, order-one values (also ones that are not short binary fractions, so
-# that the order of a sum shows in its rounding), values whose products land
-# near CANON_EPS, and values within a factor of 10 of it (CANON_EPS included)
+# that the order of a sum shows in its rounding), small values whose
+# products are smaller still, and tiny ones whose products underflow to
+# zeros, which both routes then skip
 chart_coeffs = st.one_of(
     st.just(0.0),
     st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
     st.integers(-4_000_000, 4_000_000).map(lambda n: n / 999_983),
     _signed(st.floats(min_value=1e-8, max_value=1e-7)),
-    _signed(st.one_of(st.just(CANON_EPS), st.floats(min_value=CANON_EPS / 10,
-                                                    max_value=CANON_EPS * 10))),
+    _signed(st.floats(min_value=1e-16, max_value=1e-14)),
+    _signed(st.floats(min_value=1e-170, max_value=1e-150)),
 )
 
 # total degree first, so that five in nine monomials are within JET_DEGREE
@@ -161,31 +168,31 @@ def _hex(values) -> list[str]:
 # a numerator with terms only above JET_DEGREE: the jet is w = y
 @example(num=Poly2([(5, 0, 1.5), (2, 3, -2.0), (0, 8, 0.25)]),
          den=Poly2([(0, 0, 2.0), (1, 0, 0.5), (6, 1, 3.0)]))
-# a coefficient of exactly CANON_EPS is kept
-@example(num=Poly2([(0, 0, CANON_EPS)]), den=Poly2([(0, 0, 1.0)]))
+# a coefficient of 1e-16 is kept: only exact zeros are dropped
+@example(num=Poly2([(0, 0, 1e-16)]), den=Poly2([(0, 0, 1.0)]))
 # sums of three or more products, whose rounding depends on their order
 @example(num=Poly2([(0, 0, 3.787), (0, 1, -2.638), (0, 3, -2.329), (4, 0, -2.175)]),
          den=Poly2([(0, 0, 1.0), (0, 1, -2.95)]))
-# in 1/den, u = 1.2e-15 s / 1.5 is below CANON_EPS and dropped, although
-# its product with 4 y / 1.5 would not be
+# in 1/den, u = 1.2e-15 s / 1.5 is kept, and so is its product with 4 y / 1.5
 @example(num=Poly2([(0, 0, 1.0)]),
          den=Poly2([(0, 0, 1.5), (1, 0, 1.2e-15), (0, 1, 4.0)]))
-# in 1/den, the s^3 coefficient of 1 - u + u^2 is 2^-51, dropped before
-# -u^3 adds -1
+# in 1/den, the s^3 coefficient of 1 - u + u^2 is 2^-51 before -u^3 adds -1
 @example(num=Poly2([(0, 0, 1.0)]),
          den=Poly2([(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (3, 0, 2.0 - 2.0**-51)]))
-# in 1/den, (1/4) * -2e-15, the s coefficient of (1 - u) / 4, is below
-# CANON_EPS and dropped, although 4 times it would not be
-@example(num=Poly2([(0, 0, 4.0)]), den=Poly2([(0, 0, 4.0), (1, 0, 8e-15)]))
 # in the second substitution, the s^2 coefficient of rate(s, w) is 2^-52
-# after two of its three terms, and dropped before the third
+# after two of its three terms
 @example(num=Poly2([(0, 0, 1.0), (0, 2, 1.0), (1, 1, -(1.0 - 2.0**-52)), (2, 0, 1.0)]),
          den=Poly2([(0, 0, 1.0)]))
+# products of 1e-170 and 1e-160 underflow to zeros, which both routes skip
+@example(num=Poly2([(0, 0, 1e-170), (0, 1, 1e-160), (1, 1, -3.0)]),
+         den=Poly2([(0, 0, 1.0), (1, 0, 1e-160), (0, 1, 1e-170)]))
+# 1 / 5e-324 overflows: both routes raise the same named error
+@example(num=Poly2([(0, 0, 1.0)]), den=Poly2([(0, 0, 5e-324)]))
 def test_jet_matches_the_poly2_route_bit_for_bit(num, den):
     try:
         expected = sparse_chart_jet(num, den)
-    except NotTransverse:
-        with pytest.raises(NotTransverse):
+    except (NotTransverse, NonFiniteCoefficients) as e:
+        with pytest.raises(type(e)):
             picard_chart_jet(num, den)
         return
     assert all(i + j <= JET_DEGREE for i, j, _ in expected.terms)

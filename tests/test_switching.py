@@ -19,7 +19,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crosswitch.classify import (CLASS_C1, CLASS_DPE, CLASS_RF, all_sign_tuples,
+from crosswitch.classify import (CLASS_C1, CLASS_DPE, CLASS_RF, all_sign_tuples, classify,
                                  normal_form, unfolding)
 from crosswitch.errors import EvaluationOutsideDomain, ParseError, TooManyTangencies
 from crosswitch.fields import Poly1, SlidingField, branch_point, make_system
@@ -37,10 +37,9 @@ from crosswitch.switching import (
     fold_visibility,
     pseudo_equilibria,
     sigma_decomposition,
-    xi_values,
 )
 
-from conftest import assert_close, coeffs, generic_system, richardson_slope
+from conftest import assert_close, coeffs, generic_system, richardson_slope, scale_system
 
 
 def crossing_direction(Z, branch: int, s: float) -> int:
@@ -124,10 +123,12 @@ def exact_roots(q: Poly1) -> list[float]:
     """The real roots of q, with multiplicity, ascending: sympy's exact real
     root isolation (as in `sympy.real_roots`) on the float coefficients
     taken as rationals, refined to intervals of width 1e-15 whose midpoints
-    are returned."""
+    are returned.  `fast` takes VAS's scaling step, also exact: the plain
+    steps spend seconds on the far roots of a tiny leading coefficient
+    (a 5e-324 one has roots near 1e64)."""
     poly = sympy.Poly([sympy.Rational(c) for c in reversed(q.coeffs)], sympy.Symbol("s"))
-    return [float((a + b) / 2) for (a, b), k in poly.intervals(eps=sympy.Rational(1, 10 ** 15))
-            for _ in range(k)]
+    return [float((a + b) / 2) for (a, b), k in poly.intervals(
+                eps=sympy.Rational(1, 10 ** 15), fast=True) for _ in range(k)]
 
 
 def exact_value(q: Poly1, x: float) -> Fraction:
@@ -200,6 +201,12 @@ class TestScanRoots:
     @example(cs=[0.5, 1.0, 1.9839346996837883e-11], lo=-1.0, width=2.0, cells=512)
     @example(cs=[2.440300306241937e-271, 0.0625, 1.0, 1.749464813927288e-15],
              lo=-1.0, width=2.0, cells=512)
+    # every value below the sign test's underflow floor: the isolation
+    # halved the window towards 10^10 pieces of width ROOT_XTOL
+    @example(cs=[2.6089292731011785e-301, 2.2250738585072014e-308],
+             lo=-1.606983458397624e-134, width=0.01, cells=512)
+    @example(cs=[2.2250738585e-313] * 3, lo=2.2250738585e-313, width=0.2014753821195666,
+             cells=512)
     @settings(max_examples=150, deadline=None)
     def test_scan_is_bit_identical_to_the_loop_oracle(self, cs, lo, width, cells):
         # the scan against the scalar grid loop, bit for bit, wherever no
@@ -453,9 +460,13 @@ class TestBranchPointClass:
         assert crossing_direction(Z, 1, 0.5) == 1
         assert crossing_direction(Z.negate(), 1, 0.5) == -1
 
-    def test_xi_values(self):
-        Z = canonical_example()
-        assert xi_values(Z) == (-1.0, -1.0)
+    def test_xi_witnesses(self):
+        # classify records xi_i = X_i(0) Y_i(0), and decides from the signs
+        # of the factors, down to the smallest origin scale it accepts
+        for c in (1.0, 2.0 ** -500):
+            got = classify(scale_system(canonical_example(), c))
+            assert (got.witnesses["xi1"], got.witnesses["xi2"]) == (-c * c, -c * c)
+            assert got.reasons == ("boundary value: d(det)/dx1 at the origin",)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +575,23 @@ class TestTangencies:
         tp = tps[0]
         assert tp.field == "Y" and tp.s == pytest.approx(-0.5, abs=1e-10)
         assert tp.visibility == Visibility.VISIBLE  # -1 * 1 * (-1) > 0
+
+    def test_fold_visibility_is_kept_under_time_scaling(self):
+        # [DERIVED] c*X = (c, c (x1 - 0.3)): the fold at s = 0.3 has the Lie
+        # value c^2, a product of two components, so its band is
+        # BAND * scale^2.  Against BAND * scale, the component band, the
+        # fold of c = 2^-40 (lie 8e-25, band 9e-22) was degenerate
+        for c in (2.0 ** -100, 2.0 ** -40, 1.0, 2.0 ** 40, 2.0 ** 100):
+            Z = make_system(c, {(0, 0): -0.3 * c, (1, 0): c}, c, c)
+            tps = find_tangencies(Z, 2, -1.0, 1.0)
+            assert [(t.field, t.lie, t.visibility) for t in tps] == [
+                ("X", c * c, Visibility.VISIBLE)]
+        # and a Lie value small against the squared scale is degenerate at
+        # every scale: c*X = (c, 1e-10 c (x1 - 0.3)), lie 1e-10 c^2
+        for c in (2.0 ** -40, 1.0, 2.0 ** 40):
+            Z = make_system(c, {(0, 0): -0.3e-10 * c, (1, 0): 1e-10 * c}, c, c)
+            [tp] = find_tangencies(Z, 2, -1.0, 1.0)
+            assert tp.visibility == Visibility.DEGENERATE
 
     def test_two_folds_in_one_scan_cell(self):
         # [DERIVED] X2|Sigma2 = (x1 - 0.1)(x1 - 0.1001): two folds of X
