@@ -24,7 +24,7 @@ def require_positive(name: str, value: float) -> None:
 
 
 class NonFiniteCoefficients(CrosswitchError):
-    """A polynomial coefficient is NaN or infinite."""
+    """A polynomial or half-map jet coefficient is NaN or infinite."""
 
 
 class DegenerateInput(ParseError):

@@ -34,9 +34,9 @@ only a few times, which would not pay for a compilation each.  The sliding
 field N/D on each branch is an object of the system, as det Z is:
 `PiecewiseSystem.sliding_field(branch)` returns one `SlidingField` per
 branch, whose generated `value` is also built on first use, so it compiles
-once per system (and once per negated system, itself built once).  The series
-arithmetic of the half-map jets builds no `Poly2` at all: it reads the
-chart polynomials' terms into dense coefficient lists (`series`).
+once per system (and once per negated system, itself built once).  The
+half-map jets evaluate no polynomial: `series` reads the chart
+polynomials' terms of total degree at most 2.
 """
 from __future__ import annotations
 

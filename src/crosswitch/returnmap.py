@@ -11,7 +11,8 @@ turn.  The branch-to-branch orbit maps are
 half turn psi = phi_X o phi_Y : Sigma2 -> Sigma2, full turn phi = psi o psi.
 First-order coefficients: a_X = -X1(0)/X2(0), a_Y = -Y2(0)/Y1(0), and the
 full-turn linear multiplier is alpha^2 with alpha = a_X * a_Y.  The cubic
-jets of the half maps come from `half_map_jet` (exact) or
+jets of the half maps come from `half_map_jet` (a closed form in the
+Taylor coefficients of the chart slope, `series.chart_jet`) or
 `half_map_numeric_fit`; `return_map_model` composes either.
 
 Two numeric routes evaluate the orbit maps.  The scalar route,
@@ -43,7 +44,7 @@ from .errors import NotTransient, NotTransverse, ParseError
 from .fields import PiecewiseSystem, Point, Poly2
 from .flow import half_crossing
 from .numerics import scan_grid
-from .series import invert_graph, picard_chart_jet
+from .series import chart_jet
 from .switching import BAND, vanishing_components
 
 #: Fields of the legs of a full turn from Sigma2, in order.
@@ -117,12 +118,10 @@ def _chart_polys(Z: PiecewiseSystem, field: str):
 
 
 def half_map_jet(Z: PiecewiseSystem, field: str) -> HalfMapCoeffs:
-    """Exact cubic jet of the half map via Picard iteration on the chart ODE
-    and order-by-order inversion of the two-parameter solution."""
+    """Cubic jet of the half map, in closed form from the 2-jet of the
+    chart slope (`series.chart_jet`)."""
     require_transverse(Z)
-    num, den = _chart_polys(Z, field)
-    w = picard_chart_jet(num, den)
-    g1, g2, g3 = invert_graph(w)
+    g1, g2, g3 = chart_jet(*_chart_polys(Z, field))
     return HalfMapCoeffs(field, g1, g2, g3, source="jet", error_estimate=None)
 
 

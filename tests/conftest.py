@@ -89,6 +89,18 @@ def swap_axes(Z: PiecewiseSystem) -> PiecewiseSystem:
                              for f in (Z.X, Z.Y)))
 
 
+def reflect_x1(Z: PiecewiseSystem) -> PiecewiseSystem:
+    """Z pushed forward by (x1, x2) -> (-x1, x2), F -> (-F1, F2) at the
+    mirror point.  The reflection maps {x1*x2 > 0} onto {x1*x2 < 0}, so the
+    fields exchange."""
+    def push(f: FieldSpec) -> FieldSpec:
+        mirrored = [Poly2((i, j, (-1) ** i * c) for i, j, c in p.terms)
+                    for p in (f.f1, f.f2)]
+        return FieldSpec(-mirrored[0], mirrored[1])
+
+    return PiecewiseSystem(push(Z.Y), push(Z.X))
+
+
 def dense_matrix(p: Poly2) -> np.ndarray:
     """Coefficient matrix C with C[i, j] on x1^i x2^j (for numpy polyval2d)."""
     di = max((i for i, _, _ in p.terms), default=0)

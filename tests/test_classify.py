@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generic_system, scale_system, swap_axes
+from conftest import generic_system, reflect_x1, scale_system, swap_axes
 from crosswitch import (
     CLASS_C1,
     CLASS_C2,
@@ -34,11 +34,8 @@ from crosswitch import (
     SIGN_KEYS,
     STABLE_CLASSES,
     Classification,
-    FieldSpec,
     InvalidSigns,
     ParseError,
-    PiecewiseSystem,
-    Poly2,
     UnfoldingVerification,
     VerifyCheck,
     all_sign_tuples,
@@ -163,18 +160,6 @@ def test_witnesses_recorded_for_fold():
 # ---------------------------------------------------------------------------
 # non-canonical fold positions
 # ---------------------------------------------------------------------------
-
-def reflect_x1(Z: PiecewiseSystem) -> PiecewiseSystem:
-    """Z pushed forward by (x1, x2) -> (-x1, x2), F -> (-F1, F2) at the
-    mirror point.  The reflection maps {x1*x2 > 0} onto {x1*x2 < 0}, so the
-    fields exchange."""
-    def push(f: FieldSpec) -> FieldSpec:
-        mirrored = [Poly2((i, j, (-1) ** i * c) for i, j, c in p.terms)
-                    for p in (f.f1, f.f2)]
-        return FieldSpec(-mirrored[0], mirrored[1])
-
-    return PiecewiseSystem(push(Z.Y), push(Z.X))
-
 
 #: The four fold slots, each reached from the canonical one (X2) of the
 #: regular-fold normal form by conjugations that keep its class and signs.

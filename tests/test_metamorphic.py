@@ -1,4 +1,8 @@
-"""Time scaling: Z and c*Z, for c > 0, have the same verdicts and objects.
+"""Time scaling and the symmetries of the cross keep the verdicts.
+
+Time scaling: Z and c*Z, for c > 0, have the same verdicts and objects.
+The swap (x1, x2) -> (x2, x1) and the reflection x1 -> -x1 (which
+exchanges X and Y) conjugate the system, so they keep its class.
 
 Oracle notes:
   [DERIVED] multiplying both fields by c > 0 rescales time only: the orbits,
@@ -13,6 +17,12 @@ Oracle notes:
             and arc ends keep their bits, a Lie value (a product of two
             components) is c^2 times the unscaled one, and a sliding
             field's slope c times.
+  [DERIVED] under either symmetry the half-turn multiplier becomes 1/alpha:
+            a_X = -X1(0)/X2(0) and a_Y = -Y2(0)/Y1(0) turn into 1/a_X and
+            1/a_Y under the swap, and into -1/a_Y and -1/a_X under the
+            reflection.  alpha = a_X * a_Y is five roundings from the
+            components (two reciprocals and three products), so
+            |alpha * alpha' - 1| <= gamma_11 with the final product.
 """
 from __future__ import annotations
 
@@ -20,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generic_system, scale_system
+from conftest import generic_system, reflect_x1, scale_system, swap_axes
 from crosswitch import (
     CODIM1_CLASSES,
     STABLE_CLASSES,
@@ -30,6 +40,7 @@ from crosswitch import (
     classify,
     normal_form,
 )
+from crosswitch.returnmap import is_transient
 from crosswitch.switching import pseudo_equilibria, sigma_decomposition
 
 NORMAL_FORMS = [(name, signs) for name in STABLE_CLASSES + CODIM1_CLASSES
@@ -94,3 +105,30 @@ def test_generic_systems_keep_their_objects_in_bits_under_time_scaling(Z, k):
     got, want = classify(scaled), classify(Z)
     assert (got.class_name, got.signs) == (want.class_name, want.signs)
     assert _objects(scaled, c) == _objects(Z, 1.0)
+
+
+SYMMETRIES = {"swap": swap_axes, "reflection": reflect_x1}
+
+U = 2.0 ** -53
+GAMMA_11 = 11 * U / (1 - 11 * U)
+
+
+def _assert_symmetric(Z, image):
+    got, want = classify(image), classify(Z)
+    assert got.class_name == want.class_name
+    assert is_transient(image) == is_transient(Z)
+    if "alpha" in want.witnesses:
+        assert abs(want.witnesses["alpha"] * got.witnesses["alpha"] - 1.0) <= GAMMA_11
+
+
+@pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
+def test_symmetries_keep_the_class_of_the_normal_forms(symmetry):
+    for name, signs in NORMAL_FORMS:
+        Z = normal_form(name, signs)
+        _assert_symmetric(Z, SYMMETRIES[symmetry](Z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generic_system(), st.sampled_from(sorted(SYMMETRIES)))
+def test_symmetries_keep_the_class_of_generic_systems(Z, symmetry):
+    _assert_symmetric(Z, SYMMETRIES[symmetry](Z))

@@ -26,9 +26,12 @@ from crosswitch import (
     CLASS_DPE,
     CLASS_PH,
     CLASS_RF,
+    CODIM1_CLASSES,
+    STABLE_CLASSES,
     NonFiniteValue,
     ParseError,
     RouteMismatch,
+    all_sign_tuples,
     integrate,
     make_system,
     normal_form,
@@ -214,6 +217,19 @@ def test_classification_report_lists_pseudo_equilibria():
     assert sorted(p["branch"] for p in pes) == [1, 2]
     for p in pes:
         assert abs(p["s"] - 0.1) < 1e-9
+
+
+def test_classification_reports_are_pinned():
+    # the classification reports of the 52 normal forms, as the CLI prints
+    # them (13 significant digits): pure-Python float arithmetic, with no
+    # number that depends on the numpy or scipy version.  A change that
+    # alters a report on purpose (the tool version in its header included)
+    # updates this pin and says why
+    h = hashlib.sha256()
+    for name in STABLE_CLASSES + CODIM1_CLASSES:
+        for signs in all_sign_tuples(name):
+            h.update(canonical_json(classification_report(normal_form(name, signs))).encode())
+    assert h.hexdigest() == "2ce109ceb750f1409499439cdbe1f44fd61a9feee47c6dd514924ce07505b0e7"
 
 
 def test_return_map_report_values():
@@ -536,13 +552,26 @@ def test_cli_return_map(c32_file, capsys):
     assert rep["return_map"]["alpha"] == -0.5
 
 
-def test_cli_return_map_series_overflow_exits_3(tmp_path, capsys):
-    # Y2 = 1 + 1e200 (x1^2 + x2^2): a product of the half-map jet overflows
-    Z = make_system(1.0, -1.0, 1.0, {(0, 0): 1.0, (2, 0): 1e200, (0, 2): 1e200})
+@pytest.mark.parametrize("y1, y2, c", [
+    # Y2 = 1 + 1e200 (x1^2 + x2^2): 1e200 ** 2 overflows, but no
+    # coefficient of the cubic jet reads it (the report prints 13
+    # significant digits)
+    (1.0, {(0, 0): 1.0, (2, 0): 1e200, (0, 2): 1e200}, -6.666666666667e+199),
+    # Y1 = 0.1, Y2 = 1 + 1e308 x1^2: the cubic coefficient is about
+    # -3.3e308, out of range
+    (0.1, {(0, 0): 1.0, (2, 0): 1e308}, None),
+])
+def test_cli_return_map_refuses_only_a_jet_out_of_range(tmp_path, capsys, y1, y2, c):
     p = tmp_path / "big.json"
-    p.write_text(json.dumps(system_to_obj(Z)))
-    assert main(["return-map", "--system", str(p)]) == 3
-    assert "series coefficient inf" in capsys.readouterr().err
+    p.write_text(json.dumps(system_to_obj(make_system(1.0, -1.0, y1, y2))))
+    status = main(["return-map", "--system", str(p)])
+    out, err = capsys.readouterr()
+    if c is None:
+        assert status == 3
+        assert "half-map jet coefficient -inf of x^3" in err
+    else:
+        assert status == 0
+        assert json.loads(out)["return_map"]["half_map_y"]["c"] == c
 
 
 def test_cli_return_map_rejects_non_transient(tmp_path, capsys):

@@ -389,6 +389,37 @@ class TestFixedPoints:
         b = fixed_points(Z, -0.2, -1e-6, cells=192)[0].x
         assert abs(a - b) < 1e-8
 
+    def test_a_scan_across_the_origin_is_the_union_of_its_sides(self):
+        # [DERIVED] fixed_points cuts [-0.25, 0.25] at the origin gap; the
+        # lane values of each window's inner end are zeroed, so both scan
+        # an exact zero there, at the last grid value of the left window
+        # and the first of the right one, and drop it as the origin
+        for signs in all_sign_tuples(CLASS_PH):
+            for delta in (-2e-3, -1e-4, 1e-4, 2e-3):
+                Z = unfolding(CLASS_PH, signs, delta)
+                got = fixed_points(Z, -0.25, 0.25, 96)
+                want = fixed_points(Z, -0.25, -1e-6, 96) + fixed_points(Z, 1e-6, 0.25, 96)
+                assert [fp.stable for fp in got] == [fp.stable for fp in want], (signs, delta)
+                for g, w in zip(got, want):
+                    assert abs(g.x - w.x) <= 1e-9, (signs, delta)
+
+    def test_sign_change_roots_takes_exact_zeros_and_merges_close_roots(self):
+        # zeros at the first grid value, an interior one and the last one;
+        # the roots refined in the cells (3, 4) and (4, 5) lie 2e-13 apart,
+        # within the merge window, so only the first is kept
+        xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        vals = [0.0, 1.0, 0.0, -1.0, 1.0, -1.0, 0.0]
+        calls = []
+
+        def refine(brackets):
+            calls.append(brackets)
+            return [4.0 - 1e-13, 4.0 + 1e-13]
+
+        assert sign_change_roots(xs, vals, refine) == [
+            (0.0, (0.0, 0.0, 0.0, 0.0)), (2.0, (2.0, 2.0, 0.0, 0.0)),
+            (4.0 - 1e-13, (3.0, 4.0, -1.0, 1.0)), (6.0, (6.0, 6.0, 0.0, 0.0))]
+        assert calls == [[(3.0, 4.0, -1.0, 1.0), (4.0, 5.0, 1.0, -1.0)]]
+
     @pytest.mark.parametrize("lo, hi, cells", [
         (-0.25, -1e-6, 0), (-0.25, -1e-6, -3), (-0.25, -1e-6, float("nan")),
         (float("nan"), -1e-6, 96), (-0.25, float("nan"), 96),

@@ -1,15 +1,30 @@
-"""Dense truncated series of the half-map jets.
+"""Closed-form cubic jets of the half maps.
 
 Oracle notes:
-  [ORACLE]  the sparse route below: Picard iteration and graph inversion on
-            `Poly2` arithmetic, truncating after each step.  The dense
-            series must equal it bit for bit (`float.hex`), because it sums
-            the same products in the same order and drops the same terms.
+  [ORACLE]  sympy: three Picard iterations of the chart ODE on symbolic
+            Taylor coefficients r_ij (i + j <= 2) of its slope, then the
+            graph inverted one order at a time, give the closed form of
+            `chart_jet` exactly.
   [ORACLE]  exact rational Picard iteration in sympy for integer-coefficient
             systems, with the graph inverted by solving for the cubic's
             coefficients one order at a time.
+  [DERIVED] a rounding bound from the operation count.  A float operation
+            returns (x op y)(1 + d) + e with |d| <= u = 2^-53, and e = 0 for
+            a sum, |e| <= 2^-1075 = u * TAU for a product or quotient, TAU =
+            2^-1022 (underflow).  Evaluate `chart_jet`'s steps on the same
+            Taylor data in `fractions.Fraction` twice: exactly, and on
+            magnitudes with every difference a sum and TAU added after every
+            product and quotient.  By induction over the operations (Higham,
+            Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+            ch. 3), a value k roundings deep is within gamma_k = k u / (1 - k u)
+            times its magnitude evaluation of the exact one; a product is as
+            deep as its factors together plus one, a sum as its deeper term
+            plus one.  No jet coefficient is more than 21 roundings deep.
 """
 from __future__ import annotations
+
+import sys
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -21,120 +36,128 @@ from sympy.polys.rings import ring
 from crosswitch.errors import NonFiniteCoefficients, NotTransverse
 from crosswitch.fields import Poly2, make_system
 from crosswitch.returnmap import half_map_jet
-from crosswitch.series import JET_DEGREE, MONOMIALS, invert_graph, picard_chart_jet
+from crosswitch.series import chart_jet
 
-from conftest import coefficient, scale
-
-
-# ---------------------------------------------------------------------------
-# the sparse Poly2 route
-# ---------------------------------------------------------------------------
-
-def truncate(p: Poly2, deg: int) -> Poly2:
-    return Poly2(t for t in p.terms if t[0] + t[1] <= deg)
-
-
-def mul(a: Poly2, b: Poly2, deg: int) -> Poly2:
-    """truncate(a * b, deg), forming only the products within deg, in the
-    order of `Poly2.__mul__`: a product above deg that overflows does not
-    raise, as the dense series never forms it."""
-    return Poly2((i1 + i2, j1 + j2, c1 * c2) for i1, j1, c1 in a.terms
-                 for i2, j2, c2 in b.terms if i1 + i2 + j1 + j2 <= deg)
-
-
-def series_reciprocal(p: Poly2, deg: int) -> Poly2:
-    c0 = p.constant_term()
-    if c0 == 0.0:
-        raise NotTransverse("series reciprocal of a polynomial vanishing at 0")
-    u = Poly2((i, j, c / c0) for i, j, c in p.terms if 0 < i + j <= deg)
-    acc = Poly2.constant(1.0)
-    upow = Poly2.constant(1.0)
-    sign = 1.0
-    for _ in range(deg):
-        upow = mul(upow, u, deg)
-        if upow.is_zero:
-            break
-        sign = -sign
-        acc = acc + scale(upow, sign)
-    return scale(acc, 1.0 / c0)
-
-
-def substitute_second(p: Poly2, w: Poly2, deg: int) -> Poly2:
-    max_j = max((j for _, j, _ in p.terms), default=0)
-    powers = [Poly2.constant(1.0)]
-    for _ in range(max_j):
-        powers.append(mul(powers[-1], w, deg))
-    acc = Poly2()
-    for i, j, c in p.terms:
-        if i > deg:
-            continue
-        acc = acc + mul(Poly2([(i, 0, c)]), powers[j], deg)
-    return truncate(acc, deg)
-
-
-def integrate_first(p: Poly2) -> Poly2:
-    return Poly2((i + 1, j, c / (i + 1)) for i, j, c in p.terms)
-
-
-def sparse_chart_jet(numerator: Poly2, denominator: Poly2) -> Poly2:
-    deg = JET_DEGREE
-    rate = mul(truncate(numerator, deg), series_reciprocal(denominator, deg), deg)
-    w = Poly2([(0, 1, 1.0)])
-    for _ in range(deg + 1):
-        w = Poly2([(0, 1, 1.0)]) + integrate_first(substitute_second(rate, w, deg))
-        w = truncate(w, deg)
-    return w
-
-
-def _poly_mul_trunc(a: list[float], b: list[float], order: int) -> list[float]:
-    out = [0.0] * (order + 1)
-    for i, ca in enumerate(a):
-        if ca == 0.0:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ca * cb
-    return out
-
-
-def _graph_coefficient(w: Poly2, gs: list[float], k: int) -> float:
-    order = len(gs) - 1
-    powers = [[1.0] + [0.0] * order]
-    cur = gs[:]
-    cur[0] = 0.0
-    powers.append(cur)
-    max_j = max((j for _, j, _ in w.terms), default=0)
-    for _ in range(max_j - 1):
-        powers.append(_poly_mul_trunc(powers[-1], powers[1], order))
-    total = 0.0
-    for i, j, c in w.terms:
-        if i > k or j >= len(powers):
-            continue
-        total += c * powers[j][k - i]
-    return total
-
-
-def sparse_invert_graph(w: Poly2) -> tuple[float, float, float]:
-    c01 = coefficient(w, 0, 1)
-    gs = [0.0] * 4
-    for k in (1, 2, 3):
-        gs[k] = -_graph_coefficient(w, gs, k) / c01
-    return tuple(gs[1:])
+from conftest import coefficient
 
 
 # ---------------------------------------------------------------------------
-# bit identity with the sparse route
+# the closed form, proved by Picard iteration
 # ---------------------------------------------------------------------------
+
+#: Exponents of the Taylor coefficients r_ij that the cubic jet reads, in the
+#: argument order of `closed_form`.
+TAYLOR = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def closed_form(r00, r10, r01, r20, r11, r02):
+    """(g1, g2, g3) from the 2-jet of the chart slope, with the products and
+    quotients of `chart_jet` in its order (for the rounding bound)."""
+    half = Fraction(1, 2)
+    return (-r00,
+            half * r00 * r01 - half * r10,
+            (r00 * r11 - r00 * r01 * r01) / 6 + (r01 * r10 - r00 * r00 * r02 - r20) / 3)
+
+
+def test_closed_form_is_picard_iteration_and_graph_inversion():
+    s, y, x = sympy.symbols("s y x")
+    r = {m: sympy.Symbol(f"r{m[0]}{m[1]}") for m in TAYLOR}
+
+    def picard(w):
+        """y + the integral from 0 to s of R(s, w), kept to total degree 3:
+        a monomial of R above degree 2 only enters above degree 3, and so
+        does the rest of R(s, w), as w - y has no constant term."""
+        rate = sympy.Poly(sum(c * s ** i * w ** j for (i, j), c in r.items()), s, y)
+        return y + sum((c * s ** (i + 1) * y ** j / (i + 1)
+                        for (i, j), c in rate.terms() if i + j <= 2), sympy.Integer(0))
+
+    w = y
+    for _ in range(3):
+        w = picard(w)
+    assert sympy.expand(picard(w) - w) == 0
+    # G(x) is the y whose solution passes through (s, w) = (x, 0)
+    g = sympy.symbols("g1:4")
+    graph = sympy.expand(w.subs({s: x, y: sum(gk * x ** k for k, gk in enumerate(g, 1))},
+                                simultaneous=True))
+    sol = {}
+    for k, gk in enumerate(g, start=1):
+        sol[gk] = sympy.solve(graph.coeff(x, k).subs(sol), gk)[0]
+    for gk, want in zip(g, closed_form(*(r[m] for m in TAYLOR))):
+        assert sympy.expand(sol[gk] - want) == 0
+
+
+# ---------------------------------------------------------------------------
+# the float jet within its rounding bound of the exact one
+# ---------------------------------------------------------------------------
+
+U = Fraction(1, 2 ** 53)
+TAU = Fraction(1, 2 ** 1022)
+GAMMA = 21 * U / (1 - 21 * U)
+
+
+class Magnitude:
+    """A value of the magnitude evaluation, and the largest value met on
+    the way to it (an overflow below it is ruled out)."""
+
+    def __init__(self, value, peak=Fraction(0)):
+        self.value = abs(Fraction(value))
+        self.peak = max(self.value, peak)
+
+    def _then(self, other, op):
+        other = other if isinstance(other, Magnitude) else Magnitude(other)
+        return Magnitude(op(self.value, other.value), max(self.peak, other.peak))
+
+    def __add__(self, other):
+        return self._then(other, lambda a, b: a + b)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        return self._then(other, lambda a, b: a * b + TAU)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._then(other, lambda a, b: a / b + TAU)
+
+    def __rtruediv__(self, other):
+        return self._then(other, lambda a, b: b / a + TAU)
+
+
+def taylor(numerator: Poly2, denominator: Poly2, number) -> tuple:
+    """The r_ij of `TAYLOR` for R = numerator/denominator, by `chart_jet`'s
+    steps on the coefficients as `number`s (Fraction or Magnitude).  A zero
+    difference stays exact, as in the float steps; in the magnitude
+    evaluation none is zero."""
+    n = {(i, j): number(c) for i, j, c in numerator.terms if i + j <= 2}
+    d = {(i, j): number(c) for i, j, c in denominator.terms if i + j <= 2}
+    q = 1 / d.pop((0, 0))
+    r = {}
+    for m in TAYLOR:
+        t = n.get(m, number(0))
+        for (i, j), c in d.items():
+            k = (m[0] - i, m[1] - j)
+            if k in r:
+                t = t - r[k] * c
+        r[m] = t * q
+    return tuple(r[m] for m in TAYLOR)
+
+
+def truncated(p: Poly2) -> Poly2:
+    return Poly2(t for t in p.terms if t[0] + t[1] <= 2)
+
 
 def _signed(magnitudes):
     return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
 
 
 # zeros, order-one values (also ones that are not short binary fractions, so
-# that the order of a sum shows in its rounding), small values whose
-# products are smaller still, and tiny ones whose products underflow to
-# zeros, which both routes then skip
+# that the jet rounds), small values whose products are smaller still, and
+# tiny ones whose products underflow (the bound's TAU) or, as a denominator's
+# constant term, whose reciprocals make the Taylor data overflow
 chart_coeffs = st.one_of(
     st.just(0.0),
     st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
@@ -144,7 +167,8 @@ chart_coeffs = st.one_of(
     _signed(st.floats(min_value=1e-170, max_value=1e-150)),
 )
 
-# total degree first, so that five in nine monomials are within JET_DEGREE
+# total degree first, so that three in nine monomials enter the jet and the
+# others must not
 monomials = st.integers(0, 8).flatmap(lambda d: st.integers(0, d).flatmap(
     lambda i: st.tuples(st.just(i), st.just(d - i), chart_coeffs)))
 
@@ -163,54 +187,58 @@ def _hex(values) -> list[str]:
 
 @settings(max_examples=150, deadline=None)
 @given(num=numerators, den=denominators)
-# a zero constant denominator term: not transverse on both routes
-@example(num=Poly2([(0, 0, 1.0)]), den=Poly2([(1, 0, 1.0), (0, 2, -2.0)]))
-# a numerator with terms only above JET_DEGREE: the jet is w = y
+# a numerator with terms only above degree 2: the jet is 0
 @example(num=Poly2([(5, 0, 1.5), (2, 3, -2.0), (0, 8, 0.25)]),
          den=Poly2([(0, 0, 2.0), (1, 0, 0.5), (6, 1, 3.0)]))
 # a coefficient of 1e-16 is kept: only exact zeros are dropped
 @example(num=Poly2([(0, 0, 1e-16)]), den=Poly2([(0, 0, 1.0)]))
-# sums of three or more products, whose rounding depends on their order
-@example(num=Poly2([(0, 0, 3.787), (0, 1, -2.638), (0, 3, -2.329), (4, 0, -2.175)]),
-         den=Poly2([(0, 0, 1.0), (0, 1, -2.95)]))
-# in 1/den, u = 1.2e-15 s / 1.5 is kept, and so is its product with 4 y / 1.5
-@example(num=Poly2([(0, 0, 1.0)]),
-         den=Poly2([(0, 0, 1.5), (1, 0, 1.2e-15), (0, 1, 4.0)]))
-# in 1/den, the s^3 coefficient of 1 - u + u^2 is 2^-51 before -u^3 adds -1
-@example(num=Poly2([(0, 0, 1.0)]),
-         den=Poly2([(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (3, 0, 2.0 - 2.0**-51)]))
-# in the second substitution, the s^2 coefficient of rate(s, w) is 2^-52
-# after two of its three terms
-@example(num=Poly2([(0, 0, 1.0), (0, 2, 1.0), (1, 1, -(1.0 - 2.0**-52)), (2, 0, 1.0)]),
-         den=Poly2([(0, 0, 1.0)]))
-# products of 1e-170 and 1e-160 underflow to zeros, which both routes skip
+# products of 1e-170 and 1e-160 underflow to zeros
 @example(num=Poly2([(0, 0, 1e-170), (0, 1, 1e-160), (1, 1, -3.0)]),
          den=Poly2([(0, 0, 1.0), (1, 0, 1e-160), (0, 1, 1e-170)]))
-# 1 / 5e-324 overflows: both routes raise the same named error
-@example(num=Poly2([(0, 0, 1.0)]), den=Poly2([(0, 0, 5e-324)]))
-def test_jet_matches_the_poly2_route_bit_for_bit(num, den):
-    try:
-        expected = sparse_chart_jet(num, den)
-    except (NotTransverse, NonFiniteCoefficients) as e:
-        with pytest.raises(type(e)):
-            picard_chart_jet(num, den)
+# 1 / 1e-170 makes r00 ** 2 overflow
+@example(num=Poly2([(0, 0, 1.0), (0, 2, 1.0)]), den=Poly2([(0, 0, 1e-170)]))
+def test_jet_is_within_its_rounding_bound_of_the_exact_jet(num, den):
+    if coefficient(den, 0, 0) == 0.0:
+        with pytest.raises(NotTransverse):
+            chart_jet(num, den)
         return
-    assert all(i + j <= JET_DEGREE for i, j, _ in expected.terms)
-    w = picard_chart_jet(num, den)
-    assert _hex(w) == _hex(coefficient(expected, i, j) for i, j in MONOMIALS)
-    assert _hex(invert_graph(w)) == _hex(sparse_invert_graph(expected))
+    exact = closed_form(*taylor(num, den, Fraction))
+    bound = closed_form(*taylor(num, den, Magnitude))
+    try:
+        jet = chart_jet(num, den)
+    except NonFiniteCoefficients:
+        # refused only where a computed value may pass the largest float
+        assert max(b.peak for b in bound) * (1 + GAMMA) >= sys.float_info.max
+        return
+    for got, want, b in zip(jet, exact, bound):
+        assert abs(Fraction(got) - want) <= GAMMA * b.value, (got, float(want))
+    # monomials of total degree 3 and above do not enter, not even in the bits
+    assert _hex(chart_jet(truncated(num), truncated(den))) == _hex(jet)
 
 
-def test_monomials_follow_poly2_term_order():
-    full = Poly2((i, j, 1.0) for i, j in MONOMIALS)
-    assert tuple((i, j) for i, j, _ in full.terms) == MONOMIALS
-    assert len(MONOMIALS) == (JET_DEGREE + 1) * (JET_DEGREE + 2) // 2
+@pytest.mark.parametrize("num, den, error", [
+    # a zero constant denominator term: not transverse
+    (Poly2([(0, 0, 1.0)]), Poly2([(1, 0, 1.0), (0, 2, -2.0)]), NotTransverse),
+    (Poly2([(0, 0, 1.0)]), Poly2(), NotTransverse),
+    # 1 / 5e-324 overflows, and so does the linear coefficient
+    (Poly2([(0, 0, 1.0)]), Poly2([(0, 0, 5e-324)]), NonFiniteCoefficients),
+    # the cubic coefficient is about -3.3e308, out of range
+    (Poly2([(0, 0, 1.0), (2, 0, 1e308)]), Poly2([(0, 0, 0.1)]), NonFiniteCoefficients),
+])
+def test_named_errors(num, den, error):
+    with pytest.raises(error):
+        chart_jet(num, den)
 
 
-def test_invert_graph_requires_normalization():
-    w = [0.0] * len(MONOMIALS)
-    with pytest.raises(ValueError):
-        invert_graph(w)
+@pytest.mark.parametrize("num, c", [
+    # r00 = 1, r20 = r02 = 1e200: r02 ** 2 overflows, but no coefficient of
+    # the cubic jet reads it
+    (Poly2([(0, 0, 1.0), (2, 0, 1e200), (0, 2, 1e200)]), -6.666666666666667e+199),
+    # r20 = 1e308: 2 * r20 overflows, r20 / 3 does not
+    (Poly2([(0, 0, 1.0), (2, 0, 1e308)]), -3.333333333333333e+307),
+])
+def test_a_jet_in_range_is_not_refused(num, c):
+    assert chart_jet(num, Poly2([(0, 0, 1.0)])) == (-1.0, 0.0, c)
 
 
 # ---------------------------------------------------------------------------
