@@ -1,11 +1,13 @@
 """Event-driven integration of the piecewise flow.
 
-Fixed-step RK4 (h = STEP_H = 1e-3).  Every event is located inside its final
-substep by one rule, `_event_time`: `numerics.bisect_root` on the event
-function g(tau) of the RK4(tau) image over [0, h] (the branch coordinate at
-a junction, the sup norm minus the box at a box exit, the running coordinate
-minus the cut on a sliding branch), stopping at |g| <= SNAP or at width
-1e-16 * h; a junction point is then snapped onto its branch.
+Fixed-step RK4 (h = STEP_H = 1e-3; `half_crossing` divides it by the
+field's scale at the origin, rounded to a power of two).  Every event is
+located inside its final substep by one rule, `_event_time`:
+`numerics.bisect_root` on the event function g(tau) of the RK4(tau) image
+over [0, h] (the branch coordinate at a junction, the sup norm minus the
+box at a box exit, the running coordinate minus the cut on a sliding
+branch), stopping at |g| <= SNAP or at width 1e-16 * h; a junction point is
+then snapped onto its branch.
 
 `_Integrator` runs a chain of handlers.  Each returns the next one, a
 `functools.partial` of `run_smooth(p, name)` or `run_sliding(branch, s)`
@@ -68,11 +70,13 @@ from .switching import (
     ArcKind,
     branch_point_class,
     component_tolerance,
+    field_scale,
     find_tangencies,
     vanishing_components,
 )
 
-#: Fixed RK4 step of every flow run: `integrate` and `half_crossing`.
+#: Fixed RK4 step of `integrate`, and of `half_crossing` for a field scale at
+#: the origin in [1, 2).
 STEP_H = 1e-3
 
 #: Hard cap on RK4 steps per integration call.
@@ -186,8 +190,10 @@ def _cuts_reached(cuts: list[float], s: float, s_new: float) -> list[float]:
 def half_crossing(Z: PiecewiseSystem, field_name: str,
                   start: Point) -> HalfCrossingResult:
     """Follow the orbit of one field from a branch point to the other branch,
-    in RK4 steps of STEP_H, inside the box LEG_BOX, for at most MAX_STEPS
-    steps.
+    in RK4 steps of STEP_H / 2^(e - 1), with e the binary exponent of the
+    field scale at the origin (STEP_H for a scale in [1, 2) or of 0), inside
+    the box LEG_BOX, for at most MAX_STEPS steps.  So the leg of c*Z, for
+    c = 2^k, takes the steps of Z in 2^-k of the time, and lands on its bits.
 
     The time direction is chosen so the leg immediately enters the field's
     own active region: forward when FIELD_SIGN * s0 * W_i > 0, with s0 the
@@ -211,12 +217,14 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
             f"{field_name}{i} vanishes at the start point {p}: leg is tangent")
     forward = FIELD_SIGN[field_name] * s0 * ni > 0.0
     F = (Z if forward else Z.negate()).field(field_name).compiled_eval
+    scale = field_scale(Z, (0.0, 0.0))
+    h = math.ldexp(STEP_H, 1 - math.frexp(scale)[1]) if scale else STEP_H
 
     watch = (3 - i) - 1           # coordinate index of the target branch
     home = i - 1                  # coordinate index of the starting branch
     home_armed = False
     for _ in range(MAX_STEPS):
-        q = rk4_step_2d(F, p, STEP_H)
+        q = rk4_step_2d(F, p, h)
         if not (abs(q[0]) <= LEG_BOX and abs(q[1]) <= LEG_BOX):  # NaN fails too
             _require_finite(q)
             raise LeftDomain(f"orbit leg left the box |x| <= {LEG_BOX}")
@@ -226,7 +234,7 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
         elif (q[home] < 0.0) != (p[home] < 0.0):
             raise LeftDomain("orbit leg returned to its starting branch")
         if (q[watch] < 0.0) != (p[watch] < 0.0) or abs(q[watch]) <= SNAP:
-            _, land = _land_on_axis(F, p, q, STEP_H, watch)
+            _, land = _land_on_axis(F, p, q, h, watch)
             s_land = land[i - 1]
             if abs(s_land) <= ARM:
                 raise LeftDomain("orbit leg reached the origin")

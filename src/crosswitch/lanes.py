@@ -12,8 +12,9 @@ each lane doubles until its step-doubling error estimate meets the leg
 tolerance.  Every RK4 stage of a leg is one call of the field's generated
 evaluator, `FieldSpec.compiled_eval`, on the lane arrays.  A lane that no
 step count up to 256 brings within it, or that fails a guard of the scalar
-route (transverse start, chart denominator of constant sign and above the
-band `switching.scaled_band`, no return to the starting branch, the box
+route (transverse start, a start heading into the field's own quadrants,
+chart denominator of constant sign and above the band
+`switching.scaled_band`, no return to the starting branch, the box
 |x| <= `flow.LEG_BOX` of the orbit legs), is evaluated on the scalar route,
 `returnmap.numeric_return_map`.
 
@@ -165,10 +166,12 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
     the scalar route, or that no N up to 256 accepts, and the value of such
     a lane is meaningless: the start point is not transverse (|num| within
     the band `switching.scaled_band` of the field scale there) or not on an
-    open half-branch; the chart denominator changes sign or comes within
-    that band at some stage; w is outside the field's own quadrants after
-    some step (the orbit leg heads away from the other branch, or back to
-    its starting branch); or the leg leaves the box.
+    open half-branch; the leg starts away from the field's own quadrants
+    (FIELD_SIGN * num * den >= 0, read from the factors' signs); the chart
+    denominator changes sign or comes within that band at some stage; w is
+    outside the field's own quadrants after some step (the orbit leg heads
+    away from the other branch, or back to its starting branch); or the leg
+    leaves the box.
     """
     start = np.array(xs, dtype=float)
     ok = np.ones(start.shape, dtype=bool)
@@ -184,8 +187,11 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
             scale = np.maximum.reduce([np.abs(v) + zero
                                        for values in at.values() for v in values])
             tol = scaled_band(scale)
-            num = at[field][1 if field == "Y" else 0]
-            ok &= ((np.abs(num) > tol) & (np.abs(start) > ARM)
+            num, den = at[field][::-1] if field == "Y" else at[field]
+            # the scalar route's heading rule: the leg that runs s toward 0
+            # starts into the field's own quadrants
+            heading = FIELD_SIGN[field] * np.sign(num) * np.sign(den)
+            ok &= ((np.abs(num) > tol) & (heading < 0.0) & (np.abs(start) > ARM)
                    & (np.abs(start) <= LEG_BOX))
 
             # the accepted 2N run of each lane: w, den_min, w_min, w_max

@@ -4,7 +4,11 @@ dependency-free SVG writer for phase portraits.
 
 Canonical JSON rules (so reruns are byte-identical): object keys sorted,
 no whitespace, floats rendered as %.12e with negative zero normalized,
-non-finite numbers rejected.
+non-finite numbers rejected.  A `str` enum is written as its value and a
+tuple as an array, so a record (a NamedTuple) enters a report as its
+`_asdict()`: the report schema of a classification, an arc, a tangency, a
+pseudo-equilibrium, a half-map jet or an event is its record's `_fields`
+(a classification's `class_name` written as `class`).
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import re
 from typing import NamedTuple
 
 from . import __version__
-from .classify import Classification, UnfoldingVerification, classify, verify_unfolding
+from .classify import UnfoldingVerification, classify, verify_unfolding
 from .errors import NonFiniteValue, ParseError, TooManyTangencies, require_positive
 from .fields import PiecewiseSystem, system_to_obj
 from .flow import Mode, Trajectory
@@ -124,38 +128,8 @@ def _sigma_obj(dec: SigmaDecomposition) -> dict:
         "radius": dec.radius,
         "kinds_outward": {name: "".join(dec.kind_sequence(b, h))
                           for (b, h), name in HALF_NAMES.items()},
-        "arcs": [
-            {"branch": a.branch, "half": a.half, "inner": a.inner,
-             "outer": a.outer, "kind": a.kind.value}
-            for a in dec.arcs
-        ],
-        "tangencies": [
-            {"field": t.field, "branch": t.branch, "s": t.s,
-             "point": [t.point[0], t.point[1]], "lie": t.lie,
-             "visibility": t.visibility.value}
-            for t in dec.tangencies
-        ],
-    }
-
-
-def _pseudo_eq_obj(Z: PiecewiseSystem, radius: float) -> list[dict]:
-    return [{
-        "branch": pe.branch, "s": pe.s,
-        "point": [pe.point[0], pe.point[1]],
-        "region_kind": pe.region_kind.value,
-        "derivative": pe.derivative,
-        "hyperbolic": pe.hyperbolic,
-        "stability": pe.stability,
-    } for branch in (1, 2) for pe in pseudo_equilibria(Z, branch, radius=radius)]
-
-
-def classification_obj(cls: Classification) -> dict:
-    return {
-        "class": cls.class_name,
-        "codimension": cls.codimension,
-        "signs": dict(cls.signs),
-        "witnesses": dict(cls.witnesses),
-        "reasons": list(cls.reasons),
+        "arcs": [a._asdict() for a in dec.arcs],
+        "tangencies": [t._asdict() for t in dec.tangencies],
     }
 
 
@@ -163,10 +137,13 @@ def classification_report(Z: PiecewiseSystem, radius: float = 1.0) -> dict:
     """Full JSON-ready classification record for one system, with its
     decomposition and pseudo-equilibria within the radius."""
     rep = _envelope(Z)
-    rep["classification"] = classification_obj(classify(Z))
+    cls = classify(Z)._asdict()
+    cls["class"] = cls.pop("class_name")
+    rep["classification"] = cls
     try:
         rep["sigma"] = _sigma_obj(sigma_decomposition(Z, radius))
-        rep["pseudo_equilibria"] = _pseudo_eq_obj(Z, radius)
+        rep["pseudo_equilibria"] = [pe._asdict() for branch in (1, 2)
+                                    for pe in pseudo_equilibria(Z, branch, radius=radius)]
     except TooManyTangencies as e:
         rep["sigma"] = {"error": str(e)}
     return rep
@@ -176,11 +153,6 @@ def classification_report(Z: PiecewiseSystem, radius: float = 1.0) -> dict:
 # return-map report
 # ---------------------------------------------------------------------------
 
-def _half_map_obj(h) -> dict:
-    return {"field": h.field, "a": h.a, "b": h.b, "c": h.c,
-            "source": h.source, "error_estimate": h.error_estimate}
-
-
 def return_map_obj(model: ReturnMapModel) -> dict:
     return {
         "alpha": model.alpha,
@@ -189,10 +161,10 @@ def return_map_obj(model: ReturnMapModel) -> dict:
         "c3": model.c3,
         "eta": model.eta,
         "attractive": model.attractive,
-        "half_turn": list(model.psi),
-        "full_turn": list(model.phi),
-        "half_map_x": _half_map_obj(model.half_x),
-        "half_map_y": _half_map_obj(model.half_y),
+        "half_turn": model.psi,
+        "full_turn": model.phi,
+        "half_map_x": model.half_x._asdict(),
+        "half_map_y": model.half_y._asdict(),
     }
 
 
@@ -243,10 +215,8 @@ def trajectory_csv(trajectories: list[Trajectory], with_id: bool = False) -> str
 
 def events_report(Z: PiecewiseSystem, tr: Trajectory) -> dict:
     """JSON-ready event log of one trajectory of Z, under `_header`."""
-    events = [{"kind": e.kind.value, "t": e.t, "point": [e.point[0], e.point[1]],
-               "branch": e.branch, "note": e.note} for e in tr.events]
-    return {**_header(system_to_obj(Z)), "seed": [tr.seed[0], tr.seed[1]],
-            "direction": tr.direction, "nonunique": tr.nonunique, "events": events}
+    return {**_header(system_to_obj(Z)), "seed": tr.seed, "direction": tr.direction,
+            "nonunique": tr.nonunique, "events": [e._asdict() for e in tr.events]}
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,17 @@ def overflowing_system():
     return make_system(c, -c, {(0, 0): 2 * c, (2, 0): c, (3, 0): -c}, c)
 
 
+def overflowing_leg_system():
+    """Fields of scale 2 at the origin whose terms +-1e300 x1^i x2^i vanish
+    on both branches, so every start point is transverse, and overflow off
+    them within the first RK4 step of a leg, to inf - inf = NaN.  (The
+    half-crossing legs of `overflowing_system` step in time 1/scale and
+    land.)"""
+    c = 1e300
+    return make_system(1.0, -1.0, {(0, 0): 2.0, (1, 1): c, (2, 2): -c},
+                       {(0, 0): 1.0, (1, 1): c})
+
+
 def event_kinds(traj: Trajectory) -> list[str]:
     return [e.kind.value for e in traj.events]
 
@@ -125,7 +136,7 @@ class TestHalfCrossing:
         # a NaN step passed the box test: one leg returned a NaN landing
         # point, the others stepped NaN until the step limit
         with pytest.raises(NonFiniteValue, match="non-finite coordinates"):
-            half_crossing(overflowing_system(), "Y", start)
+            half_crossing(overflowing_leg_system(), "Y", start)
 
 
 # ---------------------------------------------------------------------------

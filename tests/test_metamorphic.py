@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from conftest import generic_system, reflect_x1, scale_system, swap_axes
 from crosswitch import (
+    CLASS_PH,
     CODIM1_CLASSES,
     STABLE_CLASSES,
     ParseError,
@@ -39,8 +40,9 @@ from crosswitch import (
     all_sign_tuples,
     classify,
     normal_form,
+    unfolding,
 )
-from crosswitch.returnmap import is_transient
+from crosswitch.returnmap import fixed_points, is_transient, numeric_return_map
 from crosswitch.switching import pseudo_equilibria, sigma_decomposition
 
 NORMAL_FORMS = [(name, signs) for name in STABLE_CLASSES + CODIM1_CLASSES
@@ -105,6 +107,24 @@ def test_generic_systems_keep_their_objects_in_bits_under_time_scaling(Z, k):
     got, want = classify(scaled), classify(Z)
     assert (got.class_name, got.signs) == (want.class_name, want.signs)
     assert _objects(scaled, c) == _objects(Z, 1.0)
+
+
+def test_orbit_legs_and_fixed_points_keep_their_bits_under_time_scaling():
+    # [DERIVED] an orbit leg of 2^k Z steps in 2^-k times the time of Z's
+    # leg, so every RK4 stage point keeps its bits.  With one fixed step in
+    # time, 2^-20 raised StepLimit after a second, 2^20 LeftDomain, and at
+    # 2^-10 a fixed-point scan took a hundred times as long
+    Z = unfolding(CLASS_PH, {"a": 1, "b": 1, "c": 1}, 1e-3)
+    want = numeric_return_map(Z, -0.11)
+    for k in (-100, -20, -10, -5, 5, 10, 20, 100):
+        assert numeric_return_map(scale_system(Z, 2.0 ** k), -0.11) == want, k
+    for signs in all_sign_tuples(CLASS_PH):
+        for delta in (-1e-3, 1e-3):
+            Z = unfolding(CLASS_PH, signs, delta)
+            want = fixed_points(Z, -0.25, 0.25, 96)
+            for k in (-100, -20, 20, 100):
+                got = fixed_points(scale_system(Z, 2.0 ** k), -0.25, 0.25, 96)
+                assert got == want, (signs, delta, k)
 
 
 SYMMETRIES = {"swap": swap_axes, "reflection": reflect_x1}

@@ -28,6 +28,7 @@ from crosswitch import (
     CLASS_RF,
     CODIM1_CLASSES,
     STABLE_CLASSES,
+    CrosswitchError,
     NonFiniteValue,
     ParseError,
     RouteMismatch,
@@ -47,13 +48,17 @@ from crosswitch.report import (
     _format_float,
     canonical_json,
     classification_report,
+    events_report,
     portrait_svg,
     return_map_report,
     sweep_csv,
     sweep_family,
     trajectory_csv,
 )
-from crosswitch.classify import UnfoldingVerification, VerifyCheck
+from crosswitch.classify import Classification, UnfoldingVerification, VerifyCheck
+from crosswitch.flow import Event
+from crosswitch.returnmap import HalfMapCoeffs
+from crosswitch.switching import Arc, PseudoEquilibrium, TangencyPoint
 
 
 def write_csv(rows: list[list], header: list[str]) -> str:
@@ -230,6 +235,55 @@ def test_classification_reports_are_pinned():
         for signs in all_sign_tuples(name):
             h.update(canonical_json(classification_report(normal_form(name, signs))).encode())
     assert h.hexdigest() == "2ce109ceb750f1409499439cdbe1f44fd61a9feee47c6dd514924ce07505b0e7"
+
+
+NORMAL_FORMS = [normal_form(name, signs) for name in STABLE_CLASSES + CODIM1_CLASSES
+                for signs in all_sign_tuples(name)]
+
+
+def normal_form_events(Z):
+    """The event log of Z's trajectory from (0.5, -0.15) over t = 2."""
+    return events_report(Z, integrate(Z, (0.5, -0.15), 2.0))
+
+
+def test_return_map_and_event_reports_are_pinned():
+    # as the classification reports above: the jet return-map reports of
+    # the 52 normal forms, or the name of the error raised (36 are not
+    # transient), and one event log each (105 events of 7 kinds), all from
+    # pure-Python float arithmetic
+    maps = hashlib.sha256()
+    events = hashlib.sha256()
+    for Z in NORMAL_FORMS:
+        try:
+            maps.update(canonical_json(return_map_report(Z)).encode())
+        except CrosswitchError as e:
+            maps.update(type(e).__name__.encode())
+        events.update(canonical_json(normal_form_events(Z)).encode())
+    assert maps.hexdigest() == "f4bb279ab6ff94c1a3788a2606b4c094266c02a6955e2f2f8c547263d1967187"
+    assert events.hexdigest() == "e4ff13856757fd18647fccb77e70d52513e7675269849955a230ca9119b4b4fe"
+
+
+def test_report_objects_hold_their_records_fields():
+    # the report schema of each object is its record's `_fields` (the
+    # classification's class_name written as "class")
+    written = {t: [] for t in (Classification, Arc, TangencyPoint, PseudoEquilibrium,
+                               HalfMapCoeffs, Event)}
+    for Z in NORMAL_FORMS:
+        rep = classification_report(Z)
+        written[Classification].append(rep["classification"])
+        written[Arc] += rep["sigma"]["arcs"]
+        written[TangencyPoint] += rep["sigma"]["tangencies"]
+        written[PseudoEquilibrium] += rep["pseudo_equilibria"]
+        written[Event] += normal_form_events(Z)["events"]
+        try:
+            model = return_map_report(Z)["return_map"]
+        except CrosswitchError:
+            continue
+        written[HalfMapCoeffs] += [model["half_map_x"], model["half_map_y"]]
+    for record, objs in written.items():
+        fields = {"class" if f == "class_name" else f for f in record._fields}
+        assert objs, record.__name__
+        assert all(set(obj) == fields for obj in objs), record.__name__
 
 
 def test_return_map_report_values():

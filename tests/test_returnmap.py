@@ -403,6 +403,20 @@ class TestFixedPoints:
                 for g, w in zip(got, want):
                     assert abs(g.x - w.x) <= 1e-9, (signs, delta)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="each window's inner end is zeroed, so a cycle inside "
+                              "the innermost grid cell is lost (ROADMAP item 10)")
+    def test_a_cycle_inside_the_innermost_cell_is_found(self):
+        # [ORACLE] the side windows from +-1e-7 find the cycle pair at
+        # +-1.3097e-3, inside the innermost cells (width 2.6e-3) of the
+        # windows of [-0.25, 0.25], which find nothing
+        Z = unfolding(CLASS_PH, {"a": 1, "b": -1, "c": 1}, -1e-6)
+        want = [fp.x for lo, hi in ((-0.25, -1e-7), (1e-7, 0.25))
+                for fp in fixed_points(Z, lo, hi, 96)]
+        assert want == pytest.approx([-1.3097e-3, 1.3089e-3], abs=1e-7)
+        got = [fp.x for fp in fixed_points(Z, -0.25, 0.25, 96)]
+        assert got == pytest.approx(want, abs=1e-9)
+
     def test_sign_change_roots_takes_exact_zeros_and_merges_close_roots(self):
         # zeros at the first grid value, an interior one and the last one;
         # the roots refined in the cells (3, 4) and (4, 5) lie 2e-13 apart,
@@ -569,7 +583,9 @@ def dense_chart_turn(Z, xs):
             side = FIELD_SIGN[field] * np.sign(start)
             scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
             tol = scaled_band(scale)
-            ok &= ((np.abs(num(start, zero)) > tol) & (np.abs(start) > ARM)
+            n0, d0 = num(start, zero), den(start, zero)
+            heading = FIELD_SIGN[field] * np.sign(n0) * np.sign(d0)
+            ok &= ((np.abs(n0) > tol) & (heading < 0.0) & (np.abs(start) > ARM)
                    & (np.abs(start) <= LEG_BOX))
             leg = np.full((4,) + start.shape, np.nan)
             live = np.flatnonzero(ok)
@@ -722,6 +738,22 @@ class TestLaneRoute:
             numeric_return_map(Z, -0.1)
         with pytest.raises(LeftDomain):
             fixed_points(Z, -0.3, -1e-6, cells=12)
+
+    def test_lane_that_turns_back_within_a_step_fails_like_scalar_route(self):
+        # the third leg starts at (0.6307, 0) with Y = (-1, 0.0285): the
+        # orbit that enters Y's quadrant x2 < 0 runs away from x1 = 0 and
+        # out of the box, while the chart ODE runs s toward 0 with w
+        # heading into X's quadrant x2 > 0, back in Y's by the end of each
+        # step.  The lane gave ok = True and the value -0.7956; the heading
+        # rule of the scalar legs, FIELD_SIGN * num * den < 0 at the leg
+        # start, fails it
+        Z = unfolding(CLASS_PH, {"a": -1, "b": -1, "c": 1}, 10 ** -0.25)
+        _, ok = lanes._chart_turn(Z, np.array([-0.25, -0.05]))
+        assert ok.tolist() == [False, True]
+        with pytest.raises(LeftDomain):
+            numeric_return_map(Z, -0.25)
+        with pytest.raises(LeftDomain):
+            fixed_points(Z, -0.25, 0.25, 96)
 
     def test_leg_across_a_chart_pole_fails(self):
         # dw/ds = -0.01 / (0.1 + s) has a pole at s = -0.1, so Y legs from
