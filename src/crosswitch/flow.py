@@ -1,7 +1,7 @@
 """Event-driven integration of the piecewise flow.
 
 Fixed-step RK4 (h = STEP_H = 1e-3; `half_crossing` divides it by the
-field's scale at the origin, rounded to a power of two).  Every event is
+leg field's largest coefficient, rounded to a power of two).  Every event is
 located inside its final substep by one rule, `_event_time`:
 `numerics.bisect_root` on the event function g(tau) of the RK4(tau) image
 over [0, h] (the branch coordinate at a junction, the sup norm minus the
@@ -70,13 +70,12 @@ from .switching import (
     ArcKind,
     branch_point_class,
     component_tolerance,
-    field_scale,
     find_tangencies,
     vanishing_components,
 )
 
-#: Fixed RK4 step of `integrate`, and of `half_crossing` for a field scale at
-#: the origin in [1, 2).
+#: Fixed RK4 step of `integrate`, and of `half_crossing` for a field whose
+#: largest coefficient magnitude lies in [1, 2).
 STEP_H = 1e-3
 
 #: Hard cap on RK4 steps per integration call.
@@ -191,9 +190,14 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
                   start: Point) -> HalfCrossingResult:
     """Follow the orbit of one field from a branch point to the other branch,
     in RK4 steps of STEP_H / 2^(e - 1), with e the binary exponent of the
-    field scale at the origin (STEP_H for a scale in [1, 2) or of 0), inside
-    the box LEG_BOX, for at most MAX_STEPS steps.  So the leg of c*Z, for
-    c = 2^k, takes the steps of Z in 2^-k of the time, and lands on its bits.
+    field's largest coefficient magnitude (STEP_H for one in [1, 2)), inside
+    the box LEG_BOX, for at most MAX_STEPS steps.  That coefficient bounds
+    the field's speed on the unit box, and its rate up to the degree,
+    wherever the leg runs (its value at the origin alone can be small where
+    the field is fast).  So the leg of c*Z, for c = 2^k, takes the steps of
+    Z in 2^-k of the time, and lands on its bits.  Raises NonFiniteValue for
+    a field whose largest coefficient is so small (below about 2^-1032) that
+    the step is not a finite float.
 
     The time direction is chosen so the leg immediately enters the field's
     own active region: forward when FIELD_SIGN * s0 * W_i > 0, with s0 the
@@ -217,8 +221,12 @@ def half_crossing(Z: PiecewiseSystem, field_name: str,
             f"{field_name}{i} vanishes at the start point {p}: leg is tangent")
     forward = FIELD_SIGN[field_name] * s0 * ni > 0.0
     F = (Z if forward else Z.negate()).field(field_name).compiled_eval
-    scale = field_scale(Z, (0.0, 0.0))
-    h = math.ldexp(STEP_H, 1 - math.frexp(scale)[1]) if scale else STEP_H
+    scale = max(abs(c) for comp in fld for _, _, c in comp.terms)
+    try:
+        h = math.ldexp(STEP_H, 1 - math.frexp(scale)[1])
+    except OverflowError:
+        raise NonFiniteValue(f"field {field_name}'s largest coefficient, {scale!r}, "
+                             "gives its orbit legs no finite time step") from None
 
     watch = (3 - i) - 1           # coordinate index of the target branch
     home = i - 1                  # coordinate index of the starting branch

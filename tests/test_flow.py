@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crosswitch.flow as flow
+from conftest import scale_system
 from crosswitch.classify import (CLASS_C2, CLASS_C32, CLASS_PH, CLASS_RF, classify, normal_form,
                                  unfolding)
 from crosswitch.errors import (LeftDomain, NonFiniteValue, NotTransverse, ParseError,
@@ -35,7 +36,7 @@ from crosswitch.flow import (
     phase_portrait,
 )
 from crosswitch.report import canonical_json, events_report, trajectory_csv
-from crosswitch.returnmap import FixedPoint, fixed_points
+from crosswitch.returnmap import FixedPoint, fixed_points, numeric_return_map
 from crosswitch.switching import find_tangencies
 
 
@@ -57,14 +58,22 @@ def overflowing_system():
 
 
 def overflowing_leg_system():
-    """Fields of scale 2 at the origin whose terms +-1e300 x1^i x2^i vanish
-    on both branches, so every start point is transverse, and overflow off
-    them within the first RK4 step of a leg, to inf - inf = NaN.  (The
-    half-crossing legs of `overflowing_system` step in time 1/scale and
-    land.)"""
-    c = 1e300
-    return make_system(1.0, -1.0, {(0, 0): 2.0, (1, 1): c, (2, 2): -c},
-                       {(0, 0): 1.0, (1, 1): c})
+    """Y = (-c, c x1^2) with c = 1e308: each leg of a start point on the
+    x1-axis, or on Sigma1+, moves away from x1 = 0, and Y2 overflows to inf
+    once |x1| > 1.34, inside the box LEG_BOX.  (A leg steps in time
+    1/max|coefficient|, so a field whose values stay finite in the box, such
+    as `overflowing_system`'s, never overflows on a leg.)"""
+    c = 1e308
+    return make_system(1.0, -1.0, -c, {(2, 0): c})
+
+
+def rotation_system(b: float):
+    """X and Y unit rotations, about the centres (b, b) and (-b, b): their
+    components at the origin are +-b, their linear parts O(1).  Each exact
+    leg from a branch point at distance s lands at distance s on the other
+    branch, so the return map is the identity."""
+    return make_system({(0, 0): b, (0, 1): -1.0}, {(0, 0): -b, (1, 0): 1.0},
+                       {(0, 0): b, (0, 1): -1.0}, {(0, 0): b, (1, 0): 1.0})
 
 
 def event_kinds(traj: Trajectory) -> list[str]:
@@ -130,6 +139,26 @@ class TestHalfCrossing:
         monkeypatch.setattr(flow, "MAX_STEPS", 10)
         with pytest.raises(StepLimit, match="within 10 steps"):
             half_crossing(c32_normal(), "Y", (-0.1, 0.0))
+
+    @pytest.mark.parametrize("b", [1e-4, 1e-2])
+    def test_leg_step_follows_the_coefficients_not_the_origin_value(self, b):
+        # [DERIVED] rotation_system(b) lands each leg at the mirror point and
+        # has the identity return map.  Its largest coefficient is 1, so the
+        # legs step STEP_H.  A step set by the field scale at the origin, b,
+        # was 2^14 STEP_H at b = 1e-4 (every leg left the box) and 2^7 STEP_H
+        # at b = 1e-2 (legs 1e-5 off)
+        Z = rotation_system(b)
+        for s in (0.03, 0.1, 0.25):
+            for field, start, land in (("Y", (0.0, s), (-s, 0.0)),
+                                       ("X", (0.0, -s), (-s, 0.0)),
+                                       ("Y", (0.0, -s), (s, 0.0)),
+                                       ("X", (0.0, s), (s, 0.0))):
+                res = half_crossing(Z, field, start)
+                assert res.point == pytest.approx(land, abs=1e-12)
+            assert numeric_return_map(Z, s).value == pytest.approx(s, abs=1e-12)
+            assert numeric_return_map(Z, -s).value == pytest.approx(-s, abs=1e-12)
+        with pytest.raises(NonFiniteValue, match="no finite time step"):
+            half_crossing(scale_system(Z, 2.0 ** -1040), "Y", (0.0, 0.1))
 
     @pytest.mark.parametrize("start", [(-0.1, 0.0), (0.1, 0.0), (0.0, 0.1)])
     def test_overflowing_leg_raises(self, start):

@@ -224,16 +224,29 @@ def test_classification_report_lists_pseudo_equilibria():
         assert abs(p["s"] - 0.1) < 1e-9
 
 
+def holds_fields(objs, record) -> bool:
+    """Whether each written object's keys are the record's `_fields`, a
+    classification's class_name written as "class"."""
+    fields = {"class" if f == "class_name" else f for f in record._fields}
+    return all(set(obj) == fields for obj in objs)
+
+
 def test_classification_reports_are_pinned():
     # the classification reports of the 52 normal forms, as the CLI prints
     # them (13 significant digits): pure-Python float arithmetic, with no
     # number that depends on the numpy or scipy version.  A change that
     # alters a report on purpose (the tool version in its header included)
-    # updates this pin and says why
+    # updates this pin and says why.  Each written object's keys are its
+    # record's `_fields`
     h = hashlib.sha256()
     for name in STABLE_CLASSES + CODIM1_CLASSES:
         for signs in all_sign_tuples(name):
-            h.update(canonical_json(classification_report(normal_form(name, signs))).encode())
+            rep = classification_report(normal_form(name, signs))
+            h.update(canonical_json(rep).encode())
+            assert holds_fields([rep["classification"]], Classification)
+            assert holds_fields(rep["sigma"]["arcs"], Arc)
+            assert holds_fields(rep["sigma"]["tangencies"], TangencyPoint)
+            assert holds_fields(rep["pseudo_equilibria"], PseudoEquilibrium)
     assert h.hexdigest() == "2ce109ceb750f1409499439cdbe1f44fd61a9feee47c6dd514924ce07505b0e7"
 
 
@@ -250,40 +263,24 @@ def test_return_map_and_event_reports_are_pinned():
     # as the classification reports above: the jet return-map reports of
     # the 52 normal forms, or the name of the error raised (36 are not
     # transient), and one event log each (105 events of 7 kinds), all from
-    # pure-Python float arithmetic
+    # pure-Python float arithmetic; each written half map and event holds
+    # its record's `_fields`
     maps = hashlib.sha256()
     events = hashlib.sha256()
     for Z in NORMAL_FORMS:
         try:
-            maps.update(canonical_json(return_map_report(Z)).encode())
+            rep = return_map_report(Z)
         except CrosswitchError as e:
             maps.update(type(e).__name__.encode())
-        events.update(canonical_json(normal_form_events(Z)).encode())
+        else:
+            maps.update(canonical_json(rep).encode())
+            model = rep["return_map"]
+            assert holds_fields([model["half_map_x"], model["half_map_y"]], HalfMapCoeffs)
+        log = normal_form_events(Z)
+        events.update(canonical_json(log).encode())
+        assert holds_fields(log["events"], Event)
     assert maps.hexdigest() == "f4bb279ab6ff94c1a3788a2606b4c094266c02a6955e2f2f8c547263d1967187"
     assert events.hexdigest() == "e4ff13856757fd18647fccb77e70d52513e7675269849955a230ca9119b4b4fe"
-
-
-def test_report_objects_hold_their_records_fields():
-    # the report schema of each object is its record's `_fields` (the
-    # classification's class_name written as "class")
-    written = {t: [] for t in (Classification, Arc, TangencyPoint, PseudoEquilibrium,
-                               HalfMapCoeffs, Event)}
-    for Z in NORMAL_FORMS:
-        rep = classification_report(Z)
-        written[Classification].append(rep["classification"])
-        written[Arc] += rep["sigma"]["arcs"]
-        written[TangencyPoint] += rep["sigma"]["tangencies"]
-        written[PseudoEquilibrium] += rep["pseudo_equilibria"]
-        written[Event] += normal_form_events(Z)["events"]
-        try:
-            model = return_map_report(Z)["return_map"]
-        except CrosswitchError:
-            continue
-        written[HalfMapCoeffs] += [model["half_map_x"], model["half_map_y"]]
-    for record, objs in written.items():
-        fields = {"class" if f == "class_name" else f for f in record._fields}
-        assert objs, record.__name__
-        assert all(set(obj) == fields for obj in objs), record.__name__
 
 
 def test_return_map_report_values():
