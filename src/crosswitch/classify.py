@@ -39,7 +39,6 @@ from .switching import (
     find_tangencies,
     fold_lie_value,
     pseudo_equilibria,
-    scaled_band,
     vanishing_components,
 )
 
@@ -109,11 +108,11 @@ def classify(Z: PiecewiseSystem) -> Classification:
     x1, x2, y1, y2 = Z.origin_components()
     scale = field_scale(Z, (0.0, 0.0))
     # det, its gradient and the Lie value are products of two components
-    quad_tol = scaled_band(scale * scale)
+    quad_tol = BAND * (scale * scale)
     witnesses = {
         "X1_at_origin": x1, "X2_at_origin": x2,
         "Y1_at_origin": y1, "Y2_at_origin": y2,
-        "band_tolerance": BAND, "component_tolerance": scaled_band(scale),
+        "band_tolerance": BAND, "component_tolerance": BAND * scale,
     }
 
     vanishing = vanishing_components(Z)
@@ -314,27 +313,27 @@ def _predict_side_class(family: str, s: dict, delta: float) -> str:
         # a X2(0) - ab = -delta, on the generated X2(0), against a product's band
         x2 = b - a * delta
         scale = max(1.0, abs(x2))
-        _require_inside_chart(delta, b * x2 <= scaled_band(scale),
+        _require_inside_chart(delta, b * x2 <= BAND * scale,
                               f"b/a = {a * b}, where X2(0) = b - a delta")
-        return family if abs(a * x2 - a * b) <= scaled_band(scale * scale) else CLASS_C2
+        return family if abs(a * x2 - a * b) <= BAND * (scale * scale) else CLASS_C2
     if family == CLASS_PH:
         # X = (ac, -(ac + delta)): alpha = -ac / (ac + delta), on the
         # critical band as in `classify`
         ac = a * s["c"]
         x2 = -(ac + delta)
-        _require_inside_chart(delta, -ac * x2 <= scaled_band(max(1.0, abs(x2))),
+        _require_inside_chart(delta, -ac * x2 <= BAND * max(1.0, abs(x2)),
                               f"-ac = {-ac}, where X2(0) = -(ac + delta)")
         return family if abs(-ac / (ac + delta) + 1.0) <= BAND else CLASS_C32
     # regular fold: X = (1, x1 - delta), Y = (a, b); X2(0) = -delta against
     # the component band
     scale = max(1.0, abs(delta))
-    if abs(delta) <= scaled_band(scale):
+    if abs(delta) <= BAND * scale:
         return family
     xi2 = _sgn(-delta) * b
     if a > 0 and xi2 > 0:
         return CLASS_C1
     if a < 0 and xi2 < 0:
-        _require_inside_chart(delta, b * (b + a * delta) <= scaled_band(scale * scale),
+        _require_inside_chart(delta, b * (b + a * delta) <= BAND * (scale * scale),
                               f"b = {b}, where det Z(0) = b + a delta")
         return CLASS_C2
     if delta < 0.0:

@@ -13,8 +13,8 @@ tolerance.  Every RK4 stage of a leg is one call of the field's generated
 evaluator, `FieldSpec.compiled_eval`, on the lane arrays.  A lane that no
 step count up to 256 brings within it, or that fails a guard of the scalar
 route (transverse start, a start heading into the field's own quadrants,
-chart denominator of constant sign and above the band
-`switching.scaled_band`, no return to the starting branch, the box
+chart denominator of constant sign and above the band, `switching.BAND`
+times the field scale, no return to the starting branch, the box
 |x| <= `flow.LEG_BOX` of the orbit legs), is evaluated on the scalar route,
 `returnmap.numeric_return_map`.
 
@@ -39,7 +39,7 @@ from .fields import FIELD_SIGN, PiecewiseSystem
 from .flow import ARM, LEG_BOX
 from .numerics import ROOT_XTOL, Cell, sign_change_roots
 from .returnmap import _TURN_LEGS, FixedPoint, NumericReturn
-from .switching import scaled_band
+from .switching import BAND
 
 #: Largest accepted lane-vs-scalar full-turn difference, times (1 + |x|).
 LANE_CHECK_TOL = 1e-9
@@ -165,7 +165,7 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
     Returns (values, ok).  ok is False on every lane that fails a guard of
     the scalar route, or that no N up to 256 accepts, and the value of such
     a lane is meaningless: the start point is not transverse (|num| within
-    the band `switching.scaled_band` of the field scale there) or not on an
+    `switching.BAND` times the field scale there) or not on an
     open half-branch; the leg starts away from the field's own quadrants
     (FIELD_SIGN * num * den >= 0, read from the factors' signs); the chart
     denominator changes sign or comes within that band at some stage; w is
@@ -186,7 +186,7 @@ def _chart_turn(Z: PiecewiseSystem, xs: np.ndarray):
             at = {name: Z.field(name).compiled_eval(point) for name in FIELD_SIGN}
             scale = np.maximum.reduce([np.abs(v) + zero
                                        for values in at.values() for v in values])
-            tol = scaled_band(scale)
+            tol = BAND * scale
             num, den = at[field][::-1] if field == "Y" else at[field]
             # the scalar route's heading rule: the leg that runs s toward 0
             # starts into the field's own quadrants

@@ -28,7 +28,8 @@ from .fields import FIELD_SIGN, FieldSpec, PiecewiseSystem, Point, branch_point
 from .numerics import scan_roots
 
 #: Degeneracy band of every sign decision, relative to the quantity's own
-#: scale (`scaled_band`): `field_scale` for a field component, its square
+#: scale: a quantity vanishes when |q| <= BAND * scale, with no absolute
+#: floor.  The scale is `field_scale` for a field component, its square
 #: for a product of two (det Z, a Lie value), 1 for alpha, beta and eta,
 #: which time scaling leaves unchanged.  So Z and c*Z, c > 0, get the same
 #: verdicts.
@@ -43,12 +44,6 @@ def field_scale(Z: PiecewiseSystem, p: Point) -> float:
                abs(Z.Y.f1.eval_point(p)), abs(Z.Y.f2.eval_point(p)))
 
 
-def scaled_band(scale):
-    """The band for a quantity of the given scale (a float, or an array of
-    them on lanes): BAND * scale, with no absolute floor."""
-    return BAND * scale
-
-
 def _origin_gap(reach: float) -> float:
     """The origin's gap in the branch coordinate for a window reaching
     |s| <= reach: BAND on windows of reach >= 1, proportionally less on
@@ -61,7 +56,7 @@ def _origin_gap(reach: float) -> float:
 def component_tolerance(Z: PiecewiseSystem, p: Point) -> float:
     """Degeneracy band for one field component (or a quantity of the same
     scale) at p, normal components of the branches included."""
-    return scaled_band(field_scale(Z, p))
+    return BAND * field_scale(Z, p)
 
 
 def vanishing_components(Z: PiecewiseSystem) -> list[tuple[str, int]]:
@@ -75,7 +70,7 @@ def vanishing_components(Z: PiecewiseSystem) -> list[tuple[str, int]]:
     if scale and not 2.0 ** -500 <= scale <= 2.0 ** 500:
         raise ParseError(f"the field scale at the origin, {scale!r}, is outside "
                          "[2**-500, 2**500]")
-    tol = scaled_band(scale)
+    tol = BAND * scale
     x1, x2, y1, y2 = Z.origin_components()
     return [k for k, v in ((("X", 1), x1), (("X", 2), x2),
                            (("Y", 1), y1), (("Y", 2), y2)) if abs(v) <= tol]
@@ -184,7 +179,7 @@ def find_tangencies(Z: PiecewiseSystem, branch: int,
             p = branch_point(branch, s)
             lie = fold_lie_value(field, branch, p)
             # the Lie value is a product of two components
-            vis = fold_visibility(name, lie, s, scaled_band(field_scale(Z, p) ** 2))
+            vis = fold_visibility(name, lie, s, BAND * field_scale(Z, p) ** 2)
             out.append(TangencyPoint(name, branch, s, p, lie, vis))
     out.sort(key=lambda t: (t.s, t.field))
     return out

@@ -42,6 +42,7 @@ from crosswitch import (
     normal_form,
     unfolding,
 )
+from crosswitch.classify import _predict_side_class
 from crosswitch.returnmap import fixed_points, is_transient, numeric_return_map
 from crosswitch.switching import pseudo_equilibria, sigma_decomposition
 
@@ -96,17 +97,44 @@ def _objects(Z, c: float):
         return "TooManyTangencies"
 
 
+def _assert_scale_invariant(Z, ks) -> None:
+    """classify and `_objects` of 2^k Z are those of Z, for each k."""
+    want = classify(Z)
+    objects = _objects(Z, 1.0)
+    for k in ks:
+        c = 2.0 ** k
+        scaled = scale_system(Z, c)
+        got = classify(scaled)
+        assert (got.class_name, got.signs) == (want.class_name, want.signs), k
+        assert _objects(scaled, c) == objects, k
+
+
 @settings(max_examples=60, deadline=None)
 @given(generic_system(), st.integers(-100, 100))
 def test_generic_systems_keep_their_objects_in_bits_under_time_scaling(Z, k):
     # [DERIVED] at 2^-40 the arcs, folds or pseudo-equilibria changed on
     # every pool system of the benchmark, and a fold's visibility on 489 of
     # them with the Lie value tested against the component band
-    c = 2.0 ** k
-    scaled = scale_system(Z, c)
-    got, want = classify(scaled), classify(Z)
-    assert (got.class_name, got.signs) == (want.class_name, want.signs)
-    assert _objects(scaled, c) == _objects(Z, 1.0)
+    _assert_scale_invariant(Z, [k])
+
+
+#: delta = 0 and +-10^(k/4), k = -44, -40, ..., 0: from inside the band
+#: (1e-11) to the charts' edges (|delta| = 1 for most sign tuples)
+UNFOLDING_DELTAS = [0.0] + [s * 10.0 ** (k / 4) for k in range(-44, 1, 4) for s in (-1, 1)]
+
+
+@pytest.mark.parametrize("family", CODIM1_CLASSES)
+def test_unfoldings_keep_their_objects_in_bits_under_time_scaling(family):
+    # [DERIVED] every member of the family inside its chart; a member at or
+    # past the chart's edge, where the side prediction raises, is skipped
+    for signs in all_sign_tuples(family):
+        for delta in UNFOLDING_DELTAS:
+            try:
+                _predict_side_class(family, signs, delta)
+            except ParseError:
+                continue
+            _assert_scale_invariant(unfolding(family, signs, delta),
+                                    (-100, -40, -7, 7, 40, 100))
 
 
 def test_orbit_legs_and_fixed_points_keep_their_bits_under_time_scaling():

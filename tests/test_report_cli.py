@@ -815,6 +815,16 @@ def test_cli_subnormal_radius_and_box(c32_file, tmp_path):
         normal_form(CLASS_DPE, {"a": 1, "b": 1, "c1": 1, "c2": 1}))))
     assert main(["classify", "--system", str(dpe), "--radius", "1e-320",
                  "--out", str(tmp_path / "c.json")]) == 0
+    # the origin gap does not grow with the radius: at radius 1e8 the
+    # pseudo-equilibria at s = 0.1 of the unfolding at delta = 0.1 are listed
+    # on both branches (test_switching.py::TestPseudoEquilibria)
+    dpe.write_text(json.dumps(system_to_obj(
+        unfolding(CLASS_DPE, {"a": 1, "b": 1, "c1": 1, "c2": 1}, 0.1))))
+    assert main(["classify", "--system", str(dpe), "--radius", "1e8",
+                 "--out", str(tmp_path / "c.json")]) == 0
+    pes = json.loads((tmp_path / "c.json").read_text())["pseudo_equilibria"]
+    assert [p["branch"] for p in pes] == [1, 2]
+    assert [p["s"] for p in pes] == pytest.approx([0.1, 0.1], abs=1e-9)
     assert main(["portrait", "--system", c32_file, "--box", "5e-324", "--t-max", "0.1",
                  "--svg", str(tmp_path / "p.svg")]) == 2
     assert not (tmp_path / "p.svg").exists()
@@ -953,12 +963,17 @@ def test_cli_delta_grid_snaps_relative_to_its_largest_value(capsys):
     assert "\n0.000000000000e+00," in capsys.readouterr().out
 
 
-def test_cli_pseudo_hopf_sweep_next_to_the_band_exits_0(capsys):
-    # the cycles at delta = +-1e-7 have multipliers within 1e-6 of 1; they
-    # got no stability verdict, and the sweep exited 4
-    assert main(["sweep", "--family", "codim1_pseudohopf",
-                 "--signs", "a=1,b=1,c=1", "--deltas=-1e-7:1e-7:3"]) == 0
-    assert capsys.readouterr().out.count(",true,") == 3
+@pytest.mark.parametrize("family, signs, deltas, n", [
+    ("codim1_pseudohopf", "a=1,b=1,c=1", "--deltas=-1e-7:1e-7:3", 3),
+    ("codim1_regularfold", "a=1,b=1", "--delta-list=0,1e-10", 2),
+])
+def test_cli_pseudo_hopf_sweep_next_to_the_band_exits_0(capsys, family, signs, deltas, n):
+    # the pseudo-Hopf cycles at delta = +-1e-7 have multipliers within 1e-6
+    # of 1; they got no stability verdict, and the sweep exited 4.  A
+    # regular-fold delta inside the band is predicted, and observed, on the
+    # band (test_classify.py::test_side_prediction_applies_the_band)
+    assert main(["sweep", "--family", family, "--signs", signs, deltas]) == 0
+    assert capsys.readouterr().out.count(",true,") == n
 
 
 def test_cli_normal_form_rejects_a_delta_that_is_not_finite(capsys):

@@ -27,7 +27,7 @@ from crosswitch.flow import ARM, LEG_BOX, half_crossing
 import crosswitch.lanes as lanes
 import crosswitch.returnmap as returnmap
 from crosswitch.numerics import bisect_root, scan_grid, sign_change_roots
-from crosswitch.switching import scaled_band
+from crosswitch.switching import BAND
 from crosswitch.returnmap import (
     compose_cubic,
     fixed_points,
@@ -582,7 +582,7 @@ def dense_chart_turn(Z, xs):
             point = (start, zero) if field == "Y" else (zero, start)
             side = FIELD_SIGN[field] * np.sign(start)
             scale = np.maximum.reduce([np.abs(c(*point)) + zero for c in components])
-            tol = scaled_band(scale)
+            tol = BAND * scale
             n0, d0 = num(start, zero), den(start, zero)
             heading = FIELD_SIGN[field] * np.sign(n0) * np.sign(d0)
             ok &= ((np.abs(n0) > tol) & (heading < 0.0) & (np.abs(start) > ARM)
