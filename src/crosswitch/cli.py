@@ -13,10 +13,17 @@ non-finite coefficients; 4 a model-family prediction failed verification.
 Only the named errors in `_USABLE_INPUT_ERRORS` mean unusable input; any
 other exception is a bug and is not caught.  The library function that
 takes a numeric option checks it; the CLI checks only what it parses.
+
+One parser per process: `build_parser` is memoised and built by the first
+`main` call, not at import, so callers that run `main` many times in one
+process (the benchmark harness, the tests) build it once.  The parser binds
+the `_cmd_*` handlers, which look up the library functions they call when
+they run.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -266,10 +273,13 @@ def _cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser.  No parser matches an option by a prefix of its
-    name: a mistyped or removed option (say `--h` or `--t`) exits 2 as
-    unrecognized, where it would be read as `--help` or `--t-max`."""
+    """The CLI's parser, built once per process and shared by every caller
+    (so a caller must not change it).  No parser matches an option by a
+    prefix of its name: a mistyped or removed option (say `--h` or `--t`)
+    exits 2 as unrecognized, where it would be read as `--help` or
+    `--t-max`."""
     ap = argparse.ArgumentParser(
         prog="crosswitch", allow_abbrev=False,
         description="Planar piecewise-smooth systems switched across "

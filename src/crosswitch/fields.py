@@ -28,11 +28,14 @@ finite arguments its values equal the loops' bit for bit, the sign of a
 zero included; only a non-finite argument, where a loop's `0.0 * inf` gives
 NaN, can tell them apart.  The event-driven flow evaluates one field
 hundreds of thousands of times and binds `compiled_eval` directly, and the
-lane route of the fixed-point scans (`lanes`) runs it on numpy lanes.  `Poly2`
-keeps its loop because the classifier evaluates most of its polynomials
-only a few times, which would not pay for a compilation each.  The sliding
-field N/D on each branch is an object of the system, as det Z is:
-`PiecewiseSystem.sliding_field(branch)` returns one `SlidingField` per
+lane route of the fixed-point scans (`lanes`) runs it on numpy lanes.  The
+numeric half-map fit is the second compiled user: it compiles its chart
+slope num/den from the two polynomials' `source()` once per fitted half
+(`returnmap._chart_slope`), and its DOP853 legs call it some 400 times.
+Other `Poly2`s keep the loop because the classifier evaluates most of its
+polynomials only a few times, which would not pay for a compilation each.
+The sliding field N/D on each branch is an object of the system, as det Z
+is: `PiecewiseSystem.sliding_field(branch)` returns one `SlidingField` per
 branch, whose generated `value` is also built on first use, so it compiles
 once per system (and once per negated system, itself built once).  The
 half-map jets evaluate no polynomial: `series` reads the chart

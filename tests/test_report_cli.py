@@ -40,6 +40,7 @@ from crosswitch import (
     system_to_obj,
     unfolding,
 )
+import crosswitch.cli as cli
 import crosswitch.lanes as lanes
 from crosswitch.cli import main
 from crosswitch.report import (
@@ -851,14 +852,50 @@ def test_portrait_svg_draws_the_smallest_boxes_whose_scale_is_finite():
         portrait_svg(Z, [], box=1.6e-306)
 
 
-def test_cli_internal_value_error_is_not_unusable_input(monkeypatch, c32_file):
+def test_cli_internal_value_error_is_not_unusable_input(monkeypatch, c32_file, capsys):
     # an internal bug surfaces instead of exiting 2 as "unusable input"
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
+    # the parser is built before the patch: a handler looks up the library
+    # function it calls when it runs, not when the parser binds it
+    assert main(["classify", "--system", c32_file]) == 0
+    capsys.readouterr()
     monkeypatch.setattr("crosswitch.cli.classification_report", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["classify", "--system", c32_file])
+
+
+def test_cli_main_prints_the_same_bytes_when_run_again_in_one_process(c32_file, capsys):
+    # `build_parser` is memoised: each call after the first in a process
+    # parses with the first call's parser, and must print what it prints
+    # when it runs first
+    calls = [
+        ["integrate", "--system", c32_file, "--seed", "0.5,-0.15", "--h", "1e-3"],
+        ["--version"],
+        ["normal-form", "NoSuchClass", "--signs", "a=1"],    # a library ParseError
+        ["return-map", "--numeric", "--system", c32_file],
+        ["classify", "--system", c32_file],
+    ]
+
+    def run(argv):
+        try:
+            status = main(argv)
+        except SystemExit as e:
+            status = e.code
+        return (status, *capsys.readouterr())
+
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(run(argv))
+    cli.build_parser.cache_clear()
+    again = [run(argv) for argv in calls]
+    assert [status for status, _, _ in first] == [2, 0, 2, 0, 0]
+    assert "unrecognized arguments: --h 1e-3" in first[0][2]
+    assert "error: unknown class 'NoSuchClass'" in first[2][2]
+    assert again == first
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_cli_portrait_of_an_overflowing_system_exits_2(tmp_path, capsys):

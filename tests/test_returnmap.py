@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from crosswitch.classify import CLASS_PH, all_sign_tuples, unfolding
+from crosswitch.classify import CLASS_C32, CLASS_PH, all_sign_tuples, normal_form, unfolding
 from crosswitch.errors import (CrosswitchError, LeftDomain, NotTransient, NotTransverse,
                                ParseError, RouteMismatch, StepLimit)
-from crosswitch.fields import FIELD_SIGN, make_system
+from crosswitch.fields import FIELD_SIGN, Poly2, make_system
 from crosswitch.flow import ARM, LEG_BOX, half_crossing
 import crosswitch.lanes as lanes
 import crosswitch.returnmap as returnmap
@@ -181,8 +181,88 @@ class TestHalfMapJets:
         Z = hopf_family(0.0)
         hy = half_map_jet(Z, "Y")
         for x in (0.01, -0.01, 0.02):
-            want = half_map_value_numeric(Z.Y.f2, Z.Y.f1, x)
+            want = half_map_value_numeric(returnmap._chart_slope(Z.Y.f2, Z.Y.f1), x)
             assert abs(cubic(hy.a, hy.b, hy.c, x) - want) < 5.0 * abs(x) ** 4
+
+
+def loop_slope(num, den):
+    """The chart slope on the Horner loops of `Poly2.__call__`: the oracle of
+    the generated `returnmap._chart_slope`."""
+    return lambda s, w: [num(s, w[0]) / den(s, w[0])]
+
+
+def slope_outcome(slope, s, w):
+    """The slope's value as hex, or the class of the exception it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return slope(s, w)[0].hex()
+        except ArithmeticError as e:
+            return type(e)
+
+
+# finite coefficients and arguments of every scale: signed zeros, subnormals
+# and magnitudes up to 1e300, so that some products overflow mid-evaluation
+slope_floats = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e300, -1e300]),
+)
+
+# sparse chart polynomials of degree <= 3; the constant term may be absent
+sparse_chart_poly = st.lists(
+    st.integers(0, 3).flatmap(lambda i: st.tuples(st.just(i), st.integers(0, 3 - i),
+                                                  slope_floats)),
+    max_size=4).map(Poly2)
+
+
+class TestChartSlope:
+    """The fit's DOP853 legs call a generated chart slope; it must give what
+    num(s, w[0]) / den(s, w[0]) on the Horner loops gives, bit for bit, at
+    the argument types DOP853 passes: s a float or a numpy float64, w a
+    float64 array."""
+
+    @given(sparse_chart_poly, sparse_chart_poly, st.booleans(), slope_floats,
+           st.sampled_from([float, np.float64]), slope_floats)
+    @example(Poly2([(1, 0, 1.0)]), Poly2([(0, 0, 2.0)]), False,       # zero constant,
+             -0.0, float, 0.0)                                          # zero value
+    @example(Poly2([(0, 1, 1.0), (2, 0, -3.0)]),                        # X chart pair
+             Poly2([(0, 0, -1.0), (1, 2, 0.5)]), True, 0.02, float, -0.001)
+    @example(Poly2([(0, 0, 1.0)]), Poly2(), False, 0.5, float, 0.5)    # den is 0
+    @example(Poly2(), Poly2([(1, 0, 1.0)]), False, 0.0, np.float64, 1.0)  # 0/0
+    @example(Poly2([(3, 0, 1e300), (0, 1, 1.0)]), Poly2([(0, 0, 1.0)]),  # inf
+             False, 1e300, float, 2.0)                                  # mid-evaluation
+    @settings(max_examples=400, deadline=None)
+    def test_generated_slope_is_bit_identical(self, p, q, swap, s, s_type, w0):
+        num, den = (p.swap_vars(), q.swap_vars()) if swap else (p, q)
+        s, w = s_type(s), np.array([w0])
+        assert (slope_outcome(returnmap._chart_slope(num, den), s, w)
+                == slope_outcome(loop_slope(num, den), s, w))
+
+    @pytest.mark.parametrize("num, w, want", [
+        # den = 1 - x1 is 0 at s = 1: on numpy float64 w the loops give
+        # numpy's inf or NaN, on a Python-float w they raise
+        (Poly2([(0, 0, 1.0), (0, 1, 1.0)]), np.array([0.5]), float("inf").hex()),
+        (Poly2([(0, 0, -1.0), (1, 0, 1.0)]), np.array([0.5]), "nan"),
+        (Poly2([(0, 0, 1.0), (0, 1, 1.0)]), [0.5], ZeroDivisionError),
+        (Poly2([(0, 0, -1.0), (1, 0, 1.0)]), [0.5], ZeroDivisionError),
+    ])
+    def test_slope_at_a_zero_of_den_is_the_loops(self, num, w, want):
+        den = Poly2([(0, 0, 1.0), (1, 0, -1.0)])
+        assert slope_outcome(loop_slope(num, den), 1.0, w) == want
+        assert slope_outcome(returnmap._chart_slope(num, den), 1.0, w) == want
+
+    @pytest.mark.parametrize("Z", [
+        normal_form(CLASS_C32, {"a": 1, "b": 1, "c": 1}),
+        normal_form(CLASS_PH, {"a": 1, "b": 1, "c": 1}),
+        normal_form(CLASS_PH, {"a": 1, "b": -1, "c": -1}),
+    ])
+    def test_fit_equals_the_fit_on_the_loop_slope(self, monkeypatch, Z):
+        def bits(h):
+            return [h.a.hex(), h.b.hex(), h.c.hex(), h.error_estimate.hex()]
+
+        got = [bits(half_map_numeric_fit(Z, field)) for field in ("X", "Y")]
+        monkeypatch.setattr(returnmap, "_chart_slope", loop_slope)
+        assert got == [bits(half_map_numeric_fit(Z, field)) for field in ("X", "Y")]
 
 
 class TestNumericFit:
