@@ -389,7 +389,7 @@ def verify_unfolding(family: str, signs: dict, delta: float) -> UnfoldingVerific
               abs(model.alpha - alpha_want) <= 1e-12 * (1 + abs(alpha_want)),
               f"alpha = {model.alpha!r}, expected {alpha_want!r}")
         if 0.0 < abs(delta) <= PH_FP_MAX_DELTA:
-            fps = fixed_points(Z, -0.25, -1e-6, cells=96)
+            fps = fixed_points(Z, -0.25, 0.0, cells=96)
             expect_pair = (_sgn(delta) * _sgn(a * c) == b)
             check("fixed_point_pair_side",
                   (len(fps) == 1) == expect_pair,

@@ -19,13 +19,15 @@ times the field scale, no return to the starting branch, the box
 `returnmap.numeric_return_map`.
 
 A window has one result route: grid, lanes, multisection of the sign-change
-cells on lanes, and the multiplier as a central difference on lanes.  The
-scalar route checks it at the widest-leg lane of the window (its outermost
-accepted seed) and at every root, where it also gives the conjugate and
-`hit_sliding`; a disagreement raises `RouteMismatch`.  A root's stability
-comes from the signs of phi(x) - x at the ends of its scan cell.  The
-scalar route is looked up on `returnmap` at each call, so that a wrapper
-installed there sees every scalar check.
+cells on lanes, and the multiplier as a central difference on lanes.  It
+scans g(x) = (phi(x) - x)/|x|, of the sign of phi(x) - x, through the
+origin: a node at 0 runs no lane and takes the limit sign(window) *
+(alpha^2 - 1) from the origin components.  The scalar route checks the
+window at its widest-leg lane (its outermost accepted seed) and at every
+root, where it also gives the conjugate and `hit_sliding`; a disagreement
+raises `RouteMismatch`.  A root's stability comes from the signs of g at
+the ends of its scan cell.  The scalar route is looked up on `returnmap`
+at each call, so that a wrapper installed there sees every scalar check.
 """
 from __future__ import annotations
 
@@ -227,8 +229,8 @@ def _turn_values(Z: PiecewiseSystem, xs: np.ndarray):
 
 
 def _bracket_verdict(fa: float, fb: float) -> bool | None:
-    """Stability of the root of phi(x) - x in a scan cell from its end
-    values, fa at the lower end and fb at the upper end.
+    """Stability of the root of phi(x) - x in a scan cell from the end
+    values of g, of its sign, fa at the lower end and fb at the upper end.
 
     The full turn preserves orientation, so its multiplier is >= 0, and the
     root is stable exactly when phi(x) - x falls from + to - across it.  A
@@ -250,30 +252,28 @@ def _checked_turn(Z: PiecewiseSystem, x: float, lane: float) -> NumericReturn:
     return res
 
 
-def lane_window(Z: PiecewiseSystem, grid: list[float],
-                guard: float) -> list[FixedPoint]:
-    """Fixed points in one scan window on the lane route (see
-    `returnmap.fixed_points`).  The scalar check before any multisection
-    runs at the widest-leg lane, whose chart error is largest: the outermost
-    accepted grid seed."""
+def lane_window(Z: PiecewiseSystem, grid: list[float]) -> list[FixedPoint]:
+    """Fixed points in one scan window on one side of 0, the roots of
+    g(x) = (phi(x) - x)/|x| (see `returnmap.fixed_points`).  The full turn
+    fixes 0 with phi'(0) = alpha^2, alpha = X1*Y2 / (X2*Y1) at 0, so a node
+    at 0 takes g = sign(window) * (alpha^2 - 1), and a root at exactly 0 is
+    the origin.  The scalar check runs first at the widest-leg lane, the
+    outermost accepted grid seed, whose chart error is largest."""
 
-    def lanes(u):
-        vals, ok = _turn_values(Z, u)
-        d = vals - u
-        d[np.abs(u) <= guard] = 0.0
-        return d, ok
+    def divided(u):
+        return (_turn_values(Z, u)[0] - u) / np.abs(u)
 
     xs = np.array(grid)
-    vals, ok = lanes(xs)
+    lane = xs != 0.0
+    turns, ok = _turn_values(Z, xs[lane])
     if ok.any():
-        k = int(np.argmax(np.where(ok, np.abs(xs), -1.0)))
-        _checked_turn(Z, grid[k], float(vals[k] + xs[k]))
-
-    def refine(brackets):
-        return multisect_roots(lambda u: lanes(u)[0], brackets)
-
-    roots = [(r, cell) for r, cell in sign_change_roots(grid, vals.tolist(), refine)
-             if abs(r) > 2.0 * guard]
+        k = int(np.argmax(np.where(ok, np.abs(xs[lane]), -1.0)))
+        _checked_turn(Z, float(xs[lane][k]), float(turns[k]))
+    x1, x2, y1, y2 = Z.origin_components()
+    vals = np.full(xs.shape, np.sign(xs.sum()) * ((x1 * y2 / (x2 * y1)) ** 2 - 1.0))
+    vals[lane] = (turns - xs[lane]) / np.abs(xs[lane])
+    roots = [(r, cell) for r, cell in sign_change_roots(
+        grid, vals.tolist(), lambda cells: multisect_roots(divided, cells)) if r != 0.0]
     if not roots:
         return []
     at = np.array([r for r, _ in roots])

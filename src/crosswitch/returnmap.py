@@ -298,25 +298,26 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
                  cells: int) -> list[FixedPoint]:
     """Fixed points of the numeric full turn with x in [lo, hi], 0 excluded.
 
-    Each side of 0 is one scan window: a grid of `cells` cells over which
-    phi(x) - x is scanned for sign changes.  Every window runs one
-    sequence, in `lanes`.  The grid seeds run through the four legs together
-    on numpy lanes, each leg an error-controlled RK4 run in the chart
-    variable (`lanes._chart_turn`); a lane that fails one of the scalar route's guards, or
-    whose legs do not meet their tolerance, is evaluated by
-    `numeric_return_map` instead, which raises what it raises.  The
-    sign-change cells are refined together by lane multisection
-    (`lanes.multisect_roots`) to width 1e-12, and the multiplier is the
-    central difference of the lane map with step `lanes.SLOPE_STEP` *
-    (1 + |x|).  One
-    scalar `numeric_return_map` at each root gives `hit_sliding` and the
-    conjugate.
+    Each side of 0 is one scan window, [lo, min(hi, 0)] and [max(lo, 0),
+    hi]: a grid of `cells` cells over which the divided displacement
+    g(x) = (phi(x) - x)/|x|, of the sign of phi(x) - x, is scanned for sign
+    changes.  The scan runs through the origin: the full turn fixes 0 with
+    phi'(0) = alpha^2, so a node at 0 takes g = sign(window) * (alpha^2 - 1)
+    from the origin components alone, and a root at exactly 0 is the origin
+    and is dropped.
 
-    The scalar orbit legs also check the lanes, at the widest-leg lane of
-    the grid (before any multisection) and at every root: a difference
-    above `lanes.LANE_CHECK_TOL` * (1 + |x|) raises RouteMismatch.  The widest-leg
-    lane is the outermost accepted grid seed, since orbits of one field
-    never cross and every leg end moves outward with |x|.
+    Every window runs on the lane route of `lanes`: the grid seeds run
+    through the four legs together on numpy lanes (`lanes._chart_turn`),
+    and a lane that fails a guard of the scalar route, or whose legs do not
+    meet their tolerance, is evaluated by `numeric_return_map`, which
+    raises what it raises.  The sign-change cells are refined together by
+    lane multisection to width 1e-12, and the multiplier is the central
+    difference of the lane map with step `lanes.SLOPE_STEP` * (1 + |x|).
+    The scalar orbit legs check the lanes at the widest-leg lane of the
+    grid (its outermost accepted seed, as orbits of one field never cross
+    and every leg end moves outward with |x|) and at every root, where they
+    also give `hit_sliding` and the conjugate: a difference above
+    `lanes.LANE_CHECK_TOL` * (1 + |x|) raises RouteMismatch.
 
     The full turn preserves orientation, so a root is stable exactly when
     phi(x) - x falls from + to - across its cell; `stable` is read from the
@@ -331,7 +332,6 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
     require_transient(Z)
     from .lanes import lane_window
 
-    guard = BAND * (1.0 + abs(lo) + abs(hi))
-    windows = ((lo, min(hi, -guard)), (max(lo, guard), hi))
+    windows = ((lo, min(hi, 0.0)), (max(lo, 0.0), hi))
     return [fp for wlo, whi in windows if whi > wlo
-            for fp in lane_window(Z, scan_grid(wlo, whi, cells), guard)]
+            for fp in lane_window(Z, scan_grid(wlo, whi, cells))]

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from crosswitch.classify import CLASS_C32, CLASS_PH, all_sign_tuples, normal_form, unfolding
+from crosswitch.classify import (CLASS_C32, CLASS_PH, PH_FP_MAX_DELTA, all_sign_tuples,
+                                 normal_form, unfolding)
 from crosswitch.errors import (CrosswitchError, LeftDomain, NotTransient, NotTransverse,
                                ParseError, RouteMismatch, StepLimit)
 from crosswitch.fields import FIELD_SIGN, Poly2, make_system
@@ -470,32 +471,79 @@ class TestFixedPoints:
         assert abs(a - b) < 1e-8
 
     def test_a_scan_across_the_origin_is_the_union_of_its_sides(self):
-        # [DERIVED] fixed_points cuts [-0.25, 0.25] at the origin gap; the
-        # lane values of each window's inner end are zeroed, so both scan
-        # an exact zero there, at the last grid value of the left window
-        # and the first of the right one, and drop it as the origin
+        # [DERIVED] fixed_points splits [-0.25, 0.25] at 0 into two windows
+        # that both end at the node 0, where the divided displacement
+        # (phi(x) - x)/|x| takes its limit +-(alpha^2 - 1) without a lane.
+        # The side windows from +-1e-7 find the same cycles, the near-band
+        # ones at |x| ~ sqrt|delta| included, and on the band (delta = 0,
+        # where the node 0 is an exact zero) none.  Below SLOPE_STEP the
+        # multiplier's stencil crosses 0 and still meets the model's
+        # phi'(x) within its O(phi3 * SLOPE_STEP^2) central-difference error
+        sizes = (2e-3, 1e-4, 1e-5, 1e-7, 1e-9, 1e-11)
+        deltas = [0.0] + [s * d for d in sizes for s in (-1, 1)]
+        inner = 0
         for signs in all_sign_tuples(CLASS_PH):
-            for delta in (-2e-3, -1e-4, 1e-4, 2e-3):
+            for delta in deltas:
                 Z = unfolding(CLASS_PH, signs, delta)
                 got = fixed_points(Z, -0.25, 0.25, 96)
-                want = fixed_points(Z, -0.25, -1e-6, 96) + fixed_points(Z, 1e-6, 0.25, 96)
+                want = fixed_points(Z, -0.25, -1e-7, 96) + fixed_points(Z, 1e-7, 0.25, 96)
                 assert [fp.stable for fp in got] == [fp.stable for fp in want], (signs, delta)
                 for g, w in zip(got, want):
                     assert abs(g.x - w.x) <= 1e-9, (signs, delta)
+                phi1, phi2, phi3 = return_map_model(Z).phi
+                for fp in got:
+                    if abs(fp.x) < lanes.SLOPE_STEP:
+                        inner += 1
+                        slope = phi1 + (2.0 * phi2 + 3.0 * phi3 * fp.x) * fp.x
+                        assert abs(fp.multiplier - slope) <= 1e-9, (signs, delta, fp)
+        assert inner > 0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="each window's inner end is zeroed, so a cycle inside "
-                              "the innermost grid cell is lost (ROADMAP item 10)")
     def test_a_cycle_inside_the_innermost_cell_is_found(self):
         # [ORACLE] the side windows from +-1e-7 find the cycle pair at
         # +-1.3097e-3, inside the innermost cells (width 2.6e-3) of the
-        # windows of [-0.25, 0.25], which find nothing
+        # windows of [-0.25, 0.25]
         Z = unfolding(CLASS_PH, {"a": 1, "b": -1, "c": 1}, -1e-6)
         want = [fp.x for lo, hi in ((-0.25, -1e-7), (1e-7, 0.25))
                 for fp in fixed_points(Z, lo, hi, 96)]
         assert want == pytest.approx([-1.3097e-3, 1.3089e-3], abs=1e-7)
         got = [fp.x for fp in fixed_points(Z, -0.25, 0.25, 96)]
         assert got == pytest.approx(want, abs=1e-9)
+
+    def test_a_cycle_pair_lies_where_the_cubic_model_puts_it(self):
+        # [DERIVED] the pseudo-Hopf pair lies near a root of the model's
+        # (phi(x) - x)/x = phi1 - 1 + phi2 x + phi3 x^2, off by O(x^2): the
+        # largest ratio |x - root|/x^2 is 0.41, at |delta| = PH_FP_MAX_DELTA.
+        # Below |delta| ~ 3e-11 the ratio passes 1, as phi1 - 1 loses its
+        # digits to cancellation, so the test stops at 1e-10
+        for signs in all_sign_tuples(CLASS_PH):
+            for size in (1e-10, 1e-7, 1e-4, 3e-3, PH_FP_MAX_DELTA):
+                for delta in (-size, size):
+                    Z = unfolding(CLASS_PH, signs, delta)
+                    phi1, phi2, phi3 = return_map_model(Z).phi
+                    fps = fixed_points(Z, -0.25, 0.25, 96)
+                    pair = np.sign(delta) * signs["a"] * signs["c"] == signs["b"]
+                    assert len(fps) == 2 * pair, (signs, delta)
+                    roots = np.roots([phi3, phi2, phi1 - 1.0]).real
+                    for fp in fps:
+                        gap = np.min(np.abs(roots - fp.x))
+                        assert gap <= 0.5 * fp.x ** 2, (signs, delta, fp.x)
+
+    def test_a_seed_contracting_onto_the_origin_ends_no_scan(self):
+        # pool system 47 of the benchmark: a contracting full turn with no
+        # cycle near 0, whose seeds within about 1e-9 of 0 end a leg within
+        # flow.ARM of the origin (LeftDomain).  The node 0 takes no lane,
+        # and the nearest seed lies a whole grid cell out
+        Z = make_system(
+            {(0, 0): 2.2572063471316386, (0, 3): 2.6016016875391275,
+             (3, 1): -0.678533849093923},
+            {(0, 0): -2.9928729691553064, (0, 2): -1.1969399282269662,
+             (2, 2): -1.2955934043409563},
+            {(0, 0): 2.590494137171506, (0, 3): 2.1673168286014155,
+             (1, 3): 2.0995542850493463, (3, 2): 2.2854602602057525},
+            {(0, 0): 0.5412759536547209, (0, 1): 0.9708354033527602,
+             (0, 3): -1.663527121360285, (2, 2): -2.846521509789679})
+        assert fixed_points(Z, 0.0, 0.05, 96) == []
+        assert fixed_points(Z, -0.25, 0.25, 96) == []
 
     def test_sign_change_roots_takes_exact_zeros_and_merges_close_roots(self):
         # zeros at the first grid value, an interior one and the last one;
@@ -536,18 +584,16 @@ def scalar_fixed_points(Z, lo: float, hi: float, cells: int):
     """The scalar route for a window below 0: the scalar full turn on the
     scan grid, one bisection per sign-change cell, central-difference
     multiplier.  Returns (x, multiplier, hit_sliding) triples."""
-    guard = 1e-9 * (1.0 + abs(lo) + abs(hi))
+    assert hi < 0.0
 
     def displacement(x):
-        return 0.0 if abs(x) <= guard else numeric_return_map(Z, x).value - x
+        return numeric_return_map(Z, x).value - x
 
-    xs = scan_grid(lo, min(hi, -guard), cells)
+    xs = scan_grid(lo, hi, cells)
     vals = [displacement(x) for x in xs]
     out = []
     for root, _ in sign_change_roots(xs, vals, lambda brackets: [
             bisect_root(displacement, *c) for c in brackets]):
-        if abs(root) <= 2.0 * guard:
-            continue
         mult = central_slope(lambda u: numeric_return_map(Z, u).value,
                              root, 1e-5 * (1.0 + abs(root)))
         out.append((root, mult, numeric_return_map(Z, root).hit_sliding))
