@@ -344,14 +344,15 @@ def _predict_side_class(family: str, s: dict, delta: float) -> str:
     return CLASS_C32
 
 
-#: pseudo-Hopf fixed-point scans are only meaningful very close to the band
+#: pseudo-Hopf fixed-point scans run off the band, meaningful only close to it
 PH_FP_MAX_DELTA = 5e-3
 
 
 def verify_unfolding(family: str, signs: dict, delta: float) -> UnfoldingVerification:
     """Build the family member, classify it, and test the quantitative
-    predictions of the family against independently computed objects, the
-    pseudo-Hopf fixed-point scan at every 0 < |delta| <= PH_FP_MAX_DELTA.
+    predictions of the family against independently computed objects.  The
+    side checks run off the critical band only (predicted != family), the
+    pseudo-Hopf fixed-point scan there at every |delta| <= PH_FP_MAX_DELTA.
     The regular fold is looked for in |s| <= max(1, 2|delta|).  Raises
     ParseError for a member at or past the edge of the family's chart."""
     s = validate_signs(family, signs)
@@ -388,7 +389,7 @@ def verify_unfolding(family: str, signs: dict, delta: float) -> UnfoldingVerific
         check("alpha_formula",
               abs(model.alpha - alpha_want) <= 1e-12 * (1 + abs(alpha_want)),
               f"alpha = {model.alpha!r}, expected {alpha_want!r}")
-        if 0.0 < abs(delta) <= PH_FP_MAX_DELTA:
+        if predicted != family and abs(delta) <= PH_FP_MAX_DELTA:
             fps = fixed_points(Z, -0.25, 0.0, cells=96)
             expect_pair = (_sgn(delta) * _sgn(a * c) == b)
             check("fixed_point_pair_side",

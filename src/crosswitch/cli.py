@@ -63,6 +63,7 @@ from .report import (
     sweep_family,
     trajectory_csv,
 )
+from .numerics import scan_grid
 from .switching import sigma_decomposition
 
 _USABLE_INPUT_ERRORS = (ParseError, InvalidSigns, NotTransverse, NotTransient,
@@ -161,9 +162,7 @@ def _parse_delta_grid(spec: str | None, listing: str | None) -> list[float]:
             raise ParseError("--deltas needs n >= 2")
         _require_finite("--deltas", lo)
         _require_finite("--deltas", hi)
-        step = (hi - lo) / (n - 1)
-        values = [lo + k * step for k in range(n)]
-        values[-1] = hi
+        values = scan_grid(lo, hi, n - 1)
     else:
         try:
             values = [float(v) for v in listing.split(",") if v.strip()]

@@ -21,8 +21,9 @@ times the field scale, no return to the starting branch, the box
 A window has one result route: grid, lanes, multisection of the sign-change
 cells on lanes, and the multiplier as a central difference on lanes.  It
 scans g(x) = (phi(x) - x)/|x|, of the sign of phi(x) - x, through the
-origin: a node at 0 runs no lane and takes the limit sign(window) *
-(alpha^2 - 1) from the origin components.  The scalar route checks the
+origin: a node within `flow.ARM` of 0, where no orbit leg starts, runs no
+lane and takes the limit sign(window) * (alpha^2 - 1) from the origin
+components, and a root there is the origin.  The scalar route checks the
 window at its widest-leg lane (its outermost accepted seed) and at every
 root, where it also gives the conjugate and `hit_sliding`; a disagreement
 raises `RouteMismatch`.  A root's stability comes from the signs of g at
@@ -256,24 +257,30 @@ def lane_window(Z: PiecewiseSystem, grid: list[float]) -> list[FixedPoint]:
     """Fixed points in one scan window on one side of 0, the roots of
     g(x) = (phi(x) - x)/|x| (see `returnmap.fixed_points`).  The full turn
     fixes 0 with phi'(0) = alpha^2, alpha = X1*Y2 / (X2*Y1) at 0, so a node
-    at 0 takes g = sign(window) * (alpha^2 - 1), and a root at exactly 0 is
-    the origin.  The scalar check runs first at the widest-leg lane, the
-    outermost accepted grid seed, whose chart error is largest."""
-
-    def divided(u):
-        return (_turn_values(Z, u)[0] - u) / np.abs(u)
+    at 0 takes g = sign(window) * (alpha^2 - 1), and so does every node and
+    multisection point within `flow.ARM` of 0, where no orbit leg starts; a
+    root there is the origin.  The scalar check runs first at the widest-leg
+    lane, the outermost accepted grid seed, whose chart error is largest."""
 
     xs = np.array(grid)
-    lane = xs != 0.0
-    turns, ok = _turn_values(Z, xs[lane])
-    if ok.any():
-        k = int(np.argmax(np.where(ok, np.abs(xs[lane]), -1.0)))
-        _checked_turn(Z, float(xs[lane][k]), float(turns[k]))
     x1, x2, y1, y2 = Z.origin_components()
-    vals = np.full(xs.shape, np.sign(xs.sum()) * ((x1 * y2 / (x2 * y1)) ** 2 - 1.0))
-    vals[lane] = (turns - xs[lane]) / np.abs(xs[lane])
+    at_origin = np.sign(xs.sum()) * ((x1 * y2 / (x2 * y1)) ** 2 - 1.0)
+
+    def divided(u):
+        """g at the points u, and the accepted lane seeds with their turns."""
+        lane = np.abs(u) > ARM
+        turns, ok = _turn_values(Z, u[lane])
+        vals = np.full(u.shape, at_origin)
+        vals[lane] = (turns - u[lane]) / np.abs(u[lane])
+        return vals, u[lane][ok], turns[ok]
+
+    vals, seeds, turns = divided(xs)
+    if seeds.size:
+        k = int(np.argmax(np.abs(seeds)))
+        _checked_turn(Z, float(seeds[k]), float(turns[k]))
     roots = [(r, cell) for r, cell in sign_change_roots(
-        grid, vals.tolist(), lambda cells: multisect_roots(divided, cells)) if r != 0.0]
+        grid, vals.tolist(), lambda cells: multisect_roots(lambda u: divided(u)[0], cells))
+        if abs(r) > ARM]
     if not roots:
         return []
     at = np.array([r for r, _ in roots])

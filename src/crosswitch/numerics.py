@@ -13,11 +13,12 @@ ends of the pieces it leaves (`_isolate`); it refines each root in the cell
 where a grid scan would, so the bits are a grid scan's wherever no grid
 cell holds two roots.
 
-`bisect_root` is the one scalar bisection loop: it refines the roots of
-`scan_roots` to width ROOT_XTOL (exact zeros stop early), and it localises
-every flow event inside an RK4 substep [0, h], where it stops at
-|g| <= `flow.SNAP` or at width 1e-16 * h.  The fixed-point scans refine
-their roots on lanes with `lanes.multisect_roots`.
+`bisect_root` is the one scalar bisection loop, with no iteration cap: it
+refines the roots of `scan_roots` to width ROOT_XTOL or to adjacent floats
+(exact zeros stop early), and it localises every flow event inside an RK4
+substep [0, h], where it stops at |g| <= `flow.SNAP` or at width 1e-16 * h.
+`sign_change_roots` keeps one root per zero and per sign change of a scan.
+The fixed-point scans refine their roots on lanes with `lanes.multisect_roots`.
 """
 from __future__ import annotations
 
@@ -33,8 +34,6 @@ SCAN_CELLS = 512
 #: Absolute width to which scan roots are refined; `bisect_root`'s default.
 ROOT_XTOL = 1e-12
 
-#: Most halvings `bisect_root` makes.
-BISECT_MAX_ITER = 200
 
 def bisect_root(f: Callable[[float], float], a: float, b: float,
                 fa: float, fb: float,
@@ -43,9 +42,10 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
     fb = f(b) of opposite signs.
 
     Returns the first of a, b and the midpoints where |f| <= ftol, else the
-    midpoint of the first bracket no wider than xtol (or of the last one
-    after BISECT_MAX_ITER halvings).  With ftol = 0 only an exact zero stops
-    early.
+    midpoint of the first bracket that is no wider than xtol or whose
+    midpoint does not lie strictly inside it (its ends are adjacent
+    floats).  Every float bracket ends so.  With ftol = 0 only an exact
+    zero stops early.
     """
     if abs(fa) <= ftol:
         return a
@@ -53,9 +53,9 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
         return b
     if (fa < 0.0) == (fb < 0.0):
         raise ValueError("bisect_root: interval does not bracket a sign change")
-    for _ in range(BISECT_MAX_ITER):
+    while True:
         m = 0.5 * (a + b)
-        if (b - a) <= xtol:
+        if (b - a) <= xtol or not a < m < b:
             return m
         fm = f(m)
         if abs(fm) <= ftol:
@@ -64,7 +64,6 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
             a, fa = m, fm
         else:
             b, fb = m, fm
-    return 0.5 * (a + b)
 
 
 def scan_grid(lo: float, hi: float, cells: int) -> list[float]:
@@ -88,8 +87,8 @@ def sign_change_roots(xs: Sequence[float], vals: Sequence[float],
     opposite signs holds one.  refine([(a, b, f(a), f(b)), ...]) locates
     the roots of all those cells in a single call, one per cell.  Returns
     ascending (root, cell) pairs, cell being the root's (a, b, f(a), f(b)),
-    or (r, r, 0.0, 0.0) for a zero grid value r, with duplicates within a
-    small merge window collapsed.
+    or (r, r, 0.0, 0.0) for a zero grid value r: every zero grid value and
+    every sign-change cell yields its own root, however close to the next.
     """
     # grid indices of zero values and of sign-change cells, ascending; only
     # a cell whose end values have no positive product can be either
@@ -105,17 +104,8 @@ def sign_change_roots(xs: Sequence[float], vals: Sequence[float],
     if vals[-1] == 0.0:
         hits.append(len(vals) - 1)
     refined = iter(zip(refine(brackets), brackets))
-    out: list[tuple[float, Cell]] = []
-    for k in hits:
-        if vals[k] == 0.0:
-            r = xs[k]
-            cell = (r, r, 0.0, 0.0)
-        else:
-            r, cell = next(refined)
-        if out and abs(r - out[-1][0]) <= max(4.0 * ROOT_XTOL, 1e-11 * (1.0 + abs(r))):
-            continue
-        out.append((r, cell))
-    return out
+    return [(xs[k], (xs[k], xs[k], 0.0, 0.0)) if vals[k] == 0.0 else next(refined)
+            for k in hits]
 
 
 def scan_roots(f: Callable[[float], float], lo: float, hi: float,

@@ -303,8 +303,9 @@ def fixed_points(Z: PiecewiseSystem, lo: float, hi: float,
     g(x) = (phi(x) - x)/|x|, of the sign of phi(x) - x, is scanned for sign
     changes.  The scan runs through the origin: the full turn fixes 0 with
     phi'(0) = alpha^2, so a node at 0 takes g = sign(window) * (alpha^2 - 1)
-    from the origin components alone, and a root at exactly 0 is the origin
-    and is dropped.
+    from the origin components alone, as does every node and multisection
+    point within `flow.ARM` of 0, where no orbit leg starts; a root there is
+    the origin and is dropped.
 
     Every window runs on the lane route of `lanes`: the grid seeds run
     through the four legs together on numpy lanes (`lanes._chart_turn`),

@@ -391,6 +391,22 @@ def test_pseudo_hopf_prediction_on_the_band():
     assert rep.ok, rep
 
 
+@pytest.mark.parametrize("delta", [1e-16, 1e-18, 1e-20, 1e-30])
+def test_pseudo_hopf_members_inside_the_band_verify(delta):
+    # [DERIVED] inside the band the side class is the family itself, and
+    # the fixed-point checks, like the other families' side checks, no
+    # longer run.  They ran at every 0 < |delta| <= PH_FP_MAX_DELTA, and
+    # where alpha = -ac / (ac + delta) rounds to -1 the scan's node 0 is an
+    # exact zero (alpha^2 - 1 = 0.0 at delta = 1e-16 with a = b = c = 1),
+    # so no pair could show: fixed_point_pair_side failed on 28 of these 64
+    for signs in all_sign_tuples(CLASS_PH):
+        for d in (delta, -delta):
+            rep = verify_unfolding(CLASS_PH, signs, d)
+            assert rep.predicted_class == rep.observed_class == CLASS_PH, (signs, d, rep)
+            assert rep.ok, (signs, d, rep)
+            assert [c.name for c in rep.checks] == ["alpha_formula"]
+
+
 @pytest.mark.parametrize("signs", all_sign_tuples(CLASS_PH), ids=str)
 def test_pseudo_hopf_edge_raises_a_parse_error(signs):
     # [DERIVED] X2(0) = -(ac + delta) vanishes at delta = -ac, where the

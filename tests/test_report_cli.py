@@ -1000,15 +1000,31 @@ def test_cli_delta_grid_snaps_relative_to_its_largest_value(capsys):
     assert "\n0.000000000000e+00," in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spec", ["-2e-3:2e-3:9", "-0.2:0.2:5", "0:1:3", "-0.3:0.1:5"])
+def test_cli_delta_grid_is_the_scan_grid(spec):
+    # lo + step * k, step = (hi - lo) / (n - 1), with hi exact, bit for bit;
+    # only a rounding residue of 0 snaps to 0.0
+    lo, hi, n = (float(p) for p in spec.split(":"))
+    step = (hi - lo) / (n - 1)
+    want = [lo + step * k for k in range(int(n) - 1)] + [hi]
+    got = cli._parse_delta_grid(spec, None)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.hex() == w.hex() or g == 0.0 and abs(w) <= 1e-15 * max(map(abs, want))
+
+
 @pytest.mark.parametrize("family, signs, deltas, n", [
     ("codim1_pseudohopf", "a=1,b=1,c=1", "--deltas=-1e-7:1e-7:3", 3),
+    ("codim1_pseudohopf", "a=1,b=1,c=1", "--delta-list=-1e-16,0,1e-16", 3),
     ("codim1_regularfold", "a=1,b=1", "--delta-list=0,1e-10", 2),
 ])
 def test_cli_pseudo_hopf_sweep_next_to_the_band_exits_0(capsys, family, signs, deltas, n):
     # the pseudo-Hopf cycles at delta = +-1e-7 have multipliers within 1e-6
-    # of 1; they got no stability verdict, and the sweep exited 4.  A
-    # regular-fold delta inside the band is predicted, and observed, on the
-    # band (test_classify.py::test_side_prediction_applies_the_band)
+    # of 1; they got no stability verdict, and the sweep exited 4.  At
+    # delta = +-1e-16, inside the band, the fixed-point checks ran and
+    # failed, and the sweep exited 4.  A regular-fold delta inside the band
+    # is predicted, and observed, on the band
+    # (test_classify.py::test_side_prediction_applies_the_band)
     assert main(["sweep", "--family", family, "--signs", signs, deltas]) == 0
     assert capsys.readouterr().out.count(",true,") == n
 

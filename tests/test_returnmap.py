@@ -545,10 +545,10 @@ class TestFixedPoints:
         assert fixed_points(Z, 0.0, 0.05, 96) == []
         assert fixed_points(Z, -0.25, 0.25, 96) == []
 
-    def test_sign_change_roots_takes_exact_zeros_and_merges_close_roots(self):
+    def test_sign_change_roots_takes_exact_zeros_and_keeps_close_roots(self):
         # zeros at the first grid value, an interior one and the last one;
         # the roots refined in the cells (3, 4) and (4, 5) lie 2e-13 apart,
-        # within the merge window, so only the first is kept
+        # and each cell keeps its own (a merge window used to drop the second)
         xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         vals = [0.0, 1.0, 0.0, -1.0, 1.0, -1.0, 0.0]
         calls = []
@@ -559,8 +559,18 @@ class TestFixedPoints:
 
         assert sign_change_roots(xs, vals, refine) == [
             (0.0, (0.0, 0.0, 0.0, 0.0)), (2.0, (2.0, 2.0, 0.0, 0.0)),
-            (4.0 - 1e-13, (3.0, 4.0, -1.0, 1.0)), (6.0, (6.0, 6.0, 0.0, 0.0))]
+            (4.0 - 1e-13, (3.0, 4.0, -1.0, 1.0)), (4.0 + 1e-13, (4.0, 5.0, 1.0, -1.0)),
+            (6.0, (6.0, 6.0, 0.0, 0.0))]
         assert calls == [[(3.0, 4.0, -1.0, 1.0), (4.0, 5.0, 1.0, -1.0)]]
+
+    @pytest.mark.parametrize("lo, hi", [(-1e-10, 0.0), (-1e-11, 1e-11)])
+    def test_seeds_within_arm_take_the_origin_value(self, lo, hi):
+        # every grid seed lies within flow.ARM of 0, where no orbit leg
+        # starts: such a node used to go to the scalar route, which raised
+        # a bare ValueError from half_crossing's start check; it takes the
+        # value of the node 0 now, and the window holds no cycle
+        Z = unfolding(CLASS_PH, {"a": 1, "b": -1, "c": 1}, -1e-6)
+        assert fixed_points(Z, lo, hi, 8) == []
 
     @pytest.mark.parametrize("lo, hi, cells", [
         (-0.25, -1e-6, 0), (-0.25, -1e-6, -3), (-0.25, -1e-6, float("nan")),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -99,8 +100,7 @@ def section3_example(alpha: float):
 def loop_scan(f, lo, hi, cells=SCAN_CELLS, xtol=ROOT_XTOL):
     """The scalar grid scan, kept as the oracle of `scan_roots`: a list grid,
     one call of f per grid point, each zero value a root, one bisection per
-    sign-change cell, duplicates within the merge window collapsed.  Returns
-    (roots, grid)."""
+    sign-change cell.  Returns (roots, grid)."""
     step = (hi - lo) / cells
     grid = [lo + step * k for k in range(cells + 1)]
     grid[-1] = hi
@@ -109,13 +109,9 @@ def loop_scan(f, lo, hi, cells=SCAN_CELLS, xtol=ROOT_XTOL):
             if fa == 0.0 or (fb != 0.0 and (fa < 0.0) != (fb < 0.0))]
     if vals[-1] == 0.0:
         hits.append(cells)
-    roots: list[float] = []
-    for k in hits:
-        r = grid[k] if vals[k] == 0.0 else bisect_root(f, grid[k], grid[k + 1],
-                                                       vals[k], vals[k + 1], xtol)
-        if roots and abs(r - roots[-1]) <= max(4.0 * xtol, 1e-11 * (1.0 + abs(r))):
-            continue
-        roots.append(r)
+    roots = [grid[k] if vals[k] == 0.0 else bisect_root(f, grid[k], grid[k + 1],
+                                                        vals[k], vals[k + 1], xtol)
+             for k in hits]
     return roots, grid
 
 
@@ -299,6 +295,21 @@ class TestScanRoots:
         q = Poly1([0.5, -3.0, 0.0, 1.0])
         assert scan_roots(q, -1e200, 1e200) == pytest.approx(exact_roots(q), abs=1e-9)
 
+    @pytest.mark.parametrize("R", [1e60, 1e100, 1e300])
+    def test_a_window_of_any_width_keeps_its_root(self, R):
+        # [ORACLE] s - 1 on |s| <= R: bisection stopped after 200 halvings,
+        # while the bracket was still 2^-200 R wide, at 1.000301 (R = 1e60),
+        # 1.2154e37 (1e100) and 1.2154e237 (1e300)
+        got = scan_roots(Poly1([-1.0, 1.0]), -R, R)
+        assert len(got) == 1 and abs(got[0] - 1.0) <= 1e-12
+
+    def test_roots_in_adjacent_cells_are_both_kept(self):
+        # [ORACLE] (s - 0.5)^2 - 1e-26, roots 0.5 -+ 1e-13, on either side
+        # of the grid point 0.5 where the value is -1e-26: each cell refines
+        # its own root, and a merge window used to drop the second
+        assert scan_roots(lambda s: (s - 0.5) ** 2 - 1e-26, 0.0, 1.0) == [
+            0.49999999999954525, 0.5000000000004547]
+
     def test_zero_polynomial_raises(self):
         # every point is a root: the callers decide what that means
         with pytest.raises(ValueError):
@@ -399,6 +410,21 @@ class TestScanRoots:
         x = bisect_root(f, -1.0, 1.0, f(-1.0), f(1.0), xtol=1e-16, ftol=t)
         assert -1.0 <= x <= 1.0
         assert abs(f(x)) <= t
+
+    def test_bisect_finds_the_root_of_any_bracket(self):
+        # [ORACLE] x - r, whose computed sign is exact, on seeded random
+        # brackets up to 1e300 wide around r: bisection ends at width
+        # ROOT_XTOL or at two adjacent floats, within one of them of r.
+        # After 200 halvings it used to stop 2^-200 of the bracket away
+        rng = random.Random(33)
+        for _ in range(1000):
+            r = rng.choice([-1.0, 1.0]) * rng.random() * 10.0 ** rng.uniform(-12, 300)
+            a = r - 10.0 ** rng.uniform(-13, 300)
+            b = r + 10.0 ** rng.uniform(-13, 300)
+            if not a < r < b:
+                continue
+            x = bisect_root(lambda x: x - r, a, b, a - r, b - r)
+            assert abs(x - r) <= max(ROOT_XTOL, math.ulp(r)), (r, a, b, x)
 
     def test_bisect_returns_end_point_within_ftol(self):
         # [TRIVIAL] an end value already within ftol is returned as it is,
@@ -647,6 +673,16 @@ class TestDecomposition:
         arcs = dec.half_branch(2, 1)
         assert arcs[0].outer == pytest.approx(0.3, abs=1e-9)
         assert arcs[1].inner == pytest.approx(0.3, abs=1e-9)
+
+    @pytest.mark.parametrize("radius", [1e60, 1e100])
+    def test_fold_of_a_huge_window(self, radius):
+        # [DERIVED] the regular fold at delta = 0.5 has its one tangency at
+        # s = 0.5 however wide the window: it used to sit at 0.4995428
+        # (radius 1e60) and at 1.2154e37 (radius 1e100), where bisection
+        # stopped after 200 halvings
+        dec = sigma_decomposition(unfolding(CLASS_RF, {"a": -1, "b": 1}, 0.5), radius)
+        assert [t.field for t in dec.tangencies] == ["X"]
+        assert abs(dec.tangencies[0].s - 0.5) <= 1e-12
 
     def test_arcs_ordered_outward(self):
         Z = canonical_example()
